@@ -150,11 +150,13 @@ def ncc_pairs(items_a, items_b) -> np.ndarray:
 
     ia = np.array([_idx(x) for x in items_a], dtype=np.intp)
     ib = np.array([_idx(x) for x in items_b], dtype=np.intp)
-    u = np.stack([np.asarray(x, dtype=np.float64).reshape(-1) for x in unique])
-    k = u.shape[1]
-    mean = u.mean(axis=1)
-    norm2 = np.maximum(np.einsum("mk,mk->m", u, u) - k * mean * mean, 0.0)
-    rows = list(u)
+    # Flat *views* of the cached residuals, never a stacked copy: a
+    # launch over m unique items would otherwise allocate and fill
+    # m x H x W doubles only to read each row once more.
+    rows = [np.asarray(x, dtype=np.float64).reshape(-1) for x in unique]
+    k = rows[0].size if rows else 0
+    mean = np.array([row.mean() for row in rows])
+    norm2 = np.maximum(np.array([np.dot(row, row) for row in rows]) - k * mean * mean, 0.0)
     raw = np.array([np.dot(rows[i], rows[j]) for i, j in zip(ia, ib)])
     dot = raw - k * mean[ia] * mean[ib]
     denom = np.sqrt(norm2[ia] * norm2[ib])

@@ -34,6 +34,11 @@ def safe_job_limit(requested: int, device_slots: int, host_slots: int, gpus_per_
     exists, and the host level needs no clamp at all: host pins are only
     held across bounded H2D copies.
 
+    This is the per-pair form (one job, two pins) the simulator uses.
+    The threaded runtime generalises it to batches by counting pins
+    instead of jobs — *claimed pins <= slots - 1* — and uses this
+    function only for its job-count cap; see :mod:`repro.runtime.pernode`.
+
     The sequential-acquisition argument (rather than the naive
     ``2 * limit < slots`` bound for concurrent acquisition) matters in
     practice: it admits roughly 4x more jobs in flight for the same

@@ -20,7 +20,18 @@ matrix of the grown corpus.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Generic, Hashable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -83,6 +94,29 @@ class ResultMatrix(Generic[K, V]):
             if cell in self._values:
                 raise ValueError(f"pair {a!r}, {b!r} already has a result")
             self._values[cell] = value
+
+    def set_block(self, entries: Iterable[Tuple[K, K, V]]) -> None:
+        """Record a batch of ``(a, b, value)`` results under one lock.
+
+        Every cell is checked like :meth:`set` — unknown key, diagonal,
+        a pair repeated inside the batch or already recorded all raise —
+        and the batch is all-or-nothing: a rejected batch leaves the
+        matrix exactly as it was.
+        """
+        cells: Dict[Tuple[int, int], V] = {}
+        for a, b, value in entries:
+            cell = self._cell(a, b)
+            if cell in cells:
+                raise ValueError(f"pair {a!r}, {b!r} appears twice in one block")
+            cells[cell] = value
+        with self._lock:
+            values = self._values
+            if not values.keys().isdisjoint(cells):
+                i, j = next(cell for cell in cells if cell in values)
+                raise ValueError(
+                    f"pair {self.keys[i]!r}, {self.keys[j]!r} already has a result"
+                )
+            values.update(cells)
 
     def get(self, a: K, b: K) -> V:
         """Return the result for the unordered pair ``{a, b}``."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, Optional, Tuple
+from typing import Any, Callable, Deque, Iterator, Optional, Sequence, Tuple
 
 from repro.core.result import ResultMatrix
 from repro.core.workload import Workload, as_workload
@@ -93,7 +93,7 @@ class RunHandle:
 
     Produced by ``session.submit(workload)``; consumed from the
     submitting side.  The backend records results through the private
-    ``_record`` / ``_finish`` hooks; user code reads them through
+    ``_record_block`` / ``_finish`` hooks; user code reads them through
     :meth:`result`, :meth:`stream` and :meth:`progress`.
     """
 
@@ -267,13 +267,31 @@ class RunHandle:
             # this point: apply it now instead of losing it.
             cancel_cb()
 
-    def _record(self, i: int, j: int, value: Any) -> None:
-        """Record one pair result by index into the workload's key list."""
-        a, b = self._keys[i], self._keys[j]
-        self._matrix.set(a, b, value)
+    def _record_block(
+        self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]
+    ) -> None:
+        """Record one batch of pair results, by index into the key list.
+
+        One matrix lock and one stream wake-up per batch; each cell is
+        still checked (duplicate, diagonal, out of range) and a rejected
+        batch records nothing.
+        """
+        if len(pairs) != len(values):
+            raise ValueError(f"{len(values)} values for {len(pairs)} pairs")
+        keys = self._keys
+        triples = []
+        for (i, j), value in zip(pairs, values):
+            if i < 0 or j < 0:  # would silently wrap around the key list
+                raise IndexError(f"pair index out of range: ({i}, {j})")
+            triples.append((keys[i], keys[j], value))
+        self._matrix.set_block(triples)
         with self._cond:
-            self._pending_stream.append((a, b, value))
+            self._pending_stream.extend(triples)
             self._cond.notify_all()
+
+    def _record(self, i: int, j: int, value: Any) -> None:
+        """Record one pair result (a batch of one)."""
+        self._record_block(((i, j),), (value,))
 
     def _finish(
         self,

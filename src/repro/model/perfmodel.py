@@ -28,11 +28,12 @@ measure their own stage costs as they execute and fold them into a
 live model through :class:`StageCalibration`.  The entry points are
 
 - ``record_preprocess(seconds, speed)`` / ``record_compare(seconds,
-  speed)`` — one GPU kernel execution; the measured wall time is
-  normalised to the reference device by multiplying with the executing
-  device's speed factor;
-- ``record_parse(seconds)`` / ``record_postprocess(seconds)`` — one
-  CPU stage execution;
+  speed, n=1)`` — one GPU kernel execution (a batched launch of ``n``
+  comparisons records once); the measured wall time is normalised to
+  the reference device by multiplying with the executing device's
+  speed factor;
+- ``record_parse(seconds)`` / ``record_postprocess(seconds, n=1)`` —
+  CPU stage executions;
 - ``record_io(nbytes, seconds)`` — one storage read (yields the
   measured file size and I/O bandwidth);
 - ``profile(...)`` / ``model(...)`` — build a
@@ -205,20 +206,24 @@ class StageCalibration:
         self.pre_seconds += seconds * speed
         self.pre_count += 1
 
-    def record_compare(self, seconds: float, speed: float = 1.0) -> None:
-        """One comparison kernel: wall ``seconds`` on a ``speed`` device."""
+    def record_compare(self, seconds: float, speed: float = 1.0, n: int = 1) -> None:
+        """``n`` comparisons in wall ``seconds`` total on a ``speed`` device.
+
+        A batched launch records once with its pair count, so ``t_cmp``
+        stays a per-pair mean whatever the batch size.
+        """
         self.cmp_seconds += seconds * speed
-        self.cmp_count += 1
+        self.cmp_count += n
 
     def record_parse(self, seconds: float) -> None:
         """One CPU parse stage."""
         self.parse_seconds += seconds
         self.parse_count += 1
 
-    def record_postprocess(self, seconds: float) -> None:
-        """One CPU post-process stage."""
+    def record_postprocess(self, seconds: float, n: int = 1) -> None:
+        """``n`` CPU post-process stages taking ``seconds`` in total."""
         self.post_seconds += seconds
-        self.post_count += 1
+        self.post_count += n
 
     def record_io(self, nbytes: int, seconds: float) -> None:
         """One storage read of ``nbytes`` taking ``seconds``."""

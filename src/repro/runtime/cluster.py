@@ -921,7 +921,7 @@ def _run_node_job(
             config,
             keys,
             pair_filter=pair_filter,
-            emit_result=state.batcher.emit,
+            emit_block=state.batcher.emit_block,
             node_id=node_id,
             rngs=RngFactory(config.seed + 7919 * (node_id + 1) + 104729 * job_id),
             trace=state.trace,
@@ -1292,18 +1292,28 @@ class _ClusterJob:
         self.probing.pop(key, None)
         self.grant(thief, req_id, None)
 
-    def record_result(self, i: int, j: int, value: Any) -> None:
+    def record_results(self, block: Sequence[Tuple[int, int, Any]]) -> None:
+        """Record one decoded ``("results", ...)`` block, once."""
         if self.done_pairs is not None:
             # Exactly-once: recovery re-executes whole blocks, so a
             # pair may be computed twice — only the first result
             # streams to the handle and counts toward completion.
-            if (i, j) in self.done_pairs:
-                return
-            self.done_pairs.add((i, j))
-        self.handle._record(i, j, value)
-        self.completed += 1
+            done = self.done_pairs
+            fresh = []
+            for triple in block:
+                cell = (triple[0], triple[1])
+                if cell not in done:
+                    done.add(cell)
+                    fresh.append(triple)
+            block = fresh
+        if not block:
+            return
+        self.handle._record_block(
+            [(i, j) for i, j, _ in block], [value for _, _, value in block]
+        )
+        self.completed += len(block)
         if self.handle.accounting is not None:
-            self.handle.accounting.pairs_completed += 1
+            self.handle.accounting.pairs_completed += len(block)
         if self.completed == self.total_pairs and not self.stopped:
             self.broadcast_stop(False)
 
@@ -1892,8 +1902,7 @@ class ClusterSession(BackendSession):
             if job is None:
                 return  # stragglers of a finalized job
             job.completed_by[node] += len(block)
-            for i, j, value in block:
-                job.record_result(i, j, value)
+            job.record_results(block)
         elif kind == "sreq":
             _, job_id, thief, req_id = msg
             job = self._active.get(job_id)

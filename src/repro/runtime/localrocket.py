@@ -51,12 +51,22 @@ class RocketConfig:
     n_devices: int = 2
     device_cache_slots: int = 64
     host_cache_slots: int = 256
+    #: Jobs in flight per device.  A *job* is one kernel launch: a batch
+    #: of pairs for apps with ``compare_block``, one pair otherwise.
+    #: Admission is additionally bounded by device-cache pins — a job
+    #: claims one unit per distinct item, out of
+    #: ``device_cache_slots - 1`` per device — which is what keeps the
+    #: cache deadlock-free (see :mod:`repro.runtime.pernode`).
     concurrent_jobs: int = 8
     leaf_size: int = 4
-    #: Pairs per batched kernel launch for apps with ``compare_block``:
-    #: an int fixes it, ``"auto"`` sizes it from the online-calibrated
-    #: per-pair compare time (see ``StageCalibration.auto_grain``).
-    #: Apps without ``compare_block`` ignore it (per-pair jobs).
+    #: Target pairs per batched kernel launch for apps with
+    #: ``compare_block``: an int fixes it, ``"auto"`` sizes it from the
+    #: online-calibrated per-pair compare time (see
+    #: ``StageCalibration.auto_grain``).  A launch gets the longest
+    #: prefix of a grain-sized leaf whose distinct items fit the pins
+    #: admission has free, so the effective batch shrinks under cache
+    #: pressure.  Apps without ``compare_block`` ignore it (one pair
+    #: per job).
     grain: "int | str" = "auto"
     cpu_workers: int = 4
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
@@ -435,22 +445,16 @@ class LocalSession(BackendSession):
         scheduler = self._scheduler
 
         if fifo:
-            # Hot path kept as lean as the pre-scheduler dispatcher:
-            # no window bookkeeping to maintain, and the serve loop
-            # only needs a wake-up for the final pair's finalization.
-            total = workload.n_pairs
-
-            def emit_result(i, j, value, _h=handle, _total=total):
-                _h._record(i, j, value)
-                if _h.progress()[0] >= _total:
-                    self._wake.set()
-
+            # Hot path kept as lean as the pre-scheduler dispatcher: no
+            # window bookkeeping, and the serve loop needs no wake-up
+            # before the pipeline is done (``on_done`` below).
+            emit_block = handle._record_block
         else:
 
-            def emit_result(i, j, value, _h=handle):
-                _h._record(i, j, value)
-                scheduler.on_completed(_h)
-                self._wake.set()
+            def emit_block(pairs, values, _h=handle):
+                _h._record_block(pairs, values)
+                scheduler.on_completed(_h, len(pairs))
+                self._wake.set()  # the job's window reopened: refill grants
 
         acct = handle.accounting
         job_id = acct.job_id if acct is not None else None
@@ -467,7 +471,7 @@ class LocalSession(BackendSession):
             cfg,
             workload.keys,
             pair_filter=workload.pair_filter,
-            emit_result=emit_result,
+            emit_block=emit_block,
             rngs=RngFactory(cfg.seed),
             # Per-job recorder on the session clock: stats keep a
             # per-job trace while profile() merges without rebasing.
@@ -481,6 +485,9 @@ class LocalSession(BackendSession):
             engine=self._engine,
             max_inflight=handle.max_inflight,
             job_id=job_id,
+            # Retire the job as soon as its pipeline is done, not at the
+            # next tick (an emit-time wake-up precedes the done event).
+            on_done=self._wake.set,
         )
         self._log.debug("job admitted", job_id=job_id)
         job = _LocalJob(
@@ -510,8 +517,8 @@ class LocalSession(BackendSession):
         runtime = time.perf_counter() - job.started
 
         if handle.accounting is not None:
-            # FIFO's lean emit path does not credit per-pair
-            # completions; sync the count here so partial progress of
+            # FIFO's lean emit path does not credit completions as
+            # they land; sync the count here so partial progress of
             # failed/cancelled jobs reports correctly on every backend.
             handle.accounting.pairs_completed = max(
                 handle.accounting.pairs_completed, handle.progress()[0]

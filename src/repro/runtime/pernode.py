@@ -7,28 +7,58 @@ everything that happens inside one node (paper Section 4.3):
 
 - one worker thread per device runs the divide-and-conquer loop over
   the pair matrix with hierarchical random work-stealing;
-- admitted pair jobs run on a bounded job pool; each job acquires its
-  two items through the device cache (sequentially, smaller key first,
-  for the deadlock-freedom argument of
-  :func:`repro.cache.policy.safe_job_limit`), executes the comparison
-  kernel on the owning device's serial kernel thread, copies the result
-  D2H and post-processes on the CPU;
+- a leaf's pairs are cut into *jobs* — one kernel launch each: a batch
+  of pairs for apps with ``compare_block``, one pair otherwise — that
+  run on a bounded job pool; a job pins its distinct items in the
+  device cache (ascending index order), executes the comparison kernel
+  on the owning device's serial kernel thread, copies the result D2H,
+  post-processes on the CPU and emits, records and completes once for
+  the whole batch;
 - cache misses run the load pipeline: the single I/O lane reads the
   file from the store, the CPU pool parses it, the data is copied H2D
   and pre-processed on the device, then written back into the host
   cache ("data is always written to both the device and host cache").
 
+Admission and why it cannot deadlock
+------------------------------------
+
+The concurrent-job limit (paper Section 4.2) exists to protect the
+device cache, so admission is denominated in what a job takes from it:
+a job claims one unit per distinct item — one per device-cache pin it
+will hold — out of ``device_cache_slots - 1`` units per device
+(:class:`~repro.scheduling.throttle.ThreadAdmission`), with at most
+``concurrent_jobs`` jobs in flight.  The worker claims the longest
+prefix of a leaf's pairs whose distinct items fit the units free right
+now, so batches shrink under cache pressure by themselves and are never
+cut by a pair count.  A job-level ``max_inflight`` still counts pairs.
+
+The bound is the whole deadlock argument.  Every slot that is
+reader-pinned or in WRITE state is held by an admitted job that was
+charged a unit for it, so *claimed units <= slots - 1* leaves at least
+one slot that is neither: a ``reserve`` always finds a free or
+evictable slot.  Slots in WRITE state always publish — the load
+pipeline and the distributed fetch never wait on device-cache capacity
+once their slot is reserved, and the host level needs no clamp because
+host pins are only held across bounded H2D copies.  A job may therefore
+hold pins while it waits for its next item: the only thing it can wait
+for is another job's WRITE slot, which publishes.  (A request larger
+than the limit — a pair on a 2-slot cache — is admitted alone, holds at
+most one pin while waiting and finds the second slot unpinned.)
+
 What differs between the runtimes is injected as hooks:
 
-- ``emit_result(i, j, value)`` — local: write into the in-process
-  :class:`~repro.core.result.ResultMatrix`; cluster: stream the pair to
-  the coordinator;
+- ``emit_block(pairs, values)`` — one finished batch; local: write into
+  the in-process :class:`~repro.core.result.ResultMatrix`; cluster:
+  stream the pairs to the coordinator;
 - ``remote_fetch(idx)`` — the third (distributed) cache level,
   consulted after a host-cache miss and before the load pipeline;
   ``None`` (the local runtime) skips straight to loading;
 - ``global_steal()`` — called when the local deques are all empty;
   cluster nodes use it to steal :class:`~repro.scheduling.quadtree.PairBlock`
-  subtrees from remote nodes through the coordinator.
+  subtrees from remote nodes through the coordinator;
+- ``on_done()`` — called once the run's done event is set; the local
+  session wakes its serve loop with it, so a finished job is retired
+  at once instead of at the next tick.
 
 Idle workers block on a condition variable (``work_cond``) that is
 notified whenever tasks are pushed, a job completes, or the run ends —
@@ -52,7 +82,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +151,16 @@ class NodeStats:
     persist_bytes_written: int = 0
 
 
+def _pin_needs(pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """``needs[k]``: distinct items among the first ``k + 1`` pairs."""
+    seen: set = set()
+    needs = []
+    for pair in pairs:
+        seen.update(pair)
+        needs.append(len(seen))
+    return needs
+
+
 class _DeviceState:
     """Cache, lock and admission for one device."""
 
@@ -184,15 +224,18 @@ class NodeEngine:
                 dev_slots, policy=cfg.eviction, name=f"device:{node_id}:{d}",
                 rng=rngs.get(f"evict:n{node_id}:d{d}"),
             )
-            # Cost-guided admission: a slow device may only commit a
-            # speed-proportional backlog of in-flight jobs, so the run
-            # tail is never a queue of jobs serialised on the slowest
-            # kernel thread.  Shrinking the limit preserves the
-            # safe_job_limit deadlock bound.
-            dev_limit = limit
-            if speed_aware:
-                dev_limit = max(1, round(limit * speeds[d] / max(speeds)))
-            self.states.append(_DeviceState(device, cache, ThreadAdmission(dev_limit)))
+            # Admission counts device-cache pins: dev_slots - 1 units,
+            # at most ``limit`` jobs (see the module docstring).
+            # Cost-guided: a slow device may only commit a
+            # speed-proportional backlog, so the run tail is never a
+            # queue of jobs serialised on the slowest kernel thread.
+            # Shrinking either bound preserves the deadlock argument.
+            share = speeds[d] / max(speeds) if speed_aware else 1.0
+            admission = ThreadAdmission(
+                max(1, round((dev_slots - 1) * share)),
+                max_jobs=max(1, round(limit * share)),
+            )
+            self.states.append(_DeviceState(device, cache, admission))
 
         self.host_cache = SlotCache(
             host_slots, policy=cfg.eviction, name=f"host:{node_id}",
@@ -308,7 +351,10 @@ class NodePipeline:
         keys: Sequence[Hashable],
         *,
         pair_filter: Optional[Callable[[Hashable, Hashable], bool]] = None,
-        emit_result: Callable[[int, int, Any], None],
+        emit_block: Optional[
+            Callable[[Sequence[Tuple[int, int]], Sequence[Any]], None]
+        ] = None,
+        emit_result: Optional[Callable[[int, int, Any], None]] = None,
         node_id: int = 0,
         device_prefix: str = "gpu",
         rngs: Optional[RngFactory] = None,
@@ -316,6 +362,7 @@ class NodePipeline:
         expected_pairs: Optional[int] = None,
         remote_fetch: Optional[Callable[[int], Optional[np.ndarray]]] = None,
         global_steal: Optional[Callable[[], Optional[PairBlock]]] = None,
+        on_done: Optional[Callable[[], None]] = None,
         initial_blocks: Sequence[PairBlock] = (),
         engine: Optional[NodeEngine] = None,
         max_inflight: Optional[int] = None,
@@ -327,17 +374,31 @@ class NodePipeline:
         self.config = cfg
         self.keys = list(keys)
         self.pair_filter = pair_filter
-        self.emit_result = emit_result
+        if emit_block is None:
+            # The per-pair spelling survives only for bench/layers.py,
+            # which builds bare pipelines with it; nothing in src/ does.
+            if emit_result is None:
+                raise ValueError("NodePipeline needs an emit_block= hook")
+
+            def emit_block(pairs, values, _emit=emit_result):
+                for (i, j), value in zip(pairs, values):
+                    _emit(i, j, value)
+
+        #: Called once per finished job with its pairs and their values.
+        self.emit_block = emit_block
         self.node_id = node_id
         self.expected_pairs = expected_pairs
         self.remote_fetch = remote_fetch
         self.global_steal = global_steal
+        #: Called after the done event is set (possibly more than once).
+        self.on_done = on_done
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         #: Job-level cap on concurrently in-flight pair comparisons
         #: (fair-share back-pressure on a shared engine): workers stop
-        #: submitting this job's pairs once the cap is reached, on top
-        #: of the engine's per-device admission limit.
+        #: submitting this job's pairs once the cap is reached — a
+        #: batch is cut to the open window — on top of the engine's
+        #: per-device admission limit.
         self.max_inflight = max_inflight
 
         n = len(self.keys)
@@ -415,8 +476,8 @@ class NodePipeline:
         #: Live per-stage cost measurements (guarded by counters_lock).
         self.calibration = StageCalibration()
         self._calibration_folded = False
-        #: Batched fast path: apps overriding ``compare_block`` get
-        #: whole leaf blocks per kernel launch instead of one pair each.
+        #: Apps overriding ``compare_block`` get as much of a leaf as
+        #: admission grants per kernel launch; the others one pair.
         self._batched = app.supports_compare_block
         self._has_item_view = app.supports_item_view
         #: Resolved batch grain per device index (filled lazily once the
@@ -469,6 +530,8 @@ class NodePipeline:
         for st in self.states:
             with st.cond:
                 st.cond.notify_all()
+        if self.on_done is not None:
+            self.on_done()
 
     def join(self, timeout: float = 10.0) -> None:
         """Join worker threads and drain in-flight pair jobs (after done).
@@ -477,7 +540,7 @@ class NodePipeline:
         pool itself is never shut down here; instead the pipeline waits
         until every admitted job has run its completion hook.  A shared
         engine must be fully quiescent before the next job starts — a
-        straggler would otherwise hold admission tokens and emit into
+        straggler would otherwise hold admission units and emit into
         the wrong run.
         """
         for w in self._threads:
@@ -693,54 +756,22 @@ class NodePipeline:
             slot.derived = view
         return view
 
-    def _try_acquire_device_item(self, st: _DeviceState, idx: int) -> Optional[Slot]:
-        """Non-blocking :meth:`_acquire_device_item`; None if it would wait.
-
-        A batch job pins several items at once, which is only safe if
-        it never *holds* pins while waiting on a device slot (the
-        hold-and-wait that :func:`repro.cache.policy.safe_job_limit`'s
-        deadlock argument rules out for the two-pin protocol).  So the
-        batch path acquires all-or-nothing: an item being written by
-        another job, or no evictable slot, reports failure instead of
-        blocking.  Filling a freshly reserved slot is fine — the load
-        pipeline waits only on host-cache slots, which always progress.
-        """
-        with st.cond:
-            slot = st.cache.lookup(self.keys[idx])
-            if slot is not None and slot.state is SlotState.READ:
-                st.cache.pin(slot)
-                with self.counters_lock:
-                    self.counters["held_pins"] += 1
-                return slot
-            if slot is not None:
-                return None  # WRITE in progress elsewhere: would block
-            wslot = st.cache.reserve(self.keys[idx])
-            if wslot is None:
-                return None  # nothing evictable: would block
-        try:
-            self._fill_device(st, idx, wslot)
-        except BaseException:
-            with st.cond:
-                st.cache.abandon(wslot)
-                st.cond.notify_all()
-            raise
-        with self.counters_lock:
-            self.counters["held_pins"] += 1
-        return wslot  # published with one reader pin for us
-
     def _acquire_block_slots(
         self, st: _DeviceState, indices: Sequence[int]
-    ) -> Optional[Dict[int, Slot]]:
-        """Pin every item of a batch, or nothing (None) on any failure."""
+    ) -> Dict[int, Slot]:
+        """Pin every item of a job, one after the other; all or raise.
+
+        Holding the earlier pins while waiting for the next item is safe
+        under pin-denominated admission (module docstring): the wait can
+        only be for another job's WRITE slot, never for capacity.  A
+        failed acquisition (abort, load error) must not leak the pins
+        already taken — a stuck pin would wedge eviction for every
+        surviving job.
+        """
         slots: Dict[int, Slot] = {}
         try:
             for idx in indices:
-                slot = self._try_acquire_device_item(st, idx)
-                if slot is None:
-                    for held in slots.values():
-                        self._release_device_item(st, held)
-                    return None
-                slots[idx] = slot
+                slots[idx] = self._acquire_device_item(st, idx)
         except BaseException:
             for held in slots.values():
                 self._release_device_item(st, held)
@@ -907,203 +938,132 @@ class NodePipeline:
 
     # -- job execution ---------------------------------------------------
 
-    def _execute_pair(self, st: _DeviceState, i: int, j: int) -> None:
-        """One pair f(x, y): acquire, compare, D2H, postprocess, emit."""
+    def _execute_block(
+        self, st: _DeviceState, pairs: Sequence[Tuple[int, int]]
+    ) -> "tuple[List[Any], float, float]":
+        """One kernel launch: pin, compare, D2H, postprocess.
+
+        Returns the post-processed values in ``pairs`` order plus the
+        launch's on-device seconds and the post-processing seconds.
+        """
         keys = self.keys
-        slot_i = self._acquire_device_item(st, i)
-        try:
-            slot_j = self._acquire_device_item(st, j)
-        except BaseException:
-            # The first item's pin must not leak when the second
-            # acquisition fails (abort, load error): a stuck pin
-            # would wedge eviction for every surviving job.
-            self._release_device_item(st, slot_i)
-            raise
+        n = len(pairs)
         tracing = self.trace.enabled
+        slots = self._acquire_block_slots(
+            st, sorted({idx for pair in pairs for idx in pair})
+        )
         try:
+            views = {idx: self._slot_view(slot) for idx, slot in slots.items()}
             t0 = self._now() if tracing else 0.0
-            raw, cmp_duration = st.device.run_kernel_timed(
-                self.app.compare,
-                keys[i], self._slot_view(slot_i), keys[j], self._slot_view(slot_j),
-            )
+            if self._batched:
+                raw, cmp_duration = st.device.run_kernel_batched_timed(
+                    self.app.compare_block, n,
+                    [keys[i] for (i, _) in pairs], [views[i] for (i, _) in pairs],
+                    [keys[j] for (_, j) in pairs], [views[j] for (_, j) in pairs],
+                )
+            else:
+                ((i, j),) = pairs
+                raw, cmp_duration = st.device.run_kernel_timed(
+                    self.app.compare, keys[i], views[i], keys[j], views[j]
+                )
             if tracing:
                 self.trace.record(st.device.name, "compare", t0, self._now(), self.job_id)
         finally:
-            self._release_device_item(st, slot_i)
-            self._release_device_item(st, slot_j)
+            for slot in slots.values():
+                self._release_device_item(st, slot)
         raw_host = st.device.d2h(raw)
+        rows = raw_host if self._batched else (raw_host,)
+        if len(rows) != n:
+            raise RuntimeError(f"compare_block returned {len(rows)} rows for {n} pairs")
+        postprocess = self.app.postprocess
         t0 = self._now()
-        value = self.app.postprocess(keys[i], keys[j], raw_host)
+        values = [postprocess(keys[i], keys[j], rows[k]) for k, (i, j) in enumerate(pairs)]
         post_duration = self._now() - t0
         if tracing:
             self.trace.record("CPU", "postprocess", t0, t0 + post_duration, self.job_id)
-        # A job that limped past the kernel while the run was being
-        # aborted (cancellation) must not publish its pair: the
-        # consumer of this run's results is already gone.
-        if not self.aborted.is_set():
-            self.emit_result(i, j, value)
-        with st.pairs_lock:
-            st.pairs_done += 1
-        with self.counters_lock:
-            self.calibration.record_compare(cmp_duration, st.device.speed_factor)
-            self.calibration.record_postprocess(post_duration)
+        return values, cmp_duration, post_duration
 
-    def _finish_pairs(self, st: _DeviceState, n: int) -> None:
-        """Completion accounting for ``n`` claimed pair submissions."""
-        for _ in range(n):
-            st.admission.release()
-        with self.counters_lock:
-            self.counters["completed"] += n
-            finished = (
-                self.expected_pairs is not None
-                and self.counters["completed"] >= self.expected_pairs
-            )
-        if finished:
-            self._signal_done()
-        else:
-            with self.work_cond:
-                self.work_cond.notify_all()
+    def _run_block(self, d: int, pairs: Sequence[Tuple[int, int]], units: int) -> None:
+        """Job-pool body: run one claimed job and complete it once.
 
-    def _run_job(self, d: int, i: int, j: int) -> None:
-        st = self.states[d]
-        try:
-            self._execute_pair(st, i, j)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self.fail(exc)
-        finally:
-            self._finish_pairs(st, 1)
-
-    def _run_block(self, d: int, pairs: Sequence["tuple[int, int]"]) -> None:
-        """Run a claimed batch of pairs through one ``compare_block``.
-
-        The batch pins its unique items all-or-nothing (see
-        :meth:`_try_acquire_device_item`); under cache pressure it
-        degrades to the classic sequential two-pin protocol, which is
-        deadlock-safe by the ``safe_job_limit`` argument.  Per-pair
-        semantics are preserved: postprocess runs (and is timed) per
-        pair, cancellation is re-checked before each emit, and the
-        batch kernel's time is amortised into per-pair ``t_cmp``.
+        Emission, the ``pairs_done`` / ``completed`` counters, the
+        calibration and the admission units are all settled once per
+        job, with the job's pair count.
         """
         st = self.states[d]
-        keys = self.keys
         n = len(pairs)
         try:
-            indices = sorted({idx for pair in pairs for idx in pair})
-            slots = self._acquire_block_slots(st, indices)
-            if slots is None:
-                for (i, j) in pairs:
-                    self._execute_pair(st, i, j)
-                return
-            tracing = self.trace.enabled
-            try:
-                views = {idx: self._slot_view(slot) for idx, slot in slots.items()}
-                keys_a = [keys[i] for (i, _) in pairs]
-                keys_b = [keys[j] for (_, j) in pairs]
-                views_a = [views[i] for (i, _) in pairs]
-                views_b = [views[j] for (_, j) in pairs]
-                t0 = self._now() if tracing else 0.0
-                raw, cmp_duration = st.device.run_kernel_batched_timed(
-                    self.app.compare_block, n, keys_a, views_a, keys_b, views_b
-                )
-                if tracing:
-                    self.trace.record(st.device.name, "compare", t0, self._now(), self.job_id)
-            finally:
-                for slot in slots.values():
-                    self._release_device_item(st, slot)
-            raw_host = st.device.d2h(raw)
-            if len(raw_host) != n:
-                raise RuntimeError(
-                    f"compare_block returned {len(raw_host)} rows for {n} pairs"
-                )
-            per_pair_cmp = cmp_duration / n
-            for k, (i, j) in enumerate(pairs):
-                t0 = self._now()
-                value = self.app.postprocess(keys[i], keys[j], raw_host[k])
-                post_duration = self._now() - t0
-                if tracing:
-                    self.trace.record("CPU", "postprocess", t0, t0 + post_duration, self.job_id)
-                # Cancellation lands mid-batch too: already-computed
-                # pairs after the abort are dropped, like per-pair jobs.
-                if not self.aborted.is_set():
-                    self.emit_result(i, j, value)
-                with st.pairs_lock:
-                    st.pairs_done += 1
-                with self.counters_lock:
-                    self.calibration.record_compare(per_pair_cmp, st.device.speed_factor)
-                    self.calibration.record_postprocess(post_duration)
+            values, cmp_duration, post_duration = self._execute_block(st, pairs)
+            # A job that limped past the kernel while the run was being
+            # aborted (cancellation) must not publish its pairs: the
+            # consumer of this run's results is already gone.
+            if not self.aborted.is_set():
+                self.emit_block(pairs, values)
+            with st.pairs_lock:
+                st.pairs_done += n
+            with self.counters_lock:
+                self.calibration.record_compare(cmp_duration, st.device.speed_factor, n=n)
+                self.calibration.record_postprocess(post_duration, n=n)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             self.fail(exc)
         finally:
-            self._finish_pairs(st, n)
+            st.admission.release(units)
+            with self.counters_lock:
+                self.counters["completed"] += n
+                finished = (
+                    self.expected_pairs is not None
+                    and self.counters["completed"] >= self.expected_pairs
+                )
+            if finished:
+                self._signal_done()
+            else:
+                with self.work_cond:
+                    self.work_cond.notify_all()
 
     # -- worker loop -----------------------------------------------------
 
-    def _claim_submission(self, st: _DeviceState) -> bool:
-        """Reserve one pair submission; False when the run ended instead.
+    def _claim_job(self, st: _DeviceState, needs: Sequence[int]) -> int:
+        """Reserve the next job: how many pairs it gets (0: the run ended).
 
-        The ``submitted`` increment happens *inside* the window check's
-        critical section, so the job-level ``max_inflight`` cap holds
-        even with several device workers racing (check-then-increment
-        in two steps would let every worker see the same open window).
-        The cap is per pipeline, i.e. per node on the cluster backend.
+        ``needs[k]`` is the number of distinct items — device-cache pins
+        — of the first ``k + 1`` candidate pairs.  The job gets the
+        longest prefix that fits both the pipeline's ``max_inflight``
+        window (pairs) and the units the device's admission has free
+        (pins); it holds ``needs[count - 1]`` units until it completes.
+
+        The window reservation is made *inside* the check's critical
+        section, so the cap holds with several device workers racing
+        (check-then-increment in two steps would let every worker see
+        the same open window); a worker never holds a partial claim
+        while waiting for more.  The cap is per pipeline, i.e. per node
+        on the cluster backend.
         """
+        reserved = 0
         if self.max_inflight is not None:
-            reserved = False
             with self.work_cond:
-                while not reserved:
+                while True:
                     with self.counters_lock:
-                        if (
+                        room = self.max_inflight - (
                             self.counters["submitted"] - self.counters["completed"]
-                            < self.max_inflight
-                        ):
-                            self.counters["submitted"] += 1
-                            reserved = True
+                        )
+                        if room > 0:
+                            needs = needs[:room]
+                            reserved = len(needs)
+                            self.counters["submitted"] += reserved
                             break
                     if self.done.is_set():
-                        return False
+                        return 0
                     # Completions notify work_cond and reopen the window.
                     self.work_cond.wait(timeout=0.05)
-            while not st.admission.acquire(timeout=0.5):
-                if self.done.is_set():
-                    with self.counters_lock:
-                        self.counters["submitted"] -= 1
-                    return False
-            return True
-        while not st.admission.acquire(timeout=0.5):
-            if self.done.is_set():
-                return False
+        count = 0
+        while not count and not self.done.is_set():
+            count = st.admission.acquire(needs, timeout=0.5)
         with self.counters_lock:
-            self.counters["submitted"] += 1
-        return True
-
-    def _try_claim_submission(self, st: _DeviceState) -> bool:
-        """Non-blocking :meth:`_claim_submission` for batch growth.
-
-        A batch claims its first pair blocking and every further pair
-        opportunistically: when the admission throttle or the job's
-        ``max_inflight`` window is exhausted the batch simply stays
-        smaller, instead of holding one claim while waiting for more
-        (which could starve co-running jobs or deadlock a
-        ``max_inflight`` below the grain).
-        """
-        if self.max_inflight is not None:
-            with self.counters_lock:
-                if (
-                    self.counters["submitted"] - self.counters["completed"]
-                    >= self.max_inflight
-                ):
-                    return False
-                self.counters["submitted"] += 1
-            if not st.admission.acquire(timeout=0):
-                with self.counters_lock:
-                    self.counters["submitted"] -= 1
-                return False
-            return True
-        if not st.admission.acquire(timeout=0):
-            return False
-        with self.counters_lock:
-            self.counters["submitted"] += 1
-        return True
+            self.counters["submitted"] += count - reserved
+        if count < reserved:
+            with self.work_cond:  # the unused part of the window reopened
+                self.work_cond.notify_all()
+        return count
 
     def _batch_grain(self, d: int) -> int:
         """Target pairs per batched kernel launch for device ``d``.
@@ -1208,29 +1168,19 @@ class NodePipeline:
                     for (i, j) in task.pairs()
                     if self.pair_filter is None or self.pair_filter(keys[i], keys[j])
                 ]
-                if not self._batched:
-                    for (i, j) in pairs:
-                        if not self._claim_submission(st):
-                            return
-                        self._job_pool.submit(self._run_job, d, i, j)
-                else:
-                    # Claim the first pair blocking, grow the batch with
-                    # whatever admission allows right now, and submit one
-                    # job per claimed chunk — partial batches are fine.
-                    start = 0
-                    while start < len(pairs):
-                        if not self._claim_submission(st):
-                            return
-                        count = 1
-                        while (
-                            start + count < len(pairs)
-                            and self._try_claim_submission(st)
-                        ):
-                            count += 1
-                        self._job_pool.submit(
-                            self._run_block, d, pairs[start : start + count]
-                        )
-                        start += count
+                # One job per admission grant: as much of the leaf as
+                # fits (one pair for apps without ``compare_block``).
+                step = len(pairs) if self._batched else 1
+                start = 0
+                while start < len(pairs):
+                    needs = _pin_needs(pairs[start : start + step])
+                    count = self._claim_job(st, needs)
+                    if not count:
+                        return
+                    self._job_pool.submit(
+                        self._run_block, d, pairs[start : start + count], needs[count - 1]
+                    )
+                    start += count
             else:
                 with self.sched_lock:
                     self.deques[d].push_children(task.split())

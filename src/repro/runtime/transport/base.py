@@ -28,8 +28,8 @@ mirroring :mod:`repro.runtime.backend`, which is what makes
 ``ClusterConfig(transport="shm")`` and ``run --transport shm`` work
 without imports at the call site.
 
-:class:`ResultBatcher` lives here too: it turns the per-pair
-``emit_result`` stream of :class:`~repro.runtime.pernode.NodePipeline`
+:class:`ResultBatcher` lives here too: it turns the per-job
+``emit_block`` stream of :class:`~repro.runtime.pernode.NodePipeline`
 into flushed ``("results", node, block)`` messages, dropping
 coordinator traffic from O(pairs) to O(pairs / batch) on any transport.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,10 +208,12 @@ class TransportFabric(ABC):
 
 
 class ResultBatcher:
-    """Coalesce per-pair results into flushed ``("results", ...)`` blocks.
+    """Coalesce pair results into flushed ``("results", ...)`` blocks.
 
-    ``emit`` is called from the pipeline's job threads; a full batch is
-    sent inline from the emitting thread.  Partial batches are pushed
+    ``emit_block`` is called from the pipeline's job threads, once per
+    finished kernel launch; a full batch is sent inline from the
+    emitting thread (whole — a shipped block may exceed ``batch_size``
+    by up to one launch).  Partial batches are pushed
     out by :meth:`maybe_flush`, which the node's comm loop calls every
     poll tick, so the coordinator's completion count never stalls more
     than one tick behind the pipeline.  ``batch_size=1`` reproduces the
@@ -248,12 +250,14 @@ class ResultBatcher:
         self.batches_sent = 0
         self.results_sent = 0
 
-    def emit(self, i: int, j: int, value: Any) -> None:
-        """Queue one pair result; flushes when the batch fills."""
+    def emit_block(
+        self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]
+    ) -> None:
+        """Queue one finished batch under one lock; flushes when full."""
         with self._lock:
             if not self._buf:
                 self._oldest = time.monotonic()
-            self._buf.append((i, j, value))
+            self._buf.extend((i, j, value) for (i, j), value in zip(pairs, values))
             block = self._take_locked() if len(self._buf) >= self.batch_size else None
         if block:
             self._ship(block)

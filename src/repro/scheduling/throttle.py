@@ -7,19 +7,23 @@ slots.  The *concurrent job limit* bounds how many submitted jobs may be
 simultaneously in flight per worker; once reached, the worker stops
 submitting until an older job completes.
 
-Two implementations share the same counting semantics:
+Two implementations:
 
-- :class:`SimAdmission` for the discrete-event simulator (waiters are
-  simulation events, FIFO);
-- :class:`ThreadAdmission` for the real threaded runtime (a bounded
-  semaphore).
+- :class:`SimAdmission` for the discrete-event simulator (one ticket
+  per pair job; waiters are simulation events, FIFO);
+- :class:`ThreadAdmission` for the real threaded runtime, where a job
+  is one kernel launch and claims one unit per device-cache pin it will
+  hold, so a batch is bounded by the resource the limit exists to
+  protect (see :mod:`repro.runtime.pernode`).
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from bisect import bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Deque
+from typing import TYPE_CHECKING, Deque, Optional, Sequence
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-import cycle
     from repro.sim.engine import Environment, Event
@@ -78,39 +82,96 @@ class SimAdmission:
 
 
 class ThreadAdmission:
-    """Bounded-semaphore admission for the threaded runtime."""
+    """Unit-counting admission for the threaded runtime.
 
-    def __init__(self, limit: int) -> None:
+    A *job* is one kernel launch.  It claims as many units as it needs
+    of the resource the limit protects — the pipeline denominates units
+    in device-cache pins — out of ``limit`` units, with at most
+    ``max_jobs`` jobs admitted at a time.  :meth:`acquire` takes the
+    cumulative demands of a job that could be cut short (``needs[k]``
+    units for its first ``k + 1`` pieces) and grants the longest prefix
+    that fits what is free right now, in one critical section; the
+    default ``needs=(1,)`` is the classic one-ticket-per-job counter.
+
+    A job whose smallest demand exceeds ``limit`` is admitted only while
+    nothing else is in flight, so an oversized request runs alone
+    instead of waiting forever.
+    """
+
+    def __init__(self, limit: int, max_jobs: Optional[int] = None) -> None:
         if limit < 1:
             raise ValueError(f"job limit must be >= 1, got {limit}")
+        if max_jobs is not None and max_jobs < 1:
+            raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
         self.limit = limit
-        self._sem = threading.BoundedSemaphore(limit)
-        self._lock = threading.Lock()
+        self.max_jobs = max_jobs
+        self._cond = threading.Condition()
+        self._waiters: Deque[object] = deque()
         self._in_flight = 0
+        self._jobs = 0
         self.peak_in_flight = 0
         self.total_admitted = 0
 
     @property
     def in_flight(self) -> int:
-        """Jobs currently admitted and not yet released."""
-        with self._lock:
+        """Units currently claimed and not yet released."""
+        with self._cond:
             return self._in_flight
 
-    def acquire(self, timeout: float | None = None) -> bool:
-        """Block until a ticket is free; False on timeout."""
-        ok = self._sem.acquire(timeout=timeout)
-        if ok:
-            with self._lock:
-                self._in_flight += 1
-                self.total_admitted += 1
-                if self._in_flight > self.peak_in_flight:
-                    self.peak_in_flight = self._in_flight
-        return ok
+    @property
+    def jobs_in_flight(self) -> int:
+        """Jobs currently admitted and not yet released."""
+        with self._cond:
+            return self._jobs
 
-    def release(self) -> None:
-        """Return one ticket (called on job completion)."""
-        with self._lock:
-            if self._in_flight <= 0:
+    def _grantable(self, needs: Sequence[int]) -> int:
+        """Longest prefix of ``needs`` that fits now (0: must wait)."""
+        if self.max_jobs is not None and self._jobs >= self.max_jobs:
+            return 0
+        if self._in_flight == 0 and needs[0] > self.limit:
+            return 1  # oversized job: runs alone
+        return bisect_right(needs, self.limit - self._in_flight)
+
+    def acquire(self, needs: Sequence[int] = (1,), timeout: Optional[float] = None) -> int:
+        """Admit one job; returns how many pieces were granted.
+
+        ``needs`` is non-decreasing: ``needs[k]`` units cover the job's
+        first ``k + 1`` pieces.  Blocks until at least ``needs[0]``
+        units and a job slot are free, then claims ``needs[count - 1]``
+        units — the amount to hand back through :meth:`release`.
+        Waiters are served first come, first served, so pipelines that
+        share a device take turns.  Returns 0 on timeout.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        ticket = object()
+        with self._cond:
+            self._waiters.append(ticket)
+            try:
+                while True:
+                    if self._waiters[0] is ticket:
+                        count = self._grantable(needs)
+                        if count:
+                            break
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        return 0
+                    self._cond.wait(remaining)
+            finally:
+                self._waiters.remove(ticket)
+                if self._waiters:
+                    self._cond.notify_all()  # the next in line re-checks
+            self._in_flight += needs[count - 1]
+            self._jobs += 1
+            self.total_admitted += 1
+            if self._in_flight > self.peak_in_flight:
+                self.peak_in_flight = self._in_flight
+            return count
+
+    def release(self, units: int = 1) -> None:
+        """Return one job's ``units`` (called on job completion)."""
+        with self._cond:
+            if self._jobs <= 0 or units > self._in_flight:
                 raise RuntimeError("release() without matching acquire()")
-            self._in_flight -= 1
-        self._sem.release()
+            self._in_flight -= units
+            self._jobs -= 1
+            self._cond.notify_all()

@@ -135,7 +135,8 @@ class StoreSession(BackendSession):
         memo.refresh()
 
         flt = workload.pair_filter
-        memoized: List[Tuple[int, int, Any]] = []
+        memo_pairs: List[Tuple[int, int]] = []
+        memo_values: List[Any] = []
         residual: Set[Tuple[Any, Any]] = set()
         for block in workload.blocks():
             for i, j in block.pairs():
@@ -147,27 +148,27 @@ class StoreSession(BackendSession):
                 if ha is not None and hb is not None:
                     hit, value = memo.lookup(self._fingerprint, ka, kb, ha, hb)
                 if hit:
-                    memoized.append((i, j, value))
+                    memo_pairs.append((i, j))
+                    memo_values.append(value)
                 else:
                     residual.add((ka, kb))
 
         with self._lock:
             self._counters["jobs"] += 1
-            self._counters["hits"] += len(memoized)
+            self._counters["hits"] += len(memo_pairs)
             self._counters["misses"] += len(residual)
 
         outer = RunHandle(workload, priority=priority, max_inflight=max_inflight)
         #: Pairs this job served from the memo store (read by the serve
         #: daemon's per-tenant hit accounting).
-        outer.memo_hits = len(memoized)
+        outer.memo_hits = len(memo_pairs)
 
         if not residual:
             # Nothing left for the backend: resolve the job right here.
             with self._lock:
                 self._counters["jobs_short_circuited"] += 1
             outer._mark_running(None)
-            for i, j, value in memoized:
-                outer._record(i, j, value)
+            outer._record_block(memo_pairs, memo_values)
             outer._finish(RunState.DONE)
             self._hasher.save()
             return outer
@@ -181,8 +182,7 @@ class StoreSession(BackendSession):
         # in backend arrival order; each pair exactly once (the memoized
         # and residual sets are disjoint by construction).
         outer._mark_running(inner_handle.cancel)
-        for i, j, value in memoized:
-            outer._record(i, j, value)
+        outer._record_block(memo_pairs, memo_values)
 
         bridge = threading.Thread(
             target=self._bridge,

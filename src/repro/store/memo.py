@@ -21,8 +21,12 @@ Durability model — single-writer journal segments:
   that offset on the next refresh — a torn tail behind a crash (or a
   concurrent writer mid-append) costs those records, never a crash or
   a wrong result;
-- merging is a fold over all segments in name order; later records win
-  (they carry newer content hashes).
+- every record carries a stamp (the writer's wall clock in ns, pushed
+  past every stamp the writer has seen); merging folds all segments and
+  the record with the newest stamp wins, so the outcome does not depend on the
+  order segments are read in (their names are ``seg-<pid>-<random>``,
+  which says nothing about age).  Records written before stamps
+  existed load with stamp 0: anything stamped supersedes them.
 
 No coordination is needed between one long-lived daemon and N one-shot
 CLIs sharing a directory: writers never touch each other's segments and
@@ -35,6 +39,7 @@ import os
 import pickle
 import struct
 import threading
+import time
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -69,7 +74,9 @@ class ResultMemoStore:
         self.dir = Path(store_dir) / MEMO_DIR
         self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._entries: Dict[tuple, Tuple[str, str, Any]] = {}
+        #: ``(fingerprint, key_a, key_b) -> (hash_a, hash_b, value, stamp)``
+        self._entries: Dict[tuple, Tuple[str, str, Any, int]] = {}
+        self._last_stamp = 0
         # Per segment: bytes already consumed (up to the last valid record).
         self._offsets: Dict[str, int] = {}
         self._writer = None
@@ -118,17 +125,26 @@ class ResultMemoStore:
                 torn = True
                 break  # corrupt record poisons the rest of the segment
             try:
-                fp, key_a, key_b, hash_a, hash_b, value = pickle.loads(payload)
+                fp, key_a, key_b, hash_a, hash_b, value, *rest = pickle.loads(payload)
+                stamp = int(rest[0]) if rest else 0  # pre-stamp records
             except Exception:
                 torn = True
                 break
-            self._entries[(fp, key_a, key_b)] = (hash_a, hash_b, value)
+            self._fold((fp, key_a, key_b), (hash_a, hash_b, value, stamp))
             pos = end
         if torn and pos == 0 and offset == 0:
             # Nothing was ever readable from this segment: pure garbage
             # (as opposed to a torn tail behind valid records).
             self._count_drop(path.name)
         self._offsets[path.name] = offset + pos
+
+    def _fold(self, key: tuple, entry: Tuple[str, str, Any, int]) -> None:
+        """Keep the newest record of a pair, whatever order they arrive in."""
+        current = self._entries.get(key)
+        if current is None or entry[3] >= current[3]:
+            self._entries[key] = entry
+        if entry[3] > self._last_stamp:
+            self._last_stamp = entry[3]
 
     def _count_drop(self, name: str) -> None:
         if name not in self._counted_drops:
@@ -172,13 +188,18 @@ class ResultMemoStore:
         ka, kb = canonical_pair(key_a, key_b)
         if (ka, kb) != (key_a, key_b):
             hash_a, hash_b = hash_b, hash_a
-        try:
-            payload = pickle.dumps(
-                (fingerprint, ka, kb, hash_a, hash_b, value), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception:
-            return False
         with self._lock:
+            # Wall clock, but never at or below a stamp already seen (own
+            # or folded from another writer): a clock stepping backwards
+            # cannot make a newer record lose to an older one.
+            stamp = max(time.time_ns(), self._last_stamp + 1)
+            try:
+                payload = pickle.dumps(
+                    (fingerprint, ka, kb, hash_a, hash_b, value, stamp),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            except Exception:
+                return False
             try:
                 if self._writer is None:
                     self._open_writer()
@@ -187,7 +208,7 @@ class ResultMemoStore:
                 self._writer.flush()
             except OSError:
                 return False
-            self._entries[(fingerprint, ka, kb)] = (hash_a, hash_b, value)
+            self._fold((fingerprint, ka, kb), (hash_a, hash_b, value, stamp))
             if self._writer_path is not None:
                 # Own records are already folded in: skip them on refresh.
                 self._offsets[self._writer_path.name] = (

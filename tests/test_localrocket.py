@@ -324,7 +324,7 @@ class TestPipelineFailurePath:
             store,
             RocketConfig(**self.CFG),
             keys,
-            emit_result=lambda i, j, v: None,
+            emit_block=lambda pairs, values: None,
             expected_pairs=28,
             initial_blocks=[PairBlock.root(len(keys))],
         )

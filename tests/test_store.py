@@ -222,6 +222,41 @@ class TestResultMemoStore:
         assert reader.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
         assert reader.lookup("fp", "c", "d", "hc", "hd") == (False, None)
 
+    def test_newest_record_wins_whatever_the_segment_order(self, tmp_path):
+        """Segment names are ``seg-<pid>-<random>``: name order says
+        nothing about age, so the fold must not depend on it."""
+        # The older segment gets the name that sorts (is folded) last.
+        for value, hash_a, name in (
+            (1.0, "ha-old", "seg-000000-order-z.log"),
+            (2.0, "ha-new", "seg-000000-order-a.log"),
+        ):
+            writer = ResultMemoStore(tmp_path)
+            writer.append("fp", "a", "b", hash_a, "hb", value)
+            writer.close()
+            (fresh,) = [s for s in writer.segment_files() if "-order-" not in s.name]
+            fresh.rename(fresh.with_name(name))
+        reader = ResultMemoStore(tmp_path)
+        assert reader.lookup("fp", "a", "b", "ha-new", "hb") == (True, 2.0)
+        assert reader.lookup("fp", "a", "b", "ha-old", "hb") == (False, None)
+
+    def test_stampless_records_still_load_and_are_superseded(self, tmp_path):
+        """Journals written before records carried a stamp stay readable."""
+        import pickle
+        import struct
+        import zlib
+
+        payload = pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0))
+        (tmp_path / "memo").mkdir()
+        (tmp_path / "memo" / "seg-999999-zzzz.log").write_bytes(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        )
+        memo = ResultMemoStore(tmp_path)
+        assert memo.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
+        memo.append("fp", "a", "b", "ha2", "hb", 2.0)
+        memo.close()
+        reader = ResultMemoStore(tmp_path)  # the old segment is folded last
+        assert reader.lookup("fp", "a", "b", "ha2", "hb") == (True, 2.0)
+
     def test_garbage_segment_is_dropped_not_fatal(self, tmp_path):
         (tmp_path / "memo").mkdir()
         (tmp_path / "memo" / "seg-999999-dead.log").write_bytes(b"not a journal")
@@ -332,6 +367,42 @@ class TestWarmStart:
 
 
 class TestInvalidation:
+    def test_successive_sessions_editing_different_items(self, tmp_path):
+        """Each session recomputes exactly its own edited rows.
+
+        Regression: a fresh memo store folded segments in file-name
+        order, so an older record of a pair could overwrite a newer one
+        and hits were lost, differently on every run, once different
+        items had been edited in successive sessions.  Segments are
+        renamed here so the older one always sorts last — the order
+        that used to lose.
+        """
+        n = 20
+        store, keys = make_store(n)
+        app = CountingApp()
+        memo_dir = tmp_path / "memo"
+
+        def run_session(edited):
+            for key in edited:
+                name = app.file_name(key)
+                data = np.frombuffer(store.read(name), dtype=np.float64) + 1.0
+                store.write(name, data.tobytes())
+            before = app.compared
+            Rocket(app, store, warm_config(tmp_path)).run(keys)
+            for seg in memo_dir.glob("seg-*.log"):
+                if "-age" not in seg.name:
+                    generation = len(list(memo_dir.glob("seg-*-age*.log")))
+                    seg.rename(memo_dir / f"seg-000000-age{99 - generation:02d}.log")
+            return app.compared - before
+
+        assert run_session(()) == n * (n - 1) // 2  # cold fill
+        tenth = n // 10
+        for session in range(3):
+            edited = keys[session * tenth : (session + 1) * tenth]
+            rows = tenth * (n - tenth) + tenth * (tenth - 1) // 2
+            assert run_session(edited) == rows, f"session {session}"
+        assert run_session(()) == 0  # verbatim rerun: everything memoized
+
     def test_editing_one_item_recomputes_only_its_pairs(self, tmp_path):
         n = 6
         store, keys = make_store(n)

@@ -234,7 +234,7 @@ class TestResultBatcher:
         out = []
         batcher = ResultBatcher(out.append, node_id=3, batch_size=4)
         for k in range(9):
-            batcher.emit(k, k + 1, float(k))
+            batcher.emit_block([(k, k + 1)], [float(k)])
         assert len(out) == 2  # two full batches, one pair still buffered
         kind, node, block = out[0]
         assert kind == "results" and node == 3 and len(block) == 4
@@ -246,7 +246,7 @@ class TestResultBatcher:
     def test_maybe_flush_respects_age(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=100, max_delay=60.0)
-        batcher.emit(0, 1, 1.0)
+        batcher.emit_block([(0, 1)], [1.0])
         batcher.maybe_flush()  # far too young
         assert out == []
         batcher.max_delay = 0.0
@@ -256,8 +256,8 @@ class TestResultBatcher:
     def test_batch_size_one_matches_legacy_granularity(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=1)
-        batcher.emit(1, 2, 0.5)
-        batcher.emit(3, 4, 0.7)
+        batcher.emit_block([(1, 2)], [0.5])
+        batcher.emit_block([(3, 4)], [0.7])
         assert [len(b[2]) for b in out] == [1, 1]
 
     def test_flush_on_empty_buffer_sends_nothing(self):
