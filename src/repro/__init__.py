@@ -69,7 +69,6 @@ from repro.obs import MetricsRegistry, configure_logging, get_logger
 from repro.runtime import (
     ClusterConfig,
     ClusterRocketRuntime,
-    ClusterRunStats,
     LocalRocketRuntime,
     RunStats,
     VirtualDevice,
@@ -101,7 +100,6 @@ __all__ = [
     "RunStats",
     "ClusterConfig",
     "ClusterRocketRuntime",
-    "ClusterRunStats",
     "VirtualDevice",
     "MetricsRegistry",
     "ProfileTrace",

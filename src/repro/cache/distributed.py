@@ -157,6 +157,16 @@ class HopStats:
         else:
             self.no_candidates += 1
 
+    def merge(self, other: "HopStats") -> None:
+        """Add another node's outcomes (the longer chain sets the width)."""
+        if other.max_hops > self.max_hops:
+            self.hits_at_hop += [0] * (other.max_hops - self.max_hops)
+            self.max_hops = other.max_hops
+        for k, hits in enumerate(other.hits_at_hop):
+            self.hits_at_hop[k] += hits
+        self.misses += other.misses
+        self.no_candidates += other.no_candidates
+
     def percentages(self) -> Dict[str, float]:
         """Fig. 11's series: percentage per hop plus the miss bucket.
 

@@ -84,6 +84,13 @@ class CacheCounters:
         total = self.requests
         return (self.hits + self.hits_while_writing) / total if total else 0.0
 
+    def merge(self, other: "CacheCounters") -> None:
+        """Add another cache's (or job's) counts to this one."""
+        self.hits += other.hits
+        self.hits_while_writing += other.hits_while_writing
+        self.misses += other.misses
+        self.evictions += other.evictions
+
 
 class SlotCache:
     """A fixed number of fixed-size slots with LRU/FIFO/RANDOM eviction.

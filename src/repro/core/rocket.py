@@ -46,10 +46,6 @@ weighted fair sharing (``submit(workload, priority=8.0)``), so a small
 urgent query does not wait behind a large batch job
 (:mod:`repro.core.scheduler`).
 
-``run(keys, pair_filter=...)`` remains supported; ``pair_filter`` is
-the deprecated spelling of ``run(FilteredPairs(keys, predicate))`` and
-emits a ``DeprecationWarning``.
-
 Heterogeneous platforms (paper Section 6.5): both backends accept
 ``device_speeds=(1.0, 0.25)`` (per-device kernel speed factors) and
 ``steal_policy="speed"`` — the heterogeneity-aware scheduler that
@@ -116,17 +112,14 @@ class Rocket:
     def run(
         self,
         keys: Union[Sequence[Hashable], Workload],
-        pair_filter=None,
         profile: Optional[str] = None,
     ) -> ResultMatrix:
         """Execute one workload to completion (a one-shot session).
 
         ``keys`` is a plain key sequence (the paper's interface: all
-        pairs ``i < j``) or any :class:`~repro.core.workload.Workload`.
-        ``pair_filter`` optionally restricts a plain key list to
-        accepted pairs — the deprecated spelling of
-        :class:`~repro.core.workload.FilteredPairs`; passing it emits a
-        ``DeprecationWarning``.
+        pairs ``i < j``) or any :class:`~repro.core.workload.Workload`
+        (restrict the pairs with
+        :class:`~repro.core.workload.FilteredPairs`).
 
         ``profile=`` writes the run's merged multi-process
         Chrome/Perfetto trace to that path (loadable in
@@ -136,7 +129,7 @@ class Rocket:
         .. _ui.perfetto.dev: https://ui.perfetto.dev
         """
         if profile is None:
-            return self._runtime.run(keys, pair_filter=pair_filter)
+            return self._runtime.run(keys)
         runtime = self._runtime
         if not self.config.profiling:
             runtime = create_backend(
@@ -144,7 +137,7 @@ class Rocket:
                 dataclasses.replace(self.config, profiling=True),
                 **self._backend_options,
             )
-        result = runtime.run(keys, pair_filter=pair_filter, profile=profile)
+        result = runtime.run(keys, profile=profile)
         if runtime is not self._runtime:
             self._runtime.last_stats = runtime.last_stats
         return result
@@ -169,8 +162,7 @@ class Rocket:
     def last_stats(self):
         """Statistics of the most recent :meth:`run` (None before any run).
 
-        A :class:`~repro.runtime.localrocket.RunStats` for the local
-        backend, a :class:`~repro.runtime.cluster.ClusterRunStats` for
-        the cluster backend; both provide ``summary()``.
+        A :class:`~repro.runtime.stats.RunStats` on every backend:
+        per-node counters, their sum and ``summary()``.
         """
         return self._runtime.last_stats

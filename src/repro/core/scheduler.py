@@ -368,24 +368,6 @@ class JobScheduler:
 
     # -- fair block hand-out (local backend) -----------------------------
 
-    def load_blocks(self, handle: RunHandle, grain: Optional[int] = None) -> int:
-        """Decompose the job's workload into grain-sized hand-out quanta.
-
-        The manual alternative to ``decompose=True`` (which does this
-        at submit time, on the submitting thread).  Returns the number
-        of quanta.  FIFO sessions skip both and hand the raw
-        decomposition to the backend wholesale
-        (:meth:`mark_fully_granted`).
-        """
-        grain = grain if grain is not None else self.grain_pairs
-        quanta = handle.workload.grain_blocks(grain)
-        with self._lock:
-            job = self._active[handle]
-            job.blocks.extend(quanta)
-            if not job.blocks:
-                job.fully_granted = True
-        return len(quanta)
-
     def mark_fully_granted(self, handle: RunHandle) -> None:
         """Record that the backend received the whole workload up front.
 

@@ -76,8 +76,6 @@ class RunState(enum.Enum):
     """Lifecycle of one submitted job."""
 
     QUEUED = "queued"
-    #: Deprecated alias of :attr:`QUEUED` (pre-scheduler name).
-    PENDING = "queued"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
@@ -127,8 +125,8 @@ class RunHandle:
         self._error: Optional[BaseException] = None
         self._cancel_requested = False
         self._cancel_cb: Optional[Callable[[], None]] = None
-        #: Backend-specific statistics of the finished job (RunStats /
-        #: ClusterRunStats), None until DONE.
+        #: The finished job's :class:`~repro.runtime.stats.RunStats`,
+        #: None until DONE.
         self.stats: Any = None
         #: Per-job scheduling accounting
         #: (:class:`~repro.core.scheduler.JobAccounting`), attached by

@@ -7,8 +7,7 @@ a :class:`Workload` makes the pair set itself a first-class object that
 every execution backend understands:
 
 - :class:`AllPairs` — the paper's workload, ``C(n, 2)`` pairs;
-- :class:`FilteredPairs` — all pairs restricted by a user predicate
-  (the structured successor of the ad-hoc ``pair_filter=`` argument);
+- :class:`FilteredPairs` — all pairs restricted by a user predicate;
 - :class:`Bipartite` — compare a query set against a reference corpus
   without computing reference-internal (or query-internal) pairs;
 - :class:`DeltaPairs` — incremental corpus growth: only ``new x old``
@@ -29,9 +28,8 @@ Each workload knows three things the runtimes need:
    equals the workload's accepted pair count, so ``is_complete()`` is
    meaningful for partial triangles).
 
-``as_workload`` adapts the legacy ``(keys, pair_filter)`` calling
-convention, keeping ``Rocket.run(keys, pair_filter=...)`` working as a
-thin wrapper over the workload API.
+``as_workload`` lets the entry points take a plain key list where a
+workload is expected (the paper's interface: all pairs).
 """
 
 from __future__ import annotations
@@ -234,9 +232,8 @@ class AllPairs(Workload[K]):
 class FilteredPairs(AllPairs[K]):
     """All pairs of ``keys`` restricted by ``predicate(key_a, key_b)``.
 
-    The structured form of the legacy ``pair_filter=`` argument (paper
-    Section 7's "user-defined heuristics to reduce the number of
-    pairs").  Rejected pairs are skipped without being loaded or
+    Paper Section 7's "user-defined heuristics to reduce the number of
+    pairs".  Rejected pairs are skipped without being loaded or
     compared; the result matrix expects only the accepted pairs.
 
     The cluster backend ships the predicate to its worker processes, so
@@ -325,22 +322,8 @@ class DeltaPairs(Workload[K]):
         return blocks
 
 
-def as_workload(
-    keys_or_workload, pair_filter: Optional[PairFilter] = None
-) -> Workload:
-    """Adapt the legacy ``(keys, pair_filter)`` convention to a Workload.
-
-    A :class:`Workload` passes through unchanged (combining it with a
-    ``pair_filter`` is an error — put the predicate in a
-    :class:`FilteredPairs` instead); a plain key sequence becomes
-    :class:`AllPairs` or, with a filter, :class:`FilteredPairs`.
-    """
+def as_workload(keys_or_workload) -> Workload:
+    """A :class:`Workload` unchanged; a plain key sequence as :class:`AllPairs`."""
     if isinstance(keys_or_workload, Workload):
-        if pair_filter is not None:
-            raise TypeError(
-                "cannot combine pair_filter= with a Workload; use FilteredPairs"
-            )
         return keys_or_workload
-    if pair_filter is not None:
-        return FilteredPairs(keys_or_workload, pair_filter)
     return AllPairs(keys_or_workload)

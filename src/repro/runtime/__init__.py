@@ -27,7 +27,11 @@ same architecture on actual OS threads and processes:
   cluster runtime: inline queue shipping (``"queue"``) or zero-copy
   shared-memory descriptors (``"shm"``);
 - :mod:`repro.runtime.backend` — the backend registry behind
-  ``Rocket(..., backend=...)``.
+  ``Rocket(..., backend=...)`` and the session driver (one job
+  lifecycle) both runtimes' sessions run on;
+- :mod:`repro.runtime.stats` — the one additive stats record
+  (``NodeStats`` per node, ``RunStats`` per job) and its fold into the
+  metrics registry.
 """
 
 from repro.runtime.backend import (
@@ -39,12 +43,12 @@ from repro.runtime.backend import (
 from repro.runtime.cluster import (
     ClusterConfig,
     ClusterRocketRuntime,
-    ClusterRunStats,
     ClusterSession,
 )
 from repro.runtime.devices import VirtualDevice
-from repro.runtime.localrocket import LocalRocketRuntime, LocalSession, RunStats
-from repro.runtime.pernode import NodeEngine, NodePipeline, NodeStats
+from repro.runtime.localrocket import LocalRocketRuntime, LocalSession
+from repro.runtime.pernode import NodeEngine, NodePipeline
+from repro.runtime.stats import NodeStats, RunStats
 from repro.runtime.transport import Transport, TransportFabric, available_transports
 
 __all__ = [
@@ -57,7 +61,6 @@ __all__ = [
     "NodeStats",
     "ClusterConfig",
     "ClusterRocketRuntime",
-    "ClusterRunStats",
     "ClusterSession",
     "BackendSession",
     "RocketBackend",

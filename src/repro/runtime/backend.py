@@ -3,18 +3,19 @@
 Rocket can execute the same all-pairs application on different
 substrates — the threaded single-process runtime, or the multi-process
 cluster runtime — behind one interface (the ``AbstractRunner`` /
-concrete-runner split familiar from pipeline frameworks):
+concrete-runner split familiar from pipeline frameworks: the base owns
+the run contract, a runner supplies only how work reaches its
+executors):
 
 - :class:`RocketBackend` — the interface: ``open_session()`` returning
   a live :class:`BackendSession` that accepts
   :class:`~repro.core.workload.Workload` submissions, plus the
-  one-shot ``run(keys, pair_filter)`` compatibility wrapper (open a
-  session, submit, wait, close) and a ``last_stats`` attribute holding
-  backend-specific statistics of the most recent job;
-- :class:`BackendSession` — one live execution context: worker
-  processes / threads, transport fabric and every cache level stay up
-  across ``submit()`` calls, so consecutive jobs over overlapping keys
-  reuse warm state;
+  one-shot ``run(workload)`` wrapper (open a session, submit, wait,
+  close) and a ``last_stats`` attribute holding the
+  :class:`~repro.runtime.stats.RunStats` of the most recent job;
+- :class:`BackendSession` — one live execution context and the job
+  lifecycle every backend shares: submit, admission, cancellation,
+  watchdog, terminal resolution, metrics, close;
 - a registry mapping backend names to factories, so
   ``Rocket(app, store, backend="cluster", n_nodes=4)`` needs no imports
   from the caller.
@@ -26,17 +27,27 @@ eager imports here would be circular.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.api import Application
 from repro.core.result import ResultMatrix
-from repro.core.session import RunHandle
+from repro.core.scheduler import JobScheduler
+from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import Workload, as_workload
 from repro.data.filestore import FileStore
+from repro.obs.log import get_logger
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.stats import NodeStats, RunStats, fold_stats
+from repro.util.trace import ProfileTrace, TraceRecorder
 
 __all__ = [
     "BackendSession",
+    "SessionJob",
     "RocketBackend",
     "available_backends",
     "create_backend",
@@ -44,24 +55,155 @@ __all__ = [
 ]
 
 
-class BackendSession(ABC):
-    """One live execution context of a backend.
+class SessionJob:
+    """What the session driver tracks for one active job.
 
-    The session is a *multi-job* contract: :meth:`submit` is
-    non-blocking and jobs are ordered and overlapped by the session's
-    :class:`~repro.core.scheduler.SchedulingPolicy` — serially under
-    the default FIFO policy, concurrently (weighted fair sharing, with
-    per-job ``priority`` and ``max_inflight``) under FAIR.  Backends
-    therefore execute *tagged* work: the local engine runs one pipeline
-    per active job against shared caches and pools, the cluster
-    protocol tags every steal/grant/result/stats message with its job
-    id, and completion/abort are per job — cancelling one job never
-    disturbs a co-running one.  :meth:`close` tears the shared state
-    down (cancelling any queued or running job).  Sessions are what
-    :class:`~repro.core.session.RocketSession` wraps.
+    Backends subclass it with their executor-side state (a pipeline,
+    the coordinator's share and steal bookkeeping).
     """
 
+    #: Cancel hook run on the *cancelling* thread; None leaves the
+    #: cancel to the driver's next tick.
+    cancel_cb: Optional[Callable[[], None]] = None
+    #: Blocks moved between nodes on this job's behalf.
+    remote_steals = 0
+
+    def __init__(self, handle: RunHandle, watchdog_seconds: float) -> None:
+        self.handle = handle
+        self.job_id: int = handle.accounting.job_id
+        self.started = time.perf_counter()
+        self.deadline = self.started + watchdog_seconds
+        #: What failed the job, if anything did.
+        self.error: Optional[BaseException] = None
+        #: The driver asked the backend to stop this job (cancel or
+        #: watchdog); asked once.
+        self.stopping = False
+
+
+class BackendSession(ABC):
+    """One live execution context of a backend, and its job lifecycle.
+
+    Executors (threads, processes, transport, every cache level) stay up
+    across ``submit()`` calls, so consecutive jobs over overlapping keys
+    reuse warm state.  What a job's life looks like is decided here,
+    once, for every backend; a backend supplies only how work reaches
+    its executors.
+
+    **The base guarantees**
+
+    - ``submit()`` never blocks on running jobs.  It validates the keys,
+      lets the backend vet the workload, queues a
+      :class:`~repro.core.session.RunHandle` on the session's
+      :class:`~repro.core.scheduler.JobScheduler` and returns it QUEUED.
+      On a closed session it raises
+      :class:`~repro.core.session.SessionClosed`, on a dead one
+      ``RuntimeError``; a submit that loses the race against a
+      concurrent ``close()`` resolves its handle CANCELLED first, so
+      ``wait()`` can never hang.
+    - One driver thread admits jobs in policy order (FIFO: serially, in
+      submission order; FAIR: up to ``max_active`` at once, priority
+      first), starts them, and retires each as soon as the backend says
+      it has ended.  A cancel or an expired ``watchdog_seconds`` stops
+      the job through the backend, once.
+    - Every job ends in exactly one state.  Completion beats cancel: a
+      job whose every pair arrived ends DONE even if a cancel was
+      accepted meanwhile.  Otherwise a cancelled job ends CANCELLED, a
+      job with an error — or one that ended short of its pair count —
+      ends FAILED and is logged, and a DONE job carries its
+      :class:`~repro.runtime.stats.RunStats`, folded into
+      :meth:`metrics` and published as the backend's ``last_stats``.
+      Cancelling or failing one job never disturbs a co-running one.
+    - ``close()`` tears the session down exactly once: it cancels every
+      queued and running job, waits for the driver, resolves whatever a
+      wedged driver left behind as CANCELLED, then tears the executors
+      down.  Any further ``close()`` raises ``SessionClosed``
+      (context-manager exit suppresses it).
+    - A session the backend declares dead (:meth:`_mark_fatal`) fails
+      its running *and* queued jobs instead of hanging them.
+
+    **Backend hooks** (all but :meth:`_prepare` run on the driver
+    thread)
+
+    - :meth:`_prepare` — vet a workload on the submitting thread
+      (cluster: can it be pickled to the workers?);
+    - :meth:`_start_job` — hand an admitted job to the executors and
+      return its :class:`SessionJob`;
+    - :meth:`_pump` — wait for something to happen, once (local: refill
+      block grants, then park on ``self._wake``; cluster: drain
+      coordinator messages and check the worker processes);
+    - :meth:`_job_ended` / :meth:`_stop_job` — has the job's execution
+      finished, and stop it early;
+    - :meth:`_collect` — release the ended job's executor state and
+      return its per-node :class:`~repro.runtime.stats.NodeStats`;
+    - :meth:`_teardown` — shut the executors down at ``close()``.
+
+    Elastic backends also override :meth:`add_node` /
+    :meth:`retire_node`.
+    """
+
+    #: Display name of this process in :meth:`profile`.
+    _process_name = "rocket"
+    #: Data plane reported in the jobs' ``RunStats``.
+    _transport: Optional[str] = None
+    #: How long ``close()`` waits for the driver thread to drain.
+    _JOIN_TIMEOUT = 30.0
+
+    def __init__(self, runtime: "RocketBackend", scheduler: JobScheduler, log_name: str) -> None:
+        self._runtime = runtime
+        self._scheduler = scheduler
+        self.policy = scheduler.policy
+        self._lock = threading.Lock()
+        self._closed = False
+        self._fatal: Optional[str] = None
+        self._active: Dict[int, SessionJob] = {}
+        #: Set by submit/close (and by whatever else a backend wants its
+        #: ``_pump`` to wake up for).
+        self._wake = threading.Event()
+        #: Session-lifetime observability: the driver's own trace holds
+        #: the scheduler-lane spans, finished jobs' node buffers wait as
+        #: ``(name, pid, origin, events)`` for :meth:`profile` to merge,
+        #: and the registry accumulates counters across jobs.
+        self._trace = TraceRecorder(enabled=runtime.config.profiling)
+        self._node_traces: Deque[Tuple[str, int, float, List]] = deque(maxlen=256)
+        self._metrics = MetricsRegistry()
+        self._job_records: Deque[Dict[str, object]] = deque(maxlen=64)
+        self._log = get_logger(log_name)
+        #: Started by the subclass once its executors are up.
+        self._thread = threading.Thread(
+            target=self._serve, name=f"rocket-{runtime.name}-session", daemon=True
+        )
+
+    # -- backend hooks ---------------------------------------------------
+
+    def _prepare(self, workload: Workload) -> None:
+        """Reject a workload this backend cannot run (submitting thread)."""
+
     @abstractmethod
+    def _start_job(self, handle: RunHandle) -> SessionJob:
+        """Hand one admitted job to the executors."""
+
+    @abstractmethod
+    def _pump(self) -> None:
+        """Block until there may be something to do; process it."""
+
+    @abstractmethod
+    def _job_ended(self, job: SessionJob) -> bool:
+        """True once the job's executors are finished with it."""
+
+    @abstractmethod
+    def _stop_job(self, job: SessionJob) -> None:
+        """Abort the job on the executors (idempotent)."""
+
+    @abstractmethod
+    def _collect(self, job: SessionJob) -> List[NodeStats]:
+        """Release an ended job's executor state; return its node stats."""
+
+    @abstractmethod
+    def _teardown(self) -> None:
+        """Shut the executors down (the driver thread has exited)."""
+
+    # -- public surface --------------------------------------------------
+
     def submit(
         self,
         workload: Workload,
@@ -75,22 +217,67 @@ class BackendSession(ABC):
         ``max_inflight`` caps its concurrently in-flight pair
         comparisons (None — the scheduler's default window).
         """
+        self._check_open()
+        # All per-workload heavy lifting runs on the submitting thread,
+        # outside the session lock: the driver keeps serving co-running
+        # jobs while a large submission prepares.  Warming grain_blocks
+        # first also seeds the accepted-pair counts, so a filtered
+        # workload's predicate sweeps each pair exactly once.
+        self._runtime.app.validate_keys(workload.keys)
+        self._prepare(workload)
+        if self._scheduler.decompose:
+            workload.grain_blocks(self._scheduler.grain_pairs)
+        handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
+        self._scheduler.submit(handle)
+        try:
+            self._check_open()
+        except RuntimeError:
+            # close() (or the session's death) raced the preparation and
+            # its sweep missed this handle: resolve it here — the queued
+            # cancel hook is synchronous — then report the session state.
+            handle.cancel()
+            raise
+        self._wake.set()
+        return handle
 
-    @abstractmethod
-    def close(self) -> None:
-        """Shut the session down.
-
-        Exactly one caller wins: the session is torn down once, and any
-        further ``close()`` — concurrent or sequential — raises
-        :class:`~repro.core.session.SessionClosed` instead of racing
-        the teardown.  Context-manager exit suppresses that error, so
-        ``with`` blocks that close early remain valid.
-        """
+    def _check_open(self) -> None:
+        with self._lock:
+            if self._closed:
+                raise SessionClosed("session is closed")
+            if self._fatal is not None:
+                raise self._dead_error()
 
     @property
-    @abstractmethod
     def closed(self) -> bool:
-        """True once :meth:`close` ran (or the session died)."""
+        """True once :meth:`close` ran."""
+        return self._closed
+
+    def close(self) -> None:
+        """Cancel outstanding jobs and tear the executors down.
+
+        Exactly one caller wins; any further ``close()`` — concurrent or
+        sequential — raises :class:`~repro.core.session.SessionClosed`
+        instead of racing the teardown.
+        """
+        with self._lock:
+            if self._closed:
+                raise SessionClosed("session is already closed")
+            self._closed = True
+            handles = self._scheduler.queued_handles() + self._scheduler.active_handles()
+        for handle in handles:
+            # Queued handles resolve synchronously through their cancel
+            # hook; active ones are stopped and retired by the driver.
+            handle.cancel()
+        self._wake.set()
+        self._thread.join(timeout=self._JOIN_TIMEOUT)
+        for handle in handles:
+            # Belt and braces: whatever a wedged or dead driver left
+            # unresolved must still end — wait() on a closed session
+            # may never hang.
+            if not handle.done():
+                handle._finish(RunState.CANCELLED)
+        self._teardown()
+        self._log.info("session closed")
 
     def add_node(self) -> int:
         """Grow the session's worker set by one node (elastic backends).
@@ -109,43 +296,205 @@ class BackendSession(ABC):
         )
 
     def metrics(self) -> Dict[str, Any]:
-        """Snapshot of the session's metrics registry (nested dict).
+        """Session-lifetime metrics snapshot (see :mod:`repro.obs.metrics`)."""
+        self._metrics.set_gauge("scheduler.queue_depth", self._scheduler.queued_count)
+        self._metrics.set_gauge("scheduler.active_jobs", self._scheduler.active_count)
+        snapshot = self._metrics.snapshot()
+        snapshot.setdefault("jobs", {})["recent"] = list(self._job_records)
+        return snapshot
 
-        Backends without a registry report an empty snapshot; the real
-        backends return the JSON-dumpable tree described in
-        :mod:`repro.obs.metrics`.
+    def profile(self) -> ProfileTrace:
+        """The session's merged profile: this process plus every node.
+
+        Node event times are rebased onto the session recorder's clock
+        via the shipped origins (``perf_counter`` is a shared monotonic
+        clock across local processes), so one Perfetto timeline shows
+        the scheduler lanes above every node's IO/CPU/device/NET lanes.
+        Empty unless the session ran with ``RocketConfig(profiling=True)``.
         """
-        return {}
-
-    def profile(self):
-        """The session's merged multi-process profile trace.
-
-        ``None`` when the backend does not trace; the real backends
-        return a :class:`~repro.util.trace.ProfileTrace` (empty unless
-        the session ran with ``RocketConfig(profiling=True)``).
-        """
-        return None
+        trace = ProfileTrace()
+        trace.add_process(self._process_name, self._trace.events, pid=os.getpid())
+        for name, pid, origin, events in list(self._node_traces):
+            trace.add_process(name, events, pid=pid, offset=origin - self._trace.origin)
+        return trace
 
     def __enter__(self) -> "BackendSession":
         return self
 
     def __exit__(self, *exc) -> None:
-        from repro.core.session import SessionClosed
-
         try:
             self.close()
         except SessionClosed:
             pass  # closed early inside the with block
+
+    # -- the driver ------------------------------------------------------
+
+    def _mark_fatal(self, text: str) -> None:
+        """Declare the session dead: its jobs fail, submissions raise."""
+        if self._fatal is None:
+            self._fatal = text
+            self._log.error("session fatal: %s", text)
+
+    def _serve(self) -> None:
+        """Driver thread body: pump, retire, stop, admit — until closed."""
+        while True:
+            self._pump()
+            now = time.perf_counter()
+            for job in list(self._active.values()):
+                if self._job_ended(job):
+                    self._retire(job)
+                elif job.stopping:
+                    continue
+                elif job.handle.cancel_requested:
+                    self._stop(job)
+                elif now > job.deadline:
+                    done, total = job.handle.progress()
+                    job.error = RuntimeError(
+                        f"run did not finish within watchdog_seconds="
+                        f"{self._runtime.config.watchdog_seconds}; completed "
+                        f"{done}/{total} pairs"
+                    )
+                    self._stop(job)
+            if self._fatal is None:
+                for handle in self._scheduler.admit():
+                    self._admit(handle)
+            else:
+                self._fail_active()
+            with self._lock:
+                if self._fatal is not None:
+                    # Queued jobs fail too: nothing will ever admit them.
+                    self._scheduler.fail_all(self._dead_error)
+                    return
+                if self._closed and not self._active and self._scheduler.idle:
+                    return
+
+    def _dead_error(self) -> RuntimeError:
+        return RuntimeError(f"session is dead: {self._fatal}")
+
+    def _admit(self, handle: RunHandle) -> None:
+        """Start one admitted job; a failed start fails just that job."""
+        try:
+            job = self._start_job(handle)
+        except BaseException as exc:  # noqa: BLE001 - session must survive
+            self._fail(handle, exc)
+            return
+        self._active[job.job_id] = job
+        if not self._scheduler.decompose:
+            # The executors got the whole decomposition up front; a
+            # decomposing scheduler grants its quanta block by block.
+            self._scheduler.mark_fully_granted(handle)
+        if self._trace.enabled:
+            # The job's admission-queue wait, as a scheduler-lane span
+            # ending now (adjacent to the spans its pipelines record).
+            now = self._trace.now()
+            queued = handle.accounting.queued_seconds
+            self._trace.record("scheduler", "queued", max(0.0, now - queued), now, job.job_id)
+        self._log.debug("job admitted", job_id=job.job_id)
+        handle._mark_running(cancel_cb=job.cancel_cb)
+
+    def _fail(self, handle: RunHandle, error: BaseException) -> None:
+        self._scheduler.finish(handle)
+        if not handle.done():
+            handle._finish(RunState.FAILED, error=error)
+
+    def _stop(self, job: SessionJob) -> None:
+        job.stopping = True
+        self._scheduler.drop_remaining(job.handle)
+        self._stop_job(job)
+
+    def _fail_active(self) -> None:
+        """Resolve every active job after the session died."""
+        for job in list(self._active.values()):
+            if not job.stopping:
+                # Best-effort abort, so surviving executors stop burning
+                # CPU on a job whose consumer is gone.
+                self._stop(job)
+            del self._active[job.job_id]
+            self._fail(job.handle, self._dead_error())
+
+    def _retire(self, job: SessionJob) -> None:
+        """Take an ended job off the executors and resolve its handle."""
+        del self._active[job.job_id]
+        self._scheduler.finish(job.handle)
+        try:
+            self._resolve(job, self._collect(job))
+        except BaseException as exc:  # noqa: BLE001 - session must survive
+            self._fail(job.handle, exc)
+
+    def _resolve(self, job: SessionJob, node_stats: List[NodeStats]) -> None:
+        """The one terminal resolution: CANCELLED, FAILED or DONE + stats."""
+        handle, acct = job.handle, job.handle.accounting
+        done, total = handle.progress()
+        runtime = time.perf_counter() - job.started
+        # Wholesale dispatch does not credit completions as they land;
+        # sync the count so partial progress of failed and cancelled
+        # jobs reports correctly on every backend.
+        acct.pairs_completed = max(acct.pairs_completed, done)
+        if self._trace.enabled:
+            # The job's running span on the scheduler lane, then its
+            # nodes' buffers (whatever arrived — failed jobs keep theirs).
+            self._trace.record(
+                "scheduler", "run",
+                max(0.0, job.started - self._trace.origin), self._trace.now(), job.job_id,
+            )
+            for ns in node_stats:
+                if ns.trace_events:
+                    self._node_traces.append(
+                        (f"node{ns.node_id}", ns.pid, ns.trace_origin, ns.trace_events)
+                    )
+        self._job_records.append(acct.to_dict())
+        self._metrics.observe("scheduler.grant_latency_seconds", acct.queued_seconds)
+        self._metrics.inc("scheduler.blocks_granted", acct.blocks_granted)
+
+        error = job.error
+        if handle.cancel_requested and not (done == total and error is None):
+            self._metrics.inc("jobs.cancelled")
+            self._log.info("job cancelled", job_id=job.job_id)
+            handle._finish(RunState.CANCELLED)
+            return
+        if error is None and done != total:
+            error = RuntimeError(f"run ended with {done}/{total} results — scheduler bug")
+        if error is not None:
+            self._metrics.inc("jobs.failed")
+            self._log.warning("job failed: %s", error, job_id=job.job_id)
+            handle._finish(RunState.FAILED, error=error)
+            return
+
+        cfg = self._runtime.config
+        stats = RunStats(
+            runtime=runtime,
+            n_items=handle.workload.n_items,
+            n_pairs=total,
+            node_stats=node_stats,
+            cpu_workers=cfg.cpu_workers,
+            remote_steals=job.remote_steals,
+            transport=self._transport,
+        )
+        if (
+            self._scheduler.decompose
+            and isinstance(cfg.grain, str)
+            and self._runtime.app.supports_compare_block
+        ):
+            # grain="auto": the finished job's calibrated per-pair
+            # compare time re-sizes the scheduler's grant quanta, so the
+            # next submission's grain_blocks() match the batched kernels.
+            auto = stats.calibration.auto_grain(lo=cfg.leaf_size)
+            if auto is not None:
+                self._scheduler.grain_pairs = auto
+                self._scheduler.window_pairs = max(3 * auto, self._scheduler.window_pairs)
+        fold_stats(self._metrics, stats)
+        self._log.info("job done", job_id=job.job_id)
+        self._runtime.last_stats = stats
+        handle._finish(RunState.DONE, stats=stats)
 
 
 class RocketBackend(ABC):
     """One way of executing an all-pairs application.
 
     Concrete backends implement :meth:`open_session`; the blocking
-    :meth:`run` wrapper is derived.  They expose ``last_stats``
-    (``None`` before any run; the stats type is backend-specific —
-    ``RunStats`` for the local backend, ``ClusterRunStats`` for the
-    cluster backend) and must leave the result matrix identical across
+    :meth:`run` wrapper is derived.  They expose ``last_stats`` (the
+    most recent job's :class:`~repro.runtime.stats.RunStats`, ``None``
+    before any run) and must leave the result matrix identical across
     backends: the pipeline callbacks are pure, so only timing may
     differ.
     """
@@ -153,7 +502,7 @@ class RocketBackend(ABC):
     #: Registry key of the backend (set by subclasses).
     name: str = "?"
 
-    last_stats: Optional[Any] = None
+    last_stats: Optional[RunStats] = None
 
     def open_session(self, *, policy="fifo", max_active: Optional[int] = None) -> BackendSession:
         """Spin up a live session against this backend's configuration.
@@ -175,33 +524,21 @@ class RocketBackend(ABC):
         return self.open_session()
 
     def run(
-        self, keys: Sequence[Hashable], pair_filter=None, profile: Optional[str] = None
+        self,
+        keys: Union[Sequence[Hashable], Workload],
+        profile: Optional[str] = None,
     ) -> ResultMatrix:
         """Execute one workload to completion (one-shot session).
 
-        ``keys`` may be a plain key sequence — optionally restricted by
-        the legacy ``pair_filter`` predicate — or any
+        ``keys`` may be a plain key sequence (all pairs) or any
         :class:`~repro.core.workload.Workload`.  Statistics land in
         ``last_stats``.  With ``profile=`` the session's merged
         Chrome/Perfetto trace is written to that path before the
         session closes (meaningful when the backend's config has
         ``profiling=True`` — :meth:`Rocket.run <repro.core.rocket.Rocket.run>`
         arranges that automatically).
-
-        .. deprecated:: 1.2
-           ``pair_filter=`` — pass
-           :class:`~repro.core.workload.FilteredPairs` instead.
         """
-        if pair_filter is not None:
-            import warnings
-
-            warnings.warn(
-                "run(pair_filter=...) is deprecated; submit a "
-                "FilteredPairs(keys, predicate) workload instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        workload = as_workload(keys, pair_filter)
+        workload = as_workload(keys)
         from repro.store.integration import maybe_wrap_store  # lazy: avoids cycle
 
         session = maybe_wrap_store(self._one_shot_session(workload), self)
@@ -209,12 +546,7 @@ class RocketBackend(ABC):
             handle = session.submit(workload)
             result = handle.result()
             if profile is not None:
-                trace = session.profile()
-                if trace is None:
-                    raise RuntimeError(
-                        f"backend {self.name!r} does not support profiling"
-                    )
-                trace.save(profile)
+                session.profile().save(profile)
         finally:
             session.close()
         return result

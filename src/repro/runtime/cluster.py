@@ -23,9 +23,10 @@ cross-node mechanisms of the paper for real:
 3. **Result gathering** — completed pairs stream back to the
    coordinator in batched result blocks
    (:class:`~repro.runtime.transport.ResultBatcher`); the coordinator
-   assembles the final :class:`~repro.core.result.ResultMatrix` and a
-   :class:`ClusterRunStats` (per-node stats, aggregated hop histogram,
-   bytes and messages over the wire, per-kind message counts).
+   assembles the final :class:`~repro.core.result.ResultMatrix` and the
+   job's :class:`~repro.runtime.stats.RunStats` from the nodes' reports
+   (pipeline counters, hop histogram, bytes and messages over the wire,
+   per-kind message counts).
 
 *How* bytes move between the processes is delegated to a pluggable
 :class:`~repro.runtime.transport.Transport`
@@ -61,37 +62,30 @@ open a session, submit one workload, close.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
-import os
 import pickle
 import queue
 import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.cache.distributed import (
-    CandidateDirectory,
-    HopStats,
-    mediator_of,
-    mediator_of_live,
-)
+from repro.cache.distributed import CandidateDirectory, HopStats, mediator_of_live
 from repro.core.api import Application
 from repro.core.scheduler import JobScheduler, coerce_policy
-from repro.core.session import RunHandle, RunState, SessionClosed
+from repro.core.session import RunHandle
 from repro.core.workload import Workload
 from repro.data.filestore import FileStore
-from repro.model.perfmodel import StageCalibration
-from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime.backend import BackendSession, RocketBackend
+from repro.runtime.backend import BackendSession, RocketBackend, SessionJob
 from repro.runtime.localrocket import RocketConfig
-from repro.runtime.pernode import NodeEngine, NodePipeline, NodeStats
+from repro.runtime.pernode import NodeEngine, NodePipeline
+from repro.runtime.stats import MESSAGE_KINDS, NodeStats
 from repro.runtime.transport import (
     QueueTransport,
     ResultBatcher,
@@ -103,17 +97,15 @@ from repro.runtime.transport import (
 from repro.scheduling.quadtree import PairBlock, partition_blocks
 from repro.scheduling.workstealing import StealPolicy, VictimSelector, WorkerTopology
 from repro.util.rng import RngFactory
-from repro.util.trace import ProfileTrace, TraceRecorder
+from repro.util.trace import TraceRecorder
 
 __all__ = [
     "ClusterConfig",
-    "ClusterRunStats",
     "ClusterRocketRuntime",
     "ClusterSession",
     "NodeCommServer",
     "NodeJobState",
     "QueueTransport",
-    "NodeReport",
     "MESSAGE_KINDS",
 ]
 
@@ -204,13 +196,10 @@ class ClusterConfig:
                     )
 
 
-#: Stats categories of the coordinator/protocol messages.
-MESSAGE_KINDS = ("fetch", "grant", "result", "control")
-
-#: Message tag -> stats category.  ``fetch`` covers the distributed
-#: cache (including shm slot releases), ``grant`` the global-steal
-#: protocol, ``result`` the batched result blocks, ``control`` the
-#: stop/error/stats lifecycle traffic.
+#: Message tag -> stats category (:data:`MESSAGE_KINDS`).  ``fetch``
+#: covers the distributed cache (including shm slot releases), ``grant``
+#: the global-steal protocol, ``result`` the batched result blocks;
+#: every other tag (stop/error/stats/job/epoch lifecycle) is ``control``.
 _KIND_OF = {
     "creq": "fetch",
     "cprobe": "fetch",
@@ -221,79 +210,7 @@ _KIND_OF = {
     "srep": "grant",
     "sgrant": "grant",
     "results": "result",
-    "result": "result",
-    "stats": "control",
-    "error": "control",
-    "stop": "control",
-    "job": "control",
-    "shutdown": "control",
-    "epoch": "control",
 }
-
-
-@dataclass
-class ClusterRunStats:
-    """Measured behaviour of one multi-process cluster run."""
-
-    runtime: float
-    n_items: int
-    n_pairs: int
-    n_nodes: int
-    loads: int
-    reuse_factor: float
-    throughput: float
-    node_stats: List[NodeStats]
-    hop_stats: HopStats
-    remote_steals: int
-    bytes_over_wire: int
-    #: Control-plane messages of the cache + steal protocols.
-    messages: int
-    #: Messages broken down by category (see :data:`MESSAGE_KINDS`).
-    message_kinds: Dict[str, int] = field(
-        default_factory=lambda: {k: 0 for k in MESSAGE_KINDS}
-    )
-    #: Data-plane implementation the run used ("queue", "shm", ...).
-    transport: str = "queue"
-    #: Sum of device speed factors across all nodes (the model's ``p``).
-    aggregate_speed: float = 1.0
-    #: Online-calibrated stage costs merged from every node.
-    calibration: Optional[StageCalibration] = None
-    #: Calibrated-model runtime at the measured reuse factor R.
-    predicted_runtime: float = 0.0
-    #: Eq. 5 system efficiency against the calibrated lower bound.
-    model_efficiency: float = 0.0
-
-    def summary(self) -> str:
-        """Short human-readable digest."""
-        hs = self.hop_stats
-        kinds = "/".join(f"{self.message_kinds.get(k, 0)} {k}" for k in MESSAGE_KINDS)
-        return (
-            f"{self.n_pairs} pairs / {self.n_items} items on {self.n_nodes} nodes "
-            f"in {self.runtime:.2f}s ({self.throughput:.1f} pairs/s); "
-            f"loads={self.loads} (R={self.reuse_factor:.2f}); "
-            f"distributed cache: {hs.total_hits}/{hs.requests} remote hits, "
-            f"{self.bytes_over_wire / 1e6:.2f} MB over wire "
-            f"[{self.transport} transport], "
-            f"{self.messages} messages ({kinds}); "
-            f"remote steals={self.remote_steals}; "
-            f"model: predicted {self.predicted_runtime:.2f}s vs measured "
-            f"{self.runtime:.2f}s, system efficiency {self.model_efficiency:.1%} "
-            f"(aggregate speed {self.aggregate_speed:.2f})"
-        )
-
-
-@dataclass
-class NodeReport:
-    """Everything one node ships back to the coordinator at shutdown."""
-
-    stats: NodeStats
-    hops: HopStats
-    bytes_shipped: int
-    bytes_received: int
-    messages: int
-    message_kinds: Dict[str, int] = field(
-        default_factory=lambda: {k: 0 for k in MESSAGE_KINDS}
-    )
 
 
 # ----------------------------------------------------------------------
@@ -344,11 +261,9 @@ class NodeJobState:
         self.keys = list(keys)
         self.max_inflight = max_inflight
         self.directory = CandidateDirectory(cluster.max_hops)
-        self.hops = HopStats(cluster.max_hops)
-        self.bytes_shipped = 0
-        self.bytes_received = 0
-        self.messages = 0
-        self.message_kinds: Dict[str, int] = {k: 0 for k in MESSAGE_KINDS}
+        #: The protocol half of this node's report for the job (hops,
+        #: bytes, messages); ``ship_stats`` adds the pipeline's half.
+        self.stats = NodeStats(hop_stats=HopStats(cluster.max_hops))
         self.remote_abort = False
         self.pipeline: Optional[NodePipeline] = None
         #: The job's per-process trace recorder.  Disabled until the
@@ -560,8 +475,8 @@ class NodeCommServer:
             return
         kind = _KIND_OF.get(msg[0], "control")
         with self._stats_lock:
-            state.messages += 1
-            state.message_kinds[kind] += 1
+            state.stats.messages += 1
+            state.stats.message_kinds[kind] += 1
         if state.trace.enabled:
             # Sends are instants on the comm lane (zero-duration spans).
             t = state.trace.now()
@@ -608,7 +523,7 @@ class NodeCommServer:
         if not pend.event.wait(self.cluster.fetch_timeout):
             self._pop_pending(pend.req_id)
             with self._stats_lock:
-                state.hops.record_miss(had_candidates=True)
+                state.stats.hop_stats.record_miss(had_candidates=True)
             if tracing:
                 state.trace.record("NET", "fetch:timeout", t0, state.trace.now(), state.job_id)
             return None
@@ -617,10 +532,10 @@ class NodeCommServer:
         payload, hop, _provider, wire = pend.result
         with self._stats_lock:
             if payload is None:
-                state.hops.record_miss(had_candidates=(hop != 0))
+                state.stats.hop_stats.record_miss(had_candidates=(hop != 0))
             else:
-                state.hops.record_hit(hop)
-                state.bytes_received += wire
+                state.stats.hop_stats.record_hit(hop)
+                state.stats.bytes_received += wire
         if tracing:
             label = "fetch:hit" if payload is not None else "fetch:miss"
             state.trace.record("NET", label, t0, state.trace.now(), state.job_id)
@@ -652,13 +567,10 @@ class NodeCommServer:
         """Process one protocol message (mediator / candidate / reply)."""
         kind = msg[0]
         if kind == "job":
-            if len(msg) == 4:
-                # Packed hand-out: the spec travels out-of-band (or
-                # inline, per the fabric) and unpacks on this side.
-                _, job_id, packed, max_inflight = msg
-                keys, pair_filter, blocks = self.transport.unpack_job_payload(packed)
-            else:  # legacy inline 6-tuple (tests, older coordinators)
-                _, job_id, keys, pair_filter, blocks, max_inflight = msg
+            # The spec travels out-of-band (or inline, per the fabric)
+            # and unpacks on this side.
+            _, job_id, packed, max_inflight = msg
+            keys, pair_filter, blocks = self.transport.unpack_job_payload(packed)
             self._jobs.put((job_id, keys, pair_filter, blocks, max_inflight))
             return
         if kind == "shutdown":
@@ -721,10 +633,7 @@ class NodeCommServer:
         state = self._job_state(job_id)
         if kind == "creq":
             # Mediator step: return current candidates, record requester.
-            # Legacy 5-tuples (tests, older senders) carry no epoch and
-            # are treated as current.
-            _, _, requester, idx, req_id = msg[:5]
-            epoch = msg[5] if len(msg) > 5 else self.epoch
+            _, _, requester, idx, req_id, epoch = msg
             if state is None or not 0 <= idx < len(state.keys) or epoch < self.epoch:
                 # Unknown/ended job, an index from a different job's
                 # space, or a request sent under stale membership:
@@ -749,8 +658,7 @@ class NodeCommServer:
                 )
         elif kind == "cprobe":
             # Candidate step: serve from the host cache or forward.
-            _, _, requester, idx, req_id, rest, hop = msg[:7]
-            epoch = msg[7] if len(msg) > 7 else self.epoch
+            _, _, requester, idx, req_id, rest, hop, epoch = msg
             if epoch < self.epoch:
                 # Probe from a previous membership epoch: droppable by
                 # contract — answer the requester with a definitive miss.
@@ -766,7 +674,7 @@ class NodeCommServer:
             if payload is not None:
                 packed = self.transport.pack_payload(payload)
                 with self._stats_lock:
-                    state.bytes_shipped += self.transport.wire_bytes(packed)
+                    state.stats.bytes_shipped += self.transport.wire_bytes(packed)
                 self._send_node(
                     state, requester, ("crep", job_id, req_id, packed, hop, self.node_id)
                 )
@@ -861,24 +769,12 @@ class NodeCommServer:
         if state.pipeline is not None:
             state.pipeline.request_stop(abort=abort)
 
-    def report(self, state: NodeJobState, stats: NodeStats) -> NodeReport:
-        """Bundle one job's pipeline and protocol stats for shipping."""
-        with self._stats_lock:
-            return NodeReport(
-                stats=stats,
-                hops=state.hops,
-                bytes_shipped=state.bytes_shipped,
-                bytes_received=state.bytes_received,
-                messages=state.messages,
-                message_kinds=dict(state.message_kinds),
-            )
-
     def ship_stats(self, state: NodeJobState, stats: NodeStats) -> None:
-        """Send one job's final stats report (counting the message)."""
+        """Send one job's final report: pipeline plus protocol counters."""
         self._count_send(state, ("stats",))
-        self.transport.send_coordinator(
-            ("stats", self.node_id, state.job_id, self.report(state, stats))
-        )
+        with self._stats_lock:
+            stats.merge(state.stats)
+        self.transport.send_coordinator(("stats", self.node_id, state.job_id, stats))
 
 
 # ----------------------------------------------------------------------
@@ -1026,9 +922,9 @@ def _node_main(
 class ClusterRocketRuntime(RocketBackend):
     """Run an all-pairs application across real OS processes.
 
-    ``run(keys, pair_filter=None)`` (inherited) executes one workload
-    through a one-shot session — spawn, run, tear down, exactly the
-    pre-session behaviour; :meth:`open_session` returns a
+    ``run(workload)`` (inherited) executes one workload through a
+    one-shot session — spawn, run, tear down; :meth:`open_session`
+    returns a
     :class:`ClusterSession` whose worker processes, transport fabric
     and cache levels persist across many submitted workloads.
     """
@@ -1046,7 +942,6 @@ class ClusterRocketRuntime(RocketBackend):
         self.store = store
         self.config = config
         self.cluster = cluster
-        self.last_stats: Optional[ClusterRunStats] = None
         if cluster.transport not in available_transports():
             raise ValueError(
                 f"unknown transport {cluster.transport!r}; "
@@ -1062,8 +957,6 @@ class ClusterRocketRuntime(RocketBackend):
 
     def _node_configs(self) -> List[RocketConfig]:
         """Per-node RocketConfigs (heterogeneous speed overrides applied)."""
-        import dataclasses
-
         if self.cluster.node_speed_factors is None:
             return [self.config] * self.cluster.n_nodes
         return [
@@ -1078,7 +971,7 @@ class ClusterRocketRuntime(RocketBackend):
         return ClusterSession(self, policy=policy, max_active=max_active)
 
 
-class _ClusterJob:
+class _ClusterJob(SessionJob):
     """One active job's coordinator-side state.
 
     Owns everything the coordinator tracks per job — initial shares,
@@ -1088,11 +981,9 @@ class _ClusterJob:
     """
 
     def __init__(self, session: "ClusterSession", handle: RunHandle) -> None:
-        runtime = session._runtime
-        cfg, cl = runtime.config, runtime.cluster
+        cfg = session._runtime.config
+        super().__init__(handle, cfg.watchdog_seconds)
         self.session = session
-        self.handle = handle
-        self.job_id: int = handle.accounting.job_id
         workload = handle.workload
         self.keys = workload.keys
         self.pair_filter = workload.pair_filter
@@ -1136,7 +1027,7 @@ class _ClusterJob:
         #: a victim death advances the probe immediately instead of
         #: letting the thief wait out its steal timeout.
         self.probing: Dict[Tuple[int, int], int] = {}
-        self.reports: Dict[int, NodeReport] = {}
+        self.reports: Dict[int, NodeStats] = {}
         capacity = session._capacity
         # Estimated accepted pairs still owned by each node: the initial
         # share, plus/minus granted steals, minus streamed results.
@@ -1161,12 +1052,8 @@ class _ClusterJob:
             set() if session._elastic else None
         )
         self.completed = 0
-        self.remote_steals = 0
-        self.error: Optional[str] = None
-        self.cancelled = False
+        #: The stop broadcast went out (all pairs in, failure or abort).
         self.stopped = False
-        self.started = time.perf_counter()
-        self.deadline = self.started + cfg.watchdog_seconds
         #: Set when the stop broadcast goes out: the job must collect
         #: its remaining stats reports before this wall-clock moment or
         #: the session is marked dead (a node that neither reports nor
@@ -1319,7 +1206,7 @@ class _ClusterJob:
 
     def fail(self, text: str) -> None:
         if self.error is None:
-            self.error = text
+            self.error = RuntimeError(f"cluster run failed: {text}")
         if not self.stopped:
             self.broadcast_stop(True)
 
@@ -1458,19 +1345,20 @@ class ClusterSession(BackendSession):
     """A live multi-process execution context.
 
     Spawns one worker process per node plus the transport fabric
-    *once*; submitted workloads are then dispatched as job-tagged
-    protocol exchanges and multiplexed by a single coordinator thread.
-    The :class:`~repro.core.scheduler.JobScheduler` orders admission —
-    serially under the default FIFO policy, concurrently (priority
-    first) under FAIR — and the nodes interleave the active jobs' pair
-    streams on their shared engines, so a small high-priority query
-    no longer waits for a large job to finish.  Between and during
-    jobs the nodes keep their device/host caches (and the processes
-    and kernel threads themselves) warm.  :meth:`close` ends the node
-    processes and unlinks every shared resource; a node crash marks
-    the whole session dead (submissions then fail fast) but never
+    *once*; the shared session driver then runs on the coordinator
+    thread, and this class supplies the cluster's half: a submitted
+    workload is dispatched as job-tagged protocol exchanges, the
+    coordinator routes steal requests, result batches and stats
+    reports between the nodes' messages, and the nodes interleave the
+    active jobs' pair streams on their shared engines.  Between and
+    during jobs the nodes keep their device/host caches (and the
+    processes and kernel threads themselves) warm.  :meth:`close` ends
+    the node processes and unlinks every shared resource; a node crash
+    marks the whole session dead (submissions then fail fast) but never
     leaks processes or ``/dev/shm`` segments.
     """
+
+    _process_name = "coordinator"
 
     def __init__(
         self,
@@ -1478,8 +1366,12 @@ class ClusterSession(BackendSession):
         policy="fifo",
         max_active: Optional[int] = None,
     ) -> None:
-        self._runtime = runtime
         cfg, cl = runtime.config, runtime.cluster
+        super().__init__(
+            runtime, JobScheduler(coerce_policy(policy), max_active=max_active),
+            "cluster.coordinator",
+        )
+        self._transport = cl.transport
         try:
             ctx = multiprocessing.get_context(cl.start_method)
         except ValueError as exc:
@@ -1525,30 +1417,12 @@ class ClusterSession(BackendSession):
             )
             for i in range(cl.n_nodes)
         ]
-        self.policy = coerce_policy(policy)
-        self._scheduler = JobScheduler(self.policy, max_active=max_active)
-        self._active: Dict[int, _ClusterJob] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-        self._fatal: Optional[str] = None
-        #: Session-lifetime observability.  The coordinator's own trace
-        #: holds scheduler-lane spans; node trace buffers (shipped in
-        #: the job-tagged stats reports) are kept as
-        #: ``(name, pid, origin, events)`` until profile() merges them.
-        self._trace = TraceRecorder(enabled=cfg.profiling)
-        self._metrics = MetricsRegistry()
-        self._job_records: Deque[Dict[str, object]] = deque(maxlen=64)
-        self._node_traces: Deque[Tuple[str, int, float, List]] = deque(maxlen=256)
-        self._log = get_logger("cluster.coordinator")
         self._log.info(
             "session open: %d node processes, transport=%s", cl.n_nodes, cl.transport
         )
         try:
             for p in self._procs:
                 p.start()
-            self._thread = threading.Thread(
-                target=self._serve, name="rocket-cluster-session", daemon=True
-            )
             self._thread.start()
         except BaseException:
             # Startup failed (e.g. an unpicklable app under the "spawn"
@@ -1564,30 +1438,13 @@ class ClusterSession(BackendSession):
 
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        workload: Workload,
-        *,
-        priority: float = 1.0,
-        max_inflight: Optional[int] = None,
-    ) -> RunHandle:
-        """Queue a workload; returns its handle immediately (QUEUED).
+    def _prepare(self, workload: Workload) -> None:
+        """Check, before anything is dispatched, that the job can ship.
 
-        Validates up front — before anything is dispatched — that the
-        workload's keys and pair filter can be pickled onto the job
-        message: a lambda or closure predicate would otherwise only
-        crash inside a worker process, far from the caller.
+        The workload's keys and pair filter ride on the job message: a
+        lambda or closure predicate would otherwise only crash inside a
+        worker process, far from the caller.
         """
-        with self._lock:
-            if self._closed:
-                raise SessionClosed("session is closed")
-            if self._fatal is not None:
-                raise RuntimeError(f"session is dead: {self._fatal}")
-        # Heavy per-workload work — pickling, the handle's accepted-pair
-        # sweep — runs outside the session lock, so the coordinator loop
-        # (which takes it every iteration) keeps pumping co-running
-        # jobs' messages while a large submission prepares.
-        self._runtime.app.validate_keys(workload.keys)
         try:
             pickle.dumps((workload.keys, workload.pair_filter))
         except Exception as exc:
@@ -1597,48 +1454,9 @@ class ClusterSession(BackendSession):
                 f"define filter predicates at module level, not as "
                 f"lambdas or closures"
             ) from None
-        handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
-        self._scheduler.submit(handle)
-        with self._lock:
-            if self._closed or self._fatal is not None:
-                # close()/fatal raced the preparation and their drain
-                # missed this handle: resolve it here (the queued-cancel
-                # hook is synchronous) and report the session state.
-                handle.cancel()
-                if self._closed:
-                    raise SessionClosed("session is closed")
-                raise RuntimeError(f"session is dead: {self._fatal}")
-        return handle
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Stop the workers, join the processes, unlink shared state.
-
-        The first caller performs the teardown; any other ``close()``
-        — a double close, or a second thread racing this one — raises
-        :class:`~repro.core.session.SessionClosed` instead of running
-        the worker shutdown and fabric unlink twice.
-        """
-        with self._lock:
-            if self._closed:
-                raise SessionClosed("session is already closed")
-            self._closed = True
-            handles = self._scheduler.queued_handles() + self._scheduler.active_handles()
-        for handle in handles:
-            # Queued handles resolve synchronously through their cancel
-            # hook; active ones abort through the coordinator poll.
-            handle.cancel()
-        self._thread.join(timeout=60.0)
-        for handle in handles:
-            # Belt and braces: whatever the coordinator loop missed (a
-            # wedged or dead serve thread, a handle admitted between the
-            # drain and the join) must still resolve — wait() may never
-            # hang on a closed session.
-            if not handle.done():
-                handle._finish(RunState.CANCELLED)
+    def _teardown(self) -> None:
+        """Stop the workers, join the processes, unlink shared state."""
         for node in range(self._next_slot):
             try:
                 self._fabric.send_node(node, ("shutdown",))
@@ -1661,11 +1479,7 @@ class ClusterSession(BackendSession):
             raise RuntimeError(
                 "membership changes need ClusterConfig(elastic=True)"
             )
-        with self._lock:
-            if self._closed:
-                raise SessionClosed("session is closed")
-            if self._fatal is not None:
-                raise RuntimeError(f"session is dead: {self._fatal}")
+        self._check_open()
 
     def add_node(self) -> int:
         """Spawn a new worker and enroll it in the live session.
@@ -1676,12 +1490,16 @@ class ClusterSession(BackendSession):
         node id.  Runs on the coordinator thread (all job state lives
         there); this call blocks until the join is effective.
         """
+        return self._on_coordinator("add", None, True)
+
+    def _on_coordinator(self, kind: str, node: Optional[int], drain: bool) -> int:
+        """Run one membership command on the coordinator thread; block for it."""
         self._require_elastic()
         box: Dict[str, Any] = {}
         event = threading.Event()
-        self._control.put(("add", None, True, box, event))
+        self._control.put((kind, node, drain, box, event))
         if not event.wait(timeout=60.0):
-            raise RuntimeError("add_node timed out waiting for the coordinator")
+            raise RuntimeError(f"{kind}_node timed out waiting for the coordinator")
         if "error" in box:
             raise box["error"]
         return box["result"]
@@ -1696,15 +1514,7 @@ class ClusterSession(BackendSession):
         retires the highest-numbered live node.  ``drain=False`` skips
         waiting for the worker process to exit.
         """
-        self._require_elastic()
-        box: Dict[str, Any] = {}
-        event = threading.Event()
-        self._control.put(("retire", node, drain, box, event))
-        if not event.wait(timeout=60.0):
-            raise RuntimeError("retire_node timed out waiting for the coordinator")
-        if "error" in box:
-            raise box["error"]
-        node = box["result"]
+        node = self._on_coordinator("retire", node, drain)
         proc = self._procs[node]
         proc.join(timeout=15.0 if drain else 0.1)
         if proc.is_alive() and drain:
@@ -1804,75 +1614,39 @@ class ClusterSession(BackendSession):
 
     # ------------------------------------------------------------------
 
-    def _serve(self) -> None:
-        """The coordinator loop: admission, routing, per-job lifecycle."""
-        cl = self._runtime.cluster
-        fabric = self._fabric
+    def _pump(self) -> None:
+        """One coordinator tick: membership, messages, process health."""
+        # Membership commands from user threads run here, on the
+        # coordinator thread, where all job state lives.
         while True:
-            # 0. Membership commands from user threads run here, on the
-            #    coordinator thread, where all job state lives.
-            while True:
-                try:
-                    cmd = self._control.get_nowait()
-                except queue.Empty:
-                    break
-                self._do_control(cmd)
-            # 1. Admit queued jobs (policy order) into the active set.
-            if self._fatal is None:
-                for handle in self._scheduler.admit():
-                    try:
-                        self._start_job(handle)
-                    except BaseException as exc:  # noqa: BLE001
-                        self._scheduler.finish(handle)
-                        if not handle.done():
-                            handle._finish(RunState.FAILED, error=exc)
-            # 2. Pump the message queue (bounded burst per tick).
-            msg = fabric.recv_coordinator(cl.poll_interval)
-            saw_message = msg is not None
-            drained = 0
-            while msg is not None:
-                try:
-                    self._dispatch(msg)
-                except BaseException as exc:  # noqa: BLE001 - must survive
-                    self._mark_fatal(f"coordinator dispatch failed: {exc!r}")
-                    break
-                drained += 1
-                if drained >= 256:
-                    break
-                msg = fabric.recv_coordinator(0.001)
-            # 3. Per-job upkeep: cancellation, watchdog, finalization.
-            now = time.perf_counter()
-            for job in list(self._active.values()):
-                self._poll_job(job, now)
-            # 4. Process-death detection (only on idle ticks, mirroring
-            #    the message-priority rule: in-flight error/stats
-            #    messages beat the generic crash report).
-            if not saw_message and self._fatal is None:
-                self._check_dead_nodes()
-            if self._fatal is not None and self._active:
-                self._fail_active(f"cluster session is dead: {self._fatal}")
-            with self._lock:
-                if self._closed and not self._active and self._scheduler.idle:
-                    return
-                if self._fatal is not None and not self._active:
-                    self._scheduler.fail_all(
-                        lambda: RuntimeError(f"cluster session is dead: {self._fatal}")
-                    )
-                    return
+            try:
+                cmd = self._control.get_nowait()
+            except queue.Empty:
+                break
+            self._do_control(cmd)
+        # Pump the message queue (bounded burst per tick).
+        fabric = self._fabric
+        msg = fabric.recv_coordinator(self._runtime.cluster.poll_interval)
+        saw_message = msg is not None
+        drained = 0
+        while msg is not None:
+            try:
+                self._dispatch(msg)
+            except BaseException as exc:  # noqa: BLE001 - must survive
+                self._mark_fatal(f"coordinator dispatch failed: {exc!r}")
+                break
+            drained += 1
+            if drained >= 256:
+                break
+            msg = fabric.recv_coordinator(0.001)
+        # Process-death detection, only on idle ticks: in-flight
+        # error/stats messages beat the generic crash report.
+        if not saw_message and self._fatal is None:
+            self._check_dead_nodes()
 
-    def _start_job(self, handle: RunHandle) -> None:
+    def _start_job(self, handle: RunHandle) -> _ClusterJob:
         """Dispatch one admitted job's shares to every node."""
         job = _ClusterJob(self, handle)
-        self._active[job.job_id] = job
-        self._scheduler.mark_fully_granted(handle)
-        handle._mark_running(cancel_cb=None)  # cancellation is polled
-        acct = handle.accounting
-        if self._trace.enabled and acct is not None:
-            now = self._trace.now()
-            self._trace.record(
-                "scheduler", "queued",
-                max(0.0, now - acct.queued_seconds), now, job.job_id,
-            )
         self._log.info("job dispatched", job_id=job.job_id)
         try:
             for node in sorted(job.participants):
@@ -1886,11 +1660,11 @@ class ClusterSession(BackendSession):
                     node, ("job", job.job_id, packed, handle.max_inflight)
                 )
         except BaseException:
-            # Partial dispatch: abort whatever did go out, then surface
-            # the submission failure to the caller.
+            # Partial dispatch: abort whatever did go out; the driver
+            # fails the job with the error.
             job.broadcast_stop(True)
-            del self._active[job.job_id]
             raise
+        return job
 
     def _dispatch(self, msg: Tuple) -> None:
         """Route one job-tagged coordinator message."""
@@ -1954,36 +1728,29 @@ class ClusterSession(BackendSession):
         else:
             raise AssertionError(f"unknown coordinator message {kind!r}")
 
-    def _poll_job(self, job: _ClusterJob, now: float) -> None:
-        """One job's lifecycle tick: cancel, watchdog, finalize."""
-        if job.handle.cancel_requested and not job.stopped:
-            job.cancelled = True
+    def _stop_job(self, job: _ClusterJob) -> None:
+        if not job.stopped:
             job.broadcast_stop(True)
-        if not job.stopped and now > job.deadline:
-            cfg = self._runtime.config
-            job.fail(
-                f"cluster run did not finish within "
-                f"watchdog_seconds={cfg.watchdog_seconds}; "
-                f"completed {job.completed}/{job.total_pairs} pairs"
+
+    def _job_ended(self, job: _ClusterJob) -> bool:
+        """Ended: stopped, and every node still owing a report sent it."""
+        if not job.stopped:
+            return False
+        if job.reports_complete():
+            return True
+        if time.perf_counter() > job.report_deadline:
+            missing = sorted(
+                i
+                for i in job.participants
+                if i not in job.reports and i not in job.forgiven_nodes
             )
-        if job.stopped or job.error is not None:
-            if job.reports_complete():
-                del self._active[job.job_id]
-                self._scheduler.finish(job.handle)
-                try:
-                    self._finalize(job)
-                except BaseException as exc:  # noqa: BLE001
-                    if not job.handle.done():
-                        job.handle._finish(RunState.FAILED, error=exc)
-            elif job.report_deadline is not None and now > job.report_deadline:
-                missing = sorted(
-                    i
-                    for i in job.participants
-                    if i not in job.reports and i not in job.forgiven_nodes
-                )
-                self._mark_fatal(
-                    f"nodes {missing} never reported after job {job.job_id} ended"
-                )
+            self._mark_fatal(
+                f"nodes {missing} never reported after job {job.job_id} ended"
+            )
+        return False
+
+    def _collect(self, job: _ClusterJob) -> List[NodeStats]:
+        return [job.reports[i] for i in sorted(job.reports)]
 
     def _check_dead_nodes(self) -> None:
         """Handle worker-process death: forgive clean jobs, else fatal.
@@ -2067,7 +1834,7 @@ class ClusterSession(BackendSession):
                     continue
                 if (
                     (job.stopped and job.error is None and job.completed == job.total_pairs)
-                    or job.cancelled
+                    or job.stopping
                     or job.error is not None
                 ):
                     # Nothing left to recover — only its report is owed.
@@ -2091,187 +1858,3 @@ class ClusterSession(BackendSession):
                 for n in job.participants
             ):
                 job.fail("every node running this job died")
-
-    def _mark_fatal(self, text: str) -> None:
-        if self._fatal is None:
-            self._fatal = text
-            self._log.error("session fatal: %s", text)
-
-    def _fail_active(self, text: str) -> None:
-        """Resolve every active job after the session died."""
-        for job in list(self._active.values()):
-            if not job.stopped:
-                # Best-effort abort so surviving nodes stop burning CPU
-                # on a job whose consumer is gone, instead of running
-                # until their own watchdogs expire.
-                job.broadcast_stop(True)
-            del self._active[job.job_id]
-            self._scheduler.finish(job.handle)
-            if not job.handle.done():
-                job.handle._finish(
-                    RunState.FAILED, error=RuntimeError(text)
-                )
-
-    def _finalize(self, job: _ClusterJob) -> None:
-        """Resolve a job whose nodes all reported (or were forgiven)."""
-        cl = self._runtime.cluster
-        cfg = self._runtime.config
-        handle = job.handle
-        runtime_s = time.perf_counter() - job.started
-
-        if self._trace.enabled:
-            self._trace.record(
-                "scheduler", "run",
-                max(0.0, job.started - self._trace.origin),
-                self._trace.now(), job.job_id,
-            )
-            # Stash the node buffers (whatever arrived — failed jobs
-            # keep their partial reports) for profile() to merge.
-            for i in sorted(job.reports):
-                ns = job.reports[i].stats
-                if ns.trace_events:
-                    self._node_traces.append(
-                        (f"node{i}", ns.pid, ns.trace_origin, ns.trace_events)
-                    )
-        acct = handle.accounting
-        if acct is not None:
-            self._job_records.append(acct.to_dict())
-            self._metrics.observe("scheduler.grant_latency_seconds", acct.queued_seconds)
-        if job.cancelled:
-            self._metrics.inc("jobs.cancelled")
-            self._log.info("job cancelled", job_id=job.job_id)
-            handle._finish(RunState.CANCELLED)
-            return
-        if job.error is not None:
-            self._metrics.inc("jobs.failed")
-            self._log.warning("job failed: %s", job.error, job_id=job.job_id)
-            handle._finish(
-                RunState.FAILED,
-                error=RuntimeError(f"cluster run failed: {job.error}"),
-            )
-            return
-        if job.completed != job.total_pairs:
-            self._metrics.inc("jobs.failed")
-            handle._finish(
-                RunState.FAILED,
-                error=RuntimeError(
-                    f"cluster run ended with {job.completed}/{job.total_pairs} "
-                    f"results — scheduler bug"
-                ),
-            )
-            return
-
-        hop_stats = HopStats(cl.max_hops)
-        node_stats: List[NodeStats] = []
-        message_kinds = {k: 0 for k in MESSAGE_KINDS}
-        calibration = StageCalibration()
-        loads = bytes_over_wire = messages = 0
-        for i in sorted(job.reports):
-            rep = job.reports[i]
-            node_stats.append(rep.stats)
-            loads += rep.stats.loads
-            calibration.merge(rep.stats.calibration)
-            for k in range(cl.max_hops):
-                hop_stats.hits_at_hop[k] += rep.hops.hits_at_hop[k]
-            hop_stats.misses += rep.hops.misses
-            hop_stats.no_candidates += rep.hops.no_candidates
-            bytes_over_wire += rep.bytes_shipped
-            messages += rep.messages
-            for kind, count in rep.message_kinds.items():
-                message_kinds[kind] = message_kinds.get(kind, 0) + count
-
-        participants = sorted(job.participants)
-        aggregate_speed = float(sum(self._node_speeds[n] for n in participants))
-        reuse = loads / job.n_items
-        model = calibration.model(
-            n_items=job.n_items,
-            aggregate_speed=aggregate_speed,
-            cpu_cores=cfg.cpu_workers * len(participants),
-        )
-        stats = ClusterRunStats(
-            runtime=runtime_s,
-            n_items=job.n_items,
-            n_pairs=job.total_pairs,
-            n_nodes=len(participants),
-            loads=loads,
-            reuse_factor=reuse,
-            throughput=job.total_pairs / runtime_s if runtime_s > 0 else 0.0,
-            node_stats=node_stats,
-            hop_stats=hop_stats,
-            remote_steals=job.remote_steals,
-            bytes_over_wire=bytes_over_wire,
-            messages=messages,
-            message_kinds=message_kinds,
-            transport=cl.transport,
-            aggregate_speed=aggregate_speed,
-            calibration=calibration,
-            predicted_runtime=model.predicted_runtime(max(1.0, reuse)),
-            model_efficiency=model.efficiency(runtime_s) if runtime_s > 0 else 0.0,
-        )
-        self._absorb_stats(stats)
-        self._log.info("job done", job_id=job.job_id)
-        self._runtime.last_stats = stats
-        handle._finish(RunState.DONE, stats=stats)
-
-    def _absorb_stats(self, stats: ClusterRunStats) -> None:
-        """Fold one finished job's counters into the session registry."""
-        m = self._metrics
-        m.inc("jobs.completed")
-        m.observe("jobs.runtime_seconds", stats.runtime)
-        m.inc("pairs.completed", stats.n_pairs)
-        m.inc("pipeline.loads", stats.loads)
-        local_steals = 0
-        for ns in stats.node_stats:
-            m.inc("pipeline.io_bytes", ns.io_bytes)
-            m.inc("pipeline.h2d_bytes", ns.h2d_bytes)
-            m.inc("pipeline.d2h_bytes", ns.d2h_bytes)
-            for level, counters in (
-                ("device", ns.device_counters),
-                ("host", ns.host_counters),
-            ):
-                m.inc(f"cache.{level}.hits", counters.hits + counters.hits_while_writing)
-                m.inc(f"cache.{level}.misses", counters.misses)
-                m.inc(f"cache.{level}.evictions", counters.evictions)
-            m.inc("cache.persistent.hits", ns.persist_hits)
-            m.inc("cache.persistent.misses", ns.persist_misses)
-            m.inc("cache.persistent.stores", ns.persist_stores)
-            m.inc("cache.persistent.bytes_read", ns.persist_bytes_read)
-            m.inc("cache.persistent.bytes_written", ns.persist_bytes_written)
-            local_steals += ns.local_steals
-        m.inc("steal.local", local_steals)
-        m.inc("steal.remote_grants", stats.remote_steals)
-        m.inc("cache.distributed.hits", stats.hop_stats.total_hits)
-        m.inc(
-            "cache.distributed.misses",
-            stats.hop_stats.misses + stats.hop_stats.no_candidates,
-        )
-        m.inc("transport.bytes", stats.bytes_over_wire)
-        m.inc("transport.messages", stats.messages)
-        for kind, count in stats.message_kinds.items():
-            m.inc(f"transport.kind.{kind}", count)
-
-    # -- observability ---------------------------------------------------
-
-    def metrics(self) -> Dict[str, object]:
-        """Session-lifetime metrics snapshot (see :mod:`repro.obs.metrics`)."""
-        self._metrics.set_gauge("scheduler.queue_depth", self._scheduler.queued_count)
-        self._metrics.set_gauge("scheduler.active_jobs", self._scheduler.active_count)
-        snapshot = self._metrics.snapshot()
-        snapshot.setdefault("jobs", {})["recent"] = list(self._job_records)
-        return snapshot
-
-    def profile(self) -> ProfileTrace:
-        """Merged multi-process profile: coordinator + node buffers.
-
-        Node event times are rebased onto the coordinator recorder's
-        clock via the shipped origins (``perf_counter`` is a shared
-        monotonic clock across local processes), so one Perfetto
-        timeline shows the coordinator's scheduler lanes above every
-        node process's IO/CPU/device/NET lanes.
-        """
-        trace = ProfileTrace()
-        trace.add_process("coordinator", self._trace.events, pid=os.getpid())
-        session_origin = self._trace.origin
-        for name, pid, origin, events in list(self._node_traces):
-            trace.add_process(name, events, pid=pid, offset=origin - session_origin)
-        return trace

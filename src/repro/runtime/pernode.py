@@ -81,7 +81,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +91,7 @@ from repro.core.api import Application
 from repro.data.filestore import FileStore
 from repro.model.perfmodel import StageCalibration
 from repro.runtime.devices import VirtualDevice
+from repro.runtime.stats import NodeStats
 from repro.scheduling.quadtree import PairBlock, partition_blocks
 from repro.scheduling.throttle import ThreadAdmission
 from repro.scheduling.workstealing import (
@@ -101,54 +101,13 @@ from repro.scheduling.workstealing import (
     WorkerTopology,
 )
 from repro.util.rng import RngFactory
-from repro.util.trace import TraceEvent, TraceRecorder
+from repro.util.trace import TraceRecorder
 
 __all__ = ["NodeEngine", "NodeStats", "NodePipeline"]
 
 #: Backstop timeout for idle-worker condition waits: wake-ups are
 #: notified explicitly, the timeout only guards against lost notifies.
 _IDLE_WAIT = 0.05
-
-
-@dataclass
-class NodeStats:
-    """Measured behaviour of one node's pipeline (picklable)."""
-
-    node_id: int
-    loads: int
-    io_bytes: int
-    parse_seconds: float
-    local_steals: int
-    submitted: int
-    completed: int
-    device_counters: CacheCounters
-    host_counters: CacheCounters
-    kernel_seconds: Dict[str, float]
-    kernel_counts: Dict[str, int]
-    pairs_per_device: Dict[str, int]
-    h2d_bytes: int
-    d2h_bytes: int
-    #: Sum of this node's device speed factors.
-    aggregate_speed: float = 1.0
-    #: Online-calibrated stage costs (reference-speed normalised).
-    calibration: StageCalibration = field(default_factory=StageCalibration)
-    #: OS pid of the recording process (distinguishes node processes in
-    #: the merged multi-process profile).
-    pid: int = 0
-    #: Absolute ``perf_counter`` origin of the shipped trace buffer;
-    #: the coordinator rebases event times with it.
-    trace_origin: float = 0.0
-    #: The node-local trace buffer for this run (empty unless the run
-    #: was profiled); rides to the coordinator in the ``stats`` message.
-    trace_events: List[TraceEvent] = field(default_factory=list)
-    #: Persistent item-cache traffic (zero unless the run's config has a
-    #: ``store_dir``): hits skip the whole load pipeline, stores are
-    #: freshly loaded payloads written back for future sessions.
-    persist_hits: int = 0
-    persist_misses: int = 0
-    persist_stores: int = 0
-    persist_bytes_read: int = 0
-    persist_bytes_written: int = 0
 
 
 def _pin_needs(pairs: Sequence[Tuple[int, int]]) -> List[int]:
@@ -613,11 +572,7 @@ class NodePipeline:
         pairs_per_device: Dict[str, int] = {}
         h2d_bytes = d2h_bytes = 0
         for st, base in zip(self.states, base_devices):
-            d = counters_delta(st.cache.counters, base[0])
-            device_counters.hits += d.hits
-            device_counters.hits_while_writing += d.hits_while_writing
-            device_counters.misses += d.misses
-            device_counters.evictions += d.evictions
+            device_counters.merge(counters_delta(st.cache.counters, base[0]))
             kernel_seconds[st.device.name] = st.device.kernel_seconds - base[1]
             kernel_counts[st.device.name] = st.device.kernel_count - base[2]
             h2d_bytes += st.device.h2d_bytes - base[3]
@@ -625,17 +580,15 @@ class NodePipeline:
             with st.pairs_lock:
                 pairs_per_device[st.device.name] = st.pairs_done - base[5]
         with self.counters_lock:
-            counters = dict(self.counters)
+            # Every pipeline counter named like a NodeStats field ships.
+            counters = {
+                k: v for k, v in self.counters.items() if k in NodeStats.__dataclass_fields__
+            }
             calibration = StageCalibration()
             calibration.merge(self.calibration)
         return NodeStats(
             node_id=self.node_id,
-            loads=counters["loads"],
-            io_bytes=counters["io_bytes"],
-            parse_seconds=counters["parse_seconds"],
-            local_steals=counters["local_steals"],
-            submitted=counters["submitted"],
-            completed=counters["completed"],
+            **counters,
             device_counters=device_counters,
             host_counters=counters_delta(self.host_cache.counters, self._baseline["host"]),
             kernel_seconds=kernel_seconds,
@@ -648,11 +601,6 @@ class NodePipeline:
             pid=os.getpid(),
             trace_origin=self.trace.origin,
             trace_events=self.trace.events if self.trace.enabled else [],
-            persist_hits=counters["persist_hits"],
-            persist_misses=counters["persist_misses"],
-            persist_stores=counters["persist_stores"],
-            persist_bytes_read=counters["persist_bytes_read"],
-            persist_bytes_written=counters["persist_bytes_written"],
         )
 
     # -- services for the cluster comm layer -----------------------------

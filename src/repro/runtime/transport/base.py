@@ -225,8 +225,9 @@ class ResultBatcher:
         send: Callable[[Tuple], None],
         node_id: int,
         batch_size: int,
+        *,
+        job_id: int,
         max_delay: float = 0.05,
-        job_id: Optional[int] = None,
         pack: Optional[Callable[[Tuple], Any]] = None,
     ) -> None:
         if batch_size < 1:
@@ -237,10 +238,8 @@ class ResultBatcher:
         #: descriptor instead of pickling every triple through the pipe.
         self._pack = pack
         self.node_id = node_id
-        #: When set, batches go out job-tagged as
-        #: ``("results", node, job_id, block)`` so a coordinator serving
-        #: several concurrent jobs can route them; None keeps the
-        #: single-job ``("results", node, block)`` shape.
+        #: Batches go out as ``("results", node, job_id, block)`` so a
+        #: coordinator serving several concurrent jobs can route them.
         self.job_id = job_id
         self.batch_size = batch_size
         self.max_delay = max_delay
@@ -285,10 +284,7 @@ class ResultBatcher:
         self.batches_sent += 1
         self.results_sent += len(block)
         payload: Any = block if self._pack is None else self._pack(block)
-        if self.job_id is None:
-            self._send(("results", self.node_id, payload))
-        else:
-            self._send(("results", self.node_id, self.job_id, payload))
+        self._send(("results", self.node_id, self.job_id, payload))
 
 
 # ----------------------------------------------------------------------

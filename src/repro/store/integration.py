@@ -1,7 +1,8 @@
 """Submit-time memoization: rewrite jobs to their non-memoized pairs.
 
-:class:`StoreSession` is a :class:`~repro.runtime.backend.BackendSession`
-wrapper installed (by :class:`~repro.core.session.RocketSession` and the
+:class:`StoreSession` wraps a
+:class:`~repro.runtime.backend.BackendSession`, mirroring its public
+surface; it is installed (by :class:`~repro.core.session.RocketSession` and the
 one-shot ``Rocket.run`` path) whenever the backend's config carries a
 ``store_dir``.  On every submit it:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.session import RunHandle, RunState
+from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import Workload
 from repro.runtime.backend import BackendSession, RocketBackend
 
@@ -85,7 +86,7 @@ class ResidualPairs(Workload):
         return self._subset
 
 
-class StoreSession(BackendSession):
+class StoreSession:
     """Backend session wrapper adding submit-time result memoization."""
 
     def __init__(self, inner: BackendSession, app, files, store_dir) -> None:
@@ -260,8 +261,17 @@ class StoreSession(BackendSession):
     def profile(self):
         return self._inner.profile()
 
+    def __enter__(self) -> "StoreSession":
+        return self
 
-def maybe_wrap_store(session: BackendSession, backend: RocketBackend) -> BackendSession:
+    def __exit__(self, *exc) -> None:
+        try:
+            self.close()
+        except SessionClosed:
+            pass  # closed early inside the with block
+
+
+def maybe_wrap_store(session: BackendSession, backend: RocketBackend):
     """Wrap ``session`` with memoization when the backend has a store.
 
     The no-op path (no ``store_dir`` configured, or a backend without

@@ -243,12 +243,12 @@ class TestAdmissionUnits:
 class TestResultBatcherBlocks:
     def test_block_is_appended_whole_and_flushed_by_the_same_rule(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=1, batch_size=4)
+        batcher = ResultBatcher(out.append, node_id=1, batch_size=4, job_id=3)
         batcher.emit_block([(0, 1), (0, 2), (0, 3)], [1.0, 2.0, 3.0])
         assert out == []  # below the batch size: buffered
         batcher.emit_block([(1, 2), (1, 3), (2, 3)], [4.0, 5.0, 6.0])
-        ((kind, node, block),) = out  # full: everything buffered ships at once
-        assert kind == "results" and node == 1
+        ((kind, node, job_id, block),) = out  # full: everything buffered ships at once
+        assert kind == "results" and node == 1 and job_id == 3
         assert block == ((0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 2, 4.0), (1, 3, 5.0), (2, 3, 6.0))
         batcher.flush()
         assert len(out) == 1 and batcher.results_sent == 6 and batcher.batches_sent == 1

@@ -24,6 +24,7 @@ import pytest
 from repro.cache.distributed import mediator_of
 from repro.core.api import Application
 from repro.core.rocket import Rocket
+from repro.core.workload import FilteredPairs
 from repro.data.filestore import InMemoryStore
 from repro.runtime.backend import available_backends, create_backend
 from repro.runtime.cluster import (
@@ -154,8 +155,8 @@ class TestDistributedCacheProtocol:
         net = make_net(2, self.KEYS, {})
         requester, state = net.servers[0], net.states[0]
         assert requester.remote_fetch(state, 1) is None
-        assert state.hops.no_candidates == 1
-        assert state.hops.requests == 1
+        assert state.stats.hop_stats.no_candidates == 1
+        assert state.stats.hop_stats.requests == 1
 
     def test_hit_at_first_hop_ships_payload(self):
         item = 1
@@ -164,21 +165,21 @@ class TestDistributedCacheProtocol:
         net = make_net(2, self.KEYS, {1: {self.KEYS[item]: payload}})
         # Node 1 requested the item earlier, so the mediator (itself)
         # lists it as the candidate for future requests.
-        net.servers[1].handle(("creq", JOB, 1, item, 999))
+        net.servers[1].handle(("creq", JOB, 1, item, 999, 0))
         got = net.servers[0].remote_fetch(net.states[0], item)
         assert got is not None and np.array_equal(got, payload)
-        assert net.states[0].hops.hits_at_hop[0] == 1
-        assert net.states[0].bytes_received == payload.nbytes
-        assert net.states[1].bytes_shipped == payload.nbytes
+        assert net.states[0].stats.hop_stats.hits_at_hop[0] == 1
+        assert net.states[0].stats.bytes_received == payload.nbytes
+        assert net.states[1].stats.bytes_shipped == payload.nbytes
 
     def test_holder_evicted_between_forward_and_fetch_is_a_miss(self):
         """Churn: the candidate dropped the item; request falls to a load."""
         item = 1
         net = make_net(2, self.KEYS, {1: {}})  # node 1 holds nothing any more
-        net.servers[1].handle(("creq", JOB, 1, item, 999))  # ...but is still listed
+        net.servers[1].handle(("creq", JOB, 1, item, 999, 0))  # ...but is still listed
         assert net.servers[0].remote_fetch(net.states[0], item) is None
-        assert net.states[0].hops.misses == 1
-        assert net.states[0].hops.total_hits == 0
+        assert net.states[0].stats.hop_stats.misses == 1
+        assert net.states[0].stats.hop_stats.total_hits == 0
 
     def test_eviction_falls_through_to_next_candidate(self):
         """Churn along the chain: first candidate evicted, second still holds."""
@@ -191,30 +192,30 @@ class TestDistributedCacheProtocol:
             {2: {}, 1: {self.KEYS[item]: payload}},  # node 2 evicted, node 1 holds
         )
         mediator = net.servers[3]
-        mediator.handle(("creq", JOB, 1, item, 901))  # node 1 requested first
-        mediator.handle(("creq", JOB, 2, item, 902))  # node 2 most recent candidate
+        mediator.handle(("creq", JOB, 1, item, 901, 0))  # node 1 requested first
+        mediator.handle(("creq", JOB, 2, item, 902, 0))  # node 2 most recent candidate
         got = net.servers[0].remote_fetch(net.states[0], item)
         assert got is not None and np.array_equal(got, payload)
         # Probe visited node 2 (miss) then node 1: a hit at hop 2.
-        assert net.states[0].hops.hits_at_hop == [0, 1]
+        assert net.states[0].stats.hop_stats.hits_at_hop == [0, 1]
 
     def test_chain_exhausted_records_miss(self):
         item = 3
         net = make_net(4, self.KEYS, {1: {}, 2: {}})
         mediator = net.servers[3]
-        mediator.handle(("creq", JOB, 1, item, 901))
-        mediator.handle(("creq", JOB, 2, item, 902))
+        mediator.handle(("creq", JOB, 1, item, 901, 0))
+        mediator.handle(("creq", JOB, 2, item, 902, 0))
         assert net.servers[0].remote_fetch(net.states[0], item) is None
-        assert net.states[0].hops.misses == 1
-        assert net.states[0].hops.no_candidates == 0
+        assert net.states[0].stats.hop_stats.misses == 1
+        assert net.states[0].stats.hop_stats.no_candidates == 0
 
     def test_mediator_excludes_requester_from_candidates(self):
         item = 1
         net = make_net(2, self.KEYS, {})
-        net.servers[1].handle(("creq", JOB, 0, item, 900))  # only node 0 ever asked
+        net.servers[1].handle(("creq", JOB, 0, item, 900, 0))  # only node 0 ever asked
         assert net.servers[0].remote_fetch(net.states[0], item) is None
         # Node 0 must not be forwarded to itself: that is a no-candidate miss.
-        assert net.states[0].hops.no_candidates == 2 - 1  # second request, still none
+        assert net.states[0].stats.hop_stats.no_candidates == 2 - 1  # second request, still none
 
     def test_message_budget_is_h_plus_2(self):
         """A full-chain miss costs exactly h + 2 protocol messages."""
@@ -222,11 +223,11 @@ class TestDistributedCacheProtocol:
         h = 2
         net = make_net(4, self.KEYS, {1: {}, 2: {}}, max_hops=h)
         mediator = net.servers[3]
-        mediator.handle(("creq", JOB, 1, item, 901))
-        mediator.handle(("creq", JOB, 2, item, 902))
-        before = sum(s.messages for s in net.states.values())
+        mediator.handle(("creq", JOB, 1, item, 901, 0))
+        mediator.handle(("creq", JOB, 2, item, 902, 0))
+        before = sum(s.stats.messages for s in net.states.values())
         net.servers[0].remote_fetch(net.states[0], item)
-        spent = sum(s.messages for s in net.states.values()) - before
+        spent = sum(s.stats.messages for s in net.states.values()) - before
         assert spent == h + 2  # request + h forwards + reply
 
     def test_unknown_job_request_answered_with_miss(self):
@@ -239,7 +240,7 @@ class TestDistributedCacheProtocol:
         net.servers[0].attach(state_other, StubPipeline({}))
         # Node 1 never began job 99: the mediator answers with a miss.
         assert net.servers[0].remote_fetch(state_other, 1) is None
-        assert state_other.hops.misses + state_other.hops.no_candidates >= 1
+        assert state_other.stats.hop_stats.misses + state_other.stats.hop_stats.no_candidates >= 1
 
     def test_late_steal_grant_is_not_lost(self):
         net = make_net(2, self.KEYS, {})
@@ -441,8 +442,7 @@ class TestClusterRuntime:
         runtime = ClusterRocketRuntime(
             SumApp(), store, RocketConfig(**self.CFG), cluster=ClusterConfig(n_nodes=2)
         )
-        with pytest.warns(DeprecationWarning, match="FilteredPairs"):
-            results = runtime.run(keys, pair_filter=accept_pair)
+        results = runtime.run(FilteredPairs(keys, accept_pair))
         expected = [
             (a, b) for i, a in enumerate(keys) for b in keys[i + 1:] if accept_pair(a, b)
         ]

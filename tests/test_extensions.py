@@ -8,6 +8,7 @@
 import numpy as np
 import pytest
 
+from repro.core.workload import FilteredPairs
 from repro.scheduling.quadtree import PairBlock
 from repro.scheduling.workstealing import StealOrder, TaskDeque
 from repro.sim.cluster import ClusterSpec
@@ -156,8 +157,7 @@ class TestPairFilter:
     def test_filter_restricts_pairs(self):
         rocket, keys, values = self._setup(8)
         accept = lambda a, b: (int(a[-2:]) + int(b[-2:])) % 2 == 0  # noqa: E731
-        with pytest.warns(DeprecationWarning, match="FilteredPairs"):
-            results = rocket.run(keys, pair_filter=accept)
+        results = rocket.run(FilteredPairs(keys, accept))
         expected = {(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if accept(a, b)}
         got = {(a, b) for a, b, _ in results.items()}
         assert got == expected
@@ -168,20 +168,17 @@ class TestPairFilter:
     def test_filter_skips_loads_of_unneeded_items(self):
         rocket, keys, _ = self._setup(10)
         first_half = set(keys[:5])
-        with pytest.warns(DeprecationWarning, match="FilteredPairs"):
-            results = rocket.run(
-                keys, pair_filter=lambda a, b: a in first_half and b in first_half
-            )
+        results = rocket.run(
+            FilteredPairs(keys, lambda a, b: a in first_half and b in first_half)
+        )
         assert len(results) == 10  # C(5,2)
         # Items outside the filter were never loaded.
         assert rocket.last_stats.loads <= 5 + 2  # small slack for races
 
     def test_reject_all_raises(self):
         rocket, keys, _ = self._setup(4)
-        with pytest.warns(DeprecationWarning, match="FilteredPairs"), pytest.raises(
-            ValueError, match="rejected every pair"
-        ):
-            rocket.run(keys, pair_filter=lambda a, b: False)
+        with pytest.raises(ValueError, match="rejected every pair"):
+            rocket.run(FilteredPairs(keys, lambda a, b: False))
 
     def test_no_filter_unchanged(self):
         rocket, keys, _ = self._setup(6)

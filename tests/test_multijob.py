@@ -14,7 +14,7 @@ Five layers:
   releases exactly A's cache pins), priority-ordered admission, and
   per-job ``max_inflight`` enforcement;
 - the same interleaving + parity acceptance on the multi-process
-  cluster backend, plus the ``pair_filter=`` deprecation shim.
+  cluster backend, plus the one-shot ``FilteredPairs`` path.
 """
 
 import threading
@@ -97,14 +97,12 @@ class TestJobScheduler:
     def test_fair_handout_tracks_weights(self):
         """Granted pairs over a window approximate the 3:1 weight ratio."""
         sched = JobScheduler(SchedulingPolicy.FAIR, max_active=2, grain_pairs=4,
-                             window_pairs=10_000)
+                             window_pairs=10_000, decompose=True)
         heavy = self.handle(n=10, priority=3.0)
         light = self.handle(n=10, priority=1.0)
         sched.submit(heavy)
         sched.submit(light)
         sched.admit()
-        for h in (heavy, light):
-            sched.load_blocks(h)
         granted = {id(heavy): 0, id(light): 0}
         for _ in range(12):
             grant = sched.next_grant()
@@ -114,11 +112,10 @@ class TestJobScheduler:
         assert granted[id(heavy)] > 2 * granted[id(light)]
 
     def test_window_blocks_grants_until_completions(self):
-        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=4, window_pairs=4)
+        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=4, window_pairs=4, decompose=True)
         h = self.handle(n=10)
         sched.submit(h)
         sched.admit()
-        sched.load_blocks(h)
         granted = 0
         while True:
             grant = sched.next_grant()
@@ -133,11 +130,10 @@ class TestJobScheduler:
         assert sched.next_grant() is not None
 
     def test_max_inflight_overrides_window(self):
-        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=2, window_pairs=1000)
+        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=2, window_pairs=1000, decompose=True)
         h = self.handle(n=10, max_inflight=2)
         sched.submit(h)
         sched.admit()
-        sched.load_blocks(h)
         granted = 0
         while True:
             grant = sched.next_grant()
@@ -252,10 +248,6 @@ class TestRunHandleStates:
             assert handle.done()
         finally:
             session.close()
-
-    def test_pending_is_a_queued_alias(self):
-        # Migration shim: the pre-scheduler name keeps working.
-        assert RunState.PENDING is RunState.QUEUED
 
     def test_wait_times_out_then_succeeds(self):
         store, keys = make_store(8)
@@ -529,17 +521,10 @@ class TestConcurrentJobs:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shim
+# One-shot filtered runs
 
 
-class TestPairFilterDeprecation:
-    def test_rocket_run_pair_filter_warns(self):
-        store, keys = make_store(6)
-        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
-        with pytest.warns(DeprecationWarning, match="FilteredPairs"):
-            results = rocket.run(keys, pair_filter=lambda a, b: a == keys[0])
-        assert len(list(results.items())) == 5
-
+class TestFilteredOneShot:
     def test_workload_path_does_not_warn(self):
         import warnings
 

@@ -13,10 +13,12 @@ Four layers:
   (distinct pids, job-id-tagged), and ``Rocket.run(profile=...)``
   writes a loadable Perfetto JSON even when the configured backend has
   profiling off;
-- ``session.metrics()`` consistency with :class:`RunStats`, and the
-  JSON-lines structured log format.
+- ``session.metrics()`` consistency with :class:`RunStats` on every
+  backend, the field-generic checks that no ``NodeStats`` counter is
+  half-threaded, and the JSON-lines structured log format.
 """
 
+import dataclasses
 import io
 import json
 import logging
@@ -26,11 +28,21 @@ import tracemalloc
 
 import pytest
 
+from repro.cache.distributed import HopStats
+from repro.cache.slots import CacheCounters
 from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
+from repro.model.perfmodel import StageCalibration
 from repro.obs import MetricsRegistry, configure_logging, get_logger
 from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.stats import (
+    NODE_METRICS,
+    NOT_EXPORTED,
+    NodeStats,
+    RunStats,
+    fold_stats,
+)
 from repro.util.trace import (
     ProfileTrace,
     TraceEvent,
@@ -316,29 +328,161 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             m.snapshot()
 
-    def test_session_metrics_match_run_stats(self):
-        store, keys = make_store(6)
-        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
-        session = runtime.open_session()
-        try:
-            handle = session.submit(AllPairs(keys))
-            handle.result()
-            stats = handle.stats
-            snap = session.metrics()
-        finally:
-            session.close()
+    @pytest.mark.parametrize("backend", ["local", "cluster-1", "cluster-2"])
+    def test_session_metrics_match_run_stats(self, backend):
+        """Every backend reports the same metric tree, equal to the stats."""
+        stats, snap, job_id = _run_one_job(backend)
+
+        # One job ran: each folded counter equals the stats field the
+        # fold table names for it — on every backend alike.
         assert snap["jobs"]["completed"] == 1
-        assert snap["pairs"]["completed"] == stats.n_pairs
-        assert snap["pipeline"]["loads"] == stats.loads
-        dc = stats.device_counters
-        assert snap["cache"]["device"]["hits"] == dc.hits + dc.hits_while_writing
-        assert snap["cache"]["device"]["misses"] == dc.misses
         assert snap["jobs"]["runtime_seconds"]["count"] == 1
+        assert snap["pairs"]["completed"] == stats.n_pairs
+        assert snap["steal"]["remote_grants"] == stats.remote_steals
+        assert snap["scheduler"]["blocks_granted"] == snap["jobs"]["recent"][0]["blocks_granted"]
+        for field_name, name in NODE_METRICS.items():
+            node = snap
+            for part in name.split("."):
+                node = node[part]
+            assert node == _as_metric(getattr(stats, field_name)), (backend, name)
+        assert stats.loads == sum(ns.loads for ns in stats.node_stats)
+
         recent = snap["jobs"]["recent"]
         assert len(recent) == 1
-        assert recent[0]["job_id"] == handle.accounting.job_id
+        assert recent[0]["job_id"] == job_id
         assert recent[0]["pairs_completed"] == stats.n_pairs
         json.dumps(snap)
+
+    def test_every_backend_reports_the_same_metric_keys(self):
+        def keys(tree, prefix=""):
+            out = set()
+            for k, v in tree.items():
+                if isinstance(v, dict) and k not in ("runtime_seconds", "grant_latency_seconds"):
+                    out |= keys(v, f"{prefix}{k}.")
+                else:
+                    out.add(prefix + k)
+            return out
+
+        snaps = {b: _run_one_job(b)[1] for b in ("local", "cluster-1", "cluster-2")}
+        for b, snap in snaps.items():
+            snap["jobs"]["recent"] = len(snap["jobs"]["recent"])
+            snap["cache"] = {k: snap["cache"][k] for k in ("device", "host", "persistent")}
+        subtrees = ("jobs", "pairs", "scheduler", "pipeline", "cache", "steal")
+        reference = {t: keys(snaps["local"][t]) for t in subtrees}
+        for b, snap in snaps.items():
+            assert {t: keys(snap[t]) for t in subtrees} == reference, b
+
+
+def _as_metric(value):
+    """What the fold writes for one stats value (a number or a subtree)."""
+    if isinstance(value, CacheCounters):
+        return {
+            "hits": value.hits + value.hits_while_writing,
+            "misses": value.misses,
+            "evictions": value.evictions,
+        }
+    if isinstance(value, HopStats):
+        return {"hits": value.total_hits, "misses": value.misses + value.no_candidates}
+    return value
+
+
+def _run_one_job(backend):
+    """One AllPairs job on ``backend``; returns (stats, metrics, job_id)."""
+    store, keys = make_store(8)
+    if backend == "local":
+        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
+    else:
+        runtime = ClusterRocketRuntime(
+            SumApp(), store, RocketConfig(**CFG),
+            cluster=ClusterConfig(
+                n_nodes=int(backend[-1]), fetch_timeout=20.0, steal_timeout=5.0
+            ),
+        )
+    with runtime.open_session() as session:
+        handle = session.submit(AllPairs(keys))
+        handle.result()
+        return handle.stats, session.metrics(), handle.accounting.job_id
+
+
+# ----------------------------------------------------------------------
+# The stats record: nothing half-threaded
+
+
+class TestStatsRecord:
+    @staticmethod
+    def _filled(seed):
+        """A NodeStats whose every field holds a distinct non-zero value."""
+        values = {}
+        for k, f in enumerate(dataclasses.fields(NodeStats), start=seed):
+            default = getattr(NodeStats(), f.name)
+            if isinstance(default, bool) or f.name in ("trace_events",):
+                continue
+            if isinstance(default, (int, float)):
+                values[f.name] = type(default)(k)
+            elif isinstance(default, dict):
+                values[f.name] = {"x": k, f"only{seed}": 1}
+            elif isinstance(default, CacheCounters):
+                values[f.name] = CacheCounters(k, k + 1, k + 2, k + 3)
+            elif isinstance(default, HopStats):
+                values[f.name] = HopStats(2, [k, k + 1], misses=k + 2, no_candidates=k + 3)
+            elif isinstance(default, StageCalibration):
+                cal = StageCalibration()
+                cal.cmp_seconds, cal.cmp_count = float(k), k
+                values[f.name] = cal
+            else:  # a new field type: teach this test (and the merge) about it
+                raise AssertionError(f"unhandled NodeStats field type: {f.name}")
+        return NodeStats(**values)
+
+    def test_every_counter_field_is_summed(self):
+        a, b = self._filled(1), self._filled(100)
+        total = NodeStats.total([a, b])
+        identity = {"node_id", "pid", "trace_origin", "trace_events"}
+        for f in dataclasses.fields(NodeStats):
+            va, vb, vt = (getattr(x, f.name) for x in (a, b, total))
+            if f.name in identity:
+                assert vt == getattr(NodeStats(), f.name), f.name
+            elif isinstance(va, (int, float)):
+                assert vt == va + vb, f.name
+            elif isinstance(va, dict):
+                assert vt == {"x": va["x"] + vb["x"], "only1": 1, "only100": 1} | {
+                    k: 0 for k in getattr(NodeStats(), f.name)
+                }, f.name
+            elif isinstance(va, CacheCounters):
+                assert dataclasses.astuple(vt) == tuple(
+                    x + y for x, y in zip(dataclasses.astuple(va), dataclasses.astuple(vb))
+                ), f.name
+            elif isinstance(va, HopStats):
+                assert vt.hits_at_hop == [x + y for x, y in zip(va.hits_at_hop, vb.hits_at_hop)]
+                assert vt.misses == va.misses + vb.misses
+                assert vt.no_candidates == va.no_candidates + vb.no_candidates
+            else:
+                assert vt.cmp_count == va.cmp_count + vb.cmp_count, f.name
+        # The sum is a fresh record: the parts are untouched.
+        assert a.loads == self._filled(1).loads and a.kernel_counts == self._filled(1).kernel_counts
+
+    def test_every_field_is_exported_or_deliberately_not(self):
+        names = {f.name for f in dataclasses.fields(NodeStats)}
+        assert set(NODE_METRICS) | NOT_EXPORTED == names
+        assert not set(NODE_METRICS) & NOT_EXPORTED
+
+    def test_fold_reaches_the_registry_for_every_exported_field(self):
+        node = self._filled(1)
+        stats = RunStats(runtime=1.0, n_items=4, n_pairs=6, node_stats=[node])
+        registry = MetricsRegistry()
+        fold_stats(registry, stats)
+        snap = registry.snapshot()
+        for field_name, name in NODE_METRICS.items():
+            tree = snap
+            for part in name.split("."):
+                tree = tree[part]
+            expected = _as_metric(getattr(node, field_name))
+            if isinstance(expected, dict):  # one counter per key
+                assert {k: tree[k] for k in expected} == expected, name
+            else:
+                assert tree == expected, name
+        # Reads on the run go through to the sum.
+        assert stats.loads == node.loads and stats.hop_stats.total_hits == node.hop_stats.total_hits
+        assert stats.bytes_over_wire == node.bytes_shipped
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import Application
-from repro.core.workload import as_workload
+from repro.core.workload import AllPairs, FilteredPairs
 from repro.data.filestore import InMemoryStore
 from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
@@ -159,8 +159,9 @@ def test_cross_runtime_result_parity(sc):
     pair_filter = FILTERS[sc["filter_name"]]
     expected = reference_results(app, store, keys, pair_filter)
 
+    workload = FilteredPairs(keys, pair_filter) if pair_filter else AllPairs(keys)
     local = LocalRocketRuntime(app, store, rocket_config(sc))
-    local_results = local.run(as_workload(keys, pair_filter))
+    local_results = local.run(workload)
     assert len(local_results) == len(expected)
     for (a, b), v in expected.items():
         assert local_results.get(a, b) == v
@@ -180,7 +181,7 @@ def test_cross_runtime_result_parity(sc):
             steal_timeout=5.0,
         ),
     )
-    cluster_results = cluster.run(as_workload(keys, pair_filter))
+    cluster_results = cluster.run(workload)
     assert len(cluster_results) == len(expected)
     for (a, b), v in expected.items():
         assert cluster_results.get(a, b) == v

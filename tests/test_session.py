@@ -145,12 +145,8 @@ class TestWorkloads:
     def test_as_workload(self):
         w = as_workload(self.KEYS)
         assert isinstance(w, AllPairs)
-        w = as_workload(self.KEYS, accept_mod2)
-        assert isinstance(w, FilteredPairs)
         bp = Bipartite(self.KEYS[:2], self.KEYS[2:])
         assert as_workload(bp) is bp
-        with pytest.raises(TypeError, match="FilteredPairs"):
-            as_workload(bp, accept_mod2)
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

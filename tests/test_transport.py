@@ -232,20 +232,20 @@ class TestSharedMemoryPayloadPlane:
 class TestResultBatcher:
     def test_full_batches_ship_immediately(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=3, batch_size=4)
+        batcher = ResultBatcher(out.append, node_id=3, batch_size=4, job_id=7)
         for k in range(9):
             batcher.emit_block([(k, k + 1)], [float(k)])
         assert len(out) == 2  # two full batches, one pair still buffered
-        kind, node, block = out[0]
-        assert kind == "results" and node == 3 and len(block) == 4
+        kind, node, job_id, block = out[0]
+        assert kind == "results" and node == 3 and job_id == 7 and len(block) == 4
         assert block[0] == (0, 1, 0.0)
         batcher.flush()
-        assert len(out) == 3 and len(out[2][2]) == 1
+        assert len(out) == 3 and len(out[2][3]) == 1
         assert batcher.results_sent == 9 and batcher.batches_sent == 3
 
     def test_maybe_flush_respects_age(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=0, batch_size=100, max_delay=60.0)
+        batcher = ResultBatcher(out.append, node_id=0, batch_size=100, job_id=0, max_delay=60.0)
         batcher.emit_block([(0, 1)], [1.0])
         batcher.maybe_flush()  # far too young
         assert out == []
@@ -255,21 +255,21 @@ class TestResultBatcher:
 
     def test_batch_size_one_matches_legacy_granularity(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=0, batch_size=1)
+        batcher = ResultBatcher(out.append, node_id=0, batch_size=1, job_id=0)
         batcher.emit_block([(1, 2)], [0.5])
         batcher.emit_block([(3, 4)], [0.7])
-        assert [len(b[2]) for b in out] == [1, 1]
+        assert [len(b[3]) for b in out] == [1, 1]
 
     def test_flush_on_empty_buffer_sends_nothing(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=0, batch_size=2)
+        batcher = ResultBatcher(out.append, node_id=0, batch_size=2, job_id=0)
         batcher.flush()
         batcher.maybe_flush()
         assert out == []
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            ResultBatcher(lambda m: None, node_id=0, batch_size=0)
+            ResultBatcher(lambda m: None, node_id=0, batch_size=0, job_id=0)
 
 
 # ----------------------------------------------------------------------
