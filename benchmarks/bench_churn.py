@@ -1,7 +1,7 @@
 """Membership-churn benchmark — node kill + join during a fixed workload.
 
-Runs the same all-pairs workload on the real multi-process elastic
-cluster three ways:
+Runs the same all-pairs workload on the real multi-process cluster
+three ways:
 
 1. **undisturbed** — 3 nodes, no churn (the baseline);
 2. **kill** — 3 nodes, one SIGKILLed mid-job (fault recovery);
@@ -58,9 +58,7 @@ def make_workload():
 
 
 def cluster_config(n_nodes):
-    return ClusterConfig(
-        n_nodes=n_nodes, elastic=True, fetch_timeout=30.0, steal_timeout=5.0
-    )
+    return ClusterConfig(n_nodes=n_nodes, fetch_timeout=30.0, steal_timeout=5.0)
 
 
 def run_variant(app, store, keys, n_nodes, disturb=None):
@@ -133,7 +131,7 @@ def test_churn_bounded_inflation(once):
         }
 
     print_block(
-        "Membership churn (real processes, elastic sessions)",
+        "Membership churn (real processes, live membership)",
         format_table(
             ["variant", "completion", "vs baseline", "nodes lost", "pairs recovered"],
             rows,

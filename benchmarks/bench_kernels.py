@@ -1,4 +1,4 @@
-"""Batched-pair kernels vs the per-pair path — all three applications.
+"""Batched-pair kernels vs the per-pair path — the two vectorised applications.
 
 PR 7's tentpole claim: dispatching a *block* of pairs into one
 vectorised ``compare_block`` call beats one Python-dispatched
@@ -17,9 +17,9 @@ dispatch + vectorisation):
 The composition-vector app must clear a 3x floor — its per-pair kernel
 re-unpacks both sparse CVs and walks a Python merge loop, while the
 batch pre-unpacks once and reduces over a dense scatter.  Forensics
-vectorises over a stacked ``(n, H, W)`` axis; microscopy's registration
-is data-dependent (per-pair optimiser restarts) so its batch only
-amortises dispatch — both are reported without a floor.
+vectorises over a stacked ``(n, H, W)`` axis and is reported without a
+floor.  Microscopy's registration is data-dependent (per-pair optimiser
+restarts): it has no batched kernel and runs the per-pair path.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -q -s
 """
@@ -28,13 +28,9 @@ import time
 
 import numpy as np
 
-from repro.apps import BioinformaticsApplication, ForensicsApplication, MicroscopyApplication
+from repro.apps import BioinformaticsApplication, ForensicsApplication
 from repro.data.filestore import InMemoryStore
-from repro.data.synthetic import (
-    make_bioinformatics_dataset,
-    make_forensics_dataset,
-    make_microscopy_dataset,
-)
+from repro.data.synthetic import make_bioinformatics_dataset, make_forensics_dataset
 from repro.util.tables import format_table
 
 from _common import print_block, write_bench_json
@@ -86,9 +82,8 @@ def _bench_app(app, store, keys, repeats=3):
 
     ref, t_pair = best(per_pair)
     out, t_batch = best(batched)
-    # Parity: batched values match the per-pair kernel (bit-identical
-    # for microscopy; FP-summation-order tolerance for the dense/einsum
-    # reductions of the other two).
+    # Parity: batched values match the per-pair kernel (FP-summation-
+    # order tolerance for the dense/einsum reductions).
     assert np.allclose(ref, out, atol=1e-9), f"{type(app).__name__} parity broke"
     return len(pairs), t_pair, t_batch
 
@@ -106,12 +101,6 @@ def test_batched_kernels_beat_per_pair(once):
     store = InMemoryStore()
     ds = make_forensics_dataset(store, n_images=14, n_cameras=4, image_shape=(64, 64), seed=5)
     plans["forensics"] = (ForensicsApplication(), store, ds.keys)
-
-    store = InMemoryStore()
-    ds = make_microscopy_dataset(
-        store, n_particles=8, template_points=24, jitter=0.02, seed=9
-    )
-    plans["microscopy"] = (MicroscopyApplication(sigma=0.06, restarts=2), store, ds.keys)
 
     measured = {}
 

@@ -58,26 +58,6 @@ class MicroscopyApplication(Application[str, float]):
         )
         return np.array([result.score, result.theta, result.tx, result.ty])
 
-    def compare_block(self, keys_a, items_a, keys_b, items_b) -> np.ndarray:
-        """Register a block of pairs in one kernel launch.
-
-        Multi-start registration is data-dependent (per-pair Nelder-Mead
-        restarts), so the batch iterates internally — amortising the
-        dispatch overhead — while deriving each pair's seed exactly as
-        :meth:`compare` does, so batched results are bit-identical to
-        the per-pair path.
-        """
-        out = np.empty((len(items_a), 4), dtype=np.float64)
-        for k, (key_a, item_a, key_b, item_b) in enumerate(
-            zip(keys_a, items_a, keys_b, items_b)
-        ):
-            seed = zlib.crc32(f"{key_a}|{key_b}".encode()) & 0x7FFFFFFF
-            result = register_pair(
-                item_a, item_b, sigma=self.sigma, restarts=self.restarts, seed=seed
-            )
-            out[k] = (result.score, result.theta, result.tx, result.ty)
-        return out
-
     def postprocess(self, key_a: str, key_b: str, raw_result: np.ndarray) -> float:
         """Return the registration score as a plain float."""
         return float(raw_result[0])

@@ -45,10 +45,10 @@ def mediator_of(item: int, n_nodes: int) -> int:
 
 
 def mediator_of_live(item: int, live_nodes: Sequence[int]) -> int:
-    """Mediator for ``item`` over an elastic (non-contiguous) node set.
+    """Mediator for ``item`` over a live (non-contiguous) node set.
 
     The paper's ``i mod p`` assumes nodes ``0..p-1`` all exist; under
-    elastic membership the live set may have holes (dead or retired
+    live membership the node set may have holes (dead or retired
     ids) and extensions (joined ids), so the mapping becomes ``i mod
     |live|`` into the *sorted* live list.  Every node that agrees on
     the membership epoch derives the same mediator with no extra

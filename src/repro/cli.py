@@ -93,14 +93,9 @@ def _add_backend_arguments(p: argparse.ArgumentParser) -> None:
         help="pair results per coordinator message (cluster backend)",
     )
     p.add_argument(
-        "--elastic", action="store_true",
-        help="elastic membership: survive node loss mid-job and "
-        "allow add_node()/retire_node() (cluster backend)",
-    )
-    p.add_argument(
         "--max-nodes", type=int, default=None, metavar="N",
-        help="pre-allocated node-slot capacity for --elastic "
-        "joins (default: nodes + 4)",
+        help="pre-allocated node-slot capacity for nodes joining a "
+        "live session (cluster backend; default: nodes + 4)",
     )
 
 
@@ -449,7 +444,6 @@ def _build_runtime(args: argparse.Namespace, profiling: bool = False):
             transport=args.transport,
             result_batch=args.result_batch,
             node_speed_factors=node_speeds,
-            elastic=args.elastic,
             max_nodes=args.max_nodes,
         )
     return app, store, keys, config, backend, options

@@ -127,6 +127,12 @@ class ResultMatrix(Generic[K, V]):
             except KeyError:
                 raise KeyError(f"no result recorded for pair {a!r}, {b!r}") from None
 
+    def __contains__(self, pair: Tuple[K, K]) -> bool:
+        """True when the unordered pair ``(a, b)`` has a recorded result."""
+        cell = self._cell(*pair)
+        with self._lock:
+            return cell in self._values
+
     def is_complete(self) -> bool:
         """True once every *expected* pair has a result.
 

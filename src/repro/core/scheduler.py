@@ -122,7 +122,7 @@ class JobAccounting:
     #: execution-level pressure cap is ``max_inflight``, enforced per
     #: node engine, not a grant-level statistic.
     peak_inflight: int = 0
-    #: Fault-tolerance costs (elastic cluster sessions only): nodes
+    #: Fault-tolerance costs (cluster sessions only): nodes
     #: that died while this job ran, and accepted pairs re-enqueued
     #: from departed nodes (an upper bound on duplicated work — pairs
     #: whose first result landed are deduplicated, not re-counted).

@@ -287,6 +287,10 @@ class RunHandle:
             self._pending_stream.extend(triples)
             self._cond.notify_all()
 
+    def _has_result(self, i: int, j: int) -> bool:
+        """True once pair ``(i, j)`` — indices into the key list — is recorded."""
+        return (self._keys[i], self._keys[j]) in self._matrix
+
     def _record(self, i: int, j: int, value: Any) -> None:
         """Record one pair result (a batch of one)."""
         self._record_block(((i, j),), (value,))
@@ -427,11 +431,12 @@ class RocketSession:
         return self._session.profile()
 
     def add_node(self) -> int:
-        """Grow the live worker set by one node (elastic cluster only).
+        """Grow the live worker set by one node (cluster backend).
 
         The new node joins running jobs as a steal target and cache
         peer immediately; returns its node id.  Raises on backends
-        without elastic membership (``ClusterConfig(elastic=True)``).
+        without a node set (local), and once the pre-allocated node
+        slots (``ClusterConfig(max_nodes=...)``) are used up.
         """
         return self._session.add_node()
 

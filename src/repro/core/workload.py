@@ -54,6 +54,7 @@ __all__ = [
     "Workload",
     "AllPairs",
     "FilteredPairs",
+    "PairSetFilter",
     "Bipartite",
     "DeltaPairs",
     "as_workload",
@@ -252,6 +253,31 @@ class FilteredPairs(AllPairs[K]):
     @property
     def pair_filter(self) -> Optional[PairFilter]:
         return self._predicate
+
+
+class PairSetFilter:
+    """Picklable pair predicate accepting an explicit unordered-pair set.
+
+    What a :class:`FilteredPairs` predicate becomes once it has been
+    evaluated: the serving protocol ships a client's (arbitrary,
+    unserializable) callable as its accepted ``(key_a, key_b)`` pairs,
+    and the memo store narrows a job to the pairs it could not serve.
+    A module-level class, so the cluster backend can ship it to its
+    worker processes like any user pair filter.
+    """
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs) -> None:
+        self._pairs = frozenset(tuple(p) for p in pairs)
+
+    def __call__(self, a, b) -> bool:
+        return (a, b) in self._pairs or (b, a) in self._pairs
+
+    def __reduce__(self):
+        # Sorted (by repr: keys need not be mutually comparable) so equal
+        # filters pickle to equal bytes whatever the set's hash order.
+        return (PairSetFilter, (sorted(self._pairs, key=repr),))
 
 
 class Bipartite(Workload[K]):

@@ -257,30 +257,6 @@ class StageCalibration:
         """Mean comparison kernel time at reference speed (0 if unmeasured)."""
         return self.cmp_seconds / self.cmp_count if self.cmp_count else 0.0
 
-    def auto_grain(
-        self,
-        *,
-        target_seconds: float = 0.002,
-        lo: int = 4,
-        hi: int = 1024,
-        speed: float = 1.0,
-    ) -> Optional[int]:
-        """Recommended pairs per batched kernel from the measured ``t_cmp``.
-
-        Picks the batch size whose single kernel launch takes about
-        ``target_seconds`` of wall time on a ``speed``-factor device —
-        large enough to amortise Python dispatch, small enough that
-        cancellation and fair-share scheduling keep per-block latency.
-        Returns ``None`` while nothing has been measured (callers keep
-        their configured floor until calibration warms up).
-        """
-        if self.cmp_count == 0:
-            return None
-        per_pair = self.t_cmp / max(speed, 1e-9)
-        if per_pair <= 0:
-            return hi
-        return int(min(max(round(target_seconds / per_pair), lo), hi))
-
     @property
     def t_parse(self) -> float:
         """Mean CPU parse time (0 if unmeasured)."""

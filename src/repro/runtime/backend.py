@@ -137,8 +137,8 @@ class BackendSession(ABC):
       return its per-node :class:`~repro.runtime.stats.NodeStats`;
     - :meth:`_teardown` — shut the executors down at ``close()``.
 
-    Elastic backends also override :meth:`add_node` /
-    :meth:`retire_node`.
+    Backends with live membership (the cluster) also override
+    :meth:`add_node` / :meth:`retire_node`.
     """
 
     #: Display name of this process in :meth:`profile`.
@@ -280,19 +280,19 @@ class BackendSession(ABC):
         self._log.info("session closed")
 
     def add_node(self) -> int:
-        """Grow the session's worker set by one node (elastic backends).
+        """Grow the session's worker set by one node.
 
-        Only the cluster backend with ``ClusterConfig(elastic=True)``
-        supports membership changes; everything else raises.
+        Only the cluster backend has a node set to change; everything
+        else raises.
         """
         raise RuntimeError(
-            f"{type(self).__name__} does not support elastic membership"
+            f"{type(self).__name__} does not support membership changes"
         )
 
     def retire_node(self, node: Optional[int] = None, *, drain: bool = True) -> int:
-        """Drain and remove one worker node (elastic backends only)."""
+        """Drain and remove one worker node (cluster backend only)."""
         raise RuntimeError(
-            f"{type(self).__name__} does not support elastic membership"
+            f"{type(self).__name__} does not support membership changes"
         )
 
     def metrics(self) -> Dict[str, Any]:
@@ -470,18 +470,6 @@ class BackendSession(ABC):
             remote_steals=job.remote_steals,
             transport=self._transport,
         )
-        if (
-            self._scheduler.decompose
-            and isinstance(cfg.grain, str)
-            and self._runtime.app.supports_compare_block
-        ):
-            # grain="auto": the finished job's calibrated per-pair
-            # compare time re-sizes the scheduler's grant quanta, so the
-            # next submission's grain_blocks() match the batched kernels.
-            auto = stats.calibration.auto_grain(lo=cfg.leaf_size)
-            if auto is not None:
-                self._scheduler.grain_pairs = auto
-                self._scheduler.window_pairs = max(3 * auto, self._scheduler.window_pairs)
         fold_stats(self._metrics, stats)
         self._log.info("job done", job_id=job.job_id)
         self._runtime.last_stats = stats
@@ -650,7 +638,6 @@ def _cluster_factory(app, store, config=None, **options) -> RocketBackend:
     device_speeds = options.pop("device_speeds", None)
     node_speeds = options.pop("node_speeds", None)
     steal_policy = options.pop("steal_policy", None)
-    elastic = options.pop("elastic", None)
     max_nodes = options.pop("max_nodes", None)
     store_dir = options.pop("store_dir", None)
     if options:
@@ -677,8 +664,6 @@ def _cluster_factory(app, store, config=None, **options) -> RocketBackend:
         overrides["node_speed_factors"] = tuple(
             tuple(float(s) for s in speeds) for speeds in node_speeds
         )
-    if elastic is not None:
-        overrides["elastic"] = bool(elastic)
     if max_nodes is not None:
         overrides["max_nodes"] = int(max_nodes)
     if overrides:

@@ -52,14 +52,11 @@ class RocketConfig:
     concurrent_jobs: int = 8
     leaf_size: int = 4
     #: Target pairs per batched kernel launch for apps with
-    #: ``compare_block``: an int fixes it, ``"auto"`` sizes it from the
-    #: online-calibrated per-pair compare time (see
-    #: ``StageCalibration.auto_grain``).  A launch gets the longest
-    #: prefix of a grain-sized leaf whose distinct items fit the pins
-    #: admission has free, so the effective batch shrinks under cache
-    #: pressure.  Apps without ``compare_block`` ignore it (one pair
-    #: per job).
-    grain: "int | str" = "auto"
+    #: ``compare_block``.  A launch gets the longest prefix of a
+    #: grain-sized leaf whose distinct items fit the pins admission has
+    #: free, so the effective batch shrinks under cache pressure.  Apps
+    #: without ``compare_block`` ignore it (one pair per job).
+    grain: int = 64
     cpu_workers: int = 4
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
     #: length must equal ``n_devices`` when given.
@@ -90,11 +87,8 @@ class RocketConfig:
             raise ValueError(f"cpu_workers must be >= 1, got {self.cpu_workers}")
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
-        if isinstance(self.grain, str):
-            if self.grain != "auto":
-                raise ValueError(f'grain must be an int or "auto", got {self.grain!r}')
-        elif self.grain < 1:
-            raise ValueError(f"grain must be >= 1, got {self.grain}")
+        if not isinstance(self.grain, int) or self.grain < 1:
+            raise ValueError(f"grain must be an int >= 1, got {self.grain!r}")
         if self.device_speed_factors is not None:
             if len(self.device_speed_factors) != self.n_devices:
                 raise ValueError(

@@ -209,12 +209,6 @@ class NodeEngine:
         self.job_pool = ThreadPoolExecutor(
             max_workers=max(2, limit * cfg.n_devices), thread_name_prefix=f"job{node_id}"
         )
-        #: Stage costs accumulated across every job run on this engine;
-        #: pipelines fold their per-run measurements in on close so the
-        #: *next* job can size its batch grain from day one instead of
-        #: re-calibrating from scratch.
-        self.calibration = StageCalibration()
-        self.calibration_lock = threading.Lock()
         #: Lazily created persistent item cache (``config.store_dir``);
         #: engine-owned so it spans jobs like the in-memory cache levels.
         self._persist = None
@@ -434,14 +428,10 @@ class NodePipeline:
         self.counters_lock = threading.Lock()
         #: Live per-stage cost measurements (guarded by counters_lock).
         self.calibration = StageCalibration()
-        self._calibration_folded = False
         #: Apps overriding ``compare_block`` get as much of a leaf as
         #: admission grants per kernel launch; the others one pair.
         self._batched = app.supports_compare_block
         self._has_item_view = app.supports_item_view
-        #: Resolved batch grain per device index (filled lazily once the
-        #: calibration has enough compare samples to trust).
-        self._grain_cache: Dict[int, int] = {}
         self._speeds = speeds
         self.done = threading.Event()
         self.aborted = threading.Event()
@@ -522,13 +512,6 @@ class NodePipeline:
         if self._closed:
             return
         self._closed = True
-        if not self._calibration_folded:
-            self._calibration_folded = True
-            snap = StageCalibration()
-            with self.counters_lock:
-                snap.merge(self.calibration)
-            with self.engine.calibration_lock:
-                self.engine.calibration.merge(snap)
         if self._private_engine:
             self.engine.close()
 
@@ -1013,38 +996,6 @@ class NodePipeline:
                 self.work_cond.notify_all()
         return count
 
-    def _batch_grain(self, d: int) -> int:
-        """Target pairs per batched kernel launch for device ``d``.
-
-        An integer ``config.grain`` is used as-is; ``"auto"`` sizes the
-        batch so one launch costs ``auto_grain``'s target wall time on
-        this device, from the engine's cross-job calibration merged
-        with this run's live measurements.  While uncalibrated the
-        per-pair ``leaf_size`` is used and nothing is cached, so the
-        grain upgrades mid-run once enough compares are measured.
-        """
-        grain = self._grain_cache.get(d)
-        if grain is not None:
-            return grain
-        cfg = self.config
-        configured = getattr(cfg, "grain", "auto")
-        if not isinstance(configured, str):
-            grain = max(1, int(configured))
-            self._grain_cache[d] = grain
-            return grain
-        st = self.states[d]
-        cal = StageCalibration()
-        with self.engine.calibration_lock:
-            cal.merge(self.engine.calibration)
-        with self.counters_lock:
-            cal.merge(self.calibration)
-        grain = cal.auto_grain(lo=cfg.leaf_size, speed=st.device.speed_factor)
-        if grain is None:
-            return cfg.leaf_size
-        if cal.cmp_count >= 32:
-            self._grain_cache[d] = grain
-        return grain
-
     def _trim_steal(self, task: PairBlock, thief: int, victim: int) -> PairBlock:
         """Size a stolen block to the thief/victim speed ratio.
 
@@ -1109,7 +1060,7 @@ class NodePipeline:
                     )
                 continue
             idle_rounds = 0
-            leaf_pairs = self._batch_grain(d) if self._batched else cfg.leaf_size
+            leaf_pairs = cfg.grain if self._batched else cfg.leaf_size
             if task.is_leaf(leaf_pairs):
                 pairs = [
                     (i, j)

@@ -15,6 +15,7 @@ your own fabric under a new name with :func:`register_transport`.
 """
 
 from repro.runtime.transport.base import (
+    CHANNEL_ERRORS,
     ResultBatcher,
     Transport,
     TransportFabric,
@@ -30,6 +31,7 @@ from repro.runtime.transport.shm import (
 )
 
 __all__ = [
+    "CHANNEL_ERRORS",
     "Transport",
     "TransportFabric",
     "ResultBatcher",

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "CHANNEL_ERRORS",
     "Transport",
     "TransportFabric",
     "ResultBatcher",
@@ -51,6 +52,13 @@ __all__ = [
     "create_fabric",
     "register_transport",
 ]
+
+
+#: What a send into a torn-down channel raises: ``ValueError`` from a
+#: closed ``multiprocessing`` queue, ``OSError`` from a broken pipe.
+#: Best-effort senders (stop and shutdown notices, last-resort error
+#: reports) tolerate exactly these.
+CHANNEL_ERRORS = (OSError, ValueError)
 
 
 class Transport(ABC):
@@ -159,7 +167,8 @@ class TransportFabric(ABC):
         """Coordinator-to-node message (steal probes, grants, stop).
 
         Raises when delivery fails so messages carrying state (steal
-        grants) are never dropped silently; best-effort callers catch.
+        grants) are never dropped silently; best-effort callers catch
+        :data:`CHANNEL_ERRORS`.
         """
 
     @abstractmethod

@@ -54,8 +54,8 @@ class QueueFabric(TransportFabric):
     def __init__(self, ctx, cluster) -> None:
         self.n_nodes = cluster.n_nodes
         # One inbox per *slot*, not per initial node: mp queues cannot
-        # be created after the workers fork, so an elastic session
-        # pre-allocates the inboxes that later add_node() calls use.
+        # be created after the workers fork, so a session pre-allocates
+        # the inboxes that later add_node() calls use.
         capacity = getattr(cluster, "capacity", cluster.n_nodes)
         self.inboxes = [ctx.Queue() for _ in range(capacity)]
         self.coordinator = ctx.Queue()

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.buffers import BufferPool
-from repro.runtime.transport.base import Transport
+from repro.runtime.transport.base import CHANNEL_ERRORS, Transport
 from repro.runtime.transport.queues import QueueFabric, QueueTransport
 
 __all__ = ["ShmDescriptor", "SharedMemoryTransport", "SharedMemoryFabric"]
@@ -236,7 +236,7 @@ class SharedMemoryFabric(QueueFabric):
         self._seg_by_name: Dict[str, shared_memory.SharedMemory] = {}
         self.segment_names: List[str] = []
         try:
-            # One segment per *slot* (see QueueFabric: elastic sessions
+            # One segment per *slot* (see QueueFabric: sessions
             # pre-allocate room for nodes joining later).
             for i in range(getattr(cluster, "capacity", cluster.n_nodes)):
                 seg = shared_memory.SharedMemory(
@@ -308,8 +308,8 @@ class SharedMemoryFabric(QueueFabric):
             rows = view.copy()
             try:
                 self.send_node(block.owner, ("pfree", block.offset))
-            except Exception:
-                pass  # node already gone; its pool dies with it
+            except CHANNEL_ERRORS:
+                pass  # fabric shutting down; the node's pool dies with it
             block = rows
         if isinstance(block, np.ndarray):
             return tuple((int(i), int(j), float(v)) for i, j, v in block)

@@ -292,8 +292,8 @@ class VictimSelector:
         """Yield steal victims for ``worker`` in preference order.
 
         ``exclude`` drops specific workers from every tier — a probe
-        sent to a dead or departed victim can only time out, so elastic
-        runtimes pass the non-live set here.
+        sent to a dead or departed victim can only time out, so the
+        cluster coordinator passes the non-live set here.
         """
         if worker < 0 or worker >= self.topology.n_workers:
             raise ValueError(f"unknown worker {worker}")

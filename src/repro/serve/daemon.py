@@ -4,7 +4,7 @@ The paper's economics — comparing new items against a large corpus is
 cheap once the cache hierarchy is warm — only pays off at user scale
 if many clients share one warm session.  :class:`RocketServer` turns a
 :class:`~repro.core.session.RocketSession` into that shared service: it
-owns the session (local or cluster backend, elastic flags included),
+owns the session (local or cluster backend),
 listens on a TCP socket, and serves the length-prefixed JSON protocol
 of :mod:`repro.serve.protocol` with one handler thread per connection.
 
@@ -83,7 +83,7 @@ class RocketServer:
 
     The server borrows the session — it submits, reads and closes it,
     but does not create it — so any backend the session API supports
-    (local, cluster, elastic cluster) is served unchanged::
+    (local, cluster) is served unchanged::
 
         session = RocketSession(app, store, backend="cluster",
                                 n_nodes=4, policy="fair")

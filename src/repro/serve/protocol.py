@@ -18,7 +18,8 @@ This module owns everything both sides must agree on:
   :class:`~repro.core.workload.FilteredPairs` predicate cannot travel
   as code, so the *client* evaluates it and ships the accepted pair
   set, which the server rebuilds into an equivalent picklable filter
-  (:class:`PairSetFilter`) the cluster backend can fork to its workers;
+  (:class:`~repro.core.workload.PairSetFilter`) the cluster backend
+  can fork to its workers;
 - the result codec (:func:`matrix_to_wire` / :func:`matrix_from_wire`)
   reusing the ``rocket-results`` JSON document shape of
   :func:`repro.core.result.save_results`;
@@ -42,6 +43,7 @@ from repro.core.workload import (
     Bipartite,
     DeltaPairs,
     FilteredPairs,
+    PairSetFilter,
     Workload,
 )
 from repro.serve.errors import (
@@ -56,7 +58,6 @@ from repro.serve.errors import (
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "PairSetFilter",
     "send_message",
     "recv_message",
     "workload_to_wire",
@@ -135,28 +136,6 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
 
 # ----------------------------------------------------------------------
 # Workload codec
-
-
-class PairSetFilter:
-    """Picklable pair predicate accepting an explicit unordered-pair set.
-
-    The served form of a client-side :class:`FilteredPairs` predicate:
-    the client evaluates its (arbitrary, unserializable) callable over
-    the workload once and ships the accepted ``(key_a, key_b)`` pairs;
-    the server rebuilds the workload with this filter, which the
-    cluster backend can pickle onto its worker processes.
-    """
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs) -> None:
-        self._pairs = frozenset(tuple(p) for p in pairs)
-
-    def __call__(self, a, b) -> bool:
-        return (a, b) in self._pairs or (b, a) in self._pairs
-
-    def __reduce__(self):
-        return (PairSetFilter, (sorted(self._pairs),))
 
 
 def _check_wire_keys(keys, what: str) -> List[Any]:

@@ -32,7 +32,7 @@ import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.session import RunHandle, RunState, SessionClosed
-from repro.core.workload import Workload
+from repro.core.workload import PairSetFilter, Workload
 from repro.runtime.backend import BackendSession, RocketBackend
 
 from repro.store.manager import RocketStore
@@ -40,23 +40,8 @@ from repro.store.manager import RocketStore
 __all__ = ["StoreSession", "ResidualPairs", "PairSubsetFilter", "maybe_wrap_store"]
 
 
-class PairSubsetFilter:
-    """Picklable predicate accepting exactly a precomputed pair set.
-
-    Module-level class (not a closure) so the cluster backend can ship
-    it to its node processes like any user pair filter.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs) -> None:
-        self.pairs = frozenset(pairs)
-
-    def __call__(self, key_a, key_b) -> bool:
-        return (key_a, key_b) in self.pairs
-
-    def __reduce__(self):
-        return (type(self), (self.pairs,))
+#: The residual filter's historical name (``repro.store.__all__``).
+PairSubsetFilter = PairSetFilter
 
 
 class ResidualPairs(Workload):
@@ -64,8 +49,8 @@ class ResidualPairs(Workload):
 
     Keeps the base workload's index space and block decomposition (so
     scheduling locality is untouched) and narrows the accepted set with
-    a :class:`PairSubsetFilter` — which already embeds the base
-    workload's own filter, applied during the submit-time sweep.
+    a :class:`~repro.core.workload.PairSetFilter` — which already embeds
+    the base workload's own filter, applied during the submit-time sweep.
     """
 
     kind = "memo-residual"
@@ -76,7 +61,7 @@ class ResidualPairs(Workload):
             raise ValueError("residual workload needs at least one pair")
         self.keys = list(base.keys)
         self._base = base
-        self._subset = PairSubsetFilter(accepted)
+        self._subset = PairSetFilter(accepted)
 
     def blocks(self):
         return self._base.blocks()

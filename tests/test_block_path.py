@@ -415,16 +415,14 @@ class TestNoDeadlock:
 
 
 def test_grain_reaches_the_kernel_when_the_cache_fits():
-    """bio n=112, all-fit cache, grain=64: at least 32 pairs per launch.
+    """bio n=112, all-fit cache, default grain (64): at least 32 pairs per launch.
 
     Pair-denominated admission capped every batch at ``concurrent_jobs``
     pairs (about 6 per launch, ~1000 launches for this job).
     """
     store = InMemoryStore()
     keys = list(make_bioinformatics_dataset(store, n_species=112, seed=3).keys)
-    cfg = RocketConfig(
-        n_devices=2, device_cache_slots=128, host_cache_slots=128, grain=64
-    )
+    cfg = RocketConfig(n_devices=2, device_cache_slots=128, host_cache_slots=128)
     session = LocalRocketRuntime(BioinformaticsApplication(), store, cfg).open_session()
     try:
         session.submit(AllPairs(keys)).result(timeout=120.0)  # loads every item

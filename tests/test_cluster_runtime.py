@@ -17,6 +17,7 @@ Two layers:
 import glob
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,26 @@ class TestDistributedCacheProtocol:
         # Node 1 never began job 99: the mediator answers with a miss.
         assert net.servers[0].remote_fetch(state_other, 1) is None
         assert state_other.stats.hop_stats.misses + state_other.stats.hop_stats.no_candidates >= 1
+
+    def test_node_loss_wakes_a_fetch_parked_on_a_dead_candidate(self):
+        """The mediator is alive, the candidate it forwarded to is not:
+        the membership update must end the wait, not the fetch timeout."""
+        item = 2
+        assert mediator_of(item, 3) == 2
+        net = make_net(3, self.KEYS, {})
+        net.servers[2].handle(("creq", JOB, 1, item, 900, 0))  # node 1 is the candidate
+        net.servers[1].handle = lambda msg: None  # ...and died: probes vanish
+        requester, state = net.servers[0], net.states[0]
+        out = []
+        t = threading.Thread(target=lambda: out.append(requester.remote_fetch(state, item)))
+        t0 = time.perf_counter()
+        t.start()
+        time.sleep(0.1)
+        assert t.is_alive()  # parked on the dead candidate
+        requester.handle(("epoch", 1, (0, 2)))
+        t.join(timeout=0.5)
+        assert not t.is_alive() and out == [None]
+        assert time.perf_counter() - t0 < 0.9  # fetch_timeout is 1.0 s
 
     def test_late_steal_grant_is_not_lost(self):
         net = make_net(2, self.KEYS, {})
@@ -483,7 +504,7 @@ class TestClusterRuntime:
             RocketConfig(**dict(self.CFG, watchdog_seconds=60.0)),
             cluster=ClusterConfig(n_nodes=2, transport=transport),
         )
-        with pytest.raises(RuntimeError, match="died unexpectedly"):
+        with pytest.raises(RuntimeError, match=r"no live node remains: node 0 died \(exit code 3\), node 1 died \(exit code 3\)"):
             runtime.run(keys)
         if transport == "shm":
             # The coordinator owns the segments: a crashed worker must

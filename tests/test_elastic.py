@@ -1,15 +1,19 @@
-"""Chaos suite for elastic membership and fault-tolerant recovery.
+"""Chaos suite for live membership and fault-tolerant recovery.
 
-Kills real worker processes mid-job (SIGKILL — no cleanup, no
-goodbye), joins and retires nodes on a live session, and races
-cancellation against node death, asserting the invariant the tentpole
-promises: a completed job's ResultMatrix is value-identical to an
-undisturbed run, on both transports.
+Kills real worker processes (SIGKILL — no cleanup, no goodbye) before,
+during and after a job, joins and retires nodes on a live session, and
+races cancellation against node death, asserting the invariants every
+cluster session promises: a completed job's ResultMatrix is
+value-identical to an undisturbed run with every pair delivered exactly
+once, losing the last node ends in one clean error, and nothing — child
+process, cache pin, ``/dev/shm`` segment — is left behind, on both
+transports.
 """
 
 import glob
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -20,7 +24,7 @@ from repro.core.api import Application
 from repro.core.session import RunState
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
+from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime, NodeCommServer
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
 from repro.runtime.transport.shm import SharedMemoryFabric
 from repro.scheduling.workstealing import VictimSelector, WorkerTopology
@@ -80,9 +84,7 @@ CFG = dict(
 def cluster_cfg(transport, n_nodes=3, **kw):
     kw.setdefault("fetch_timeout", 15.0)
     kw.setdefault("steal_timeout", 5.0)
-    return ClusterConfig(
-        n_nodes=n_nodes, elastic=True, transport=transport, **kw
-    )
+    return ClusterConfig(n_nodes=n_nodes, transport=transport, **kw)
 
 
 def local_baseline(keys, store):
@@ -99,7 +101,7 @@ def assert_parity(results, baseline):
 
 
 # ----------------------------------------------------------------------
-# Unit layer: the elastic building blocks
+# Unit layer: the membership building blocks
 
 
 class TestElasticPrimitives:
@@ -136,23 +138,26 @@ class TestElasticPrimitives:
         assert set(sel.candidates(0, exclude=full)) == set()
 
     def test_cluster_config_capacity(self):
-        assert ClusterConfig(n_nodes=2).capacity == 2
-        assert ClusterConfig(n_nodes=2, elastic=True).capacity == 6
-        assert ClusterConfig(n_nodes=2, elastic=True, max_nodes=3).capacity == 3
+        assert ClusterConfig(n_nodes=2).capacity == 6  # four joinable slots
+        assert ClusterConfig(n_nodes=2, max_nodes=3).capacity == 3
         with pytest.raises(ValueError):
             ClusterConfig(n_nodes=4, max_nodes=2)
+        with pytest.raises(TypeError):  # membership has one mode, no switch
+            ClusterConfig(n_nodes=2, elastic=True)
 
-    def test_non_elastic_session_rejects_membership_calls(self):
-        store, keys = make_store(4)
+    def test_plain_session_supports_membership_calls(self):
+        store, keys = make_store(6)
         runtime = ClusterRocketRuntime(
             SlowSumApp(), store, RocketConfig(**CFG),
             cluster=ClusterConfig(n_nodes=2),
         )
         with runtime.open_session() as session:
-            with pytest.raises(RuntimeError, match="elastic"):
-                session.add_node()
-            with pytest.raises(RuntimeError, match="elastic"):
-                session.retire_node()
+            assert session.add_node() == 2
+            assert session.retire_node() == 2
+            assert session._live == {0, 1}
+            assert_parity(
+                session.submit(AllPairs(keys)).result(), local_baseline(keys, store)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +251,135 @@ class TestNodeLossRecovery:
             assert_parity(session.submit(AllPairs(keys)).result(), baseline)
 
 
-class TestElasticMembership:
+#: Kill points of the death matrix, relative to the job's life.
+BEFORE_FIRST_RESULT = "before-first-result"
+MID_JOB = "mid-job"
+AFTER_STOP = "after-stop-broadcast"
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestDeathMatrix:
+    """Kill point x survivors x transport, one set of invariants."""
+
+    #: How long a node sits between its job's end and its stats report
+    #: — the window the after-stop kills land in.
+    REPORT_DELAY = 0.8
+
+    @pytest.fixture
+    def node_probes(self, monkeypatch, tmp_path):
+        """Instrument the (forked) node processes; returns the pin log reader.
+
+        Every node appends the pins its pipeline still holds when a job
+        ends on it, and delays its stats report so a kill can land
+        between the stop broadcast and the report.
+        """
+        log = tmp_path / "held_pins.log"
+        end_job, ship_stats = NodeCommServer.end_job, NodeCommServer.ship_stats
+        delay = self.REPORT_DELAY
+
+        def logging_end_job(comm, state):
+            if state.pipeline is not None:
+                with open(log, "a") as fh:
+                    fh.write(f"{state.pipeline.held_pins}\n")
+            end_job(comm, state)
+
+        def slow_ship_stats(comm, state, stats):
+            time.sleep(delay)
+            ship_stats(comm, state, stats)
+
+        monkeypatch.setattr(NodeCommServer, "end_job", logging_end_job)
+        monkeypatch.setattr(NodeCommServer, "ship_stats", slow_ship_stats)
+        return lambda: [int(x) for x in log.read_text().split()] if log.exists() else []
+
+    @pytest.mark.parametrize("transport", ["queue", "shm"])
+    @pytest.mark.parametrize("survivors", [1, 0])
+    @pytest.mark.parametrize("kill_at", [BEFORE_FIRST_RESULT, MID_JOB, AFTER_STOP])
+    def test_node_death(self, kill_at, survivors, transport, node_probes):
+        store, keys = make_store(12)
+        baseline = local_baseline(keys, store)
+        total = len(keys) * (len(keys) - 1) // 2
+        before = shm_segments()
+        runtime = ClusterRocketRuntime(
+            SlowSumApp(), store, RocketConfig(**CFG),
+            cluster=cluster_cfg(transport, n_nodes=2),
+        )
+        session = runtime.open_session()
+        streamed, stream_error = [], []
+
+        def consume(handle):
+            try:
+                streamed.extend(handle.stream())
+            except RuntimeError as exc:
+                stream_error.append(exc)
+
+        try:
+            handle = session.submit(AllPairs(keys))
+            queued = session.submit(AllPairs(keys))  # FIFO: waits behind it
+            consumer = threading.Thread(target=consume, args=(handle,), daemon=True)
+            consumer.start()
+            if kill_at == BEFORE_FIRST_RESULT:
+                assert handle.progress()[0] == 0
+            elif kill_at == MID_JOB:
+                wait_for(lambda: handle.progress()[0] >= 10)
+                assert handle.progress()[0] < total
+            else:
+                # All pairs in: the stop broadcast is out and the nodes
+                # are sitting on their stats reports.
+                wait_for(lambda: handle.progress()[0] == total)
+                assert not handle.done()
+            # Node 0 holds the whole initial share: the harder victim.
+            victims = [0] if survivors else [0, 1]
+            for node in victims:
+                os.kill(session._procs[node].pid, signal.SIGKILL)
+
+            assert handle.wait(timeout=60.0) and queued.wait(timeout=60.0)
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive()
+            clean_error = (
+                r"session is dead: no live node remains: "
+                r"node 0 died \(exit code -9\), node 1 died \(exit code -9\)"
+            )
+            if survivors or kill_at == AFTER_STOP:
+                # Completed: value-identical, every pair exactly once.
+                assert_parity(handle.result(), baseline)
+                assert handle.progress() == (total, total)
+                assert handle.accounting.pairs_completed == total
+                assert len(streamed) == total
+                assert len({(a, b) for a, b, _ in streamed}) == total
+            else:
+                with pytest.raises(RuntimeError, match=clean_error):
+                    handle.result()
+                assert stream_error  # the stream ends with the error too
+                assert len({(a, b) for a, b, _ in streamed}) == len(streamed)
+            if survivors:
+                assert session._live == {1}
+                assert_parity(queued.result(), baseline)
+            else:
+                # The last node is gone: one error for the queued job
+                # and for every later submission.
+                with pytest.raises(RuntimeError, match=clean_error):
+                    queued.result()
+                with pytest.raises(RuntimeError, match="no live node remains"):
+                    session.submit(AllPairs(keys))
+        finally:
+            session.close()
+        assert all(not p.is_alive() for p in session._procs)
+        assert shm_segments() == before
+        # Every job that ended on a node that lived to see it end had
+        # handed all its device-cache pins back.
+        held = node_probes()
+        assert all(n == 0 for n in held), held
+        if survivors:
+            assert len(held) >= 2  # the survivor ended both jobs
+
+
+class TestMembership:
     @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_join_mid_job_participates(self, transport):
         store, keys = make_store(14)

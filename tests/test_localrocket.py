@@ -262,6 +262,10 @@ class TestLocalRocketRuntime:
             RocketConfig(device_speed_factors=(2.0, 1.0), n_devices=2)
         with pytest.raises(ValueError):
             RocketConfig(watchdog_seconds=0)
+        for grain in ("auto", 0, 2.5):  # one fixed batch size, no sizing mode
+            with pytest.raises(ValueError, match="grain"):
+                RocketConfig(grain=grain)
+        assert RocketConfig().grain == 64
 
 
 class DeviceFailApp(SumApp):
