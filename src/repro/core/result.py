@@ -4,7 +4,10 @@ The output of an all-pairs computation is the strict upper triangle of
 an ``n x n`` matrix (paper Fig. 1).  :class:`ResultMatrix` stores it
 keyed by unordered key pairs, thread-safely (jobs complete concurrently
 in the threaded runtime), and converts to dense/condensed NumPy forms
-for downstream analysis such as the phylogeny clustering.
+for downstream analysis such as the phylogeny clustering.  It is also the
+run's arrival log: :meth:`ResultMatrix.arrivals` reads the cells in the
+order they were recorded, from any position — what a job's streaming
+readers iterate by cursor instead of each keeping a copy.
 
 Workload shapes beyond the full triangle
 (:mod:`repro.core.workload`: filtered, bipartite, delta) are
@@ -52,6 +55,8 @@ class ResultMatrix(Generic[K, V]):
         self.keys: List[K] = list(keys)
         self._index: Dict[K, int] = {k: i for i, k in enumerate(self.keys)}
         self._values: Dict[Tuple[int, int], V] = {}
+        #: Cells in arrival order (the dict's own key objects).
+        self._order: List[Tuple[int, int]] = []
         self._lock = threading.Lock()
         if expected_pairs is None:
             expected_pairs = self.n_pairs
@@ -94,6 +99,7 @@ class ResultMatrix(Generic[K, V]):
             if cell in self._values:
                 raise ValueError(f"pair {a!r}, {b!r} already has a result")
             self._values[cell] = value
+            self._order.append(cell)
 
     def set_block(self, entries: Iterable[Tuple[K, K, V]]) -> None:
         """Record a batch of ``(a, b, value)`` results under one lock.
@@ -117,6 +123,7 @@ class ResultMatrix(Generic[K, V]):
                     f"pair {self.keys[i]!r}, {self.keys[j]!r} already has a result"
                 )
             values.update(cells)
+            self._order.extend(cells)
 
     def get(self, a: K, b: K) -> V:
         """Return the result for the unordered pair ``{a, b}``."""
@@ -148,6 +155,20 @@ class ResultMatrix(Generic[K, V]):
             cells = sorted(self._values.items())
         for (i, j), v in cells:
             yield self.keys[i], self.keys[j], v
+
+    def arrivals(self, start: int = 0, limit: Optional[int] = None) -> List[Tuple[K, K, V]]:
+        """Up to ``limit`` ``(key_a, key_b, value)`` from arrival position ``start``.
+
+        ``key_a`` precedes ``key_b`` in the key list.
+        """
+        stop = None if limit is None else start + limit
+        keys = self.keys
+        with self._lock:
+            values = self._values
+            return [
+                (keys[cell[0]], keys[cell[1]], values[cell])
+                for cell in self._order[start:stop]
+            ]
 
     def to_dense(self, fill: float = 0.0, symmetric: bool = True) -> np.ndarray:
         """Dense ``n x n`` float matrix of the scalar results.

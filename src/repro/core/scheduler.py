@@ -247,7 +247,6 @@ class JobScheduler:
         self._lock = threading.Lock()
         self._queued: List[_Job] = []
         self._active: Dict[RunHandle, _Job] = {}
-        self._seq = 0
         self._next_job_id = 0
 
     # -- interrogation ---------------------------------------------------
@@ -278,29 +277,37 @@ class JobScheduler:
 
     # -- submission ------------------------------------------------------
 
+    def account(self, handle: RunHandle) -> JobAccounting:
+        """Attach a fresh :class:`JobAccounting` (the next job id) to ``handle``.
+
+        The schedule owes a job its *residual* only.  Called by
+        :meth:`submit`, and directly for a job the memo store served
+        whole, which is never queued.
+        """
+        with self._lock:
+            job_id = self._next_job_id
+            self._next_job_id += 1
+        handle.accounting = JobAccounting(
+            job_id=job_id,
+            priority=handle.priority,
+            policy=self.policy.value,
+            pairs_total=handle.residual.n_pairs if handle.residual is not None else 0,
+            submitted_at=time.monotonic(),
+        )
+        return handle.accounting
+
     def submit(self, handle: RunHandle) -> JobAccounting:
         """Enqueue ``handle`` (QUEUED); wires the immediate-cancel hook.
 
         Reads the handle's ``priority`` / ``max_inflight``; attaches
         and returns the job's :class:`JobAccounting`.
         """
-        with self._lock:
-            self._seq += 1
-            job_id = self._next_job_id
-            self._next_job_id += 1
-            accounting = JobAccounting(
-                job_id=job_id,
-                priority=handle.priority,
-                policy=self.policy.value,
-                pairs_total=handle.workload.n_pairs,
-                submitted_at=time.monotonic(),
-            )
-            job = _Job(handle, self._seq, accounting)
-            handle.accounting = accounting
+        accounting = self.account(handle)
+        job = _Job(handle, accounting.job_id, accounting)  # ids order submissions
         if self.decompose:
             # Pay the decomposition (O(pairs) under a filter) here, on
             # the submitter's thread, not on the shared admission loop.
-            job.blocks.extend(handle.workload.grain_blocks(self.grain_pairs))
+            job.blocks.extend(handle.residual.grain_blocks(self.grain_pairs))
         # A job that was never handed to the backend resolves its
         # cancellation right here, synchronously, without the backend
         # session ever seeing it.  The hook must be installed *before*

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections import deque
-from typing import Any, Callable, Deque, Iterator, Optional, Sequence, Tuple
+import time
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.result import ResultMatrix
 from repro.core.workload import Workload, as_workload
@@ -92,8 +92,17 @@ class RunHandle:
     Produced by ``session.submit(workload)``; consumed from the
     submitting side.  The backend records results through the private
     ``_record_block`` / ``_finish`` hooks; user code reads them through
-    :meth:`result`, :meth:`stream` and :meth:`progress`.
+    :meth:`result`, :meth:`stream`, :meth:`read` and :meth:`progress`.
+
+    A pair is recorded once, in the job's arrival-ordered
+    :class:`~repro.core.result.ResultMatrix`; every reader —
+    ``stream()`` iterators, served clients, the session's memo journal
+    — follows it with a cursor of its own (:meth:`read`), so readers
+    take nothing from each other and nobody holds a second copy.
     """
+
+    #: Pairs a ``stream()`` iterator fetches per :meth:`read`.
+    _STREAM_CHUNK = 1024
 
     def __init__(
         self,
@@ -107,6 +116,12 @@ class RunHandle:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.workload = workload
+        #: What the backend executes: the workload, or — set by a
+        #: store-backed session — its ``ResidualPairs`` rewrite after
+        #: the memo store served ``memo_hits`` pairs (they lead the
+        #: arrival order); None when the store served all of them.
+        self.residual: Optional[Workload] = workload
+        self.memo_hits = 0
         #: Fair-share weight under the FAIR scheduling policy (a job
         #: with twice the priority receives twice the device share).
         self.priority = float(priority)
@@ -119,9 +134,9 @@ class RunHandle:
         self._matrix: ResultMatrix = workload.make_result()
         self._total = workload.n_pairs
         self._cond = threading.Condition()
-        self._pending_stream: Deque[Tuple[Any, Any, Any]] = deque()
-        self._streaming = False
         self._state = RunState.QUEUED
+        #: ``time.monotonic()`` of the terminal transition (None while live).
+        self.finished_at: Optional[float] = None
         self._error: Optional[BaseException] = None
         self._cancel_requested = False
         self._cancel_cb: Optional[Callable[[], None]] = None
@@ -179,33 +194,47 @@ class RunHandle:
             raise RuntimeError("job was cancelled")
         return self._matrix
 
+    def read(
+        self, cursor: int = 0, limit: Optional[int] = None, wait: Optional[float] = None
+    ) -> Tuple[List[Tuple[Any, Any, Any]], bool]:
+        """Up to ``limit`` ``(key_a, key_b, value)`` from arrival position ``cursor``.
+
+        Blocks up to ``wait`` seconds (None — indefinitely) while the
+        cursor is at the end of what has arrived and the job is live.
+        Returns the chunk and a ``drained`` flag: True once the job is
+        terminal *and* the chunk reaches the end of its results — a
+        reader advancing ``cursor`` by ``len(chunk)`` stops there, having
+        seen every pair exactly once.  Reading never consumes: any number
+        of readers may start from any cursor, before or after the end.
+        """
+        if cursor < 0:
+            raise ValueError(f"negative cursor {cursor}")
+        matrix = self._matrix
+        with self._cond:
+            self._cond.wait_for(lambda: len(matrix) > cursor or self.done(), timeout=wait)
+            # Sampled before the chunk: nothing is recorded after the
+            # terminal transition, so a terminal chunk reaches the end.
+            terminal = self.done()
+        chunk = matrix.arrivals(cursor, limit)
+        return chunk, terminal and cursor + len(chunk) >= len(matrix)
+
     def stream(self) -> Iterator[Tuple[Any, Any, Any]]:
         """Iterate ``(key_a, key_b, value)`` as result batches land.
 
         Lazy: pairs are yielded as the backend delivers them, in
-        arrival order, each pair exactly once — across *all* stream
-        iterators of this handle collectively (concurrent consumers
-        split the stream; use one consumer for the common case).  The
-        iterator ends when the job reaches a terminal state and every
-        delivered pair has been yielded; a FAILED job's error is raised
-        after the delivered pairs are drained.
+        arrival order (pairs served from the memo store first).  Each
+        call returns an iterator with its own cursor (:meth:`read`):
+        every iterator yields every pair exactly once, in the same
+        order, whether it starts before, during or after the run — what
+        a remote client's stream always did.  The iterator ends when the
+        job is terminal and every delivered pair has been yielded; a
+        FAILED job's error is raised after that.
         """
-        with self._cond:
-            if not self._streaming:
-                self._streaming = True
-                if self.done():
-                    # The stream buffer was released when the job ended
-                    # with no consumer; recover the pairs from the
-                    # matrix (arrival order is lost, the set is not).
-                    self._pending_stream.extend(self._matrix.items())
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._pending_stream or self.done())
-                if self._pending_stream:
-                    item = self._pending_stream.popleft()
-                else:
-                    break
-            yield item
+        cursor, drained = 0, False
+        while not drained:
+            chunk, drained = self.read(cursor, self._STREAM_CHUNK)
+            cursor += len(chunk)
+            yield from chunk
         if self._state is RunState.FAILED:
             assert self._error is not None
             raise self._error
@@ -270,9 +299,9 @@ class RunHandle:
     ) -> None:
         """Record one batch of pair results, by index into the key list.
 
-        One matrix lock and one stream wake-up per batch; each cell is
-        still checked (duplicate, diagonal, out of range) and a rejected
-        batch records nothing.
+        One matrix lock and one wake-up of the waiting readers per
+        batch; each cell is still checked (duplicate, diagonal, out of
+        range) and a rejected batch records nothing.
         """
         if len(pairs) != len(values):
             raise ValueError(f"{len(values)} values for {len(pairs)} pairs")
@@ -284,7 +313,6 @@ class RunHandle:
             triples.append((keys[i], keys[j], value))
         self._matrix.set_block(triples)
         with self._cond:
-            self._pending_stream.extend(triples)
             self._cond.notify_all()
 
     def _has_result(self, i: int, j: int) -> bool:
@@ -292,7 +320,11 @@ class RunHandle:
         return (self._keys[i], self._keys[j]) in self._matrix
 
     def _record(self, i: int, j: int, value: Any) -> None:
-        """Record one pair result (a batch of one)."""
+        """Record one pair result (a batch of one).
+
+        No caller is left in ``src/``: kept for ``tests/test_serve.py``,
+        to go once that test records through :meth:`_record_block`.
+        """
         self._record_block(((i, j),), (value,))
 
     def _finish(
@@ -307,24 +339,8 @@ class RunHandle:
             self._error = error
             self.stats = stats
             self._cancel_cb = None
-            if not self._streaming:
-                # Nobody streamed this job: release the buffered copy
-                # (the matrix holds the results; a late stream() call
-                # re-seeds from it) instead of keeping every pair twice
-                # for the handle's lifetime.
-                self._pending_stream.clear()
+            self.finished_at = time.monotonic()
             self._cond.notify_all()
-
-
-def _maybe_memoize(session, backend):
-    """Wrap a backend session with the persistent memo store if enabled.
-
-    Import deferred: :mod:`repro.store.integration` imports this module
-    for :class:`RunHandle`.
-    """
-    from repro.store.integration import maybe_wrap_store
-
-    return maybe_wrap_store(session, backend)
 
 
 class RocketSession:
@@ -357,19 +373,14 @@ class RocketSession:
             config if config is not None else RocketConfig(),
             **backend_options,
         )
-        self._session = _maybe_memoize(
-            self._backend.open_session(policy=policy, max_active=max_active),
-            self._backend,
-        )
+        self._session = self._backend.open_session(policy=policy, max_active=max_active)
 
     @classmethod
     def _wrap(cls, backend, policy="fifo", max_active: Optional[int] = None) -> "RocketSession":
         """Build a session around an existing backend instance."""
         self = cls.__new__(cls)
         self._backend = backend
-        self._session = _maybe_memoize(
-            backend.open_session(policy=policy, max_active=max_active), backend
-        )
+        self._session = backend.open_session(policy=policy, max_active=max_active)
         return self
 
     # ------------------------------------------------------------------

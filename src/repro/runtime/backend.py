@@ -43,6 +43,7 @@ from repro.data.filestore import FileStore
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.stats import NodeStats, RunStats, fold_stats
+from repro.store.integration import SessionMemo
 from repro.util.trace import ProfileTrace, TraceRecorder
 
 __all__ = [
@@ -71,6 +72,9 @@ class SessionJob:
     def __init__(self, handle: RunHandle, watchdog_seconds: float) -> None:
         self.handle = handle
         self.job_id: int = handle.accounting.job_id
+        #: The memo journal's cursor into this job's results (the
+        #: memoized block at their front is in the store already).
+        self.journaled = handle.memo_hits
         self.started = time.perf_counter()
         self.deadline = self.started + watchdog_seconds
         #: What failed the job, if anything did.
@@ -95,7 +99,13 @@ class BackendSession(ABC):
       lets the backend vet the workload, queues a
       :class:`~repro.core.session.RunHandle` on the session's
       :class:`~repro.core.scheduler.JobScheduler` and returns it QUEUED.
-      On a closed session it raises
+      With a ``store_dir`` it first partitions the workload against the
+      memo store (:class:`~repro.store.integration.SessionMemo`): the
+      job's one handle starts with the memoized pairs recorded, the
+      backend gets the residual, and a job with nothing residual
+      returns DONE (no stats) without being queued.  The driver journals
+      computed pairs every tick and once more before any terminal
+      state.  On a closed session it raises
       :class:`~repro.core.session.SessionClosed`, on a dead one
       ``RuntimeError``; a submit that loses the race against a
       concurrent ``close()`` resolves its handle CANCELLED first, so
@@ -166,6 +176,10 @@ class BackendSession(ABC):
         self._trace = TraceRecorder(enabled=runtime.config.profiling)
         self._node_traces: Deque[Tuple[str, int, float, List]] = deque(maxlen=256)
         self._metrics = MetricsRegistry()
+        cfg = runtime.config
+        self._memo: Optional[SessionMemo] = (
+            SessionMemo(runtime.app, runtime.store, cfg.store_dir) if cfg.store_dir else None
+        )
         self._job_records: Deque[Dict[str, object]] = deque(maxlen=64)
         self._log = get_logger(log_name)
         #: Started by the subclass once its executors are up.
@@ -224,11 +238,33 @@ class BackendSession(ABC):
         # first also seeds the accepted-pair counts, so a filtered
         # workload's predicate sweeps each pair exactly once.
         self._runtime.app.validate_keys(workload.keys)
-        self._prepare(workload)
-        if self._scheduler.decompose:
-            workload.grain_blocks(self._scheduler.grain_pairs)
+        memo, trace = self._memo, self._trace
+        residual: Optional[Workload] = workload
+        if memo is not None:
+            # The backend is left the pairs the store cannot serve.
+            lookup_start = trace.now()
+            memo_pairs, memo_values, residual = memo.partition(workload)
+            lookup_end = trace.now()
+        if residual is not None:
+            self._prepare(residual)
+            if self._scheduler.decompose:
+                residual.grain_blocks(self._scheduler.grain_pairs)
         handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
-        self._scheduler.submit(handle)
+        if memo is not None:
+            handle.residual, handle.memo_hits = residual, len(memo_pairs)
+            handle._record_block(memo_pairs, memo_values)  # ahead of any computed pair
+        if residual is not None:
+            accounting = self._scheduler.submit(handle)
+        else:
+            # Served whole from the store: never queued, never run.
+            accounting = self._scheduler.account(handle)
+            accounting.started_at = accounting.finished_at = accounting.submitted_at
+            self._job_records.append(accounting.to_dict())
+        if memo is not None:
+            trace.record("store", "memo:lookup", lookup_start, lookup_end, accounting.job_id)
+        if residual is None:
+            handle._finish(RunState.DONE)
+            return handle
         try:
             self._check_open()
         except RuntimeError:
@@ -276,7 +312,11 @@ class BackendSession(ABC):
             # may never hang.
             if not handle.done():
                 handle._finish(RunState.CANCELLED)
-        self._teardown()
+        try:
+            self._teardown()
+        finally:
+            if self._memo is not None:
+                self._memo.close()
         self._log.info("session closed")
 
     def add_node(self) -> int:
@@ -301,6 +341,8 @@ class BackendSession(ABC):
         self._metrics.set_gauge("scheduler.active_jobs", self._scheduler.active_count)
         snapshot = self._metrics.snapshot()
         snapshot.setdefault("jobs", {})["recent"] = list(self._job_records)
+        if self._memo is not None:
+            snapshot["store"] = self._memo.snapshot()
         return snapshot
 
     def profile(self) -> ProfileTrace:
@@ -343,7 +385,9 @@ class BackendSession(ABC):
             for job in list(self._active.values()):
                 if self._job_ended(job):
                     self._retire(job)
-                elif job.stopping:
+                    continue
+                self._journal(job)
+                if job.stopping:
                     continue
                 elif job.handle.cancel_requested:
                     self._stop(job)
@@ -392,6 +436,30 @@ class BackendSession(ABC):
         self._log.debug("job admitted", job_id=job.job_id)
         handle._mark_running(cancel_cb=job.cancel_cb)
 
+    def _journal(self, job: SessionJob) -> None:
+        """Append the job's newly computed pairs to the memo journal.
+
+        Never raises and never decides the job's outcome — the store is
+        not load-bearing.  Pickling a computed value runs application
+        code (``__reduce__``), which may raise anything: whatever gets
+        past ``ResultMemoStore.append``'s own guard forfeits the rest of
+        its batch (counted as ``append_failures``, recomputed by the
+        next session) and the cursor moves on.
+        """
+        memo, trace = self._memo, self._trace
+        if memo is None:
+            return
+        triples, _ = job.handle.read(job.journaled, wait=0.0)
+        if not triples:
+            return
+        job.journaled += len(triples)
+        start = trace.now()
+        try:
+            memo.journal(job.handle.residual.hashes, triples)
+        except BaseException as exc:  # noqa: BLE001 - session must survive
+            self._log.warning("memo journal append failed: %r", exc, job_id=job.job_id)
+        trace.record("store", "memo:append", start, trace.now(), job.job_id)
+
     def _fail(self, handle: RunHandle, error: BaseException) -> None:
         self._scheduler.finish(handle)
         if not handle.done():
@@ -410,6 +478,7 @@ class BackendSession(ABC):
                 # CPU on a job whose consumer is gone.
                 self._stop(job)
             del self._active[job.job_id]
+            self._journal(job)
             self._fail(job.handle, self._dead_error())
 
     def _retire(self, job: SessionJob) -> None:
@@ -417,7 +486,9 @@ class BackendSession(ABC):
         del self._active[job.job_id]
         self._scheduler.finish(job.handle)
         try:
-            self._resolve(job, self._collect(job))
+            node_stats = self._collect(job)
+            self._journal(job)  # the job has ended: this reaches its last pair
+            self._resolve(job, node_stats)
         except BaseException as exc:  # noqa: BLE001 - session must survive
             self._fail(job.handle, exc)
 
@@ -429,7 +500,7 @@ class BackendSession(ABC):
         # Wholesale dispatch does not credit completions as they land;
         # sync the count so partial progress of failed and cancelled
         # jobs reports correctly on every backend.
-        acct.pairs_completed = max(acct.pairs_completed, done)
+        acct.pairs_completed = max(acct.pairs_completed, done - handle.memo_hits)
         if self._trace.enabled:
             # The job's running span on the scheduler lane, then its
             # nodes' buffers (whatever arrived — failed jobs keep theirs).
@@ -464,7 +535,7 @@ class BackendSession(ABC):
         stats = RunStats(
             runtime=runtime,
             n_items=handle.workload.n_items,
-            n_pairs=total,
+            n_pairs=total - handle.memo_hits,  # what the backend executed
             node_stats=node_stats,
             cpu_workers=cfg.cpu_workers,
             remote_steals=job.remote_steals,
@@ -527,9 +598,7 @@ class RocketBackend(ABC):
         arranges that automatically).
         """
         workload = as_workload(keys)
-        from repro.store.integration import maybe_wrap_store  # lazy: avoids cycle
-
-        session = maybe_wrap_store(self._one_shot_session(workload), self)
+        session = self._one_shot_session(workload)
         try:
             handle = session.submit(workload)
             result = handle.result()

@@ -29,7 +29,7 @@ class _ClusterJob(SessionJob):
         cfg = session._runtime.config
         super().__init__(handle, cfg.watchdog_seconds)
         self.session = session
-        workload = handle.workload
+        workload = handle.residual  # what the memo store left to compute
         self.keys = workload.keys
         self.pair_filter = workload.pair_filter
         self.total_pairs = workload.n_pairs

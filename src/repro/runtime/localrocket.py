@@ -228,7 +228,7 @@ class LocalSession(BackendSession):
     def _start_job(self, handle: RunHandle) -> _LocalJob:
         """Start one admitted job's pipeline on the shared engine."""
         cfg = self._runtime.config
-        workload = handle.workload
+        workload = handle.residual  # what the memo store left to compute
         fifo = self.policy is SchedulingPolicy.FIFO
         scheduler = self._scheduler
 

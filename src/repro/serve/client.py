@@ -14,17 +14,18 @@ so in-process code ports by swapping the constructor::
             ...
         matrix = handle.result()
 
-Differences a caller can observe, all consequences of the socket:
+Differences a caller can observe, both consequences of the socket:
 
 - a FAILED job's ``result()`` raises
   :class:`~repro.serve.errors.RemoteJobFailed` carrying the remote
   error text, not the original exception type (types don't cross JSON);
 - jobs **survive the client**: dropping the connection does not cancel
   anything.  Reconnect and :meth:`ServedSession.handle` by job id to
-  reattach, :meth:`ServedHandle.ack` to release retained results;
-- ``stream()`` replays from the daemon's arrival-ordered log, so —
-  unlike the exactly-once in-process stream — every (re)iteration
-  yields the full sequence from the start.
+  reattach, :meth:`ServedHandle.ack` to release retained results.
+
+``stream()`` reads the job's arrival-ordered results by cursor, the way
+the in-process ``RunHandle.stream()`` does: every (re)iteration yields
+the full sequence from the start.
 
 A session holds one socket and serializes its requests, so one
 ``ServedSession`` is thread-safe but blocking calls (``result`` on a

@@ -206,12 +206,11 @@ class RocketServer:
             timeout if timeout is not None else self._drain_timeout
         )
         if drain:
-            for record in self._registry.unfinished():
+            for record in self._registry.live_records():
                 record.wait_drained(timeout=max(0.0, deadline - time.monotonic()))
         # Whatever remains (drain=False, or the deadline passed) is
         # cancelled so no handle is left unresolved behind the close.
-        self._registry.cancel_live()
-        for record in self._registry.unfinished():
+        for record in self._registry.cancel_live():
             record.wait_drained(timeout=5.0)
         try:
             self._session.close()
@@ -373,10 +372,9 @@ class RocketServer:
         self._metrics.inc(f"serve.tenants.{tenant.name}.submitted")
         # Pairs served straight from the persistent memo store (zero when
         # the session has no store): tenants see whose corpora re-use pays.
-        memo_hits = int(getattr(handle, "memo_hits", 0))
-        if memo_hits:
-            self._metrics.inc("serve.store_hits", memo_hits)
-            self._metrics.inc(f"serve.tenants.{tenant.name}.store_hits", memo_hits)
+        if handle.memo_hits:
+            self._metrics.inc("serve.store_hits", handle.memo_hits)
+            self._metrics.inc(f"serve.tenants.{tenant.name}.store_hits", handle.memo_hits)
         self._log.info(
             "job %s submitted by %s (%s, w=%g)",
             record.job_id, tenant.name, workload.describe(), priority * tenant.weight,

@@ -10,12 +10,11 @@ keeps executing and its results stay fetchable.  The
 - every submission becomes a :class:`JobRecord` addressed by a job id
   (``"j-000042"``) scoped to its tenant — any later connection of the
   same tenant can reattach by id;
-- a per-job **drainer thread** is the handle's single
-  :meth:`~repro.core.session.RunHandle.stream` consumer, copying
-  arrival-ordered ``(key_a, key_b, value)`` triples into the record —
-  so *any number* of clients can (re)stream from any cursor at any
-  time, which an in-process handle (exactly-once across consumers)
-  cannot offer;
+- the record *is* the handle plus a name: the handle keeps its results
+  in arrival order and is read by cursor
+  (:meth:`~repro.core.session.RunHandle.read`), so any number of
+  clients can (re)stream from any cursor at any time straight off it —
+  no per-job thread, no second copy of the triples;
 - finished records are **retained** until the tenant acknowledges them
   (``ack``) or a TTL expires, whichever comes first — a reconnect
   hours later finds nothing, a reconnect within the window finds the
@@ -34,7 +33,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.session import RunHandle, RunState
+from repro.core.session import RunHandle
 from repro.serve.errors import UnknownJob
 
 __all__ = ["JobRecord", "JobRegistry"]
@@ -46,52 +45,23 @@ DEFAULT_RESULT_TTL = 900.0
 
 
 class JobRecord:
-    """One served job: the handle plus its replayable result log."""
+    """One served job: its handle under a tenant-scoped id."""
 
     def __init__(self, job_id: str, tenant: str, handle: RunHandle) -> None:
         self.job_id = job_id
         self.tenant = tenant
         self.handle = handle
         self.created_at = time.monotonic()
-        #: ``time.monotonic()`` of the terminal transition (None while
-        #: live); the retention clock starts here.
-        self.finished_at: Optional[float] = None
         self.acked = False
-        self._cond = threading.Condition()
-        self._triples: List[Tuple[Any, Any, Any]] = []
-        self._drainer = threading.Thread(
-            target=self._drain, name=f"rocket-serve-{job_id}", daemon=True
-        )
-        self._drainer.start()
-
-    # -- drainer ---------------------------------------------------------
-
-    def _drain(self) -> None:
-        """Single stream consumer: handle arrival order -> replayable log."""
-        try:
-            for triple in self.handle.stream():
-                with self._cond:
-                    self._triples.append(triple)
-                    self._cond.notify_all()
-        except BaseException:
-            # A FAILED job raises its error at the end of the stream;
-            # the state machine (handle.state / error text) is the
-            # canonical surface, the drainer only moves triples.
-            pass
-        self.handle.wait()
-        with self._cond:
-            self.finished_at = time.monotonic()
-            self._cond.notify_all()
-
-    # -- read side -------------------------------------------------------
 
     @property
     def done(self) -> bool:
         return self.handle.done()
 
-    def triple_count(self) -> int:
-        with self._cond:
-            return len(self._triples)
+    @property
+    def finished_at(self) -> Optional[float]:
+        """When the job turned terminal (None while live): the retention clock."""
+        return self.handle.finished_at
 
     def read_triples(
         self, cursor: int, limit: int, wait: float = 0.0
@@ -99,33 +69,18 @@ class JobRecord:
         """Up to ``limit`` triples from ``cursor`` on, long-poll style.
 
         Blocks up to ``wait`` seconds for new triples (or the terminal
-        state) when the cursor is at the log's end.  Returns the chunk
-        plus a ``drained`` flag: True once the job is terminal *and*
-        the returned chunk reaches the end of the log — the client's
-        stream iterator ends there.
+        state) when the cursor is at the end of what has arrived.
+        Returns the chunk plus a ``drained`` flag: True once the job is
+        terminal *and* the returned chunk reaches the end of its
+        results — the client's stream iterator ends there.
         """
         if cursor < 0:
             raise UnknownJob(f"negative stream cursor {cursor}")
-        deadline = time.monotonic() + max(0.0, wait)
-        with self._cond:
-            while len(self._triples) <= cursor and self.finished_at is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            chunk = self._triples[cursor:cursor + limit]
-            drained = (
-                self.finished_at is not None
-                and cursor + len(chunk) >= len(self._triples)
-            )
-            return chunk, drained
+        return self.handle.read(cursor, limit, wait=max(0.0, wait))
 
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until the drainer published the terminal state."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: self.finished_at is not None, timeout=timeout
-            )
+        """Block until the job is terminal (every triple is then readable)."""
+        return self.handle.wait(timeout)
 
     def status(self) -> Dict[str, Any]:
         """JSON-dumpable live status of this job."""
@@ -138,7 +93,7 @@ class JobRecord:
             "state": self.handle.state.value,
             "pairs_done": done_pairs,
             "pairs_total": total_pairs,
-            "streamed": self.triple_count(),
+            "streamed": done_pairs,
             "accounting": acct.to_dict() if acct is not None else None,
             "error": f"{type(error).__name__}: {error}" if error is not None else None,
         }
@@ -158,7 +113,7 @@ class JobRegistry:
     # -- write side ------------------------------------------------------
 
     def register(self, tenant: str, handle: RunHandle) -> JobRecord:
-        """Wrap a freshly submitted handle; starts its drainer."""
+        """File a freshly submitted handle under a new job id."""
         with self._lock:
             job_id = f"j-{next(self._ids):06d}"
         record = JobRecord(job_id, tenant, handle)
@@ -244,8 +199,3 @@ class JobRegistry:
         for record in live:
             record.handle.cancel()
         return live
-
-    def unfinished(self) -> List[JobRecord]:
-        """Records whose drainer has not published a terminal state."""
-        with self._lock:
-            return [r for r in self._jobs.values() if r.finished_at is None]

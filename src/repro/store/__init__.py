@@ -10,9 +10,12 @@ sharing one ``store_dir`` (enable with ``RocketConfig(store_dir=...)``,
   behind the host cache: content-addressed preprocessed payloads,
   mmap-loaded on warm start so stored items skip io/parse/preprocess;
 - :class:`~repro.store.memo.ResultMemoStore` — an append-merge journal
-  of computed pair results consulted at submit time by
-  :class:`~repro.store.integration.StoreSession`, so a repeated job
-  over an unchanged corpus recomputes zero pairs;
+  of computed pair results.  The session consults it inside
+  ``submit()`` and appends to it from its driver thread
+  (:class:`~repro.store.integration.SessionMemo`), so a repeated job
+  over an unchanged corpus recomputes zero pairs — with the one
+  :class:`~repro.core.session.RunHandle` every job has and no thread
+  of its own;
 - :class:`~repro.store.manager.RocketStore` — the directory façade:
   stats and size-budgeted GC (``python -m repro store stats|gc``).
 
@@ -23,12 +26,7 @@ everything does.
 """
 
 from repro.store.hashing import ItemHasher, hash_bytes
-from repro.store.integration import (
-    PairSubsetFilter,
-    ResidualPairs,
-    StoreSession,
-    maybe_wrap_store,
-)
+from repro.store.integration import PairSubsetFilter, ResidualPairs, SessionMemo
 from repro.store.itemcache import PersistentItemCache
 from repro.store.manager import RocketStore
 from repro.store.memo import ResultMemoStore
@@ -40,7 +38,6 @@ __all__ = [
     "ResidualPairs",
     "ResultMemoStore",
     "RocketStore",
-    "StoreSession",
+    "SessionMemo",
     "hash_bytes",
-    "maybe_wrap_store",
 ]

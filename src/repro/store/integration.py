@@ -1,22 +1,25 @@
 """Submit-time memoization: rewrite jobs to their non-memoized pairs.
 
-:class:`StoreSession` wraps a
-:class:`~repro.runtime.backend.BackendSession`, mirroring its public
-surface; it is installed (by :class:`~repro.core.session.RocketSession` and the
-one-shot ``Rocket.run`` path) whenever the backend's config carries a
-``store_dir``.  On every submit it:
+A :class:`SessionMemo` is the memo plane of one
+:class:`~repro.runtime.backend.BackendSession` (opened when the config
+carries a ``store_dir``): two steps of the session's own job lifecycle,
+not a layer around it — a job has one
+:class:`~repro.core.session.RunHandle` with or without a store.
 
-1. content-hashes the workload's items (through the shared stat-cached
-   :class:`~repro.store.hashing.ItemHasher`, so an unchanged corpus
-   costs stat calls, not reads);
-2. partitions the accepted pairs into *memoized* (the memo store holds
-   a value recorded under both items' current hashes) and *residual*;
-3. injects the memoized values straight into the job's handle —
-   exactly-once, value-identical to recomputing them — and submits only
-   a :class:`ResidualPairs` rewrite of the workload to the real
-   backend.  A fully-memoized job never touches the backend at all;
-4. bridges the inner job's stream back to the outer handle, appending
-   each freshly computed pair to the memo journal as it lands.
+- :meth:`SessionMemo.partition`, inside ``submit()``: content-hash the
+  workload's items (through the stat-cached
+  :class:`~repro.store.hashing.ItemHasher`, so an unchanged corpus costs
+  stat calls, not reads) and split the accepted pairs into *memoized*
+  (the store holds a value recorded under both items' current hashes)
+  and *residual*.  The session records the memoized block in the job's
+  handle up front — exactly-once, value-identical to recomputing it —
+  and the backend executes the :class:`ResidualPairs`; a fully memoized
+  job is resolved on the spot and never reaches the backend.
+- :meth:`SessionMemo.journal`, on the session's driver thread: the
+  driver follows the handle's results by cursor and appends each
+  freshly computed batch to the memo journal — every tick and once more
+  before the job turns terminal, so failed and cancelled jobs' pairs
+  are journaled too.  A failing append never reaches the job.
 
 The memo key includes the item *keys*, not just their content hashes:
 application callbacks receive keys and may depend on them (the
@@ -31,13 +34,13 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.session import RunHandle, RunState, SessionClosed
+from repro.core.api import Application
 from repro.core.workload import PairSetFilter, Workload
-from repro.runtime.backend import BackendSession, RocketBackend
+from repro.data.filestore import FileStore
 
 from repro.store.manager import RocketStore
 
-__all__ = ["StoreSession", "ResidualPairs", "PairSubsetFilter", "maybe_wrap_store"]
+__all__ = ["SessionMemo", "ResidualPairs", "PairSubsetFilter"]
 
 
 #: The residual filter's historical name (``repro.store.__all__``).
@@ -51,15 +54,23 @@ class ResidualPairs(Workload):
     scheduling locality is untouched) and narrows the accepted set with
     a :class:`~repro.core.workload.PairSetFilter` — which already embeds
     the base workload's own filter, applied during the submit-time sweep.
+    ``hashes`` are the item content hashes the partition was made under
+    (None: unreadable blob); computed pairs are journaled with them.
     """
 
     kind = "memo-residual"
 
-    def __init__(self, base: Workload, accepted: Set[Tuple[Any, Any]]) -> None:
+    def __init__(
+        self,
+        base: Workload,
+        accepted: Set[Tuple[Any, Any]],
+        hashes: Dict[Any, Optional[str]],
+    ) -> None:
         super().__init__()
         if not accepted:
             raise ValueError("residual workload needs at least one pair")
         self.keys = list(base.keys)
+        self.hashes = hashes
         self._base = base
         self._subset = PairSetFilter(accepted)
 
@@ -71,11 +82,10 @@ class ResidualPairs(Workload):
         return self._subset
 
 
-class StoreSession:
-    """Backend session wrapper adding submit-time result memoization."""
+class SessionMemo:
+    """One session's memo store: the submit-time partition and the journal."""
 
-    def __init__(self, inner: BackendSession, app, files, store_dir) -> None:
-        self._inner = inner
+    def __init__(self, app: Application, files: FileStore, store_dir) -> None:
         self._app = app
         self._fingerprint = app.fingerprint()
         self._store = RocketStore(store_dir)
@@ -89,9 +99,6 @@ class StoreSession:
             "jobs": 0,
             "jobs_short_circuited": 0,  # jobs fully served from the store
         }
-        self._bridges: List[threading.Thread] = []
-
-    # -- submit-time rewrite --------------------------------------------
 
     def _hash_items(self, keys) -> Dict[Any, Optional[str]]:
         """Current content hash per key; None when the blob is unreadable.
@@ -104,19 +111,21 @@ class StoreSession:
         for key in keys:
             try:
                 hashes[key] = self._hasher.digest(self._app.file_name(key))
-            except Exception:
+            except (KeyError, OSError):
                 hashes[key] = None
         return hashes
 
-    def submit(
-        self,
-        workload: Workload,
-        *,
-        priority: float = 1.0,
-        max_inflight: Optional[int] = None,
-    ) -> RunHandle:
+    def partition(
+        self, workload: Workload
+    ) -> Tuple[List[Tuple[int, int]], List[Any], Optional[ResidualPairs]]:
+        """Split ``workload`` into what the store serves and what must run.
+
+        Returns the memoized pairs (indices into ``workload.keys``),
+        their values, and the residual workload (None: nothing is left).
+        """
         keys = workload.keys
         hashes = self._hash_items(keys)
+        self._hasher.save()
         memo = self._store.memo
         memo.refresh()
 
@@ -143,97 +152,43 @@ class StoreSession:
             self._counters["jobs"] += 1
             self._counters["hits"] += len(memo_pairs)
             self._counters["misses"] += len(residual)
-
-        outer = RunHandle(workload, priority=priority, max_inflight=max_inflight)
-        #: Pairs this job served from the memo store (read by the serve
-        #: daemon's per-tenant hit accounting).
-        outer.memo_hits = len(memo_pairs)
-
-        if not residual:
-            # Nothing left for the backend: resolve the job right here.
-            with self._lock:
+            if not residual:
                 self._counters["jobs_short_circuited"] += 1
-            outer._mark_running(None)
-            outer._record_block(memo_pairs, memo_values)
-            outer._finish(RunState.DONE)
-            self._hasher.save()
-            return outer
-
-        inner_handle = self._inner.submit(
-            ResidualPairs(workload, residual),
-            priority=priority,
-            max_inflight=max_inflight,
+        return (
+            memo_pairs,
+            memo_values,
+            ResidualPairs(workload, residual, hashes) if residual else None,
         )
-        # Memoized values land in the stream first, then computed pairs
-        # in backend arrival order; each pair exactly once (the memoized
-        # and residual sets are disjoint by construction).
-        outer._mark_running(inner_handle.cancel)
-        outer._record_block(memo_pairs, memo_values)
 
-        bridge = threading.Thread(
-            target=self._bridge,
-            args=(outer, inner_handle, {key: idx for idx, key in enumerate(keys)}, hashes),
-            name="store-bridge",
-            daemon=True,
-        )
-        self._bridges.append(bridge)
-        bridge.start()
-        return outer
+    def journal(self, hashes: Dict[Any, Optional[str]], triples) -> None:
+        """Append computed ``(key_a, key_b, value)`` triples to the memo journal.
 
-    def _bridge(self, outer: RunHandle, inner: RunHandle, index, hashes) -> None:
-        """Forward the inner job's results, journaling each pair."""
-        appended = failures = 0
+        ``hashes`` are the residual workload's (pairs touching an
+        unreadable blob are skipped).  A value the store cannot take
+        counts as an append failure; if pickling one raises past
+        ``append``'s guard the error propagates with the rest of the
+        batch counted failed too — the session driver contains it.
+        """
+        wanted = [
+            (ka, kb, hashes[ka], hashes[kb], value)
+            for ka, kb, value in triples
+            if hashes.get(ka) is not None and hashes.get(kb) is not None
+        ]
+        append = self._store.memo.append
+        appended = 0
         try:
-            for ka, kb, value in inner.stream():
-                outer._record(index[ka], index[kb], value)
-                ha, hb = hashes.get(ka), hashes.get(kb)
-                if ha is not None and hb is not None:
-                    if self._store.memo.append(self._fingerprint, ka, kb, ha, hb, value):
-                        appended += 1
-                    else:
-                        failures += 1
-        except BaseException as error:
-            # A FAILED inner job raises from stream() once drained.
-            outer.accounting = inner.accounting
-            outer._finish(RunState.FAILED, stats=inner.stats, error=error)
-            return
+            for ka, kb, ha, hb, value in wanted:
+                appended += append(self._fingerprint, ka, kb, ha, hb, value)
         finally:
             with self._lock:
                 self._counters["appended"] += appended
-                self._counters["append_failures"] += failures
-            self._hasher.save()
-        inner.wait()
-        outer.accounting = inner.accounting
-        outer._finish(inner.state, stats=inner.stats)
+                self._counters["append_failures"] += len(wanted) - appended
 
-    # -- delegation ------------------------------------------------------
-
-    def close(self) -> None:
-        try:
-            self._inner.close()
-        finally:
-            for bridge in self._bridges:
-                bridge.join(timeout=10.0)
-            self._bridges.clear()
-            self._hasher.save()
-            self._store.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._inner.closed
-
-    def add_node(self) -> int:
-        return self._inner.add_node()
-
-    def retire_node(self, node: Optional[int] = None, *, drain: bool = True) -> int:
-        return self._inner.retire_node(node, drain=drain)
-
-    def metrics(self) -> Dict[str, Any]:
-        snap = self._inner.metrics()
+    def snapshot(self) -> Dict[str, Any]:
+        """The ``"store"`` section of ``session.metrics()``."""
         with self._lock:
             counters = dict(self._counters)
-        snap = dict(snap)
-        snap["store"] = {
+        return {
             "memo": dict(
                 counters,
                 records=self._store.memo.record_count(),
@@ -241,31 +196,7 @@ class StoreSession:
             ),
             "hashes_cached": self._hasher.cached_count(),
         }
-        return snap
 
-    def profile(self):
-        return self._inner.profile()
-
-    def __enter__(self) -> "StoreSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            self.close()
-        except SessionClosed:
-            pass  # closed early inside the with block
-
-
-def maybe_wrap_store(session: BackendSession, backend: RocketBackend):
-    """Wrap ``session`` with memoization when the backend has a store.
-
-    The no-op path (no ``store_dir`` configured, or a backend without
-    the app/store/config attributes) returns the session unchanged.
-    """
-    config = getattr(backend, "config", None)
-    store_dir = getattr(config, "store_dir", None)
-    app = getattr(backend, "app", None)
-    files = getattr(backend, "store", None)
-    if not store_dir or app is None or files is None:
-        return session
-    return StoreSession(session, app, files, store_dir)
+    def close(self) -> None:
+        self._hasher.save()
+        self._store.close()

@@ -198,7 +198,7 @@ class ResultMemoStore:
                     (fingerprint, ka, kb, hash_a, hash_b, value, stamp),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
-            except Exception:
+            except (pickle.PicklingError, TypeError, AttributeError):
                 return False
             try:
                 if self._writer is None:

@@ -35,7 +35,7 @@ import pytest
 from repro.apps import BioinformaticsApplication, ForensicsApplication
 from repro.core.api import Application
 from repro.core.result import ResultMatrix
-from repro.core.session import RunHandle
+from repro.core.session import RunHandle, RunState
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_bioinformatics_dataset
@@ -151,7 +151,7 @@ class TestSetBlock:
             rm.set_block([("b", "d", 4.0), ("a", "zz", 0.0)])
         self.assert_untouched(rm)
 
-    def test_record_block_checks_indices_and_feeds_the_stream_once(self):
+    def test_record_block_checks_indices_and_is_read_in_arrival_order(self):
         handle = RunHandle(AllPairs(self.KEYS))
         handle._record_block([(0, 1), (2, 0)], [1.0, 2.0])
         for pairs in ([(1, 4)], [(-1, 2)]):  # past the end / would wrap
@@ -160,7 +160,14 @@ class TestSetBlock:
         with pytest.raises(ValueError, match="values for"):
             handle._record_block([(1, 2)], [])
         assert handle.progress() == (2, 6)
-        assert list(handle._pending_stream) == [("a", "b", 1.0), ("c", "a", 2.0)]
+        # Rejected batches left no trace; reading does not consume.
+        arrived = [("a", "b", 1.0), ("a", "c", 2.0)]
+        assert handle.read(0, wait=0.0) == (arrived, False)
+        assert handle.read(1, wait=0.0) == (arrived[1:], False)
+        handle._finish(RunState.CANCELLED)
+        assert handle.read(0) == (arrived, True)
+        assert handle.read(0, 1) == (arrived[:1], False)
+        assert list(handle.stream()) == list(handle.stream()) == arrived
 
 
 class TestAdmissionUnits:

@@ -354,17 +354,21 @@ class TestLocalSession:
         finally:
             session.close()
 
-    def test_stream_buffer_released_without_consumer(self):
+    def test_results_held_once_and_replayed_in_arrival_order(self):
         store, keys = make_store(8)
         session = make_backend("local", store).open_session()
         try:
             handle = session.submit(AllPairs(keys))
-            handle.result()
-            # result()-only consumption must not keep a second copy of
-            # every pair alive on the handle...
-            assert len(handle._pending_stream) == 0
-            # ...while a late stream() still yields the full pair set.
-            assert set(handle.stream()) == set(handle.result().items())
+            live = list(handle.stream())  # follows the run
+            matrix = handle.result()
+            # The matrix is the only store of the results: a read builds
+            # its triples on the spot, the handle keeps no list of them...
+            assert handle.read(0, 1)[0][0] is not handle.read(0, 1)[0][0]
+            # ...and still a stream() started after the end replays every
+            # pair, in the order the live one saw them arrive.
+            late = list(handle.stream())
+            assert late == live and set(late) == set(matrix.items())
+            assert handle.read(len(live)) == ([], True)
         finally:
             session.close()
 
