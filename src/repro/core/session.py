@@ -319,14 +319,6 @@ class RunHandle:
         """True once pair ``(i, j)`` — indices into the key list — is recorded."""
         return (self._keys[i], self._keys[j]) in self._matrix
 
-    def _record(self, i: int, j: int, value: Any) -> None:
-        """Record one pair result (a batch of one).
-
-        No caller is left in ``src/``: kept for ``tests/test_serve.py``,
-        to go once that test records through :meth:`_record_block`.
-        """
-        self._record_block(((i, j),), (value,))
-
     def _finish(
         self,
         state: RunState,

@@ -52,16 +52,21 @@ class RocketConfig:
     concurrent_jobs: int = 8
     leaf_size: int = 4
     #: Target pairs per batched kernel launch for apps with
-    #: ``compare_block``.  A launch gets the longest prefix of a
-    #: grain-sized leaf whose distinct items fit the pins admission has
-    #: free, so the effective batch shrinks under cache pressure.  Apps
-    #: without ``compare_block`` ignore it (one pair per job).
+    #: ``compare_block``.  A launch is a whole grain-sized leaf whenever
+    #: the leaf's distinct items fit ``device_cache_slots - 1``; a leaf
+    #: with more items than that is cut into capacity-sized launches.
+    #: What is in flight never shrinks a launch — under cache pressure a
+    #: device runs one whole leaf at a time.  Apps without
+    #: ``compare_block`` ignore it (one pair per job).
     grain: int = 64
     cpu_workers: int = 4
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
     #: length must equal ``n_devices`` when given.
     device_speed_factors: Optional[Tuple[float, ...]] = None
     eviction: EvictionPolicy = EvictionPolicy.LRU
+    #: Which end of a victim's deque a steal that *leaves the node*
+    #: takes (cluster backend).  Device workers of one node always
+    #: steal each other's nearest task (:mod:`repro.runtime.pernode`).
     steal_order: StealOrder = StealOrder.LARGEST
     #: ``UNIFORM`` — the paper's randomized stealing; ``SPEED`` — the
     #: heterogeneity-aware policy: speed-proportional initial

@@ -27,10 +27,15 @@ device cache, so admission is denominated in what a job takes from it:
 a job claims one unit per distinct item — one per device-cache pin it
 will hold — out of ``device_cache_slots - 1`` units per device
 (:class:`~repro.scheduling.throttle.ThreadAdmission`), with at most
-``concurrent_jobs`` jobs in flight.  The worker claims the longest
-prefix of a leaf's pairs whose distinct items fit the units free right
-now, so batches shrink under cache pressure by themselves and are never
-cut by a pair count.  A job-level ``max_inflight`` still counts pairs.
+``concurrent_jobs`` jobs in flight.  A launch is cut by the cache's
+*capacity*, never by its momentary occupancy: the worker claims the
+whole leaf whenever its distinct items fit ``device_cache_slots - 1``
+and waits, holding nothing, until that many units are free.  Under
+cache pressure a device therefore runs one whole leaf at a time and the
+overlap comes from the other device; a leaf with more distinct items
+than the cache holds is cut into capacity-sized launches (an 8 x 8 leaf
+on 12 slots runs as 24 + 24 + 16 pairs).  A job-level ``max_inflight``
+still counts pairs.
 
 The bound is the whole deadlock argument.  Every slot that is
 reader-pinned or in WRITE state is held by an admitted job that was
@@ -41,9 +46,11 @@ pipeline and the distributed fetch never wait on device-cache capacity
 once their slot is reserved, and the host level needs no clamp because
 host pins are only held across bounded H2D copies.  A job may therefore
 hold pins while it waits for its next item: the only thing it can wait
-for is another job's WRITE slot, which publishes.  (A request larger
-than the limit — a pair on a 2-slot cache — is admitted alone, holds at
-most one pin while waiting and finds the second slot unpinned.)
+for is another job's WRITE slot, which publishes.  A worker waiting
+for admission holds no pin and no unit, so waiting for a whole leaf's
+units adds no edge to that argument.  (A request larger than the limit
+— a pair on a 2-slot cache — is admitted alone, holds at most one pin
+while waiting and finds the second slot unpinned.)
 
 What differs between the runtimes is injected as hooks:
 
@@ -95,6 +102,7 @@ from repro.runtime.stats import NodeStats
 from repro.scheduling.quadtree import PairBlock, partition_blocks
 from repro.scheduling.throttle import ThreadAdmission
 from repro.scheduling.workstealing import (
+    StealOrder,
     StealPolicy,
     TaskDeque,
     VictimSelector,
@@ -108,6 +116,10 @@ __all__ = ["NodeEngine", "NodeStats", "NodePipeline"]
 #: Backstop timeout for idle-worker condition waits: wake-ups are
 #: notified explicitly, the timeout only guards against lost notifies.
 _IDLE_WAIT = 0.05
+
+
+class _RunAborted(RuntimeError):
+    """The run's abort ended a job's wait for an item: a stop, not a failure."""
 
 
 def _pin_needs(pairs: Sequence[Tuple[int, int]]) -> List[int]:
@@ -414,6 +426,7 @@ class NodePipeline:
             "local_steals": 0,
             "submitted": 0,
             "completed": 0,
+            "launches": 0,
             "persist_hits": 0,
             "persist_misses": 0,
             "persist_stores": 0,
@@ -428,9 +441,11 @@ class NodePipeline:
         self.counters_lock = threading.Lock()
         #: Live per-stage cost measurements (guarded by counters_lock).
         self.calibration = StageCalibration()
-        #: Apps overriding ``compare_block`` get as much of a leaf as
-        #: admission grants per kernel launch; the others one pair.
+        #: Apps overriding ``compare_block`` get a whole leaf (or its
+        #: capacity cut) per kernel launch; the others one pair.
         self._batched = app.supports_compare_block
+        #: Pairs at which a block is executed rather than split.
+        self._leaf_pairs = cfg.grain if self._batched else cfg.leaf_size
         self._has_item_view = app.supports_item_view
         self._speeds = speeds
         self.done = threading.Event()
@@ -615,7 +630,12 @@ class NodePipeline:
             return view
 
     def steal_for_remote(self) -> Optional[PairBlock]:
-        """Give up one block (from the most-loaded deque) to a remote thief."""
+        """Give up one block (from the most-loaded deque) to a remote thief.
+
+        A steal that leaves the node pays a coordinator round-trip, so
+        it takes ``steal_order``'s end — by default the top, the most
+        work per request — unlike :meth:`_next_local_task`'s intra-node steal.
+        """
         with self.sched_lock:
             victim = max(self.deques, key=lambda q: q.pending_pairs)
             return victim.steal(self.config.steal_order)
@@ -648,7 +668,7 @@ class NodePipeline:
                         break
                 st.cond.wait(timeout=1.0)
                 if self.aborted.is_set():
-                    raise RuntimeError("run aborted")
+                    raise _RunAborted("run aborted")
         try:
             self._fill_device(st, idx, wslot)
         except BaseException:
@@ -730,7 +750,7 @@ class NodePipeline:
                         break
                 self.host_cond.wait(timeout=1.0)
                 if self.aborted.is_set():
-                    raise RuntimeError("run aborted")
+                    raise _RunAborted("run aborted")
 
         if host_payload is not None:
             # Host hit: H2D copy and publish.
@@ -748,10 +768,7 @@ class NodePipeline:
         if self._persist is not None:
             tracing = self.trace.enabled
             t0 = self._now() if tracing else 0.0
-            try:
-                persist_payload = self._persist.load(key)
-            except Exception:
-                persist_payload = None  # the store is never load-bearing
+            persist_payload = self._persist.load(key)  # None on any miss; never raises
             if persist_payload is not None:
                 if tracing:
                     self.trace.record("IO", "persist", t0, self._now(), self.job_id)
@@ -858,10 +875,8 @@ class NodePipeline:
         # the next session warm-starts.  A remote-fetch hit deliberately
         # skips this: the originating node already wrote it back.
         if self._persist is not None:
-            try:
-                written = self._persist.store(key, host_payload, blob=blob)
-            except Exception:
-                written = 0
+            # ``store`` never raises: 0 means already present or not storable.
+            written = self._persist.store(key, host_payload, blob=blob)
             if written:
                 with self.counters_lock:
                     self.counters["persist_stores"] += 1
@@ -935,12 +950,19 @@ class NodePipeline:
             with self.counters_lock:
                 self.calibration.record_compare(cmp_duration, st.device.speed_factor, n=n)
                 self.calibration.record_postprocess(post_duration, n=n)
+        except _RunAborted:
+            # Woken out of a wait for another job's WRITE slot by the
+            # abort.  Devices walking one Morton front load the same
+            # items side by side, so this is the common way a cancelled
+            # run's in-flight jobs end.
+            pass
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             self.fail(exc)
         finally:
             st.admission.release(units)
             with self.counters_lock:
                 self.counters["completed"] += n
+                self.counters["launches"] += 1
                 finished = (
                     self.expected_pairs is not None
                     and self.counters["completed"] >= self.expected_pairs
@@ -957,10 +979,13 @@ class NodePipeline:
         """Reserve the next job: how many pairs it gets (0: the run ended).
 
         ``needs[k]`` is the number of distinct items — device-cache pins
-        — of the first ``k + 1`` candidate pairs.  The job gets the
-        longest prefix that fits both the pipeline's ``max_inflight``
-        window (pairs) and the units the device's admission has free
-        (pins); it holds ``needs[count - 1]`` units until it completes.
+        — of the first ``k + 1`` candidate pairs.  The job gets every
+        pair whose items fit the device's admission *limit* — the whole
+        leaf, or its capacity cut when the leaf has more distinct items
+        than the cache holds — after the pipeline's ``max_inflight``
+        window (pairs) cut the candidates; it waits until that many
+        units are free and holds ``needs[count - 1]`` of them until it
+        completes.
 
         The window reservation is made *inside* the check's critical
         section, so the cap holds with several device workers racing
@@ -1001,47 +1026,54 @@ class NodePipeline:
 
         Under the SPEED policy a slow thief keeps only one quadrant per
         split level (``VictimSelector.split_depth``) and returns the
-        rest to the *top* of the victim's deque, where fast workers
-        steal next.  Must be called under ``sched_lock``.
+        rest to the bottom of the victim's deque — the end the block
+        was taken from, so the victim's Morton order is unchanged.
+        Must be called under ``sched_lock``.
         """
         depth = self._selector.split_depth(thief, victim)
-        leaf = self.config.leaf_size
         for _ in range(depth):
-            if task.is_leaf(leaf):
+            if task.is_leaf(self._leaf_pairs):
                 break
             children = task.split()
             task = children[0]
-            for child in reversed(children[1:]):
-                self.deques[victim].push_stealable(child)
+            self.deques[victim].push_children(children[1:])
         return task
 
-    def _worker(self, d: int) -> None:
-        cfg = self.config
-        st = self.states[d]
-        keys = self.keys
-        idle_rounds = 0
-        while not self.done.is_set():
-            stole = False
-            trimmed = False
-            with self.sched_lock:
-                task = self.deques[d].pop()
-                if task is None:
-                    for victim in self._selector.candidates(d):
-                        task = self.deques[victim].steal(cfg.steal_order)
-                        if task is not None:
-                            full = task
-                            task = self._trim_steal(task, d, victim)
-                            trimmed = task is not full
-                            stole = True
-                            break
-            if trimmed:
+    def _next_local_task(self, d: int) -> Optional[PairBlock]:
+        """Worker ``d``'s next task from this node: its own, else a steal.
+
+        An intra-node steal takes the victim's *nearest* task — the
+        bottom of its deque, the Morton successor of the leaf it is
+        running — so the node's devices walk one front through the
+        shared host cache.  A steal here costs a lock, not a message;
+        the "most work per request" end is for steals that leave the
+        node (:meth:`steal_for_remote`).
+        """
+        stolen = None
+        with self.sched_lock:
+            task = self.deques[d].pop()
+            if task is None:
+                for victim in self._selector.candidates(d):
+                    stolen = self.deques[victim].steal(StealOrder.SMALLEST)
+                    if stolen is not None:
+                        task = self._trim_steal(stolen, d, victim)
+                        break
+        if stolen is not None:
+            if task is not stolen:
                 # Returned quadrants are fresh steal targets: wake idle
                 # workers instead of letting them sit out a backoff.
                 with self.work_cond:
                     self.work_cond.notify_all()
-            if stole:
-                with self.counters_lock:
-                    self.counters["local_steals"] += 1
+            with self.counters_lock:
+                self.counters["local_steals"] += 1
+        return task
+
+    def _worker(self, d: int) -> None:
+        st = self.states[d]
+        keys = self.keys
+        idle_rounds = 0
+        while not self.done.is_set():
+            task = self._next_local_task(d)
             if task is None and self.global_steal is not None:
                 task = self.global_steal()
             if task is None:
@@ -1060,15 +1092,14 @@ class NodePipeline:
                     )
                 continue
             idle_rounds = 0
-            leaf_pairs = cfg.grain if self._batched else cfg.leaf_size
-            if task.is_leaf(leaf_pairs):
+            if task.is_leaf(self._leaf_pairs):
                 pairs = [
                     (i, j)
                     for (i, j) in task.pairs()
                     if self.pair_filter is None or self.pair_filter(keys[i], keys[j])
                 ]
-                # One job per admission grant: as much of the leaf as
-                # fits (one pair for apps without ``compare_block``).
+                # One job per admission grant: the whole leaf or its
+                # capacity cut (one pair for apps without ``compare_block``).
                 step = len(pairs) if self._batched else 1
                 start = 0
                 while start < len(pairs):

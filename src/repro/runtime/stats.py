@@ -58,6 +58,9 @@ class NodeStats:
     local_steals: int = 0
     submitted: int = 0
     completed: int = 0
+    #: Kernel launches (jobs run): ``completed / launches`` is the batch
+    #: the kernel actually saw, whatever ``grain`` asked for.
+    launches: int = 0
     device_counters: CacheCounters = field(default_factory=CacheCounters)
     host_counters: CacheCounters = field(default_factory=CacheCounters)
     kernel_seconds: Dict[str, float] = field(default_factory=dict)
@@ -179,6 +182,11 @@ class RunStats:
         return self.total.loads / self.n_items
 
     @property
+    def pairs_per_launch(self) -> float:
+        """Mean pairs per kernel launch (0.0 for a job that launched none)."""
+        return self.total.completed / self.total.launches if self.total.launches else 0.0
+
+    @property
     def throughput(self) -> float:
         return self.n_pairs / self.runtime if self.runtime > 0 else 0.0
 
@@ -216,6 +224,7 @@ class RunStats:
             f"device hit ratio {t.device_counters.hit_ratio():.1%}, "
             f"host hit ratio {t.host_counters.hit_ratio():.1%}; "
             f"steals={t.local_steals}; "
+            f"launches={t.launches} ({self.pairs_per_launch:.1f} pairs each); "
         )
         if clustered:
             kinds = "/".join(f"{t.message_kinds.get(k, 0)} {k}" for k in MESSAGE_KINDS)
@@ -240,6 +249,7 @@ NODE_METRICS = {
     "io_bytes": "pipeline.io_bytes",
     "h2d_bytes": "pipeline.h2d_bytes",
     "d2h_bytes": "pipeline.d2h_bytes",
+    "launches": "pipeline.launches",
     "device_counters": "cache.device",
     "host_counters": "cache.host",
     "persist_hits": "cache.persistent.hits",
@@ -275,6 +285,8 @@ def fold_stats(metrics: MetricsRegistry, stats: RunStats) -> None:
     metrics.observe("jobs.runtime_seconds", stats.runtime)
     metrics.inc("pairs.completed", stats.n_pairs)
     metrics.inc("steal.remote_grants", stats.remote_steals)
+    if stats.total.launches:
+        metrics.observe("pipeline.pairs_per_launch", stats.pairs_per_launch)
     for field_name, name in NODE_METRICS.items():
         value = getattr(stats.total, field_name)
         if isinstance(value, CacheCounters):

@@ -13,8 +13,8 @@ Two implementations:
   per pair job; waiters are simulation events, FIFO);
 - :class:`ThreadAdmission` for the real threaded runtime, where a job
   is one kernel launch and claims one unit per device-cache pin it will
-  hold, so a batch is bounded by the resource the limit exists to
-  protect (see :mod:`repro.runtime.pernode`).
+  hold, so a batch is bounded by the capacity of the resource the limit
+  exists to protect (see :mod:`repro.runtime.pernode`).
 """
 
 from __future__ import annotations
@@ -89,9 +89,15 @@ class ThreadAdmission:
     in device-cache pins — out of ``limit`` units, with at most
     ``max_jobs`` jobs admitted at a time.  :meth:`acquire` takes the
     cumulative demands of a job that could be cut short (``needs[k]``
-    units for its first ``k + 1`` pieces) and grants the longest prefix
-    that fits what is free right now, in one critical section; the
-    default ``needs=(1,)`` is the classic one-ticket-per-job counter.
+    units for its first ``k + 1`` pieces).  The cut is made by
+    *capacity*, never by occupancy: the job gets every piece it could
+    hold with nothing else in flight — ``bisect_right(needs, limit)``
+    of them, the whole request whenever it fits ``limit`` — and waits
+    until that many units are free.  What other jobs hold right now
+    decides *when* a job starts, not how small it is: a grant sized by
+    the units free at the moment turns every busy stretch into a run of
+    crumb-sized launches that keep the limit busy in turn.  The default
+    ``needs=(1,)`` is the classic one-ticket-per-job counter.
 
     A job whose smallest demand exceeds ``limit`` is admitted only while
     nothing else is in flight, so an oversized request runs alone
@@ -125,22 +131,24 @@ class ThreadAdmission:
             return self._jobs
 
     def _grantable(self, needs: Sequence[int]) -> int:
-        """Longest prefix of ``needs`` that fits now (0: must wait)."""
+        """The capacity cut of ``needs`` if it fits now, else 0 (wait)."""
         if self.max_jobs is not None and self._jobs >= self.max_jobs:
             return 0
-        if self._in_flight == 0 and needs[0] > self.limit:
-            return 1  # oversized job: runs alone
-        return bisect_right(needs, self.limit - self._in_flight)
+        want = bisect_right(needs, self.limit)
+        if not want:  # oversized job: runs alone
+            return 1 if self._in_flight == 0 else 0
+        return want if needs[want - 1] <= self.limit - self._in_flight else 0
 
     def acquire(self, needs: Sequence[int] = (1,), timeout: Optional[float] = None) -> int:
         """Admit one job; returns how many pieces were granted.
 
         ``needs`` is non-decreasing: ``needs[k]`` units cover the job's
-        first ``k + 1`` pieces.  Blocks until at least ``needs[0]``
-        units and a job slot are free, then claims ``needs[count - 1]``
-        units — the amount to hand back through :meth:`release`.
-        Waiters are served first come, first served, so pipelines that
-        share a device take turns.  Returns 0 on timeout.
+        first ``k + 1`` pieces.  ``count`` is fixed by ``limit`` alone
+        (class docstring); the call blocks until ``needs[count - 1]``
+        units and a job slot are free, then claims them — the amount to
+        hand back through :meth:`release`.  Waiters are served first
+        come, first served, so pipelines that share a device take
+        turns.  Returns 0 on timeout.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         ticket = object()

@@ -6,22 +6,29 @@ Each worker (one per GPU) owns a :class:`TaskDeque`:
   descends depth-first, always working on the task with the best data
   locality ("worker threads always prioritize local tasks at the lowest
   level in the tree");
-- thieves steal from the *top*, where the largest / highest-level task
-  sits ("the task stolen is always at the highest level since it
-  results in the most work per steal request").
+- a thief that pays a *request* for its steal — another node, in the
+  cluster runtime and the simulator — takes from the *top*, where the
+  largest / highest-level task sits ("the task stolen is always at the
+  highest level since it results in the most work per steal request");
+- a thief on the victim's own node (the threaded runtime's device
+  workers: one process, one shared host cache, a steal costs a lock)
+  takes from the *bottom* instead — the victim's nearest task, the
+  Morton successor of the leaf it is running — so the node's devices
+  walk one front through the host cache instead of two far ends of the
+  matrix that evict each other.
 
 Victim selection is hierarchical: an idle worker first tries workers on
 its own node (in random order), then random remote workers — stealing
-locally keeps the host cache warm.  Both choices are ablatable via
-:class:`StealOrder` and the ``hierarchical`` flag.
+locally keeps the host cache warm.  The end a node-leaving steal takes
+and the hierarchy are ablatable via :class:`StealOrder` and the
+``hierarchical`` flag.
 
 Heterogeneous platforms (Section 6.5) additionally use the
 speed-weighted :class:`StealPolicy`: victims are ranked by estimated
 remaining *time* (pending pairs divided by device speed) instead of
 shuffled uniformly, and a slow thief splits a stolen block
 :func:`steal_split_depth` times — keeping one quadrant and returning
-the rest to the victim's steal end — so fast workers end up holding
-the large blocks.
+the rest to the end of the victim's deque it took the block from.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class StealOrder(Enum):
     """Which end of the victim's deque a thief takes from."""
 
     LARGEST = "largest"  # top of the deque: the paper's choice
-    SMALLEST = "smallest"  # bottom: ablation baseline
+    SMALLEST = "smallest"  # bottom: the victim's nearest task
 
 
 class StealPolicy(Enum):
@@ -85,9 +92,8 @@ def steal_split_depth(
 
     A thief half as fast as its victim keeps roughly half the stolen
     pairs (one split), a quarter as fast two splits, and so on — the
-    returned-to-victim quadrants stay at the victim's steal end where a
-    fast worker will pick them up.  Thieves at least as fast as the
-    victim take the whole block (depth 0).
+    other quadrants go back to the victim.  Thieves at least as fast as
+    the victim take the whole block (depth 0).
     """
     if thief_speed <= 0 or victim_speed <= 0:
         raise ValueError("speeds must be positive")
@@ -127,17 +133,6 @@ class TaskDeque(Generic[T]):
     def push(self, task: T) -> None:
         """Owner pushes a task at the bottom."""
         self._tasks.append(task)
-        self.pushes += 1
-        self.pending_pairs += self._work(task)
-
-    def push_stealable(self, task: T) -> None:
-        """Insert a task at the *top* — the next steal target.
-
-        Used by speed-weighted stealing to hand back the quadrants of a
-        split stolen block: they stay prime steal targets for fast
-        workers instead of burying the victim owner's local work.
-        """
-        self._tasks.appendleft(task)
         self.pushes += 1
         self.pending_pairs += self._work(task)
 

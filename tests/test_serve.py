@@ -264,8 +264,7 @@ def finished_handle(keys, values):
     """A handle driven to DONE through the backend hooks."""
     handle = RunHandle(AllPairs(keys))
     handle._mark_running(None)
-    for (i, j), value in values.items():
-        handle._record(i, j, value)
+    handle._record_block(list(values), list(values.values()))
     handle._finish(RunState.DONE)
     return handle
 

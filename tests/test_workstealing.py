@@ -87,13 +87,6 @@ class TestTaskDeque:
         dq.pop()
         assert dq.pending_pairs == 1
 
-    def test_push_stealable_lands_at_steal_end(self):
-        dq = TaskDeque(0)
-        dq.push("own")
-        dq.push_stealable("returned")
-        assert dq.steal(StealOrder.LARGEST) == "returned"
-        assert dq.pop() == "own"
-
 
 class TestWorkerTopology:
     def test_from_gpus_per_node(self):
