@@ -80,9 +80,9 @@ def t_gpu(profile: WorkloadProfile, reuse: float = 1.0, speed: float = 1.0) -> f
 def t_cpu(profile: WorkloadProfile, reuse: float = 1.0, cores: int = 1) -> float:
     """Total CPU processing time (eq. 2): ``R n t_parse + C(n,2) t_post``.
 
-    ``cores`` spreads the work over the CPU pool (the paper's model uses
-    one CPU; per-thread bars in Fig. 8 report the undivided total, which
-    is ``cores=1``).
+    ``cores`` spreads the work over that many CPU cores (the paper's
+    model uses one CPU; per-thread bars in Fig. 8 report the undivided
+    total, which is ``cores=1``).
     """
     _validate(reuse, 1.0)
     if cores < 1:

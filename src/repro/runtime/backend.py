@@ -531,13 +531,11 @@ class BackendSession(ABC):
             handle._finish(RunState.FAILED, error=error)
             return
 
-        cfg = self._runtime.config
         stats = RunStats(
             runtime=runtime,
             n_items=handle.workload.n_items,
             n_pairs=total - handle.memo_hits,  # what the backend executed
             node_stats=node_stats,
-            cpu_workers=cfg.cpu_workers,
             remote_steals=job.remote_steals,
             transport=self._transport,
         )

@@ -38,6 +38,14 @@ class VirtualDevice:
             raise ValueError(f"speed_factor must be positive, got {speed_factor}")
         self.name = name
         self.speed_factor = float(speed_factor)
+        # Kernels run on one dedicated thread per device, not inline on
+        # the launching job thread under a stream lock.  Measured with
+        # ``python3 -m bench run`` on a 2-core Xeon box, the inline
+        # variant raised peak RSS on ``local-dispatch`` from 147-152 MB
+        # to 163-168 MB (x1.11, 6/6 runs; the bound is 0.10) and on
+        # ``serve-mixed`` x1.07 — kernel temporaries spread over every
+        # job thread's malloc arena instead of one.  Keep this thread
+        # unless new numbers say otherwise.
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"dev-{name}")
         self._closed = False
         self._lock = threading.Lock()
@@ -92,12 +100,6 @@ class VirtualDevice:
         if self._closed:
             raise RuntimeError(f"device {self.name!r} is shut down")
         return self._executor.submit(self._invoke, fn, buffers_and_args, 0).result()
-
-    def run_kernel_batched(
-        self, fn: Callable[..., np.ndarray], n_pairs: int, *buffers_and_args: Any
-    ) -> DeviceBuffer:
-        """Execute one *batched* kernel computing ``n_pairs`` pairs."""
-        return self.run_kernel_batched_timed(fn, n_pairs, *buffers_and_args)[0]
 
     def run_kernel_batched_timed(
         self, fn: Callable[..., np.ndarray], n_pairs: int, *buffers_and_args: Any

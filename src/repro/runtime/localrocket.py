@@ -59,7 +59,6 @@ class RocketConfig:
     #: device runs one whole leaf at a time.  Apps without
     #: ``compare_block`` ignore it (one pair per job).
     grain: int = 64
-    cpu_workers: int = 4
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
     #: length must equal ``n_devices`` when given.
     device_speed_factors: Optional[Tuple[float, ...]] = None
@@ -88,8 +87,6 @@ class RocketConfig:
     def __post_init__(self) -> None:
         if self.n_devices < 1:
             raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
-        if self.cpu_workers < 1:
-            raise ValueError(f"cpu_workers must be >= 1, got {self.cpu_workers}")
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
         if not isinstance(self.grain, int) or self.grain < 1:

@@ -14,10 +14,13 @@ everything that happens inside one node (paper Section 4.3):
   on the owning device's serial kernel thread, copies the result D2H,
   post-processes on the CPU and emits, records and completes once for
   the whole batch;
-- cache misses run the load pipeline: the single I/O lane reads the
-  file from the store, the CPU pool parses it, the data is copied H2D
-  and pre-processed on the device, then written back into the host
-  cache ("data is always written to both the device and host cache").
+- cache misses run the load pipeline on the job thread that missed the
+  item: it reads the file from the store through the node's single I/O
+  lane (a lock, so reads stay serialised per node), parses it, copies
+  it H2D and pre-processes it on the device, then writes it back into
+  the host cache ("data is always written to both the device and host
+  cache").  Loads overlap across concurrent jobs, not across stage
+  threads.
 
 Admission and why it cannot deadlock
 ------------------------------------
@@ -72,7 +75,7 @@ notified whenever tasks are pushed, a job completes, or the run ends —
 there is no sleep-polling loop.
 
 Everything that should *outlive* one run — the virtual devices, both
-cache levels, the thread pools and job admission — lives in a
+cache levels, the job pool, the I/O lane and job admission — lives in a
 :class:`NodeEngine`.  A pipeline either borrows a caller-owned engine
 (how sessions keep caches warm across jobs: the second job's lookups
 hit the payloads the first one loaded) or creates a private one that
@@ -152,7 +155,8 @@ class NodeEngine:
 
     Owns everything whose lifetime should span *jobs*, not runs: the
     virtual devices with their slot caches and admission throttles, the
-    host-level slot cache, and the I/O / CPU-parse / job thread pools.
+    host-level slot cache, the I/O lane and the job thread pool (every
+    stage of a load runs on the job thread that missed the item).
     A session creates one engine per node and runs every submitted
     workload against it, so a later job over overlapping keys finds the
     earlier job's pre-processed payloads already resident in the device
@@ -214,10 +218,8 @@ class NodeEngine:
         )
         self.host_cond = threading.Condition()
 
-        self.io_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"io{node_id}")
-        self.cpu_pool = ThreadPoolExecutor(
-            max_workers=cfg.cpu_workers, thread_name_prefix=f"cpu{node_id}"
-        )
+        #: The node's I/O lane: store reads are serialised per node.
+        self.io_lock = threading.Lock()
         self.job_pool = ThreadPoolExecutor(
             max_workers=max(2, limit * cfg.n_devices), thread_name_prefix=f"job{node_id}"
         )
@@ -276,12 +278,10 @@ class NodeEngine:
         return out
 
     def close(self) -> None:
-        """Tear down pools and devices (idempotent; safe after errors)."""
+        """Tear down the job pool and devices (idempotent; safe after errors)."""
         if self._closed:
             return
         self._closed = True
-        self.io_pool.shutdown(wait=False)
-        self.cpu_pool.shutdown(wait=False)
         self.job_pool.shutdown(wait=False)
         for st in self.states:
             st.device.shutdown()
@@ -389,8 +389,7 @@ class NodePipeline:
         self.states = engine.states
         self.host_cache = engine.host_cache
         self.host_cond = engine.host_cond
-        self._io_pool = engine.io_pool
-        self._cpu_pool = engine.cpu_pool
+        self._io_lock = engine.io_lock
         self._job_pool = engine.job_pool
         self._baseline = engine.snapshot()
         speeds = engine.speeds
@@ -521,7 +520,7 @@ class NodePipeline:
     def close(self) -> None:
         """Release the pipeline (idempotent; safe after errors).
 
-        Tears down pools and devices only when this pipeline owns its
+        Tears down the job pool and devices only when this pipeline owns its
         engine; a session-owned engine stays warm for the next job.
         """
         if self._closed:
@@ -813,28 +812,25 @@ class NodePipeline:
                     self.host_cond.notify_all()
                 return
 
-        # Fall through to the load pipeline l(i).  Stage work is timed
-        # *inside* the pool callables: calibration must not count time
-        # queued behind other loads (same reason run_kernel_timed times
-        # on the device thread), while the trace keeps the caller span.
-        def timed(fn, *args):
-            t = time.perf_counter()
-            out = fn(*args)
-            return out, time.perf_counter() - t
-
+        # Fall through to the load pipeline l(i), on this job thread.
+        # The read is timed *inside* the I/O lane: calibration must not
+        # count time queued behind other loads (same reason
+        # run_kernel_timed times on the device thread), while the trace
+        # keeps the caller span.
         try:
             tracing = self.trace.enabled
             t0 = self._now() if tracing else 0.0
-            blob, io_duration = self._io_pool.submit(
-                timed, self.store.read, self.app.file_name(key)
-            ).result()
+            with self._io_lock:
+                t = time.perf_counter()
+                blob = self.store.read(self.app.file_name(key))
+                io_duration = time.perf_counter() - t
             if tracing:
                 self.trace.record("IO", "io", t0, self._now(), self.job_id)
 
             t0 = self._now() if tracing else 0.0
-            parsed, parse_duration = self._cpu_pool.submit(
-                timed, self.app.parse, key, blob
-            ).result()
+            t = time.perf_counter()
+            parsed = self.app.parse(key, blob)
+            parse_duration = time.perf_counter() - t
             if tracing:
                 self.trace.record("CPU", "parse", t0, self._now(), self.job_id)
 

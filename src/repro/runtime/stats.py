@@ -15,6 +15,7 @@ in :data:`NODE_METRICS` or :data:`NOT_EXPORTED`
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional
 
@@ -143,8 +144,6 @@ class RunStats:
     n_items: int
     n_pairs: int
     node_stats: List[NodeStats]
-    #: CPU pool size per node (the model's cores are this times nodes).
-    cpu_workers: int = 1
     #: Blocks the coordinator moved between nodes (0 on one node).
     remote_steals: int = 0
     #: Data plane between the nodes ("queue", "shm"); None in-process.
@@ -160,7 +159,9 @@ class RunStats:
         model = self.total.calibration.model(
             n_items=self.n_items,
             aggregate_speed=self.total.aggregate_speed or 1.0,
-            cpu_cores=self.cpu_workers * max(1, self.n_nodes),
+            # Parsing runs on the job threads, so it spreads over the
+            # box's cores — shared by every node process on it.
+            cpu_cores=os.cpu_count() or 1,
         )
         self.predicted_runtime = model.predicted_runtime(max(1.0, self.reuse_factor))
         self.model_efficiency = model.efficiency(self.runtime) if self.runtime > 0 else 0.0

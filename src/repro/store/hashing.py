@@ -89,7 +89,7 @@ class ItemHasher:
         digest = hash_bytes(data)
         try:
             size, mtime = self.files.stat(name)
-        except Exception:
+        except (KeyError, OSError):  # deleted since the read, or unreadable
             size, mtime = len(data), 0.0
         with self._lock:
             self._cache[name] = (size, mtime, digest)

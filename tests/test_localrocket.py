@@ -1,16 +1,19 @@
 """Integration tests for the threaded runtime and virtual devices."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.apps import ForensicsApplication
 from repro.cache.policy import EvictionPolicy
 from repro.core.api import Application
 from repro.core.buffers import DeviceBuffer
 from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
+from repro.data.synthetic import make_forensics_dataset
 from repro.runtime.devices import VirtualDevice
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
 
@@ -371,3 +374,87 @@ class TestPipelineFailurePath:
             DeviceFailApp(poison_device="gpu9"), store, RocketConfig(**self.CFG)
         )
         assert runtime.run(sorted(values)).is_complete()
+
+
+class LaneRecordingStore(InMemoryStore):
+    """A store whose ``read`` records its callers and peak concurrency."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._gauge = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.reads = 0
+        self.readers = set()
+        self.baseline = set(threading.enumerate())
+        self.started = set()
+
+    def read(self, name):
+        with self._gauge:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.reads += 1
+            self.readers.add(threading.current_thread().name)
+            self.started.update(
+                t.name for t in threading.enumerate() if t not in self.baseline
+            )
+        try:
+            time.sleep(0.0005)  # widen the window a second reader would hit
+            return super().read(name)
+        finally:
+            with self._gauge:
+                self.active -= 1
+
+
+class TestLoadPipelineOnJobThreads:
+    """Every stage of a load runs on the job thread that missed the item."""
+
+    N_ITEMS = 24
+    CFG = dict(
+        n_devices=2, concurrent_jobs=4, device_cache_slots=6, host_cache_slots=8,
+        seed=3, watchdog_seconds=60.0,
+    )
+
+    @pytest.fixture(scope="class")
+    def cold_run(self):
+        store = LaneRecordingStore()
+        ds = make_forensics_dataset(
+            store, n_images=self.N_ITEMS, n_cameras=3, image_shape=(32, 32), seed=9
+        )
+        app = ForensicsApplication()
+        rocket = Rocket(app, store, RocketConfig(**self.CFG))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the job threads densely
+        try:
+            results = rocket.run(ds.keys)
+        finally:
+            sys.setswitchinterval(interval)
+        return app, store, ds.keys, results, rocket.last_stats
+
+    def test_no_io_or_cpu_thread_is_started(self, cold_run):
+        _, store, _, _, _ = cold_run
+        assert store.started, "no pipeline thread seen during the run"
+        relays = {n for n in store.started if n.startswith(("io", "cpu"))}
+        assert not relays, relays
+        assert all(name.startswith("job") for name in store.readers), store.readers
+
+    def test_reads_stay_one_lane(self, cold_run):
+        _, store, _, _, stats = cold_run
+        assert store.peak == 1
+        assert store.reads == stats.loads >= self.N_ITEMS
+        cal = stats.calibration
+        assert cal.io_count == cal.parse_count == cal.pre_count == stats.loads
+
+    def test_matrix_matches_a_serial_loop(self, cold_run):
+        app, store, keys, results, _ = cold_run
+        items = {  # read past the recorder: these reads are not the run's
+            k: app.preprocess(k, app.parse(k, InMemoryStore.read(store, app.file_name(k))))
+            for k in keys
+        }
+        assert results.is_complete()
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                expected = app.postprocess(
+                    a, b, np.asarray(app.compare(a, items[a], b, items[b]))
+                )
+                assert results.get(a, b) == expected, (a, b)

@@ -188,8 +188,8 @@ class TestCursorReaders:
 
 
 #: Name prefixes of the threads that execute a job's work (node pipeline
-#: workers, the engine's pools, device kernel threads).
-EXECUTOR_THREADS = ("worker", "io", "cpu", "job", "dev-")
+#: workers, the engine's job pool, device kernel threads).
+EXECUTOR_THREADS = ("worker", "job", "dev-")
 
 
 def threads_started_by(submit):

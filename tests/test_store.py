@@ -32,6 +32,7 @@ from repro.cli import main
 from repro.core.rocket import Rocket
 from repro.core.session import RocketSession
 from repro.core.workload import AllPairs, DeltaPairs
+from repro.data.filestore import DirectoryStore
 from repro.runtime.localrocket import RocketConfig
 from repro.store import (
     ItemHasher,
@@ -110,6 +111,15 @@ class TestItemHasher:
         hasher = ItemHasher(tmp_path, store)
         name = SumApp().file_name(keys[0])
         assert hasher.digest(name) == hash_bytes(store.read(name))
+
+    def test_blob_deleted_after_read_still_hashes(self, tmp_path):
+        files = DirectoryStore(tmp_path / "files")
+        files.write("gone.bin", b"payload")
+        data = files.read("gone.bin")
+        (tmp_path / "files" / "gone.bin").unlink()
+        hasher = ItemHasher(tmp_path, files)
+        assert hasher.note("gone.bin", data) == hash_bytes(data)
+        assert hasher._cache["gone.bin"] == (len(data), 0.0, hash_bytes(data))
 
     def test_edit_changes_digest(self, tmp_path):
         store, keys = make_store(2)
