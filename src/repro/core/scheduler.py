@@ -15,16 +15,19 @@ Two policies (:class:`SchedulingPolicy`):
   callers keep identical behaviour.
 - ``FAIR`` — weighted fair sharing: up to ``max_active`` jobs run
   concurrently; each job's :class:`~repro.core.workload.Workload`
-  decomposition is split into grain-sized
+  decomposition is split into ``grain``-sized
   :class:`~repro.scheduling.quadtree.PairBlock` quanta which a single
   shared admission loop hands out by *virtual time* (stride
   scheduling): handing ``c`` pairs of a job with weight ``w`` advances
   its virtual clock by ``c / w``, and the next quantum always goes to
-  the runnable job with the smallest clock.  Over any interval every
-  backlogged job therefore receives device time proportional to its
-  ``priority=``, and a newly submitted job starts at the current
-  minimum clock rather than at zero — it gets its fair share from now
-  on, it cannot starve the incumbents to "catch up".
+  the runnable job with the smallest clock.  A quantum is one pipeline
+  leaf (``RocketConfig.grain``); one ``window`` bounds the in-flight
+  pairs of *all* active jobs, so each completion that reopens it goes
+  to the smallest clock.  Over any busy interval every backlogged job
+  therefore receives device time proportional to its ``priority=``,
+  and a newly submitted job starts at the current minimum clock rather
+  than at zero — it gets its fair share from now on, it cannot starve
+  the incumbents to "catch up".
 
 The scheduler is backend-agnostic bookkeeping: both
 :class:`~repro.runtime.localrocket.LocalSession` (block-level grants
@@ -61,10 +64,14 @@ __all__ = [
     "JobAccounting",
     "JobScheduler",
     "DEFAULT_FAIR_ACTIVE",
+    "DEFAULT_GRAIN",
 ]
 
 #: Concurrently active jobs under FAIR when ``max_active`` is not given.
 DEFAULT_FAIR_ACTIVE = 4
+
+#: Pairs per pipeline leaf (``RocketConfig.grain``) and per FAIR quantum.
+DEFAULT_GRAIN = 64
 
 
 class SchedulingPolicy(enum.Enum):
@@ -180,12 +187,15 @@ class JobAccounting:
         )
 
 
+def _fits(inflight: int, count: int, cap: Optional[int]) -> bool:
+    """``count`` more pairs fit ``cap``; an oversized quantum fits an idle cap."""
+    return cap is None or not inflight or inflight + count <= cap
+
+
 class _Job:
     """Scheduler-internal state of one submitted job."""
 
-    __slots__ = (
-        "handle", "seq", "vtime", "blocks", "fully_granted", "accounting",
-    )
+    __slots__ = ("handle", "seq", "vtime", "blocks", "accounting")
 
     def __init__(self, handle: RunHandle, seq: int, accounting: JobAccounting) -> None:
         self.handle = handle
@@ -193,7 +203,6 @@ class _Job:
         self.vtime = 0.0
         #: FAIR hand-out queue of ``(block, accepted_count)`` quanta.
         self.blocks: Deque[Tuple[PairBlock, int]] = deque()
-        self.fully_granted = False
         self.accounting = accounting
 
     @property
@@ -214,8 +223,8 @@ class JobScheduler:
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
         *,
         max_active: Optional[int] = None,
-        grain_pairs: int = 16,
-        window_pairs: int = 48,
+        grain: int = DEFAULT_GRAIN,
+        window: Optional[int] = None,
         decompose: bool = False,
     ) -> None:
         if max_active is None:
@@ -229,14 +238,12 @@ class JobScheduler:
                 f"the FIFO policy is serial (max_active=1); got max_active="
                 f"{max_active} — use policy=\"fair\" for concurrent jobs"
             )
-        if grain_pairs < 1:
-            raise ValueError(f"grain_pairs must be >= 1, got {grain_pairs}")
-        if window_pairs < 1:
-            raise ValueError(f"window_pairs must be >= 1, got {window_pairs}")
+        if window is not None and window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.policy = policy
         self.max_active = max_active
-        self.grain_pairs = grain_pairs
-        self.window_pairs = window_pairs
+        self.grain = grain  # pairs per FAIR quantum (checked by grain_blocks)
+        self.window = window  # in-flight pairs of all jobs together (None: no cap)
         #: When set, :meth:`submit` precomputes the workload's grain
         #: decomposition on the *submitting* thread.  Sessions that
         #: grant block-level (local FAIR) use this so a large filtered
@@ -307,7 +314,7 @@ class JobScheduler:
         if self.decompose:
             # Pay the decomposition (O(pairs) under a filter) here, on
             # the submitter's thread, not on the shared admission loop.
-            job.blocks.extend(handle.residual.grain_blocks(self.grain_pairs))
+            job.blocks.extend(handle.residual.grain_blocks(self.grain))
         # A job that was never handed to the backend resolves its
         # cancellation right here, synchronously, without the backend
         # session ever seeing it.  The hook must be installed *before*
@@ -386,33 +393,30 @@ class JobScheduler:
         with self._lock:
             job = self._active[handle]
             job.blocks.clear()
-            job.fully_granted = True
             job.accounting.blocks_granted += 1
             job.accounting.pairs_granted = job.accounting.pairs_total
-
-    def _window(self, job: _Job) -> int:
-        cap = job.handle.max_inflight
-        return cap if cap is not None else self.window_pairs
 
     def next_grant(self) -> Optional[Tuple[RunHandle, PairBlock, int]]:
         """The shared admission loop's next hand-out, or None.
 
-        Picks the runnable active job (blocks remaining, in-flight
-        window open) with the smallest virtual time, pops its next
-        quantum and advances its clock by ``pairs / priority``.
+        Picks the runnable active job (quanta left, under its own
+        ``max_inflight``) with the smallest virtual time; its next quantum
+        waits, and nothing jumps it, until it fits the session ``window``.
+        Granting advances the job's clock by ``pairs / priority``.
         """
         with self._lock:
             best: Optional[_Job] = None
+            inflight = 0
             for job in self._active.values():
-                if not job.blocks:
-                    continue
-                count = job.blocks[0][1]
-                if job.inflight and job.inflight + count > self._window(job):
+                inflight += job.inflight
+                if not job.blocks or not _fits(
+                    job.inflight, job.blocks[0][1], job.handle.max_inflight
+                ):
                     continue
                 if best is None or (job.vtime, job.seq) < (best.vtime, best.seq):
                     best = job
-            if best is None:
-                return None
+            if best is None or not _fits(inflight, best.blocks[0][1], self.window):
+                return None  # nothing runnable, or the session is full
             block, count = best.blocks.popleft()
             best.vtime += count / best.handle.priority
             best.accounting.blocks_granted += 1
@@ -420,12 +424,10 @@ class JobScheduler:
             best.accounting.peak_inflight = max(
                 best.accounting.peak_inflight, best.inflight
             )
-            if not best.blocks:
-                best.fully_granted = True
             return best.handle, block, count
 
     def on_completed(self, handle: RunHandle, n_pairs: int = 1) -> None:
-        """Credit ``n_pairs`` completions (opens the job's window)."""
+        """Credit ``n_pairs`` completions (reopens the session window)."""
         with self._lock:
             job = self._active.get(handle)
             if job is not None:
@@ -437,7 +439,6 @@ class JobScheduler:
             job = self._active.get(handle)
             if job is not None:
                 job.blocks.clear()
-                job.fully_granted = True
 
     # -- completion ------------------------------------------------------
 

@@ -141,11 +141,11 @@ class Workload(ABC, Generic[K]):
             self._block_counts = counts
         return list(self._block_counts)
 
-    def grain_blocks(self, grain_pairs: int) -> List[Tuple[PairBlock, int]]:
+    def grain_blocks(self, grain: int) -> List[Tuple[PairBlock, int]]:
         """Split the decomposition into hand-out quanta for fair sharing.
 
         Returns ``(block, accepted_pairs)`` tuples, each block holding
-        at most ``grain_pairs`` raw pairs (or being unsplittable), in
+        at most ``grain`` raw pairs (or being unsplittable), in
         depth-first Morton order so consecutively granted quanta keep
         the cache locality of the divide-and-conquer walk.  Quanta
         whose pairs are all filter-rejected are dropped — granting them
@@ -161,9 +161,9 @@ class Workload(ABC, Generic[K]):
         over each pair exactly once for the whole submission, not once
         per consumer.
         """
-        if grain_pairs < 1:
-            raise ValueError(f"grain_pairs must be >= 1, got {grain_pairs}")
-        if self._grain_cache is not None and self._grain_cache[0] == grain_pairs:
+        if grain < 1:
+            raise ValueError(f"grain must be >= 1, got {grain}")
+        if self._grain_cache is not None and self._grain_cache[0] == grain:
             return list(self._grain_cache[1])
         flt = self.pair_filter
         keys = self.keys
@@ -174,7 +174,7 @@ class Workload(ABC, Generic[K]):
             stack = [top]
             while stack:
                 block = stack.pop()
-                if block.count > grain_pairs and not block.is_leaf():
+                if block.count > grain and not block.is_leaf():
                     stack.extend(reversed(block.split()))
                     continue
                 if flt is None:
@@ -191,7 +191,7 @@ class Workload(ABC, Generic[K]):
             raise ValueError("pair_filter rejected every pair")
         if self._block_counts is None:
             self._block_counts = top_counts
-        self._grain_cache = (grain_pairs, list(out))
+        self._grain_cache = (grain, list(out))
         return out
 
     def pairs(self) -> Iterator[Tuple[K, K]]:

@@ -229,7 +229,7 @@ class BackendSession(ABC):
 
         ``priority`` is the job's fair-share weight (FAIR policy);
         ``max_inflight`` caps its concurrently in-flight pair
-        comparisons (None — the scheduler's default window).
+        comparisons (None — only the session's limits apply).
         """
         self._check_open()
         # All per-workload heavy lifting runs on the submitting thread,
@@ -248,7 +248,7 @@ class BackendSession(ABC):
         if residual is not None:
             self._prepare(residual)
             if self._scheduler.decompose:
-                residual.grain_blocks(self._scheduler.grain_pairs)
+                residual.grain_blocks(self._scheduler.grain)
         handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
         if memo is not None:
             handle.residual, handle.memo_hits = residual, len(memo_pairs)

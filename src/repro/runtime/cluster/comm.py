@@ -60,12 +60,10 @@ class NodeJobState:
         cluster: ClusterConfig,
         node_id: int,
         send_coordinator,
-        max_inflight: Optional[int] = None,
         pack_result_block=None,
     ) -> None:
         self.job_id = job_id
         self.keys = list(keys)
-        self.max_inflight = max_inflight
         self.directory = CandidateDirectory(cluster.max_hops)
         #: The protocol half of this node's report for the job (hops,
         #: bytes, messages); ``ship_stats`` adds the pipeline's half.
@@ -180,12 +178,7 @@ class NodeCommServer:
         """Block for the next job spec; None once shutdown was received."""
         return self._jobs.get()
 
-    def begin_job(
-        self,
-        job_id: int,
-        keys: Sequence[Hashable],
-        max_inflight: Optional[int] = None,
-    ) -> NodeJobState:
+    def begin_job(self, job_id: int, keys: Sequence[Hashable]) -> NodeJobState:
         """Create the protocol state for ``job_id`` and register it.
 
         Called on the job's runner thread before its pipeline is
@@ -200,7 +193,6 @@ class NodeCommServer:
             self.cluster,
             self.node_id,
             functools.partial(self._send_coordinator_for, job_id),
-            max_inflight=max_inflight,
             # Result blocks leave through the transport's packer, so a
             # zero-copy transport ships descriptors instead of pickled
             # triple tuples.

@@ -39,7 +39,7 @@ def _run_node_job(
     """
     node_id = comm.node_id
     job_id, keys, pair_filter, initial_blocks, max_inflight = job
-    state = comm.begin_job(job_id, keys, max_inflight=max_inflight)
+    state = comm.begin_job(job_id, keys)
     try:
         # Under profiling the job records into a node-local recorder
         # (pipeline stages and, via ``state.trace``, protocol spans);

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from repro.cache.policy import EvictionPolicy
 from repro.core.api import Application
-from repro.core.scheduler import JobScheduler, SchedulingPolicy, coerce_policy
+from repro.core.scheduler import DEFAULT_GRAIN, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle
 from repro.core.workload import Workload
 from repro.data.filestore import FileStore
@@ -57,8 +57,8 @@ class RocketConfig:
     #: with more items than that is cut into capacity-sized launches.
     #: What is in flight never shrinks a launch — under cache pressure a
     #: device runs one whole leaf at a time.  Apps without
-    #: ``compare_block`` ignore it (one pair per job).
-    grain: int = 64
+    #: ``compare_block`` ignore it (one pair per job).  It is also the FAIR quantum.
+    grain: int = DEFAULT_GRAIN
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
     #: length must equal ``n_devices`` when given.
     device_speed_factors: Optional[Tuple[float, ...]] = None
@@ -198,13 +198,13 @@ class LocalSession(BackendSession):
     ) -> None:
         cfg = runtime.config
         policy = coerce_policy(policy)
-        # Grain: a few leaves per grant keeps hand-out overhead low
-        # while letting two jobs interleave within tens of pairs.
+        # A FAIR quantum is one leaf; one leaf per device in flight keeps
+        # the devices busy and leaves each next leaf to the weights.
         scheduler = JobScheduler(
             policy,
             max_active=max_active,
-            grain_pairs=max(8, 4 * cfg.leaf_size),
-            window_pairs=max(24, 12 * cfg.leaf_size),
+            grain=cfg.grain,
+            window=cfg.n_devices * cfg.grain,
             # FAIR grants block-level: decompose at submit time, on the
             # caller's thread, so a large filtered workload's predicate
             # sweep never stalls the shared admission loop.
@@ -216,7 +216,7 @@ class LocalSession(BackendSession):
         self._thread.start()
 
     def _pump(self) -> None:
-        # Fair hand-out: grant blocks while windows are open.
+        # Fair hand-out: grant quanta while the session window is open.
         while (grant := self._scheduler.next_grant()) is not None:
             handle, block, _count = grant
             job = self._active.get(handle.accounting.job_id)
@@ -244,7 +244,7 @@ class LocalSession(BackendSession):
             def emit_block(pairs, values, _h=handle):
                 _h._record_block(pairs, values)
                 scheduler.on_completed(_h, len(pairs))
-                self._wake.set()  # the job's window reopened: refill grants
+                self._wake.set()  # the session window reopened: refill grants
 
         pipeline = NodePipeline(
             self._runtime.app,

@@ -37,8 +37,10 @@ and waits, holding nothing, until that many units are free.  Under
 cache pressure a device therefore runs one whole leaf at a time and the
 overlap comes from the other device; a leaf with more distinct items
 than the cache holds is cut into capacity-sized launches (an 8 x 8 leaf
-on 12 slots runs as 24 + 24 + 16 pairs).  A job-level ``max_inflight``
-still counts pairs.
+on 12 slots runs as 24 + 24 + 16 pairs).  A job's ``max_inflight`` is
+the same rule in pairs, on a per-pipeline admission claimed *before*
+the device's (no running launch waits for it): a launch takes at most
+``max_inflight`` pairs of its leaf and waits for that much room.
 
 The bound is the whole deadlock argument.  Every slot that is
 reader-pinned or in WRITE state is held by an admitted job that was
@@ -233,9 +235,9 @@ class NodeEngine:
     def persistent_cache(self, app, store):
         """The shared :class:`~repro.store.itemcache.PersistentItemCache`.
 
-        ``None`` when the config has no ``store_dir`` or the store
-        directory is unusable (the pipeline then simply runs cold — the
-        persistent level is an accelerator, never a dependency).  Bound
+        ``None`` when the config has no ``store_dir`` or its ``items``
+        directory cannot be created (the pipeline then simply runs cold
+        — the persistent level is an accelerator, never a dependency).  Bound
         to the first ``(app, store)`` pair seen: an engine executes one
         application, like its key-addressed slot caches.
         """
@@ -249,7 +251,7 @@ class NodeEngine:
                     self._persist = PersistentItemCache(
                         self.config.store_dir, app, store
                     )
-                except Exception:
+                except OSError:
                     self._persist_failed = True
             return self._persist
 
@@ -357,14 +359,9 @@ class NodePipeline:
         self.global_steal = global_steal
         #: Called after the done event is set (possibly more than once).
         self.on_done = on_done
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        #: Job-level cap on concurrently in-flight pair comparisons
-        #: (fair-share back-pressure on a shared engine): workers stop
-        #: submitting this job's pairs once the cap is reached — a
-        #: batch is cut to the open window — on top of the engine's
-        #: per-device admission limit.
-        self.max_inflight = max_inflight
+        #: The job's ``max_inflight`` cap, one unit per in-flight pair;
+        #: per pipeline, i.e. per node on the cluster backend.
+        self._window = ThreadAdmission(max_inflight) if max_inflight is not None else None
 
         n = len(self.keys)
         rngs = rngs if rngs is not None else RngFactory(cfg.seed)
@@ -929,8 +926,8 @@ class NodePipeline:
         """Job-pool body: run one claimed job and complete it once.
 
         Emission, the ``pairs_done`` / ``completed`` counters, the
-        calibration and the admission units are all settled once per
-        job, with the job's pair count.
+        calibration and the device and window units are all settled
+        once per job, with the job's pair count.
         """
         st = self.states[d]
         n = len(pairs)
@@ -956,6 +953,8 @@ class NodePipeline:
             self.fail(exc)
         finally:
             st.admission.release(units)
+            if self._window is not None:
+                self._window.release(n)
             with self.counters_lock:
                 self.counters["completed"] += n
                 self.counters["launches"] += 1
@@ -975,46 +974,32 @@ class NodePipeline:
         """Reserve the next job: how many pairs it gets (0: the run ended).
 
         ``needs[k]`` is the number of distinct items — device-cache pins
-        — of the first ``k + 1`` candidate pairs.  The job gets every
-        pair whose items fit the device's admission *limit* — the whole
-        leaf, or its capacity cut when the leaf has more distinct items
-        than the cache holds — after the pipeline's ``max_inflight``
-        window (pairs) cut the candidates; it waits until that many
-        units are free and holds ``needs[count - 1]`` of them until it
+        — of the first ``k + 1`` candidate pairs.  Capacities alone fix
+        the job's size: at most ``max_inflight`` pairs, then every pair
+        whose items fit the device's admission *limit* — the whole leaf,
+        or its capacity cut when the leaf has more distinct items than
+        the cache holds.  It waits for that many window units, then for
+        ``needs[count - 1]`` device units, and holds both until it
         completes.
-
-        The window reservation is made *inside* the check's critical
-        section, so the cap holds with several device workers racing
-        (check-then-increment in two steps would let every worker see
-        the same open window); a worker never holds a partial claim
-        while waiting for more.  The cap is per pipeline, i.e. per node
-        on the cluster backend.
         """
-        reserved = 0
-        if self.max_inflight is not None:
-            with self.work_cond:
-                while True:
-                    with self.counters_lock:
-                        room = self.max_inflight - (
-                            self.counters["submitted"] - self.counters["completed"]
-                        )
-                        if room > 0:
-                            needs = needs[:room]
-                            reserved = len(needs)
-                            self.counters["submitted"] += reserved
-                            break
-                    if self.done.is_set():
-                        return 0
-                    # Completions notify work_cond and reopen the window.
-                    self.work_cond.wait(timeout=0.05)
+        window = self._window
+        if window is not None:
+            needs = needs[: st.admission.cut(needs[: window.limit])]
+            if not self._acquire(window, (len(needs),)):
+                return 0
+        count = self._acquire(st.admission, needs)
+        if count:
+            with self.counters_lock:
+                self.counters["submitted"] += count
+        elif window is not None:
+            window.release(len(needs))
+        return count
+
+    def _acquire(self, admission: ThreadAdmission, needs: Sequence[int]) -> int:
+        """``admission.acquire(needs)``, given up (0) once the run ends."""
         count = 0
         while not count and not self.done.is_set():
-            count = st.admission.acquire(needs, timeout=0.5)
-        with self.counters_lock:
-            self.counters["submitted"] += count - reserved
-        if count < reserved:
-            with self.work_cond:  # the unused part of the window reopened
-                self.work_cond.notify_all()
+            count = admission.acquire(needs, timeout=0.5)
         return count
 
     def _trim_steal(self, task: PairBlock, thief: int, victim: int) -> PairBlock:

@@ -85,8 +85,8 @@ class ThreadAdmission:
     """Unit-counting admission for the threaded runtime.
 
     A *job* is one kernel launch.  It claims as many units as it needs
-    of the resource the limit protects — the pipeline denominates units
-    in device-cache pins — out of ``limit`` units, with at most
+    of the resource the limit protects — device-cache pins, or pairs
+    for a ``max_inflight`` window — out of ``limit`` units, with at most
     ``max_jobs`` jobs admitted at a time.  :meth:`acquire` takes the
     cumulative demands of a job that could be cut short (``needs[k]``
     units for its first ``k + 1`` pieces).  The cut is made by
@@ -130,14 +130,18 @@ class ThreadAdmission:
         with self._cond:
             return self._jobs
 
+    def cut(self, needs: Sequence[int]) -> int:
+        """The capacity cut: every piece of ``needs`` that fits ``limit``, at least one."""
+        return bisect_right(needs, self.limit) or 1
+
     def _grantable(self, needs: Sequence[int]) -> int:
-        """The capacity cut of ``needs`` if it fits now, else 0 (wait)."""
+        """``cut(needs)`` if it fits now (an oversized job: alone), else 0."""
         if self.max_jobs is not None and self._jobs >= self.max_jobs:
             return 0
-        want = bisect_right(needs, self.limit)
-        if not want:  # oversized job: runs alone
-            return 1 if self._in_flight == 0 else 0
-        return want if needs[want - 1] <= self.limit - self._in_flight else 0
+        count = self.cut(needs)
+        if self._in_flight and needs[count - 1] > self.limit - self._in_flight:
+            return 0
+        return count
 
     def acquire(self, needs: Sequence[int] = (1,), timeout: Optional[float] = None) -> int:
         """Admit one job; returns how many pieces were granted.

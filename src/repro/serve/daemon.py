@@ -119,6 +119,9 @@ class RocketServer:
         self._closed = False
         self._started = False
         self._stop = threading.Event()
+        #: Requests being answered; :meth:`close` lets them finish.
+        self._responding = 0
+        self._responses = threading.Condition()
         self._started_at = time.monotonic()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -175,7 +178,9 @@ class RocketServer:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 signal.signal(signum, lambda *_: self.request_drain())
         self.start()
-        self._stop.wait()
+        # Timed: a signal that landed on another thread runs its handler here.
+        while not self._stop.wait(timeout=0.2):
+            pass
         self.close(drain=True)
 
     def request_drain(self) -> None:
@@ -212,6 +217,11 @@ class RocketServer:
         # cancelled so no handle is left unresolved behind the close.
         for record in self._registry.cancel_live():
             record.wait_drained(timeout=5.0)
+        # Responses still being sent finish first: exiting would cut the frame.
+        with self._responses:
+            self._responses.wait_for(
+                lambda: not self._responding, max(0.0, deadline - time.monotonic())
+            )
         try:
             self._session.close()
         except SessionClosed:
@@ -268,11 +278,16 @@ class RocketServer:
                 if request is None:
                     return  # clean disconnect; jobs survive in the registry
                 self._metrics.inc("serve.requests")
-                response = self._dispatch(conn, request)
+                with self._responses:
+                    self._responding += 1
                 try:
-                    protocol.send_message(sock, response)
+                    protocol.send_message(sock, self._dispatch(conn, request))
                 except OSError:
                     return  # peer vanished mid-response; jobs survive
+                finally:
+                    with self._responses:
+                        self._responding -= 1
+                        self._responses.notify_all()
         except OSError:
             return
         finally:

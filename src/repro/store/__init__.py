@@ -26,14 +26,13 @@ everything does.
 """
 
 from repro.store.hashing import ItemHasher, hash_bytes
-from repro.store.integration import PairSubsetFilter, ResidualPairs, SessionMemo
+from repro.store.integration import ResidualPairs, SessionMemo
 from repro.store.itemcache import PersistentItemCache
 from repro.store.manager import RocketStore
 from repro.store.memo import ResultMemoStore
 
 __all__ = [
     "ItemHasher",
-    "PairSubsetFilter",
     "PersistentItemCache",
     "ResidualPairs",
     "ResultMemoStore",

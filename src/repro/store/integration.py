@@ -40,11 +40,7 @@ from repro.data.filestore import FileStore
 
 from repro.store.manager import RocketStore
 
-__all__ = ["SessionMemo", "ResidualPairs", "PairSubsetFilter"]
-
-
-#: The residual filter's historical name (``repro.store.__all__``).
-PairSubsetFilter = PairSetFilter
+__all__ = ["SessionMemo", "ResidualPairs"]
 
 
 class ResidualPairs(Workload):

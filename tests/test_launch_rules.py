@@ -8,10 +8,12 @@ Two rules of the pair path, each pinned at its own level:
   are served in arrival order and no wake-up is lost;
 - **pipeline**: under cache pressure every launch is a whole leaf or a
   capacity cut of one (``stats.launches`` / ``stats.pairs_per_launch``
-  say so in the program), results stay value-identical down to the
-  2-slot cache, a device worker steals its node-mate's *nearest* task
-  while a steal that leaves the node still takes the largest block, and
-  a FAIR query queued behind a batch job's whole-leaf claim finishes.
+  say so in the program), a ``max_inflight`` window cuts a leaf by its
+  size only, a FAIR quantum is one launch, results stay
+  value-identical down to the 2-slot cache, a device worker steals its
+  node-mate's *nearest* task while a steal that leaves the node still
+  takes the largest block, and a FAIR query queued behind a batch
+  job's whole-leaf claim finishes.
 """
 
 import sys
@@ -220,19 +222,19 @@ def leaves_of(n_items, grain):
             stack.extend(reversed(block.split()))
 
 
-def expected_launches(n_items, grain, units):
-    """Launch sizes of one job: each leaf whole, or cut by capacity."""
+def expected_launches(n_items, grain, units, max_inflight=None):
+    """Launch sizes of one job: each leaf whole, or cut by ``max_inflight`` and capacity."""
     sizes = Counter()
     for leaf in leaves_of(n_items, grain):
         pairs = list(leaf.pairs())
         while pairs:
-            count = capacity_cut(_pin_needs(pairs), units)
+            count = capacity_cut(_pin_needs(pairs[:max_inflight]), units)
             sizes[count] += 1
             pairs = pairs[count:]
     return sizes
 
 
-def run_bare_pipeline(app, store, keys, cfg, timeout=60.0):
+def run_bare_pipeline(app, store, keys, cfg, timeout=60.0, max_inflight=None):
     """One AllPairs job on a bare pipeline: (values by pair, launch sizes, pipeline)."""
     values, launches = {}, []
     lock = threading.Lock()
@@ -248,6 +250,7 @@ def run_bare_pipeline(app, store, keys, cfg, timeout=60.0):
     pipeline = NodePipeline(
         app, store, cfg, keys, emit_block=emit_block,
         expected_pairs=n * (n - 1) // 2, initial_blocks=[PairBlock.root(n)],
+        max_inflight=max_inflight,
     )
     pipeline.start()
     try:
@@ -298,6 +301,39 @@ class TestLaunchesAreLeaves:
         # Two 28-pair diagonal triangles and the 8 x 8 square in three cuts.
         assert sorted(launches) == [16, 24, 24, 28, 28]
         assert Counter(launches) == expected_launches(16, 64, units=11)
+
+    def test_max_inflight_cuts_a_leaf_by_its_size_never_by_what_is_in_flight(self):
+        store, keys = forensics_store(n_images=24)
+        cfg = RocketConfig(
+            n_devices=2, device_cache_slots=64, host_cache_slots=64, grain=16,
+            seed=7, watchdog_seconds=60.0,
+        )
+        # 9-pair leaves run as 5 + 4, 15-pair leaves as 5 + 5 + 5: a launch
+        # waits for the window instead of taking the 1 pair left beside a 4.
+        expected = expected_launches(24, 16, units=63, max_inflight=5)
+        assert expected == Counter({5: 36, 4: 24})
+        values, launches, _ = run_bare_pipeline(
+            LoopedForensics(), store, keys, cfg, max_inflight=5
+        )
+        assert Counter(launches) == expected
+        assert len(values) == 276
+
+    def test_a_fair_quantum_is_one_launch(self):
+        store, keys = forensics_store(n_images=24)
+        cfg = RocketConfig(
+            n_devices=2, device_cache_slots=64, host_cache_slots=64, seed=7,
+            watchdog_seconds=60.0,
+        )
+        workload = AllPairs(keys)
+        quanta = workload.grain_blocks(cfg.grain)
+        session = LocalRocketRuntime(LoopedForensics(), store, cfg).open_session(policy="fair")
+        try:
+            handle = session.submit(workload)
+            handle.result(timeout=60.0)
+        finally:
+            close_within(session)
+        assert handle.stats.launches == len(quanta)
+        assert handle.stats.pairs_per_launch == 276 / len(quanta)
 
 
 @pytest.fixture(scope="module")

@@ -96,8 +96,7 @@ class TestJobScheduler:
 
     def test_fair_handout_tracks_weights(self):
         """Granted pairs over a window approximate the 3:1 weight ratio."""
-        sched = JobScheduler(SchedulingPolicy.FAIR, max_active=2, grain_pairs=4,
-                             window_pairs=10_000, decompose=True)
+        sched = JobScheduler(SchedulingPolicy.FAIR, max_active=2, grain=4, decompose=True)
         heavy = self.handle(n=10, priority=3.0)
         light = self.handle(n=10, priority=1.0)
         sched.submit(heavy)
@@ -111,26 +110,30 @@ class TestJobScheduler:
             granted[id(handle)] += count
         assert granted[id(heavy)] > 2 * granted[id(light)]
 
-    def test_window_blocks_grants_until_completions(self):
-        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=4, window_pairs=4, decompose=True)
-        h = self.handle(n=10)
-        sched.submit(h)
+    def test_session_window_spans_all_jobs(self):
+        """One window bounds the in-flight pairs of every job together;
+        the completion that reopens it goes to the smallest clock."""
+        sched = JobScheduler(
+            SchedulingPolicy.FAIR, max_active=2, grain=4, window=8, decompose=True
+        )
+        first = self.handle(n=10)
+        second = self.handle(n=10)
+        sched.submit(first)
+        sched.submit(second)
         sched.admit()
-        granted = 0
-        while True:
-            grant = sched.next_grant()
-            if grant is None:
-                break
-            granted += grant[2]
-        # The window bounds in-flight pairs; nothing further until
-        # completions open it again.
-        assert 0 < granted <= 4
+        granted = {id(first): 0, id(second): 0}
+        while (grant := sched.next_grant()) is not None:
+            granted[id(grant[0])] += grant[2]
+        assert sum(granted.values()) <= 8  # together, not 8 each
+        assert granted[id(first)] == granted[id(second)] > 0  # equal weights
         assert sched.next_grant() is None
-        sched.on_completed(h, granted)
-        assert sched.next_grant() is not None
+        # The second job's completions make room for the first job's quantum.
+        sched.on_completed(second, granted[id(second)])
+        handle, _block, _count = sched.next_grant()
+        assert handle is first  # equal clocks: submission order breaks the tie
 
     def test_max_inflight_overrides_window(self):
-        sched = JobScheduler(SchedulingPolicy.FAIR, grain_pairs=2, window_pairs=1000, decompose=True)
+        sched = JobScheduler(SchedulingPolicy.FAIR, grain=2, window=1000, decompose=True)
         h = self.handle(n=10, max_inflight=2)
         sched.submit(h)
         sched.admit()

@@ -29,6 +29,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -56,11 +57,14 @@ from tests.test_multijob import SlowApp, make_backend
 
 
 def make_server(
-    backend="local", n_items=10, app=None, tenants=None, **server_kw
+    backend="local", n_items=10, app=None, tenants=None, config=None, **server_kw
 ):
-    """A served session on an ephemeral port; caller closes the server."""
+    """A served session on an ephemeral port; caller closes the server.
+
+    ``config`` overrides ``RocketConfig`` fields of the served session.
+    """
     store, keys = make_store(n_items)
-    runtime = make_backend(backend, store, app=app)
+    runtime = make_backend(backend, store, app=app, **(config or {}))
     session = RocketSession._wrap(runtime, policy="fair")
     server = RocketServer(session, keys, tenants=tenants, **server_kw).start()
     return server, store, keys
@@ -465,28 +469,46 @@ class TestTenantScheduling:
 
     def test_weighted_tenants_share_3_to_1(self):
         """Behavioral acceptance: equal submissions from a weight-3 and
-        a weight-1 tenant — the heavy tenant's job finishes first."""
-        server, store, keys = make_server(app=SlowApp(), tenants=self.directory())
+        a weight-1 tenant, read from the scheduler's grant log.  When
+        the heavy job's last quantum is granted, the light job has been
+        granted a third of its pairs — within one session window, what
+        the heavy job may hold before the light one is admitted."""
+        grain = 8  # 66 pairs in 28 quanta; the window is 1 device x 8 pairs
+        server, store, keys = make_server(
+            n_items=12, app=SlowApp(), tenants=self.directory(), config={"grain": grain}
+        )
+        workload = AllPairs(keys)
+        assert len(workload.grain_blocks(grain)) >= 8
+        scheduler = server._session._session._scheduler
+        grants = []
+        next_grant = scheduler.next_grant
+
+        def logged_next_grant():
+            grant = next_grant()
+            if grant is not None:
+                grants.append((grant[0], grant[2]))
+            return grant
+
+        scheduler.next_grant = logged_next_grant
         try:
             with connect(server.address, tenant="heavy") as heavy, connect(
                 server.address, tenant="light"
             ) as light:
                 # Same workload, same requested priority: only the
                 # tenant weight differs.
-                h_heavy = heavy.submit(AllPairs(keys))
-                h_light = light.submit(AllPairs(keys))
-                assert h_heavy.wait(timeout=90)
-                # The 3:1 stride hand-out must leave the light job
-                # still unfinished when the heavy one completes.
-                light_status = h_light.status()
-                assert light_status["state"] != "done" or (
-                    light_status["pairs_done"] < light_status["pairs_total"]
-                ), "weight-1 tenant finished no later than the weight-3 tenant"
-                assert h_light.wait(timeout=90)
-                assert h_light.result().is_complete()
-                assert h_heavy.result().is_complete()
+                h_heavy = heavy.submit(workload)
+                h_light = light.submit(workload)
+                assert h_heavy.result(timeout=90).is_complete()
+                assert h_light.result(timeout=90).is_complete()
+            heavy_handle = server._registry.get("heavy", h_heavy.job_id).handle
         finally:
             server.close()
+        granted = {True: 0, False: 0}
+        for handle, count in grants:
+            granted[handle is heavy_handle] += count
+            if granted[True] == workload.n_pairs:
+                break
+        assert granted[False] == pytest.approx(workload.n_pairs / 3, abs=grain)
 
     def test_max_active_quota_rejects_at_admission(self):
         server, store, keys = make_server(app=SlowApp(), tenants=self.directory())
@@ -673,6 +695,112 @@ class TestSessionClosedContract:
 
 
 CLI_ENV = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: A daemon process over ``argv[1]`` items whose keys are padded to
+#: ``argv[2]`` characters, so a result document can outgrow the socket
+#: buffers.  With ``argv[3] == "1"`` a helper thread sends SIGTERM to
+#: itself once ``serve_forever`` installed its handler.
+DAEMON_SCRIPT = """
+import signal, sys, threading, time
+import numpy as np
+from repro.core.session import RocketSession
+from repro.data.filestore import InMemoryStore
+from repro.serve import RocketServer
+from tests.test_cluster_runtime import SumApp
+from tests.test_multijob import make_backend
+
+n_items, key_chars, self_signal = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
+store, keys = InMemoryStore(), []
+for i in range(n_items):
+    key = f"item{i:02d}".ljust(key_chars, "x")
+    store.write(f"{key}.bin", np.full(8, float(i + 1)).tobytes())
+    keys.append(key)
+server = RocketServer(RocketSession._wrap(make_backend("local", store), policy="fair"), keys)
+print(f"serving on {server.address}", flush=True)
+
+def kill_from_this_thread():
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        time.sleep(0.01)
+    time.sleep(0.5)  # the main thread is parked in serve_forever by now
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+if self_signal:
+    threading.Thread(target=kill_from_this_thread, daemon=True).start()
+server.serve_forever()
+print("daemon drained, exiting", flush=True)
+"""
+
+
+def spawn_daemon(n_items=4, key_chars=0, self_signal=False):
+    """Start :data:`DAEMON_SCRIPT`; returns the process and its address."""
+    daemon = subprocess.Popen(
+        [sys.executable, "-c", DAEMON_SCRIPT, str(n_items), str(key_chars),
+         "1" if self_signal else "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, cwd=ROOT,
+        env=dict(CLI_ENV, PYTHONPATH=str(ROOT / "src")),
+    )
+    line = daemon.stdout.readline()
+    assert "serving on " in line, line
+    return daemon, line.strip().rsplit(" ", 1)[-1]
+
+
+class TestDaemonShutdown:
+    def test_sigterm_delivered_to_another_thread_drains(self):
+        daemon, _ = spawn_daemon(self_signal=True)
+        try:
+            out, _ = daemon.communicate(timeout=10)
+            assert daemon.returncode == 0, out
+            assert "daemon drained, exiting" in out
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate(timeout=30)
+
+    def test_a_result_read_after_sigterm_arrives_whole(self):
+        """The daemon waits for a response it is still sending: a client
+        that collects a large result only after the SIGTERM gets it
+        whole instead of a cut frame."""
+        daemon, address = spawn_daemon(n_items=12, key_chars=1 << 20)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            # A small receive buffer: the 12 MiB document cannot sit in
+            # the socket buffers, the daemon's send has to wait for us.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            host, port = address.rsplit(":", 1)
+            sock.connect((host, int(port)))
+            sock.settimeout(60)
+
+            def request(message):
+                protocol.send_message(sock, message)
+                return protocol.recv_message(sock)
+
+            assert request({"op": "hello", "tenant": "t"})["ok"]
+            keys = [f"item{i:02d}".ljust(1 << 20, "x") for i in range(12)]
+            job = request(
+                {"op": "submit", "workload": protocol.workload_to_wire(AllPairs(keys))}
+            )["job"]
+            while request({"op": "wait", "job": job})["state"] != "done":
+                pass
+            protocol.send_message(sock, {"op": "result", "job": job})
+            time.sleep(0.5)  # the daemon is now blocked sending the document
+            daemon.send_signal(signal.SIGTERM)
+            try:
+                daemon.wait(timeout=2.0)  # enough for a daemon that does not wait to exit
+            except subprocess.TimeoutExpired:
+                pass
+            response = protocol.recv_message(sock)
+            matrix = protocol.matrix_from_wire(response["result"])
+            assert matrix.is_complete() and matrix.keys == keys
+            sock.close()
+            out, _ = daemon.communicate(timeout=60)
+            assert daemon.returncode == 0, out
+        finally:
+            sock.close()
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate(timeout=30)
 
 
 class TestServeCli:

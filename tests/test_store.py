@@ -475,6 +475,23 @@ class TestInvalidation:
         assert warm == cold
         assert counting.compared >= 1  # ran (partially) cold, not wrong
 
+    def test_items_path_that_is_a_file_runs_cold(self, tmp_path):
+        """The item cache cannot create ``store_dir/items``: the pipeline
+        runs without its persistent level, value-identical."""
+        store, keys = make_store(5)
+        reference = result_dict(make_backend("local", store).run(keys))
+        (tmp_path / "items").write_bytes(b"not a directory")
+        session = RocketSession._wrap(
+            make_backend("local", store, store_dir=str(tmp_path))
+        )
+        try:
+            results = result_dict(session.submit(AllPairs(keys)).result())
+            persistent = session.metrics()["cache"]["persistent"]
+        finally:
+            session.close()
+        assert results == reference
+        assert persistent and not any(persistent.values())
+
 
 # ----------------------------------------------------------------------
 # Surfaces: metrics, serve, stats/gc, CLI
