@@ -63,9 +63,6 @@ class SessionJob:
     the coordinator's share and steal bookkeeping).
     """
 
-    #: Cancel hook run on the *cancelling* thread; None leaves the
-    #: cancel to the driver's next tick.
-    cancel_cb: Optional[Callable[[], None]] = None
     #: Blocks moved between nodes on this job's behalf.
     remote_steals = 0
 
@@ -114,7 +111,9 @@ class BackendSession(ABC):
       submission order; FAIR: up to ``max_active`` at once, priority
       first), starts them, and retires each as soon as the backend says
       it has ended.  A cancel or an expired ``watchdog_seconds`` stops
-      the job through the backend, once.
+      the job through the backend, once.  The driver is woken, never
+      polled, for what users do: ``submit``, ``close``, a running job's
+      ``cancel`` and a membership change each call :meth:`_notify`.
     - Every job ends in exactly one state.  Completion beats cancel: a
       job whose every pair arrived ends DONE even if a cancel was
       accepted meanwhile.  Otherwise a cancelled job ends CANCELLED, a
@@ -139,8 +138,12 @@ class BackendSession(ABC):
     - :meth:`_start_job` — hand an admitted job to the executors and
       return its :class:`SessionJob`;
     - :meth:`_pump` — wait for something to happen, once (local: refill
-      block grants, then park on ``self._wake``; cluster: drain
-      coordinator messages and check the worker processes);
+      block grants, then park on an event; cluster: drain coordinator
+      messages and check the worker processes);
+    - :meth:`_notify` — the wake contract: called from any thread, it
+      makes a blocked (or the next) :meth:`_pump` return promptly, so a
+      backend's own timeout is only a backstop (watchdog, death
+      checks), never the latency of a user action;
     - :meth:`_job_ended` / :meth:`_stop_job` — has the job's execution
       finished, and stop it early;
     - :meth:`_collect` — release the ended job's executor state and
@@ -166,9 +169,6 @@ class BackendSession(ABC):
         self._closed = False
         self._fatal: Optional[str] = None
         self._active: Dict[int, SessionJob] = {}
-        #: Set by submit/close (and by whatever else a backend wants its
-        #: ``_pump`` to wake up for).
-        self._wake = threading.Event()
         #: Session-lifetime observability: the driver's own trace holds
         #: the scheduler-lane spans, finished jobs' node buffers wait as
         #: ``(name, pid, origin, events)`` for :meth:`profile` to merge,
@@ -199,6 +199,10 @@ class BackendSession(ABC):
     @abstractmethod
     def _pump(self) -> None:
         """Block until there may be something to do; process it."""
+
+    @abstractmethod
+    def _notify(self) -> None:
+        """Wake the driver: the blocked (or next) :meth:`_pump` returns now."""
 
     @abstractmethod
     def _job_ended(self, job: SessionJob) -> bool:
@@ -273,7 +277,7 @@ class BackendSession(ABC):
             # cancel hook is synchronous — then report the session state.
             handle.cancel()
             raise
-        self._wake.set()
+        self._notify()
         return handle
 
     def _check_open(self) -> None:
@@ -304,7 +308,7 @@ class BackendSession(ABC):
             # Queued handles resolve synchronously through their cancel
             # hook; active ones are stopped and retired by the driver.
             handle.cancel()
-        self._wake.set()
+        self._notify()
         self._thread.join(timeout=self._JOIN_TIMEOUT)
         for handle in handles:
             # Belt and braces: whatever a wedged or dead driver left
@@ -434,7 +438,8 @@ class BackendSession(ABC):
             queued = handle.accounting.queued_seconds
             self._trace.record("scheduler", "queued", max(0.0, now - queued), now, job.job_id)
         self._log.debug("job admitted", job_id=job.job_id)
-        handle._mark_running(cancel_cb=job.cancel_cb)
+        # A running job's cancel wakes the driver, which stops it.
+        handle._mark_running(cancel_cb=self._notify)
 
     def _journal(self, job: SessionJob) -> None:
         """Append the job's newly computed pairs to the memo journal.

@@ -31,7 +31,8 @@ cross-node mechanisms of the paper for real:
 *How* bytes move between the processes is delegated to a pluggable
 :class:`~repro.runtime.transport.Transport`
 (``ClusterConfig(transport=...)``): the ``"queue"`` transport pickles
-payloads inline through per-node ``multiprocessing`` queues, the
+payloads inline through ``multiprocessing`` queues (one per sender and
+receiver, so a killed node can wedge no one else's inbox), the
 ``"shm"`` transport keeps payloads in coordinator-owned shared-memory
 segments and ships only small descriptors.  The default ``fork`` start
 method shares the application/store objects with the children at no

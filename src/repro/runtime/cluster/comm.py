@@ -80,10 +80,20 @@ class NodeJobState:
             send_coordinator,
             node_id,
             cluster.result_batch,
-            max_delay=cluster.poll_interval,
             job_id=job_id,
             pack=pack_result_block,
         )
+
+    def emit_block(self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]) -> None:
+        """The pipeline's result hook: batch, but ship at once when the node has nothing queued.
+
+        With the deques empty no later launch of this node is sure to
+        fill the batch, so holding it would make the coordinator wait
+        on a result that is already computed.
+        """
+        pipeline = self.pipeline
+        idle = pipeline is None or not pipeline.has_queued_work()
+        self.batcher.emit_block(pairs, values, flush=idle)
 
 
 class NodeCommServer:
@@ -162,7 +172,6 @@ class NodeCommServer:
         #: pipeline attaches; bounded like the other straggler maps.
         self._early_grants: Dict[int, List[PairBlock]] = {}
         self._jobs: "queue.Queue[Optional[Tuple]]" = queue.Queue()
-        self._shutdown = threading.Event()
 
     # -- wiring ----------------------------------------------------------
 
@@ -231,29 +240,21 @@ class NodeCommServer:
         state.pipeline = None
 
     def serve(self) -> None:
-        """Inbox loop (comm thread body); runs until :meth:`finish`.
+        """Inbox loop (comm thread body); returns once it handled ``("shutdown",)``.
 
-        Each tick also pushes out the active jobs' aged partial result
-        batches, so the coordinator's completion counts trail the
-        pipelines by at most one poll interval.
+        It blocks on the inbox alone: every wait on the node side ends
+        on a message, so there is no tick to wait out.
         """
-        while not self._shutdown.is_set():
-            msg = self.transport.recv(self.cluster.poll_interval)
-            for state in self.active_jobs():
-                if not state.stopped.is_set():
-                    state.batcher.maybe_flush()
-            if msg is None:
-                continue
+        while True:
+            msg = self.transport.recv(None)
             try:
                 self.handle(msg)
             except BaseException:  # noqa: BLE001 - must not kill the comm thread
                 self.transport.send_coordinator(
                     ("error", self.node_id, None, traceback.format_exc())
                 )
-
-    def finish(self) -> None:
-        """Exit the serve loop (call just before the process exits)."""
-        self._shutdown.set()
+            if msg[0] == "shutdown":
+                return
 
     # -- client side (called from worker threads) ------------------------
 
@@ -339,9 +340,14 @@ class NodeCommServer:
         return payload
 
     def global_steal(self, state: NodeJobState) -> Optional[PairBlock]:
-        """Request one of this job's blocks from a remote node."""
+        """Request one of this job's blocks from a remote node.
+
+        The job's partial result batch ships first: a node asking for
+        work has nothing queued, so nothing it holds will fill the batch.
+        """
         if state.stopped.is_set():
             return None
+        state.batcher.flush()
         tracing = state.trace.enabled
         t0 = state.trace.now() if tracing else 0.0
         pend = self._register("steal", state.job_id)

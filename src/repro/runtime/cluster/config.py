@@ -22,7 +22,11 @@ class ClusterConfig:
     fetch_timeout: float = 30.0
     #: How long a worker waits for a global-steal grant before retrying.
     steal_timeout: float = 10.0
-    #: Coordinator/comm-thread queue polling granularity.
+    #: How long the coordinator waits on an idle inbox before it checks
+    #: the node processes for death and the jobs for their watchdog.
+    #: It bounds nothing else: submit, cancel, close, membership changes
+    #: and every node message wake the coordinator at once, and nodes
+    #: ship results on events, not on a timer.
     poll_interval: float = 0.05
     #: ``multiprocessing`` start method; ``fork`` shares the app/store
     #: objects with the children, ``spawn`` requires them picklable.

@@ -51,7 +51,7 @@ def _run_node_job(
             config,
             keys,
             pair_filter=pair_filter,
-            emit_block=state.batcher.emit_block,
+            emit_block=state.emit_block,
             node_id=node_id,
             rngs=RngFactory(config.seed + 7919 * (node_id + 1) + 104729 * job_id),
             trace=state.trace,
@@ -143,8 +143,7 @@ def _node_main(
         for thread in job_threads:
             thread.join(timeout=config.watchdog_seconds + 60.0)
         engine.close()
-        comm.finish()
-        comm_thread.join(timeout=2.0)
+        comm_thread.join(timeout=2.0)  # it returned on the shutdown message
         transport.close()
     except BaseException:  # noqa: BLE001 - last-resort report to the coordinator
         try:

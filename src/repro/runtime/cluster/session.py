@@ -230,6 +230,7 @@ class ClusterSession(BackendSession):
         box: Dict[str, Any] = {}
         event = threading.Event()
         self._control.put((kind, node, drain, box, event))
+        self._notify()
         if not event.wait(timeout=60.0):
             raise RuntimeError(f"{kind}_node timed out waiting for the coordinator")
         if "error" in box:
@@ -349,8 +350,19 @@ class ClusterSession(BackendSession):
 
     # ------------------------------------------------------------------
 
+    def _notify(self) -> None:
+        try:
+            self._fabric.wake_coordinator()
+        except CHANNEL_ERRORS:
+            pass  # torn down by close(): the driver has exited already
+
     def _pump(self) -> None:
-        """One coordinator tick: membership, messages, process health."""
+        """One coordinator tick: membership, messages, process health.
+
+        The inbox wait ends on the next node message or :meth:`_notify`;
+        only an idle ``poll_interval`` runs it out, and that idle tick
+        is when node processes are checked for death.
+        """
         # Membership commands from user threads run here, on the
         # coordinator thread, where all job state lives.
         while True:
@@ -408,6 +420,8 @@ class ClusterSession(BackendSession):
     def _dispatch(self, msg: Tuple) -> None:
         """Route one job-tagged coordinator message."""
         kind = msg[0]
+        if kind == "wake":
+            return  # :meth:`_notify`: ending the inbox wait was the point
         if kind == "results":
             _, node, job_id, block = msg
             block = self._fabric.decode_result_block(block)

@@ -12,6 +12,7 @@ global stealing, results written straight into an in-process
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -211,9 +212,14 @@ class LocalSession(BackendSession):
             decompose=policy is SchedulingPolicy.FAIR,
         )
         super().__init__(runtime, scheduler, "session.local")
+        #: What ``_pump`` parks on; set by :meth:`_notify`.
+        self._wake = threading.Event()
         self._engine = NodeEngine(cfg, rngs=RngFactory(cfg.seed), capacity_hint=capacity_hint)
         self._log.info("session open", policy=policy.value)
         self._thread.start()
+
+    def _notify(self) -> None:
+        self._wake.set()
 
     def _pump(self) -> None:
         # Fair hand-out: grant quanta while the session window is open.
@@ -244,7 +250,7 @@ class LocalSession(BackendSession):
             def emit_block(pairs, values, _h=handle):
                 _h._record_block(pairs, values)
                 scheduler.on_completed(_h, len(pairs))
-                self._wake.set()  # the session window reopened: refill grants
+                self._notify()  # the session window reopened: refill grants
 
         pipeline = NodePipeline(
             self._runtime.app,
@@ -267,14 +273,10 @@ class LocalSession(BackendSession):
             job_id=handle.accounting.job_id,
             # Retire the job as soon as its pipeline is done, not at the
             # next tick (an emit-time wake-up precedes the done event).
-            on_done=self._wake.set,
+            on_done=self._notify,
         )
         pipeline.start()
-        job = _LocalJob(handle, pipeline, cfg.watchdog_seconds)
-        # Stop the pipeline on the cancelling thread; the driver wakes
-        # to retire it.
-        job.cancel_cb = lambda: (pipeline.request_stop(abort=True), self._wake.set())
-        return job
+        return _LocalJob(handle, pipeline, cfg.watchdog_seconds)
 
     def _job_ended(self, job: _LocalJob) -> bool:
         return job.pipeline.done.is_set()

@@ -636,6 +636,11 @@ class NodePipeline:
             victim = max(self.deques, key=lambda q: q.pending_pairs)
             return victim.steal(self.config.steal_order)
 
+    def has_queued_work(self) -> bool:
+        """True while any of this node's deques holds a task."""
+        with self.sched_lock:
+            return any(self.deques)
+
     def inject_block(self, block: PairBlock) -> None:
         """Push an externally delivered block onto the least-loaded deque."""
         with self.sched_lock:
@@ -1063,14 +1068,18 @@ class NodePipeline:
                         if self.counters["submitted"] >= self.expected_pairs:
                             return
                 # Exponential backoff caps the coordinator round-trips a
-                # persistently idle node generates at run tail.
+                # persistently idle node generates at run tail.  The
+                # deques are checked again under the condition: a block
+                # injected since the look above (a late grant, a FAIR
+                # quantum) notified before this wait began.
                 idle_rounds += 1
                 with self.work_cond:
                     if self.done.is_set():
                         return
-                    self.work_cond.wait(
-                        timeout=min(0.5, _IDLE_WAIT * (1 << min(idle_rounds, 4)))
-                    )
+                    if not self.has_queued_work():
+                        self.work_cond.wait(
+                            timeout=min(0.5, _IDLE_WAIT * (1 << min(idle_rounds, 4)))
+                        )
                 continue
             idle_rounds = 0
             if task.is_leaf(self._leaf_pairs):

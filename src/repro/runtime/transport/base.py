@@ -37,7 +37,6 @@ coordinator traffic from O(pairs) to O(pairs / batch) on any transport.
 from __future__ import annotations
 
 import threading
-import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,8 +83,9 @@ class Transport(ABC):
         """Deliver ``msg`` to the coordinator."""
 
     @abstractmethod
-    def recv(self, timeout: float) -> Optional[Tuple]:
-        """Next message for this node, or None after ``timeout`` seconds."""
+    def recv(self, timeout: Optional[float]) -> Optional[Tuple]:
+        """Next message for this node, or None after ``timeout`` seconds
+        (``None``: wait for one)."""
 
     # -- payload plane ---------------------------------------------------
 
@@ -176,6 +176,16 @@ class TransportFabric(ABC):
         """Next node-to-coordinator message, or None after ``timeout``."""
 
     @abstractmethod
+    def wake_coordinator(self) -> None:
+        """End a pending :meth:`recv_coordinator` wait now.
+
+        Posts a no-op ``("wake",)`` message to the coordinator inbox
+        (callable from any coordinator-process thread), so the driver
+        acts on a submit, cancel, close or membership change at once
+        instead of at its next poll timeout.
+        """
+
+    @abstractmethod
     def shutdown(self) -> None:
         """Tear down all shared resources (idempotent; crash-safe)."""
 
@@ -220,13 +230,14 @@ class ResultBatcher:
     """Coalesce pair results into flushed ``("results", ...)`` blocks.
 
     ``emit_block`` is called from the pipeline's job threads, once per
-    finished kernel launch; a full batch is sent inline from the
-    emitting thread (whole — a shipped block may exceed ``batch_size``
-    by up to one launch).  Partial batches are pushed
-    out by :meth:`maybe_flush`, which the node's comm loop calls every
-    poll tick, so the coordinator's completion count never stalls more
-    than one tick behind the pipeline.  ``batch_size=1`` reproduces the
-    old one-message-per-pair behaviour exactly.
+    finished kernel launch, and ships from the emitting thread when the
+    batch is full (whole — a shipped block may exceed ``batch_size`` by
+    up to one launch) or when the caller says the node has nothing
+    queued (``flush=True``).  The node also calls :meth:`flush` before
+    it asks for remote work and at job end, so a result is never held
+    while its node waits: a partial batch leaves on an event, not on a
+    timer.  ``batch_size=1`` reproduces the old one-message-per-pair
+    behaviour exactly.
     """
 
     def __init__(
@@ -236,7 +247,6 @@ class ResultBatcher:
         batch_size: int,
         *,
         job_id: int,
-        max_delay: float = 0.05,
         pack: Optional[Callable[[Tuple], Any]] = None,
     ) -> None:
         if batch_size < 1:
@@ -251,35 +261,28 @@ class ResultBatcher:
         #: coordinator serving several concurrent jobs can route them.
         self.job_id = job_id
         self.batch_size = batch_size
-        self.max_delay = max_delay
         self._lock = threading.Lock()
         self._buf: List[Tuple[int, int, Any]] = []
-        self._oldest = 0.0
         self.batches_sent = 0
         self.results_sent = 0
 
     def emit_block(
-        self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        values: Sequence[Any],
+        *,
+        flush: bool = False,
     ) -> None:
-        """Queue one finished batch under one lock; flushes when full."""
+        """Queue one finished launch under one lock; ships when full or ``flush``."""
         with self._lock:
-            if not self._buf:
-                self._oldest = time.monotonic()
             self._buf.extend((i, j, value) for (i, j), value in zip(pairs, values))
-            block = self._take_locked() if len(self._buf) >= self.batch_size else None
+            ship = flush or len(self._buf) >= self.batch_size
+            block = self._take_locked() if ship else None
         if block:
             self._ship(block)
 
-    def maybe_flush(self) -> None:
-        """Flush a partial batch older than ``max_delay`` (comm-loop tick)."""
-        with self._lock:
-            if not self._buf or time.monotonic() - self._oldest < self.max_delay:
-                return
-            block = self._take_locked()
-        self._ship(block)
-
     def flush(self) -> None:
-        """Flush whatever is buffered (node shutdown)."""
+        """Ship whatever is buffered (before a steal request, at job end)."""
         with self._lock:
             block = self._take_locked()
         if block:

@@ -44,6 +44,13 @@ from repro.runtime.transport.queues import QueueFabric, QueueTransport
 
 __all__ = ["ShmDescriptor", "SharedMemoryTransport", "SharedMemoryFabric"]
 
+#: What closing or unlinking a segment raises at teardown, tolerated so
+#: one stubborn segment cannot keep the others mapped or linked:
+#: ``BufferError`` from ``close()`` while a view into the segment is
+#: still alive, ``FileNotFoundError`` from ``unlink()`` once the name is
+#: gone from ``/dev/shm``.
+_SEGMENT_TEARDOWN_ERRORS = (OSError, BufferError)
+
 
 @dataclass(frozen=True)
 class ShmDescriptor:
@@ -74,6 +81,18 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     deliberately leave tracking alone.
     """
     return shared_memory.SharedMemory(name=name)
+
+
+def _close_and_unlink(seg: shared_memory.SharedMemory) -> None:
+    """Unmap and unlink an owned segment; the unlink runs even if the unmap fails."""
+    try:
+        seg.close()
+    except _SEGMENT_TEARDOWN_ERRORS:
+        pass
+    try:
+        seg.unlink()
+    except _SEGMENT_TEARDOWN_ERRORS:
+        pass
 
 
 class SharedMemoryTransport(QueueTransport):
@@ -210,7 +229,7 @@ class SharedMemoryTransport(QueueTransport):
         for seg in self._segments.values():
             try:
                 seg.close()
-            except Exception:
+            except _SEGMENT_TEARDOWN_ERRORS:
                 pass
         self._segments.clear()
 
@@ -344,14 +363,7 @@ class SharedMemoryFabric(QueueFabric):
             self._owned.remove(seg)
         except ValueError:
             pass
-        try:
-            seg.close()
-        except Exception:
-            pass
-        try:
-            seg.unlink()
-        except Exception:
-            pass
+        _close_and_unlink(seg)
 
     def shutdown(self) -> None:
         super().shutdown()
@@ -359,14 +371,7 @@ class SharedMemoryFabric(QueueFabric):
         self._seg_by_name = {}
         self._coord_pool = None
         for seg in owned:
-            try:
-                seg.close()
-            except Exception:
-                pass
-            try:
-                seg.unlink()
-            except Exception:
-                pass
+            _close_and_unlink(seg)
 
     # Worker processes receive the fabric through ``Process`` args; under
     # ``spawn`` that pickles it, and owned handles must stay with the

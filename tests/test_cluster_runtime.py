@@ -22,10 +22,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.apps import ForensicsApplication
 from repro.cache.distributed import mediator_of
 from repro.core.api import Application
 from repro.core.rocket import Rocket
-from repro.core.workload import FilteredPairs
+from repro.core.session import RunState
+from repro.core.workload import AllPairs, Bipartite, FilteredPairs
+from repro.data import make_forensics_dataset
 from repro.data.filestore import InMemoryStore
 from repro.runtime.backend import available_backends, create_backend
 from repro.runtime.cluster import (
@@ -34,9 +37,12 @@ from repro.runtime.cluster import (
     NodeCommServer,
 )
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.stats import NodeStats
 from repro.runtime.transport import Transport
 from repro.runtime.transport.shm import SharedMemoryFabric
 from repro.scheduling.quadtree import PairBlock
+
+from tests.test_elastic import wait_for
 
 
 def shm_segments():
@@ -119,6 +125,11 @@ class StubPipeline:
         self.payloads = dict(payloads or {})
         self.injected = []
         self.stopped = None
+        #: What ``has_queued_work`` reports (the result flush rule reads it).
+        self.queued = False
+
+    def has_queued_work(self):
+        return self.queued
 
     def host_payload_view(self, key):
         return self.payloads.get(key)
@@ -136,9 +147,11 @@ class StubPipeline:
 JOB = 0  # protocol job id used by the unit-test network
 
 
-def make_net(n_nodes, keys, payloads_by_node, max_hops=2):
+def make_net(n_nodes, keys, payloads_by_node, max_hops=2, **cluster):
     net = SyncNet()
-    cfg = ClusterConfig(n_nodes=n_nodes, max_hops=max_hops, fetch_timeout=1.0, steal_timeout=0.2)
+    cfg = ClusterConfig(
+        n_nodes=n_nodes, max_hops=max_hops, fetch_timeout=1.0, steal_timeout=0.2, **cluster
+    )
     net.states = {}
     for node in range(n_nodes):
         server = NodeCommServer(node, cfg, net.transport_for(node))
@@ -306,6 +319,79 @@ class TestDistributedCacheProtocol:
         assert not state_b.stopped.is_set() and state_b.pipeline.stopped is None
 
 
+class FakeJobPipeline:
+    """A pipeline that emits one launch while work is still queued, then ends."""
+
+    def __init__(self, *args, emit_block, **kwargs):
+        self.emit_block = emit_block
+        self.errors = []
+
+    def has_queued_work(self):
+        return True  # nothing but the job's end ships the launch below
+
+    def start(self):
+        self.emit_block([(0, 1)], [1.0])
+
+    def wait(self, timeout):
+        return True
+
+    def join(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+    def request_stop(self, abort=False):
+        pass
+
+    def stats(self):
+        return NodeStats()
+
+
+class TestResultFlushRule:
+    """A node holds a partial result batch only while it has work queued."""
+
+    KEYS = [f"k{i}" for i in range(8)]
+
+    def node(self, queued):
+        net = make_net(2, self.KEYS, {}, result_batch=4)
+        net.states[0].pipeline.queued = queued
+        return net, net.servers[0], net.states[0]
+
+    @staticmethod
+    def sent(net):
+        return [(msg[0], len(msg[3]) if msg[0] == "results" else None) for msg in net.coordinator_log]
+
+    def test_a_full_batch_ships_while_work_is_queued(self):
+        net, _, state = self.node(queued=True)
+        state.emit_block([(0, 1), (0, 2)], [1.0, 2.0])
+        assert self.sent(net) == []  # more launches are coming: keep batching
+        state.emit_block([(0, 3), (0, 4), (0, 5)], [3.0, 4.0, 5.0])
+        assert self.sent(net) == [("results", 5)]  # full: shipped whole
+
+    def test_a_launch_that_leaves_the_deques_empty_ships_at_once(self):
+        net, _, state = self.node(queued=False)
+        state.emit_block([(0, 1)], [1.0])
+        assert self.sent(net) == [("results", 1)]
+
+    def test_a_steal_request_ships_the_partial_batch_first(self):
+        net, server, state = self.node(queued=True)
+        state.emit_block([(0, 1)], [1.0])
+        assert server.global_steal(state) is None  # nobody answers: steal_timeout
+        assert self.sent(net) == [("results", 1), ("sreq", None)]
+
+    def test_job_end_ships_the_partial_batch(self, monkeypatch):
+        from repro.runtime.cluster import node
+
+        monkeypatch.setattr(node, "NodePipeline", FakeJobPipeline)
+        net = SyncNet()
+        cluster = ClusterConfig(n_nodes=2, result_batch=4)
+        server = NodeCommServer(0, cluster, net.transport_for(0))
+        job = (JOB, self.KEYS, None, [], None)
+        node._run_node_job(server, None, None, None, RocketConfig(), cluster, job)
+        assert self.sent(net) == [("results", 1), ("stats", None)]
+
+
 # ----------------------------------------------------------------------
 # End-to-end multi-process tests
 
@@ -354,10 +440,16 @@ class TestClusterRuntime:
         assert stats.n_pairs == 66 and stats.n_nodes == 2
         assert len(stats.node_stats) == 2
         assert sum(sum(ns.pairs_per_device.values()) for ns in stats.node_stats) == 66
-        # The distributed cache really served data across processes.
-        assert stats.hop_stats.requests > 0
-        assert stats.hop_stats.total_hits >= 1
-        assert stats.bytes_over_wire > 0
+        # What the distributed-cache protocol guarantees, whatever the
+        # schedule: with a peer alive every host-cache miss asks the
+        # item's mediator before it loads, so each item some node
+        # needed is either a load or a remote hit on that node — and
+        # the 16 host slots never evict one of the 12 items.  Whether
+        # any request *hits* is timing (node 1 must steal work whose
+        # items node 0 has already published), so it is not asserted.
+        hits = stats.hop_stats.total_hits
+        assert stats.hop_stats.requests == stats.loads + hits
+        assert 12 <= stats.loads and stats.loads + hits <= 2 * 12
         assert stats.messages >= stats.hop_stats.requests + 2
         # Batching: far fewer result messages than pairs.
         assert stats.message_kinds["result"] < stats.n_pairs
@@ -365,13 +457,11 @@ class TestClusterRuntime:
         if transport == "shm":
             # Descriptors, not payloads, on the wire — and every
             # segment unlinked at run end.
-            assert stats.bytes_over_wire < stats.hop_stats.total_hits * 1024
+            assert stats.bytes_over_wire <= hits * 1024
             assert shm_segments() == before
         else:
             # Inline shipping pays the full payload per remote hit.
-            assert stats.bytes_over_wire >= stats.hop_stats.total_hits * self.PAYLOAD_BYTES
-        # Every item is loaded from storage at most... once per node.
-        assert stats.loads <= 2 * 12
+            assert stats.bytes_over_wire >= hits * self.PAYLOAD_BYTES
         assert "remote hits" in stats.summary()
         assert transport in stats.summary()
 
@@ -510,6 +600,76 @@ class TestClusterRuntime:
             # The coordinator owns the segments: a crashed worker must
             # not leak /dev/shm entries.
             assert shm_segments() == before
+
+
+class KeyPacedSumApp(SumApp):
+    """SumApp at 4 ms a pair, and 250 ms a pair for ``slow`` items."""
+
+    def compare(self, key_a, a, key_b, b):
+        time.sleep(0.25 if key_a.startswith("slow") else 0.004)
+        return super().compare(key_a, a, key_b, b)
+
+
+class TestEventDrivenControlPlane:
+    """``poll_interval`` backs up death checks and the watchdog; nothing else waits on it."""
+
+    def test_a_five_second_poll_interval_delays_no_user_action(self):
+        store, keys = make_store(12)
+        slow_keys = [f"slow{i:02d}" for i in range(12)]
+        for key in slow_keys:
+            store.write(f"{key}.bin", np.ones(8).tobytes())
+        runtime = ClusterRocketRuntime(
+            KeyPacedSumApp(), store, RocketConfig(**TestClusterRuntime.CFG),
+            cluster=ClusterConfig(n_nodes=2, poll_interval=5.0),
+        )
+        took = {}
+
+        def timed(name, action):
+            start = time.perf_counter()
+            action()
+            took[name] = time.perf_counter() - start
+
+        session = runtime.open_session()
+        try:
+            for k in range(3):
+                timed(f"job{k}", lambda: session.submit(AllPairs(keys)).result(timeout=60.0))
+            timed("add_node", session.add_node)
+            timed("retire_node", session.retire_node)
+            # Seconds of 250 ms pairs, no batch fills and no node runs dry:
+            # once the dispatch traffic is over, only the cancel itself
+            # can wake the coordinator.
+            handle = session.submit(AllPairs(slow_keys))
+            wait_for(lambda: handle.state is RunState.RUNNING)
+            time.sleep(0.3)
+            timed("cancel", lambda: (handle.cancel(), handle.wait(timeout=60.0)))
+            assert handle.state is RunState.CANCELLED
+        finally:
+            timed("close", session.close)
+        assert all(seconds < 1.0 for seconds in took.values()), took
+
+    def test_result_batching_survives_the_flush_rule(self):
+        """A cluster-fetch-shaped job: 2,016 pairs, 2 nodes x 1 device, slots 12/40."""
+        store = InMemoryStore()
+        keys = make_forensics_dataset(
+            store, n_images=64, n_cameras=8, image_shape=(128, 128), seed=1
+        ).keys
+        runtime = ClusterRocketRuntime(
+            ForensicsApplication(), store,
+            RocketConfig(
+                n_devices=1, device_cache_slots=12, host_cache_slots=40, grain=64,
+                watchdog_seconds=120.0,
+            ),
+            cluster=ClusterConfig(n_nodes=2),
+        )
+        with runtime.open_session() as session:
+            session.submit(Bipartite(keys[:5], keys[5:])).result(timeout=60.0)  # warm caches
+            handle = session.submit(AllPairs(keys))
+            handle.result(timeout=60.0)
+        stats = handle.stats
+        assert stats.n_pairs == 2016
+        # Full 64-pair batches would be 32 messages; the flush rule adds
+        # the partial batches a node ships each time it runs out of work.
+        assert stats.message_kinds["result"] <= 48
 
 
 # ----------------------------------------------------------------------

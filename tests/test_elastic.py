@@ -84,7 +84,34 @@ CFG = dict(
 def cluster_cfg(transport, n_nodes=3, **kw):
     kw.setdefault("fetch_timeout", 15.0)
     kw.setdefault("steal_timeout", 5.0)
+    # Small batches: a job streams its first pair early, so an action
+    # triggered on it lands mid-job.
+    kw.setdefault("result_batch", 4)
     return ClusterConfig(n_nodes=n_nodes, transport=transport, **kw)
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def mid_job(handle):
+    """Return once ``handle`` has streamed its first pair; assert it is not done.
+
+    Chaos actions are triggered on this event rather than after a sleep:
+    a job may finish inside any fixed sleep.
+    """
+    wait_for(lambda: handle.progress()[0] > 0)
+    done, total = handle.progress()
+    assert done < total
+
+
+def kill_mid_job(session, handle, nodes):
+    mid_job(handle)
+    for node in nodes:
+        os.kill(session._procs[node].pid, signal.SIGKILL)
 
 
 def local_baseline(keys, store):
@@ -178,10 +205,11 @@ class TestNodeLossRecovery:
         session = runtime.open_session()
         try:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.15)
-            os.kill(session._procs[1].pid, signal.SIGKILL)
+            kill_mid_job(session, handle, [1])
             results = handle.result()
             assert_parity(results, baseline)
+            # The job cannot resolve while node 1 owes its report, and a
+            # dead node never sends one: it was evicted first.
             assert 1 not in session._live
             # The session survives: a follow-up job runs on the others.
             again = session.submit(AllPairs(keys)).result()
@@ -206,8 +234,9 @@ class TestNodeLossRecovery:
         )
         with runtime.open_session() as session:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.15)
-            os.kill(session._procs[2].pid, signal.SIGKILL)
+            # Node 0 holds the initial share: killed this early it still
+            # owns unfinished blocks, so the loss is handled mid-job.
+            kill_mid_job(session, handle, [0])
             results = handle.result()
             assert_parity(results, baseline)
             acct = handle.accounting
@@ -225,9 +254,7 @@ class TestNodeLossRecovery:
         session = runtime.open_session()
         try:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.1)
-            for proc in list(session._procs):
-                os.kill(proc.pid, signal.SIGKILL)
+            kill_mid_job(session, handle, range(len(session._procs)))
             with pytest.raises(RuntimeError):
                 handle.result()
         finally:
@@ -241,8 +268,7 @@ class TestNodeLossRecovery:
         )
         with runtime.open_session() as session:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.1)
-            os.kill(session._procs[1].pid, signal.SIGKILL)
+            kill_mid_job(session, handle, [1])
             handle.cancel()
             assert handle.wait(timeout=60.0)
             assert handle.state in (RunState.CANCELLED, RunState.DONE)
@@ -255,13 +281,6 @@ class TestNodeLossRecovery:
 BEFORE_FIRST_RESULT = "before-first-result"
 MID_JOB = "mid-job"
 AFTER_STOP = "after-stop-broadcast"
-
-
-def wait_for(predicate, timeout=30.0):
-    deadline = time.perf_counter() + timeout
-    while not predicate():
-        assert time.perf_counter() < deadline, "condition never held"
-        time.sleep(0.005)
 
 
 class TestDeathMatrix:
@@ -382,7 +401,7 @@ class TestDeathMatrix:
 class TestMembership:
     @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_join_mid_job_participates(self, transport):
-        store, keys = make_store(14)
+        store, keys = make_store(20)  # long enough to outlast the fork
         baseline = local_baseline(keys, store)
         runtime = ClusterRocketRuntime(
             SlowSumApp(), store, RocketConfig(**CFG),
@@ -390,7 +409,7 @@ class TestMembership:
         )
         with runtime.open_session() as session:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.1)
+            mid_job(handle)
             new = session.add_node()
             assert new == 2
             assert new in session._live
@@ -427,7 +446,7 @@ class TestMembership:
         )
         with runtime.open_session() as session:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.1)
+            mid_job(handle)
             gone = session.retire_node()
             assert gone == 2
             assert gone not in session._live
@@ -450,7 +469,7 @@ class TestMembership:
                 session.retire_node()
 
     def test_churn_kill_and_join_same_job(self):
-        store, keys = make_store(14)
+        store, keys = make_store(20)  # long enough to outlast the fork
         baseline = local_baseline(keys, store)
         runtime = ClusterRocketRuntime(
             SlowSumApp(), store, RocketConfig(**CFG),
@@ -458,9 +477,9 @@ class TestMembership:
         )
         with runtime.open_session() as session:
             handle = session.submit(AllPairs(keys))
-            time.sleep(0.1)
+            mid_job(handle)
             new = session.add_node()
-            os.kill(session._procs[0].pid, signal.SIGKILL)
+            kill_mid_job(session, handle, [0])
             results = handle.result()
             assert_parity(results, baseline)
             assert session._live == {1, new}

@@ -430,6 +430,41 @@ class TestStealTiers:
             pipeline.close()
 
 
+class TestIdleWorkerWakeUp:
+    def test_a_block_injected_before_the_idle_wait_launches_at_once(self):
+        # The window between a worker's empty look at the deques and its
+        # wait: a late steal grant (or a FAIR quantum) is injected there,
+        # and its notify precedes the wait.  Here the steal hook itself
+        # injects, then reports that it got nothing.
+        store, keys = forensics_store(n_images=8)
+        cfg = RocketConfig(n_devices=1, device_cache_slots=16, host_cache_slots=16, seed=7)
+        injected, launched = [], []
+
+        def global_steal():
+            if not injected:
+                pipeline.inject_block(PairBlock.root(8))
+                injected.append(time.perf_counter())
+            return None
+
+        def emit_block(pairs, values):
+            launched.append(time.perf_counter())
+
+        pipeline = NodePipeline(
+            LoopedForensics(), store, cfg, keys, emit_block=emit_block,
+            expected_pairs=28, global_steal=global_steal,
+        )
+        pipeline.start()
+        try:
+            assert pipeline.wait(30.0)
+            pipeline.join(timeout=10.0)
+        finally:
+            pipeline.request_stop(abort=True)
+            pipeline.close()
+        assert not pipeline.errors
+        # One 28-pair launch; the idle backoff would have held it >= 100 ms.
+        assert launched[0] - injected[0] < 0.020
+
+
 class TestFairBehindAWholeLeaf:
     def test_a_priority_query_behind_a_batch_jobs_leaf_claim_finishes(self):
         class SlowLoopedForensics(LoopedForensics):

@@ -8,6 +8,7 @@ and the transport registry — all in-process, no worker processes.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -225,6 +226,57 @@ class TestSharedMemoryPayloadPlane:
                 shared_memory.SharedMemory(name=name)
 
 
+def linked_segments(fabric):
+    """The fabric's segments still present in /dev/shm."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("/dev/shm not available on this platform")
+    names = [*fabric.segment_names, fabric.coord_segment_name]
+    return [name for name in names if os.path.exists(f"/dev/shm/{name}")]
+
+
+class TestTeardownNeverRaises:
+    """Teardown tolerates exactly the errors a segment or queue can raise."""
+
+    def test_double_shutdown_of_either_fabric(self):
+        queue_fabric = QueueFabric(multiprocessing.get_context("fork"), ClusterConfig(n_nodes=2))
+        queue_fabric.shutdown()
+        queue_fabric.shutdown()
+        shm_fabric = make_shm_fabric()
+        shm_fabric.endpoint(0).close()
+        shm_fabric.shutdown()
+        shm_fabric.shutdown()
+        assert linked_segments(shm_fabric) == []
+
+    def test_release_after_the_segment_was_unlinked_elsewhere(self):
+        from multiprocessing import shared_memory
+
+        fabric = make_shm_fabric()
+        try:
+            shared_memory.SharedMemory(name=fabric.segment_names[1]).unlink()
+            fabric.release_node_segment(1)  # FileNotFoundError, tolerated
+            fabric.release_node_segment(1)
+            assert fabric.segment_names[1] not in linked_segments(fabric)
+        finally:
+            fabric.shutdown()
+        assert linked_segments(fabric) == []
+
+    def test_shutdown_while_a_view_into_a_segment_is_alive(self):
+        fabric = make_shm_fabric()
+        endpoint = fabric.endpoint(0)
+        owned = fabric._owned[0]
+        # Live slices keep the mappings exported: close() raises BufferError.
+        node_view = endpoint._own.buf[0:8]
+        coord_view = owned.buf[0:8]
+        endpoint.close()
+        fabric.shutdown()
+        assert linked_segments(fabric) == []  # unlinked all the same
+        node_view[0] = 1  # the mappings outlive the names
+        coord_view[0] = 1
+        del node_view, coord_view
+        endpoint._own.close()
+        owned.close()
+
+
 # ----------------------------------------------------------------------
 # Result batching
 
@@ -243,15 +295,14 @@ class TestResultBatcher:
         assert len(out) == 3 and len(out[2][3]) == 1
         assert batcher.results_sent == 9 and batcher.batches_sent == 3
 
-    def test_maybe_flush_respects_age(self):
+    def test_partial_batch_ships_only_on_request(self):
         out = []
-        batcher = ResultBatcher(out.append, node_id=0, batch_size=100, job_id=0, max_delay=60.0)
+        batcher = ResultBatcher(out.append, node_id=0, batch_size=100, job_id=0)
         batcher.emit_block([(0, 1)], [1.0])
-        batcher.maybe_flush()  # far too young
-        assert out == []
-        batcher.max_delay = 0.0
-        batcher.maybe_flush()
-        assert len(out) == 1
+        assert out == []  # no timer: a partial batch waits for an event
+        batcher.emit_block([(0, 2)], [2.0], flush=True)
+        ((_, _, _, block),) = out
+        assert block == ((0, 1, 1.0), (0, 2, 2.0))
 
     def test_batch_size_one_matches_legacy_granularity(self):
         out = []
@@ -264,7 +315,7 @@ class TestResultBatcher:
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=2, job_id=0)
         batcher.flush()
-        batcher.maybe_flush()
+        batcher.emit_block([], [], flush=True)
         assert out == []
 
     def test_invalid_batch_size(self):
@@ -306,5 +357,24 @@ class TestTransportRegistry:
             ep.send_coordinator(("error", 1, "x"))
             assert fabric.recv_coordinator(timeout=2.0) == ("error", 1, "x")
             assert fabric.recv_coordinator(timeout=0.01) is None
+        finally:
+            fabric.shutdown()
+
+    def test_a_sender_stuck_holding_its_write_lock_silences_only_itself(self):
+        # What a node SIGKILLed mid-send leaves behind: its queue's
+        # cross-process write lock, held forever.
+        fabric = QueueFabric(multiprocessing.get_context("fork"), ClusterConfig(n_nodes=3))
+        try:
+            stuck = fabric.inboxes[1]._queues[0]._wlock  # node 0 -> node 1
+            stuck.acquire()
+            fabric.endpoint(0).send_node(1, ("from", 0))
+            fabric.endpoint(2).send_node(1, ("from", 2))
+            fabric.send_node(1, ("from", "coordinator"))
+            receiver = fabric.endpoint(1)
+            got = {receiver.recv(timeout=5.0), receiver.recv(timeout=5.0)}
+            assert got == {("from", 2), ("from", "coordinator")}
+            assert receiver.recv(timeout=0.1) is None
+            stuck.release()
+            assert receiver.recv(timeout=5.0) == ("from", 0)
         finally:
             fabric.shutdown()
