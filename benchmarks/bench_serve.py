@@ -21,7 +21,6 @@ Run:  python -m pytest benchmarks/bench_serve.py -q -s
 import threading
 import time
 
-from repro.core.session import RocketSession
 from repro.core.workload import AllPairs
 from repro.serve import RocketServer, connect
 from repro.util.tables import format_table
@@ -49,7 +48,7 @@ def test_served_clients_beat_cold_one_shots(once):
         measured["cold_results"] = cold_matrices[0]
 
         # Served: one daemon, one warm session, N concurrent tenants.
-        session = RocketSession._wrap(make_runtime(store), policy="fair")
+        session = make_runtime(store).open_session(policy="fair")
         server = RocketServer(session, keys).start()
         try:
             with connect(server.address, tenant="primer") as primer:

@@ -5,7 +5,7 @@ reuse factor is low; everything Rocket gains comes from *not* re-running
 the load pipeline.  One-shot ``Rocket.run()`` calls throw that state
 away between calls: worker processes die, the transport fabric is
 unlinked, and every cache level — device, host, distributed — starts
-cold.  A :class:`~repro.core.session.RocketSession` keeps all of it
+cold.  A session (``Rocket.session()``) keeps all of it
 alive, so a second job over overlapping keys starts against warm
 caches and an already-spawned cluster.
 

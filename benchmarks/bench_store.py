@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from repro.core.api import Application
-from repro.core.session import RocketSession
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
@@ -80,10 +79,9 @@ def make_corpus():
 
 def run_session(store, keys, store_dir):
     """One fresh session (cold process state) against the shared store."""
-    runtime = LocalRocketRuntime(
+    session = LocalRocketRuntime(
         ExpensiveApp(), store, RocketConfig(store_dir=store_dir, **CONFIG)
-    )
-    session = RocketSession._wrap(runtime)
+    ).open_session()
     try:
         t0 = time.perf_counter()
         results = session.submit(AllPairs(keys)).result()

@@ -6,8 +6,8 @@ recomputing the full all-pairs triangle on every arrival wastes exactly
 the work the previous run already did.  This example shows the
 session/job API handling growth incrementally:
 
-1. open a :class:`~repro.core.session.RocketSession` and run
-   ``AllPairs`` over the initial corpus;
+1. open a session (``Rocket(...).session()``) and run ``AllPairs``
+   over the initial corpus;
 2. new items arrive; submit a ``DeltaPairs`` workload — only
    ``new x old`` and ``new x new`` comparisons, streamed as they land;
 3. merge the delta result into the prior matrix
@@ -22,7 +22,7 @@ Run:  python examples/incremental_corpus.py
 
 import numpy as np
 
-from repro import AllPairs, Application, DeltaPairs, RocketConfig, RocketSession
+from repro import AllPairs, Application, DeltaPairs, Rocket, RocketConfig
 from repro.data import InMemoryStore
 
 
@@ -60,7 +60,7 @@ def main() -> None:
         write_item(store, rng, key)
 
     config = RocketConfig(n_devices=2, device_cache_slots=16, host_cache_slots=24, seed=3)
-    with RocketSession(SpectrumOverlap(), store, config) as session:
+    with Rocket(SpectrumOverlap(), store, config).session() as session:
         # Initial corpus: the classic all-pairs triangle.
         first = session.submit(AllPairs(corpus))
         prior = first.result()

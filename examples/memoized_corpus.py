@@ -28,7 +28,7 @@ import tempfile
 
 import numpy as np
 
-from repro import AllPairs, Application, RocketConfig, RocketSession
+from repro import AllPairs, Application, Rocket, RocketConfig
 from repro.data import InMemoryStore
 
 N_ITEMS = 10
@@ -72,7 +72,7 @@ def run_session(store, store_dir, label: str):
     """A fresh session against the shared store; prints its accounting."""
     keys = [f"rec{i:02d}" for i in range(N_ITEMS)]
     config = RocketConfig(n_devices=2, seed=5, store_dir=store_dir)
-    with RocketSession(SpectrumOverlap(), store, config) as session:
+    with Rocket(SpectrumOverlap(), store, config).session() as session:
         results = session.submit(AllPairs(keys)).result()
         memo = session.metrics()["store"]["memo"]
         print(f"{label}:")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Rocket-as-a-service: share one warm session between many clients.
 
-A :class:`~repro.serve.RocketServer` wraps a live
-:class:`~repro.RocketSession` and serves it over a TCP socket; clients
+A :class:`~repro.serve.RocketServer` wraps a live session
+(``Rocket(...).session()``) and serves it over a TCP socket; clients
 :func:`~repro.serve.connect` and get a ``ServedSession`` that mirrors
 the in-process API — ``submit`` / ``result`` / ``stream`` — plus the
 serving extras: tenant identities with fair-share weights, and jobs
@@ -17,7 +17,7 @@ Run:  python examples/serve_quickstart.py
 
 import numpy as np
 
-from repro import Application, RocketConfig, RocketSession
+from repro import Application, Rocket, RocketConfig
 from repro.core.workload import DeltaPairs
 from repro.data import InMemoryStore
 from repro.serve import RocketServer, TenantConfig, TenantDirectory, connect
@@ -54,8 +54,8 @@ def main() -> None:
     # The daemon side: one warm FAIR session served on a socket.  The
     # tenant directory gives "analytics" a 3x fair-share weight over
     # walk-in tenants and caps everyone at 4 concurrently live jobs.
-    session = RocketSession(
-        DotProduct(), store, RocketConfig(n_devices=2, seed=7), policy="fair"
+    session = Rocket(DotProduct(), store, RocketConfig(n_devices=2, seed=7)).session(
+        policy="fair"
     )
     tenants = TenantDirectory(
         [TenantConfig("analytics", weight=3.0)],

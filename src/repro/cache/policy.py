@@ -1,8 +1,9 @@
 """Eviction policies and cache-related admission clamping.
 
 The paper's caches evict least-recently-used slots; FIFO and RANDOM are
-provided as ablation baselines (see ``benchmarks/bench_ablation_eviction``)
-to quantify how much the LRU choice matters for all-pairs reuse.
+provided as ablation baselines (see
+``benchmarks/bench_ablations.py::test_ablation_eviction_policy``) to
+quantify how much the LRU choice matters for all-pairs reuse.
 """
 
 from __future__ import annotations

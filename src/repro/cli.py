@@ -131,12 +131,6 @@ def add_run_arguments(p: argparse.ArgumentParser, with_backend: bool) -> None:
     p.add_argument("--save", metavar="PATH", help="write the result matrix as JSON")
     _add_shape_arguments(p)
     p.add_argument(
-        "--priority", type=float, default=1.0, metavar="W",
-        help="fair-share weight of the submitted single job; with "
-        "--jobs-file set per-entry 'priority' keys instead (combining "
-        "the two is an error)",
-    )
-    p.add_argument(
         "--profile", metavar="PATH", default=None,
         help="profile the run and write the merged multi-process "
         "Chrome/Perfetto trace JSON to PATH (load it in "
@@ -406,7 +400,7 @@ def _build_runtime(args: argparse.Namespace, profiling: bool = False):
     """Shared ``run``/``serve`` setup: synthetic data + backend config.
 
     Returns ``(app, store, keys, config, backend, options)`` ready for
-    a ``Rocket``/``RocketSession`` constructor.
+    the ``Rocket`` constructor.
     """
     from repro.data.filestore import InMemoryStore
     from repro.runtime.localrocket import RocketConfig
@@ -456,25 +450,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args, profiling=bool(args.profile)
     )
     rocket = Rocket(app, store, config, backend=backend, **options)
-    if getattr(args, "jobs_file", None):
-        if args.priority != 1.0:
-            raise SystemExit(
-                "--priority has no effect with --jobs-file; set per-entry "
-                "'priority' keys in the jobs file instead"
-            )
+    if args.jobs_file:
         return _run_jobs_file(rocket, args.jobs_file, keys, args.save, args.profile)
     workload = _make_workload(keys, args.bipartite, args.delta)
-    if args.priority != 1.0:
-        # A lone job has no competition, so keep the serial FIFO
-        # execution path (wholesale block hand-out); the weight rides
-        # on the handle for scripted callers to inspect.
-        with rocket.session() as session:
-            handle = session.submit(workload, priority=args.priority)
-            results = handle.result()
-            if args.profile:
-                session.profile().save(args.profile)
-    else:
-        results = rocket.run(workload, profile=args.profile)
+    results = rocket.run(workload, profile=args.profile)
     if args.profile:
         print(f"profile trace written to {args.profile}")
     print(workload.describe())
@@ -496,7 +475,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Start the serving daemon and block until SIGTERM drains it."""
-    from repro.core.session import RocketSession
+    from repro.core.rocket import Rocket
     from repro.serve import RocketServer, TenantDirectory
 
     app, store, keys, config, backend, options = _build_runtime(args)
@@ -505,10 +484,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.tenants
         else TenantDirectory.permissive()
     )
-    session = RocketSession(
-        app, store, config,
-        backend=backend, policy="fair", max_active=args.max_active,
-        **options,
+    session = Rocket(app, store, config, backend=backend, **options).session(
+        policy="fair", max_active=args.max_active
     )
     try:
         server = RocketServer(

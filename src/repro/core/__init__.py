@@ -11,11 +11,13 @@ overlapping computation with I/O".
 Beyond the paper's one-shot call, the package provides the
 session/job execution API: :class:`~repro.core.workload.Workload`
 objects describe *which* pairs to compare (:class:`AllPairs`,
-:class:`FilteredPairs`, :class:`Bipartite`, :class:`DeltaPairs`), a
-:class:`~repro.core.session.RocketSession` executes many of them
-against one warm backend, and each submission's
+:class:`FilteredPairs`, :class:`Bipartite`, :class:`DeltaPairs`),
+``Rocket(...).session()`` executes many of them against one warm
+backend, and each submission's
 :class:`~repro.core.session.RunHandle` offers blocking results,
-incremental streaming, progress and cancellation.
+incremental streaming, progress and cancellation.  ``RocketSession``
+is another name for the session class,
+:class:`~repro.runtime.backend.BackendSession`.
 """
 
 from repro.core.api import Application
@@ -23,7 +25,7 @@ from repro.core.buffers import HostBuffer, DeviceBuffer
 from repro.core.result import ResultMatrix
 from repro.core.rocket import Rocket, RocketConfig
 from repro.core.scheduler import JobAccounting, JobScheduler, SchedulingPolicy
-from repro.core.session import RocketSession, RunHandle, RunState, SessionClosed
+from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import (
     AllPairs,
     Bipartite,
@@ -31,6 +33,7 @@ from repro.core.workload import (
     FilteredPairs,
     Workload,
 )
+from repro.runtime.backend import BackendSession as RocketSession
 
 __all__ = [
     "Application",

@@ -23,17 +23,16 @@ execution backend and returns the
 
 **Execution model.**  :meth:`Rocket.run` is the paper's one-shot call:
 it opens a session on the backend, submits a single workload, blocks
-for the result and tears the session down.  The session machinery
-itself is the primary API (:class:`~repro.core.session.RocketSession`):
-a long-lived runtime that accepts many
+for the result and tears the session down.  The session itself is the
+primary API: :meth:`Rocket.session` returns the backend's
+:class:`~repro.runtime.backend.BackendSession` (``repro.RocketSession``
+names the same class), a long-lived runtime that accepts many
 :class:`~repro.core.workload.Workload` submissions — :class:`AllPairs`,
 :class:`FilteredPairs`, :class:`Bipartite` (query set vs. reference
 corpus), :class:`DeltaPairs` (incremental corpus growth) — streams
 results as they complete (``handle.stream()``), reports progress and
 supports cancellation, while keeping worker processes, the transport
-fabric and every cache level warm between jobs.  Open one with
-:meth:`Rocket.session` (or construct a
-:class:`~repro.core.session.RocketSession` directly)::
+fabric and every cache level warm between jobs::
 
     with rocket.session() as session:
         handle = session.submit(Bipartite(queries, corpus))
@@ -69,10 +68,9 @@ from typing import Hashable, Optional, Sequence, Union
 
 from repro.core.api import Application
 from repro.core.result import ResultMatrix
-from repro.core.session import RocketSession
 from repro.core.workload import Workload
 from repro.data.filestore import FileStore
-from repro.runtime.backend import available_backends, create_backend
+from repro.runtime.backend import BackendSession, available_backends, create_backend
 from repro.runtime.localrocket import RocketConfig
 
 __all__ = ["Rocket", "RocketConfig"]
@@ -142,11 +140,14 @@ class Rocket:
             self._runtime.last_stats = runtime.last_stats
         return result
 
-    def session(self, policy="fifo", max_active=None) -> RocketSession:
+    def session(self, policy="fifo", max_active=None) -> BackendSession:
         """Open a long-lived session on this Rocket's backend.
 
-        The session accepts many workload submissions
-        (``session.submit(workload, priority=...) -> RunHandle``) and
+        Returns the backend's session driver itself (a
+        :class:`~repro.runtime.backend.BackendSession`, which
+        ``repro.RocketSession`` also names).  It accepts many workload
+        submissions (``session.submit(workload, priority=...) ->
+        RunHandle``) and
         keeps the backend's worker processes and cache levels warm
         between them; close it (context manager or ``close()``) to tear
         them down.  ``policy`` selects the job scheduling policy:
@@ -156,7 +157,7 @@ class Rocket:
         high-priority job co-scheduled with a large one finishes in
         roughly its own time instead of queueing behind it.
         """
-        return RocketSession._wrap(self._runtime, policy=policy, max_active=max_active)
+        return self._runtime.open_session(policy=policy, max_active=max_active)
 
     @property
     def last_stats(self):

@@ -1,16 +1,19 @@
-"""Sessions and run handles: the job-oriented execution API.
+"""Run handles: the job side of the session API.
 
 ``Rocket.run(keys)`` reproduces the paper's interface — one blocking
-call, one dense result, the backend torn down afterwards.  A
-:class:`RocketSession` is the production shape of the same machinery: a
-long-lived runtime that accepts many :class:`~repro.core.workload.Workload`
-submissions, streams results as they complete, and keeps the backend's
-expensive state — worker processes, transport fabric, device/host/
-distributed cache levels — alive *between* jobs, so a second job over
-overlapping keys hits warm caches instead of re-spawning the world and
-re-running the load pipeline::
+call, one dense result, the backend torn down afterwards.
+``Rocket.session()`` opens the production shape of the same machinery:
+a :class:`~repro.runtime.backend.BackendSession` (exported as
+``repro.RocketSession``), a long-lived runtime that accepts many
+:class:`~repro.core.workload.Workload` submissions, streams results as
+they complete, and keeps the backend's expensive state — worker
+processes, transport fabric, device/host/distributed cache levels —
+alive *between* jobs, so a second job over overlapping keys hits warm
+caches instead of re-spawning the world and re-running the load
+pipeline::
 
-    with RocketSession(app, store, backend="cluster", n_nodes=4) as session:
+    rocket = Rocket(app, store, backend="cluster", n_nodes=4)
+    with rocket.session() as session:
         first = session.submit(AllPairs(corpus))
         for a, b, value in first.stream():     # results as they land
             index.update(a, b, value)
@@ -24,20 +27,16 @@ Each submission returns a :class:`RunHandle` — the job's future:
 reports pairs done vs. total, and ``cancel()`` aborts the job while
 leaving the session usable for the next one.
 
-The session delegates to a backend-specific
-:class:`~repro.runtime.backend.BackendSession` (threaded local engine,
-or the multi-process cluster with its persistent node processes).  How
-jobs within one session overlap is a scheduling *policy*
+How jobs within one session overlap is a scheduling *policy*
 (:class:`~repro.core.scheduler.SchedulingPolicy`): the default
-``"fifo"`` runs them serially in submission order (the historical
-behaviour), while ``"fair"`` multiplexes many in-flight jobs over the
-live backend with weighted fair sharing — ``submit(workload,
-priority=4.0)`` gives a job four times the device share of a
-``priority=1.0`` one, and a small query co-scheduled with a large job
-finishes in roughly its own time instead of queueing behind the
-giant::
+``"fifo"`` runs them serially in submission order, while ``"fair"``
+multiplexes many in-flight jobs over the live backend with weighted
+fair sharing — ``submit(workload, priority=4.0)`` gives a job four
+times the device share of a ``priority=1.0`` one, and a small query
+co-scheduled with a large job finishes in roughly its own time instead
+of queueing behind the giant::
 
-    with RocketSession(app, store, policy="fair") as session:
+    with Rocket(app, store).session(policy="fair") as session:
         big = session.submit(AllPairs(corpus))
         urgent = session.submit(Bipartite(queries, corpus), priority=8.0)
         urgent.result()   # does not wait for `big`
@@ -51,9 +50,9 @@ import time
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.result import ResultMatrix
-from repro.core.workload import Workload, as_workload
+from repro.core.workload import Workload
 
-__all__ = ["RunState", "RunHandle", "RocketSession", "SessionClosed"]
+__all__ = ["RunState", "RunHandle", "SessionClosed"]
 
 
 class SessionClosed(RuntimeError):
@@ -333,143 +332,3 @@ class RunHandle:
             self._cancel_cb = None
             self.finished_at = time.monotonic()
             self._cond.notify_all()
-
-
-class RocketSession:
-    """A long-lived Rocket runtime accepting many workload submissions.
-
-    Construction spins the selected backend up once (cluster: worker
-    processes + transport fabric; local: devices, caches and pools);
-    every :meth:`submit` then runs against that warm state.  Close the
-    session (or use it as a context manager) to tear the backend down.
-
-    ``Rocket.run(keys)`` is now exactly a one-shot session: open,
-    submit, wait, close.
-    """
-
-    def __init__(
-        self,
-        app,
-        store,
-        config=None,
-        backend: str = "local",
-        policy="fifo",
-        max_active: Optional[int] = None,
-        **backend_options,
-    ) -> None:
-        from repro.runtime.backend import create_backend
-        from repro.runtime.localrocket import RocketConfig
-
-        self._backend = create_backend(
-            backend, app, store,
-            config if config is not None else RocketConfig(),
-            **backend_options,
-        )
-        self._session = self._backend.open_session(policy=policy, max_active=max_active)
-
-    @classmethod
-    def _wrap(cls, backend, policy="fifo", max_active: Optional[int] = None) -> "RocketSession":
-        """Build a session around an existing backend instance."""
-        self = cls.__new__(cls)
-        self._backend = backend
-        self._session = backend.open_session(policy=policy, max_active=max_active)
-        return self
-
-    # ------------------------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        """Name of the executing backend."""
-        return self._backend.name
-
-    def submit(
-        self,
-        workload,
-        *,
-        priority: float = 1.0,
-        max_inflight: Optional[int] = None,
-    ) -> RunHandle:
-        """Queue a workload for execution; returns its :class:`RunHandle`.
-
-        Non-blocking.  Accepts a :class:`~repro.core.workload.Workload`
-        or a plain key sequence (interpreted as
-        :class:`~repro.core.workload.AllPairs`).  Under the default
-        ``"fifo"`` policy jobs run serially in submission order; under
-        ``"fair"`` they run concurrently and ``priority`` is the job's
-        fair-share weight, with ``max_inflight`` optionally capping its
-        concurrently in-flight pair comparisons.
-        """
-        return self._session.submit(
-            as_workload(workload), priority=priority, max_inflight=max_inflight
-        )
-
-    def run(self, workload) -> ResultMatrix:
-        """Submit and block for the result (convenience wrapper)."""
-        return self.submit(workload).result()
-
-    @property
-    def last_stats(self):
-        """Statistics of the session's most recently completed job."""
-        return self._backend.last_stats
-
-    def metrics(self):
-        """Session-lifetime metrics snapshot (nested, JSON-dumpable).
-
-        Counters, gauges and histograms accumulated across every job
-        this session ran — cache hits per level, steal grants,
-        transport traffic, scheduler queue depth and grant latency,
-        plus per-job accounting records.  See :mod:`repro.obs.metrics`.
-        """
-        return self._session.metrics()
-
-    def profile(self):
-        """Merged multi-process profile of the session's jobs so far.
-
-        Returns a :class:`~repro.util.trace.ProfileTrace` combining the
-        coordinator's spans with every node process's shipped trace
-        buffer (empty unless the backend config has
-        ``profiling=True``); ``trace.save(path)`` writes it as
-        Chrome/Perfetto JSON.
-        """
-        return self._session.profile()
-
-    def add_node(self) -> int:
-        """Grow the live worker set by one node (cluster backend).
-
-        The new node joins running jobs as a steal target and cache
-        peer immediately; returns its node id.  Raises on backends
-        without a node set (local), and once the pre-allocated node
-        slots (``ClusterConfig(max_nodes=...)``) are used up.
-        """
-        return self._session.add_node()
-
-    def retire_node(self, node: Optional[int] = None, *, drain: bool = True) -> int:
-        """Drain one worker out of the live set without losing pairs.
-
-        ``node=None`` retires the highest-numbered live node; the
-        node's unfinished work is re-enqueued on the survivors before
-        its process shuts down.  Returns the retired node id.
-        """
-        return self._session.retire_node(node, drain=drain)
-
-    def close(self) -> None:
-        """Tear down the backend (cancels queued and running jobs).
-
-        Exactly one caller performs the teardown; a second ``close()``
-        — concurrent or sequential — raises :class:`SessionClosed`
-        instead of racing the backend shutdown.
-        """
-        self._session.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._session.closed
-
-    def __enter__(self) -> "RocketSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        try:
-            self.close()
-        except SessionClosed:
-            pass  # closed early inside the with block

@@ -14,8 +14,9 @@ same architecture on actual OS threads and processes:
   share: device and host slot caches (the same
   :class:`~repro.cache.slots.SlotCache` policy code the simulator uses)
   guarded by condition variables, per-device worker threads running
-  divide-and-conquer with work-stealing, a CPU parse pool, a single I/O
-  lane, and concurrent-job admission control;
+  divide-and-conquer with work-stealing, a load pipeline run on the job
+  that misses the item (behind a single I/O lane), and concurrent-job
+  admission control;
 - :mod:`repro.runtime.localrocket` — the single-process configuration
   (no third cache level; what the examples and application-correctness
   tests run on);
@@ -27,8 +28,9 @@ same architecture on actual OS threads and processes:
   cluster runtime: inline queue shipping (``"queue"``) or zero-copy
   shared-memory descriptors (``"shm"``);
 - :mod:`repro.runtime.backend` — the backend registry behind
-  ``Rocket(..., backend=...)`` and the session driver (one job
-  lifecycle) both runtimes' sessions run on;
+  ``Rocket(..., backend=...)`` and the session driver
+  (:class:`BackendSession`, one job lifecycle): the one session type,
+  what ``Rocket.session()`` returns and ``repro.RocketSession`` names;
 - :mod:`repro.runtime.stats` — the one additive stats record
   (``NodeStats`` per node, ``RunStats`` per job) and its fold into the
   metrics registry.

@@ -15,7 +15,9 @@ executors):
   :class:`~repro.runtime.stats.RunStats` of the most recent job;
 - :class:`BackendSession` — one live execution context and the job
   lifecycle every backend shares: submit, admission, cancellation,
-  watchdog, terminal resolution, metrics, close;
+  watchdog, terminal resolution, metrics, close.  It is the one session
+  type: ``Rocket.session()`` returns it and ``repro.RocketSession``
+  names it;
 - a registry mapping backend names to factories, so
   ``Rocket(app, store, backend="cluster", n_nodes=4)`` needs no imports
   from the caller.
@@ -222,20 +224,33 @@ class BackendSession(ABC):
 
     # -- public surface --------------------------------------------------
 
+    @property
+    def backend(self) -> str:
+        """Name of the executing backend."""
+        return self._runtime.name
+
+    @property
+    def last_stats(self) -> Optional[RunStats]:
+        """Statistics of the backend's most recently completed job."""
+        return self._runtime.last_stats
+
     def submit(
         self,
-        workload: Workload,
+        workload: Union[Workload, Sequence[Hashable]],
         *,
         priority: float = 1.0,
         max_inflight: Optional[int] = None,
     ) -> RunHandle:
         """Queue ``workload``; returns the job's handle immediately.
 
+        Accepts a :class:`~repro.core.workload.Workload` or a plain key
+        sequence (run as :class:`~repro.core.workload.AllPairs`).
         ``priority`` is the job's fair-share weight (FAIR policy);
         ``max_inflight`` caps its concurrently in-flight pair
         comparisons (None — only the session's limits apply).
         """
         self._check_open()
+        workload = as_workload(workload)
         # All per-workload heavy lifting runs on the submitting thread,
         # outside the session lock: the driver keeps serving co-running
         # jobs while a large submission prepares.  Warming grain_blocks
@@ -279,6 +294,10 @@ class BackendSession(ABC):
             raise
         self._notify()
         return handle
+
+    def run(self, workload: Union[Workload, Sequence[Hashable]]) -> ResultMatrix:
+        """Submit and block for the result."""
+        return self.submit(workload).result()
 
     def _check_open(self) -> None:
         with self._lock:
@@ -340,7 +359,13 @@ class BackendSession(ABC):
         )
 
     def metrics(self) -> Dict[str, Any]:
-        """Session-lifetime metrics snapshot (see :mod:`repro.obs.metrics`)."""
+        """Session-lifetime metrics snapshot (nested, JSON-dumpable).
+
+        Counters, gauges and histograms accumulated across every job
+        this session ran — cache hits per level, steal grants,
+        transport traffic, scheduler queue depth and grant latency,
+        plus per-job accounting records.  See :mod:`repro.obs.metrics`.
+        """
         self._metrics.set_gauge("scheduler.queue_depth", self._scheduler.queued_count)
         self._metrics.set_gauge("scheduler.active_jobs", self._scheduler.active_count)
         snapshot = self._metrics.snapshot()
@@ -576,8 +601,8 @@ class RocketBackend(ABC):
         """
         raise NotImplementedError(f"backend {self.name!r} does not support sessions")
 
-    def _one_shot_session(self, workload: Workload) -> BackendSession:
-        """The session :meth:`run` executes its single workload on.
+    def _one_shot_session(self, keys: Union[Sequence[Hashable], Workload]) -> BackendSession:
+        """The session :meth:`run` executes ``keys`` (its single workload) on.
 
         Backends that can size resources to one known workload (e.g.
         the local engine's cache-slot bound) override this; the default
@@ -600,11 +625,9 @@ class RocketBackend(ABC):
         ``profiling=True`` — :meth:`Rocket.run <repro.core.rocket.Rocket.run>`
         arranges that automatically).
         """
-        workload = as_workload(keys)
-        session = self._one_shot_session(workload)
+        session = self._one_shot_session(keys)
         try:
-            handle = session.submit(workload)
-            result = handle.result()
+            result = session.run(keys)
             if profile is not None:
                 session.profile().save(profile)
         finally:

@@ -20,12 +20,12 @@ from repro.cache.policy import EvictionPolicy
 from repro.core.api import Application
 from repro.core.scheduler import DEFAULT_GRAIN, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle
-from repro.core.workload import Workload
+from repro.core.workload import as_workload
 from repro.data.filestore import FileStore
 from repro.runtime.backend import BackendSession, RocketBackend, SessionJob
 from repro.runtime.pernode import NodeEngine, NodePipeline
 from repro.runtime.stats import NodeStats, RunStats
-from repro.scheduling.workstealing import StealOrder, StealPolicy
+from repro.scheduling.workstealing import StealPolicy
 from repro.util.rng import RngFactory
 from repro.util.trace import TraceRecorder
 
@@ -64,10 +64,6 @@ class RocketConfig:
     #: length must equal ``n_devices`` when given.
     device_speed_factors: Optional[Tuple[float, ...]] = None
     eviction: EvictionPolicy = EvictionPolicy.LRU
-    #: Which end of a victim's deque a steal that *leaves the node*
-    #: takes (cluster backend).  Device workers of one node always
-    #: steal each other's nearest task (:mod:`repro.runtime.pernode`).
-    steal_order: StealOrder = StealOrder.LARGEST
     #: ``UNIFORM`` — the paper's randomized stealing; ``SPEED`` — the
     #: heterogeneity-aware policy: speed-proportional initial
     #: partitioning, victims ranked by estimated remaining time, steal
@@ -152,10 +148,10 @@ class LocalRocketRuntime(RocketBackend):
             self, capacity_hint=capacity_hint, policy=policy, max_active=max_active
         )
 
-    def _one_shot_session(self, workload: Workload) -> "LocalSession":
+    def _one_shot_session(self, keys) -> "LocalSession":
         # One known workload: bound the engine's cache slots by its
         # item count instead of allocating the full configured slots.
-        return self.open_session(capacity_hint=workload.n_items)
+        return self.open_session(capacity_hint=as_workload(keys).n_items)
 
 
 class _LocalJob(SessionJob):

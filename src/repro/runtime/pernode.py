@@ -629,12 +629,12 @@ class NodePipeline:
         """Give up one block (from the most-loaded deque) to a remote thief.
 
         A steal that leaves the node pays a coordinator round-trip, so
-        it takes ``steal_order``'s end — by default the top, the most
+        it takes the top of the deque (``StealOrder.LARGEST``), the most
         work per request — unlike :meth:`_next_local_task`'s intra-node steal.
         """
         with self.sched_lock:
             victim = max(self.deques, key=lambda q: q.pending_pairs)
-            return victim.steal(self.config.steal_order)
+            return victim.steal(StealOrder.LARGEST)
 
     def has_queued_work(self) -> bool:
         """True while any of this node's deques holds a task."""

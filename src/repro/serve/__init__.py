@@ -6,8 +6,8 @@ cache hierarchy is orders of magnitude cheaper than cold recomputation
 This package provides that form factor:
 
 - :mod:`repro.serve.daemon` — :class:`~repro.serve.daemon.RocketServer`
-  owns one :class:`~repro.core.session.RocketSession` (any backend) and
-  serves it over a TCP socket (``rocket-repro serve`` on the CLI);
+  owns one session (``Rocket(...).session()``, any backend) and serves
+  it over a TCP socket (``rocket-repro serve`` on the CLI);
 - :mod:`repro.serve.client` — :func:`~repro.serve.client.connect`
   returns a :class:`~repro.serve.client.ServedSession` mirroring the
   in-process session/handle surface;

@@ -1,8 +1,8 @@
 """Client library of the Rocket serving daemon.
 
 :func:`connect` opens a socket to a running daemon and returns a
-:class:`ServedSession` that mirrors the in-process
-:class:`~repro.core.session.RocketSession` surface — ``submit`` takes
+:class:`ServedSession` that mirrors the in-process session
+(:class:`~repro.runtime.backend.BackendSession`) — ``submit`` takes
 the same :class:`~repro.core.workload.Workload` shapes (or a plain key
 list) and returns a :class:`ServedHandle` with the familiar
 ``result`` / ``stream`` / ``progress`` / ``cancel`` / ``wait`` verbs,
@@ -95,7 +95,7 @@ def connect(
 
 
 class ServedSession:
-    """A tenant's connection to the daemon; mirrors ``RocketSession``."""
+    """A tenant's connection to the daemon; mirrors the in-process session."""
 
     def __init__(self, sock: socket.socket, *, tenant: str, address: str) -> None:
         self._sock = sock
@@ -208,8 +208,8 @@ class ServedSession:
 class ServedHandle:
     """Remote view of one served job; mirrors ``RunHandle``."""
 
-    def __init__(self, session: ServedSession, job_id: str) -> None:
-        self._session = session
+    def __init__(self, client: ServedSession, job_id: str) -> None:
+        self._client = client
         self.job_id = job_id
         self._result: Optional[ResultMatrix] = None
         self._last_status: Optional[Dict[str, Any]] = None
@@ -218,7 +218,7 @@ class ServedHandle:
 
     def status(self) -> Dict[str, Any]:
         """The job's full daemon-side status document."""
-        self._last_status = self._session._request(
+        self._last_status = self._client._request(
             {"op": "status", "job": self.job_id}
         )
         return self._last_status
@@ -248,7 +248,7 @@ class ServedHandle:
                 remaining = min(remaining, deadline - time.monotonic())
                 if remaining < 0:
                     return False
-            status = self._session._request(
+            status = self._client._request(
                 {"op": "wait", "job": self.job_id, "timeout": max(0.0, remaining)}
             )
             self._last_status = status
@@ -280,7 +280,7 @@ class ServedHandle:
             remaining = POLL_TIMEOUT
             if deadline is not None:
                 remaining = min(remaining, deadline - time.monotonic())
-            status = self._session._request(
+            status = self._client._request(
                 {"op": "result", "job": self.job_id, "timeout": max(0.0, remaining)}
             )
             self._last_status = status
@@ -311,7 +311,7 @@ class ServedHandle:
         """
         cursor = 0
         while True:
-            response = self._session._request(
+            response = self._client._request(
                 {
                     "op": "stream",
                     "job": self.job_id,
@@ -332,7 +332,7 @@ class ServedHandle:
 
     def cancel(self) -> bool:
         """Request cancellation; True if the job was still cancellable."""
-        return self._session._request({"op": "cancel", "job": self.job_id})[
+        return self._client._request({"op": "cancel", "job": self.job_id})[
             "accepted"
         ]
 
@@ -342,7 +342,7 @@ class ServedHandle:
         After the ack (and job completion) the id stops resolving —
         fetch the result first.  Returns True once the record is gone.
         """
-        return self._session._request({"op": "ack", "job": self.job_id})["purged"]
+        return self._client._request({"op": "ack", "job": self.job_id})["purged"]
 
     @property
     def accounting(self) -> Optional[Dict[str, Any]]:

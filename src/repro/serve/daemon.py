@@ -3,10 +3,11 @@
 The paper's economics — comparing new items against a large corpus is
 cheap once the cache hierarchy is warm — only pays off at user scale
 if many clients share one warm session.  :class:`RocketServer` turns a
-:class:`~repro.core.session.RocketSession` into that shared service: it
-owns the session (local or cluster backend),
-listens on a TCP socket, and serves the length-prefixed JSON protocol
-of :mod:`repro.serve.protocol` with one handler thread per connection.
+session (:class:`~repro.runtime.backend.BackendSession`, what
+``Rocket.session()`` returns) into that shared service: it owns the
+session (local or cluster backend), listens on a TCP socket, and serves
+the length-prefixed JSON protocol of :mod:`repro.serve.protocol` with
+one handler thread per connection.
 
 Request verbs:
 
@@ -48,10 +49,11 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.session import RocketSession, RunState, SessionClosed
+from repro.core.session import RunState, SessionClosed
 from repro.core.workload import as_workload
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.backend import BackendSession
 from repro.serve import protocol
 from repro.serve.errors import ProtocolError, QuotaExceeded, ServeError, ServerDraining
 from repro.serve.registry import DEFAULT_RESULT_TTL, JobRegistry
@@ -79,14 +81,14 @@ class _Connection:
 
 
 class RocketServer:
-    """Serve one warm :class:`RocketSession` to many socket clients.
+    """Serve one warm session to many socket clients.
 
     The server borrows the session — it submits, reads and closes it,
     but does not create it — so any backend the session API supports
     (local, cluster) is served unchanged::
 
-        session = RocketSession(app, store, backend="cluster",
-                                n_nodes=4, policy="fair")
+        session = Rocket(app, store, backend="cluster",
+                         n_nodes=4).session(policy="fair")
         server = RocketServer(session, keys, port=7070,
                               tenants=TenantDirectory.from_file(cfg))
         server.serve_forever()          # SIGTERM drains and exits
@@ -98,7 +100,7 @@ class RocketServer:
 
     def __init__(
         self,
-        session: RocketSession,
+        session: BackendSession,
         keys,
         *,
         host: str = "127.0.0.1",

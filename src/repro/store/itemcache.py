@@ -76,16 +76,17 @@ class PersistentItemCache:
         """
         try:
             blob_hash = self.hasher.digest(self.app.file_name(key))
-        except Exception:
+        except (KeyError, OSError):
             return None  # missing blob: let the real pipeline raise
         path = self._path_for(key, blob_hash)
         try:
             return np.load(path, mmap_mode="r", allow_pickle=False)
         except FileNotFoundError:
             return None
-        except Exception:
-            # Torn write or bit rot: drop the file so it stops costing
-            # a failed load on every future session.
+        except (ValueError, EOFError):
+            # Torn write or bit rot (a bad header or a short body: a
+            # ValueError; a zero-byte file: EOFError): drop the file so
+            # it stops costing a failed load on every future session.
             try:
                 path.unlink()
             except OSError:
@@ -108,7 +109,7 @@ class PersistentItemCache:
             blob_hash = (
                 self.hasher.note(name, blob) if blob is not None else self.hasher.digest(name)
             )
-        except Exception:
+        except (KeyError, OSError):
             return 0
         path = self._path_for(key, blob_hash)
         if path.exists():
@@ -128,7 +129,7 @@ class PersistentItemCache:
             os.replace(tmp_name, path)
             tmp_name = None
             return path.stat().st_size
-        except Exception:
+        except (OSError, ValueError):
             return 0
         finally:
             if fd is not None:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.session import RocketSession, RunHandle, RunState, SessionClosed
+from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import AllPairs
 from repro.serve import RocketServer, connect
 
@@ -68,7 +68,7 @@ class PoisonApp(PacedApp):
 def open_session(store, tmp_path=None, app=None, policy="fifo", **cfg):
     if tmp_path is not None:
         cfg["store_dir"] = str(tmp_path)
-    return RocketSession._wrap(make_backend("local", store, app=app, **cfg), policy=policy)
+    return make_backend("local", store, app=app, **cfg).open_session(policy=policy)
 
 
 def wait_for(predicate, timeout=20.0):
@@ -297,7 +297,7 @@ class TestMemoStep:
     def test_dead_session_rejects_a_fully_memoized_submit(self, tmp_path):
         session, keys, _ = self.memoized_session(tmp_path)
         try:
-            session._session._mark_fatal("injected")
+            session._mark_fatal("injected")
             with pytest.raises(RuntimeError, match="session is dead"):
                 session.submit(AllPairs(keys))
         finally:

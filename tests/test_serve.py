@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.session import RocketSession, RunHandle, RunState, SessionClosed
+from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import AllPairs, Bipartite, DeltaPairs, FilteredPairs
 from repro.serve import (
     ProtocolError,
@@ -65,14 +65,14 @@ def make_server(
     """
     store, keys = make_store(n_items)
     runtime = make_backend(backend, store, app=app, **(config or {}))
-    session = RocketSession._wrap(runtime, policy="fair")
+    session = runtime.open_session(policy="fair")
     server = RocketServer(session, keys, tenants=tenants, **server_kw).start()
     return server, store, keys
 
 
 def reference_results(store, keys, workload, app=None):
     """The in-process ground truth for a served workload."""
-    session = RocketSession._wrap(make_backend("local", store, app=app))
+    session = make_backend("local", store, app=app).open_session()
     try:
         return session.submit(workload).result()
     finally:
@@ -474,12 +474,14 @@ class TestTenantScheduling:
         granted a third of its pairs — within one session window, what
         the heavy job may hold before the light one is admitted."""
         grain = 8  # 66 pairs in 28 quanta; the window is 1 device x 8 pairs
-        server, store, keys = make_server(
-            n_items=12, app=SlowApp(), tenants=self.directory(), config={"grain": grain}
+        store, keys = make_store(12)
+        session = make_backend("local", store, app=SlowApp(), grain=grain).open_session(
+            policy="fair"
         )
+        server = RocketServer(session, keys, tenants=self.directory()).start()
         workload = AllPairs(keys)
         assert len(workload.grain_blocks(grain)) >= 8
-        scheduler = server._session._session._scheduler
+        scheduler = session._scheduler
         grants = []
         next_grant = scheduler.next_grant
 
@@ -637,7 +639,7 @@ class TestSessionClosedContract:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_double_close_raises(self, backend):
         store, keys = make_store(4)
-        session = RocketSession._wrap(make_backend(backend, store))
+        session = make_backend(backend, store).open_session()
         session.close()
         with pytest.raises(SessionClosed):
             session.close()
@@ -648,9 +650,7 @@ class TestSessionClosedContract:
         resolvable handle or raise SessionClosed — never anything else,
         and never a hung handle."""
         store, keys = make_store(6)
-        session = RocketSession._wrap(
-            make_backend(backend, store, app=SlowApp()), policy="fair"
-        )
+        session = make_backend(backend, store, app=SlowApp()).open_session(policy="fair")
         outcomes = []
         stop = threading.Event()
 
@@ -685,7 +685,7 @@ class TestSessionClosedContract:
 
     def test_context_manager_tolerates_early_close(self):
         store, keys = make_store(4)
-        with RocketSession._wrap(make_backend("local", store)) as session:
+        with make_backend("local", store).open_session() as session:
             session.submit(AllPairs(keys)).result()
             session.close()  # early close inside the block must not raise on exit
 
@@ -705,7 +705,6 @@ ROOT = Path(__file__).resolve().parents[1]
 DAEMON_SCRIPT = """
 import signal, sys, threading, time
 import numpy as np
-from repro.core.session import RocketSession
 from repro.data.filestore import InMemoryStore
 from repro.serve import RocketServer
 from tests.test_cluster_runtime import SumApp
@@ -717,7 +716,7 @@ for i in range(n_items):
     key = f"item{i:02d}".ljust(key_chars, "x")
     store.write(f"{key}.bin", np.full(8, float(i + 1)).tobytes())
     keys.append(key)
-server = RocketServer(RocketSession._wrap(make_backend("local", store), policy="fair"), keys)
+server = RocketServer(make_backend("local", store).open_session(policy="fair"), keys)
 print(f"serving on {server.address}", flush=True)
 
 def kill_from_this_thread():

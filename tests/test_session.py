@@ -24,9 +24,10 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.core.result import ResultMatrix
 from repro.core.rocket import Rocket
-from repro.core.session import RocketSession, RunState, SessionClosed
+from repro.core.session import RunState, SessionClosed
 from repro.core.workload import (
     AllPairs,
     Bipartite,
@@ -35,8 +36,9 @@ from repro.core.workload import (
     as_workload,
 )
 from repro.data.filestore import InMemoryStore
+from repro.runtime.backend import BackendSession
 from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import LocalRocketRuntime, LocalSession, RocketConfig
 from repro.scheduling.quadtree import PairBlock
 
 from tests.test_cluster_runtime import SumApp, make_store, shm_segments
@@ -396,10 +398,47 @@ class TestLocalSession:
             assert handle.result().is_complete()
         assert session.closed
 
-    def test_rocket_session_constructor(self):
+
+class TestOneSessionType:
+    """``Rocket.session()``, ``backend.open_session()`` and
+    ``repro.RocketSession`` are one class: the session driver."""
+
+    @staticmethod
+    def open_runtime(backend, store):
+        if backend == "local":
+            return LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
+        return ClusterRocketRuntime(
+            SumApp(), store, RocketConfig(**CFG),
+            cluster=ClusterConfig(n_nodes=1, fetch_timeout=20.0, steal_timeout=5.0),
+        )
+
+    @pytest.mark.parametrize("backend", ["local", "cluster"])
+    def test_open_session_is_the_full_session(self, backend):
         store, keys = make_store(6)
-        with RocketSession(SumApp(), store, RocketConfig(**CFG)) as session:
-            assert session.run(keys).is_complete()
+        with self.open_runtime(backend, store).open_session() as session:
+            assert session.backend == backend
+            assert session.last_stats is None
+            # A plain key list is submitted as AllPairs.
+            matrix = session.submit(keys).result(timeout=60)
+            assert matrix.expected_pairs == 15 and matrix.is_complete()
+            for a, b, value in matrix.items():
+                # make_store: item i holds eight (i + 1)s; SumApp doubles.
+                assert value == 256.0 * (int(a[-2:]) + 1) * (int(b[-2:]) + 1)
+            assert session.last_stats.n_pairs == 15
+            small = session.run(keys[:4])
+            assert small.is_complete() and small.expected_pairs == 6
+            assert all(matrix.get(a, b) == value for a, b, value in small.items())
+            assert session.last_stats.n_pairs == 6
+
+    def test_rocket_session_is_the_driver(self):
+        assert repro.RocketSession is BackendSession
+        store, keys = make_store(4)
+        session = Rocket(SumApp(), store, RocketConfig(**CFG)).session(policy="fair")
+        try:
+            assert type(session) is LocalSession
+            assert session.policy.value == "fair"
+        finally:
+            session.close()
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.rocket import Rocket
-from repro.core.session import RocketSession
 from repro.core.workload import AllPairs, DeltaPairs
 from repro.data.filestore import DirectoryStore
 from repro.runtime.localrocket import RocketConfig
@@ -179,6 +178,55 @@ class TestPersistentItemCache:
         assert cache.load(keys[0]) is None
         assert not os.path.exists(path), "corrupt payload should be unlinked"
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "zero-byte"])
+    def test_damaged_payload_is_a_miss_and_unlinked(self, tmp_path, damage):
+        store, keys = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        cache.store(keys[0], np.arange(64, dtype=np.float64))
+        (path,) = glob.glob(str(tmp_path / "items" / "*.npy"))
+        data = open(path, "rb").read()
+        damaged = {
+            "truncated": data[: len(data) // 2],
+            "garbage": bytes(range(256)),
+            "zero-byte": b"",
+        }[damage]
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        assert cache.load(keys[0]) is None
+        assert not os.path.exists(path)
+
+    def test_absent_blob_is_a_miss_and_stores_nothing(self, tmp_path):
+        store, _ = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        assert cache.load("no-such-item") is None
+        assert cache.store("no-such-item", np.arange(4, dtype=np.float64)) == 0
+        assert not glob.glob(str(tmp_path / "items" / "*"))
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory permissions")
+    def test_read_only_items_dir_stores_nothing(self, tmp_path):
+        store, keys = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        os.chmod(cache.items_dir, 0o555)
+        try:
+            assert cache.store(keys[0], np.arange(4, dtype=np.float64)) == 0
+        finally:
+            os.chmod(cache.items_dir, 0o755)
+        assert not os.listdir(cache.items_dir)
+
+    def test_failed_rename_stores_nothing_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """What a read-only ``items/`` does to the write, for any user."""
+        store, keys = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+
+        def read_only(src, dst):
+            raise PermissionError(13, "Read-only file system", str(dst))
+
+        monkeypatch.setattr(os, "replace", read_only)
+        assert cache.store(keys[0], np.arange(4, dtype=np.float64)) == 0
+        assert not os.listdir(cache.items_dir)
+
 
 # ----------------------------------------------------------------------
 # Result memo journal
@@ -298,18 +346,14 @@ class TestWarmStart:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_repeat_run_recomputes_zero_pairs(self, backend, tmp_path):
         store, keys = make_store(6)
-        cold = RocketSession._wrap(
-            make_backend(backend, store, store_dir=str(tmp_path))
-        )
+        cold = make_backend(backend, store, store_dir=str(tmp_path)).open_session()
         try:
             cold_results = result_dict(cold.submit(AllPairs(keys)).result())
         finally:
             cold.close()
 
         store2, keys2 = make_store(6)
-        warm = RocketSession._wrap(
-            make_backend(backend, store2, store_dir=str(tmp_path))
-        )
+        warm = make_backend(backend, store2, store_dir=str(tmp_path)).open_session()
         try:
             warm_results = result_dict(warm.submit(AllPairs(keys2)).result())
             snap = warm.metrics()
@@ -327,7 +371,7 @@ class TestWarmStart:
     def test_warm_item_cache_skips_load_pipeline(self, backend, tmp_path):
         store, keys = make_store(6)
         runtime = make_backend(backend, store, store_dir=str(tmp_path))
-        cold_session = RocketSession._wrap(runtime)
+        cold_session = runtime.open_session()
         try:
             cold = result_dict(cold_session.submit(AllPairs(keys)).result())
         finally:
@@ -337,7 +381,7 @@ class TestWarmStart:
             os.unlink(seg)
         store2, keys2 = make_store(6)
         runtime = make_backend(backend, store2, store_dir=str(tmp_path))
-        session = RocketSession._wrap(runtime)
+        session = runtime.open_session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
             snap = session.metrics()
@@ -359,9 +403,7 @@ class TestWarmStart:
             Rocket(SumApp(), store, warm_config(tmp_path)).run(keys)
         )
         store2, keys2 = make_store(6)
-        session = RocketSession._wrap(
-            make_backend("local", store2, store_dir=str(tmp_path))
-        )
+        session = make_backend("local", store2, store_dir=str(tmp_path)).open_session()
         try:
             delta = DeltaPairs(keys2[:-2], keys2[-2:])
             results = result_dict(session.submit(delta).result())
@@ -427,9 +469,9 @@ class TestInvalidation:
         store2.write(name, data.tobytes())
 
         counting = CountingApp()
-        session = RocketSession._wrap(
-            make_backend("local", store2, app=counting, store_dir=str(tmp_path))
-        )
+        session = make_backend(
+            "local", store2, app=counting, store_dir=str(tmp_path)
+        ).open_session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
             memo = session.metrics()["store"]["memo"]
@@ -465,9 +507,9 @@ class TestInvalidation:
 
         store2, keys2 = make_store(5)
         counting = CountingApp()
-        session = RocketSession._wrap(
-            make_backend("local", store2, app=counting, store_dir=str(tmp_path))
-        )
+        session = make_backend(
+            "local", store2, app=counting, store_dir=str(tmp_path)
+        ).open_session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
         finally:
@@ -481,9 +523,7 @@ class TestInvalidation:
         store, keys = make_store(5)
         reference = result_dict(make_backend("local", store).run(keys))
         (tmp_path / "items").write_bytes(b"not a directory")
-        session = RocketSession._wrap(
-            make_backend("local", store, store_dir=str(tmp_path))
-        )
+        session = make_backend("local", store, store_dir=str(tmp_path)).open_session()
         try:
             results = result_dict(session.submit(AllPairs(keys)).result())
             persistent = session.metrics()["cache"]["persistent"]
@@ -500,9 +540,7 @@ class TestInvalidation:
 class TestSurfaces:
     def test_session_metrics_expose_store_counters(self, tmp_path):
         store, keys = make_store(4)
-        session = RocketSession._wrap(
-            make_backend("local", store, store_dir=str(tmp_path))
-        )
+        session = make_backend("local", store, store_dir=str(tmp_path)).open_session()
         try:
             session.submit(AllPairs(keys)).result()
             snap = session.metrics()
@@ -515,7 +553,7 @@ class TestSurfaces:
 
     def test_store_absent_without_store_dir(self):
         store, keys = make_store(4)
-        session = RocketSession._wrap(make_backend("local", store))
+        session = make_backend("local", store).open_session()
         try:
             session.submit(AllPairs(keys)).result()
             assert "store" not in session.metrics()
@@ -527,7 +565,7 @@ class TestSurfaces:
 
         store, keys = make_store(5)
         runtime = make_backend("local", store, store_dir=str(tmp_path))
-        session = RocketSession._wrap(runtime, policy="fair")
+        session = runtime.open_session(policy="fair")
         server = RocketServer(session, keys).start()
         try:
             with connect(server.address) as client:
