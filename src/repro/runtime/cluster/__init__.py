@@ -43,17 +43,22 @@ are spawned once per :class:`ClusterSession` and then serve *many
 concurrently active jobs*.  Each job is dispatched over the transport
 as a ``("job", job_id, packed_spec, max_inflight)`` message, where the
 spec ``(keys, pair_filter, blocks)`` rides inline on the queue
-transport and as a shared-segment descriptor on shm; the node runs it
-on its own
-:class:`~repro.runtime.pernode.NodePipeline` borrowed from the
-persistent :class:`~repro.runtime.pernode.NodeEngine`, so several
-jobs' pair streams interleave on the shared devices and caches while
-the processes, kernel threads and transport fabric survive between
-jobs.  Every protocol message — cache requests and replies, steal
-probes and grants, result batches, stats reports — is tagged with its
-job id, so one job's stragglers can never leak into another job's
-accounting, and aborting one job (``("stop", job_id, abort)``) leaves
-co-running jobs untouched.  How many jobs run at once and in which
+transport and as a shared-segment descriptor on shm.  A job exists on
+a node from the moment the node's comm thread reads that hand-out: it
+registers the job and starts the job's own
+:class:`~repro.runtime.pernode.NodePipeline`, borrowed from the
+persistent :class:`~repro.runtime.pernode.NodeEngine`, before it reads
+the next message.  The coordinator's messages to a node arrive in
+order, so a stop or grant sent after the hand-out always finds the
+job.  The node's main thread is the driver that retires each finished
+job (flush, error, stats report) and enforces the node watchdog.
+Several jobs' pair streams interleave on the shared devices and
+caches while the processes, kernel threads and transport fabric
+survive between jobs.  Every protocol message — cache requests and
+replies, steal probes and grants, result batches, stats reports — is
+tagged with its job id, so one job's stragglers can never leak into
+another job's accounting, and aborting one job (``("stop", job_id,
+abort)``) leaves co-running jobs untouched.  How many jobs run at once and in which
 order is decided coordinator-side by the
 :class:`~repro.core.scheduler.JobScheduler` (FIFO: serial, the
 historical behaviour; FAIR: priority-ordered concurrent admission).

@@ -3,16 +3,23 @@
 :class:`NodeCommServer` is one node's half of every cross-node exchange
 (see the package docstring for the protocol); :class:`NodeJobState` is
 what it keeps per active job.
+
+A job exists on a node from the moment the comm thread reads its
+``("job", ...)`` hand-out: the handler registers the job's state and
+starts its pipeline before it reads the next message.  The coordinator's
+messages to a node arrive in order, so every later message for the job
+— a stop, a steal or recovery grant, a cache probe — finds it.  The
+node's main thread is the driver that retires finished jobs
+(:func:`repro.runtime.cluster.node._drive`).
 """
 
 from __future__ import annotations
 
 import functools
-import queue
 import threading
+import time
 import traceback
-from collections import deque
-from typing import Any, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +57,8 @@ class NodeJobState:
     the job's index space, byte/message accounting, the job-tagged
     result batcher, and the job's pipeline.  The node holds one of
     these per concurrently active job, so stopping or accounting one
-    job can never touch another's state.
+    job can never touch another's state.  A registered state always
+    has its pipeline: both are made by the one hand-out handler.
     """
 
     def __init__(
@@ -69,12 +77,11 @@ class NodeJobState:
         #: bytes, messages); ``ship_stats`` adds the pipeline's half.
         self.stats = NodeStats(hop_stats=HopStats(cluster.max_hops))
         self.remote_abort = False
-        self.pipeline: Optional[NodePipeline] = None
-        #: The job's per-process trace recorder.  Disabled until the
-        #: runner thread installs the real (profiling-aware) one —
-        #: protocol messages can arrive before the pipeline exists, and
-        #: those early spans are simply not recorded.
-        self.trace = TraceRecorder(enabled=False)
+        #: Set by the hand-out handler before any message of the job
+        #: is read.
+        self.pipeline: NodePipeline
+        #: When the hand-out was read (the node watchdog counts from it).
+        self.started = time.monotonic()
         self.stopped = threading.Event()
         self.batcher = ResultBatcher(
             send_coordinator,
@@ -84,6 +91,11 @@ class NodeJobState:
             pack=pack_result_block,
         )
 
+    @property
+    def trace(self) -> TraceRecorder:
+        """The job's per-process recorder: its pipeline's, which ships it."""
+        return self.pipeline.trace
+
     def emit_block(self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]) -> None:
         """The pipeline's result hook: batch, but ship at once when the node has nothing queued.
 
@@ -91,8 +103,7 @@ class NodeJobState:
         fill the batch, so holding it would make the coordinator wait
         on a result that is already computed.
         """
-        pipeline = self.pipeline
-        idle = pipeline is None or not pipeline.has_queued_work()
+        idle = not self.pipeline.has_queued_work()
         self.batcher.emit_block(pairs, values, flush=idle)
 
 
@@ -110,14 +121,20 @@ class NodeCommServer:
     code runs over inline queues or shared-memory descriptors — and is
     unit-testable over a synchronous in-process transport.
 
-    The server outlives every job and serves many at once:
-    :meth:`begin_job` / :meth:`end_job` frame one workload's execution
-    while other jobs keep running; ``("stop", job_id, abort)`` ends
-    exactly one job; ``("shutdown",)`` ends the process.  Messages for
-    unknown or already-ended jobs are answered with a miss (cache and
-    steal probes) or dropped after releasing any out-of-band payload
-    slot they carry — one job's stragglers can neither stall a peer
-    nor leak into another job's accounting.
+    The server outlives every job and serves many at once.  A
+    ``("job", ...)`` hand-out registers the job and starts the pipeline
+    ``make_pipeline(comm, state, pair_filter, blocks, max_inflight)``
+    builds for it, on the comm thread, so the job exists before the
+    next message is read; a hand-out that cannot be built is reported
+    as that job's error, with an empty stats report.  The node's driver
+    (:attr:`wake`, :meth:`end_job`) retires jobs; ``("stop", job_id,
+    abort)`` ends exactly one job; ``("shutdown",)`` aborts what is
+    still running and ends the process.  Messages for a job the node
+    does not hold (never received, failed to build, or already ended)
+    are answered with a miss (cache and steal probes) or dropped after
+    releasing any out-of-band payload slot they carry — one job's
+    stragglers can neither stall a peer nor leak into another job's
+    accounting.
     """
 
     def __init__(
@@ -125,12 +142,14 @@ class NodeCommServer:
         node_id: int,
         cluster: ClusterConfig,
         transport: Transport,
+        make_pipeline: Callable[..., NodePipeline],
         epoch: int = 0,
         live: Optional[Sequence[int]] = None,
     ) -> None:
         self.node_id = node_id
         self.cluster = cluster
         self.transport = transport
+        self._make_pipeline = make_pipeline
         #: Monotonic membership epoch (coordinator-owned; bumped on
         #: every join/death/retire and broadcast as ``("epoch", e,
         #: live)``).  Cache messages carry the sender's epoch so a
@@ -145,33 +164,14 @@ class NodeCommServer:
         self._stats_lock = threading.Lock()
         self._jobs_lock = threading.Lock()
         self._jobs_state: Dict[int, NodeJobState] = {}
-        #: Recently ended jobs — a stop for one of these is stale.
-        #: Bounded: stale stops only trail a job by the coordinator's
-        #: report window (seconds), so remembering the last few hundred
-        #: ids is ample and a high-churn session cannot grow it forever.
-        #: (Job ids are not monotonic in dispatch order under FAIR
-        #: priority admission, so the old greater-id guard cannot be
-        #: used here.)
-        self._ended_jobs: Set[int] = set()
-        self._ended_order: Deque[int] = deque()
-        self._ended_cap = 1024
         self._pending: Dict[int, _Pending] = {}
         self._pending_lock = threading.Lock()
         self._next_id = 0
-        #: Stop notices that arrived before their job was begun (the
-        #: coordinator may abort a job while a node is still picking it
-        #: up); ``begin_job`` consults this map.  job_id -> abort flag.
-        #: Bounded like ``_ended_jobs``: a stop whose job hand-out never
-        #: arrives (partial dispatch failure) must not leak an entry per
-        #: failure for the session's lifetime.
-        self._early_stops: Dict[int, bool] = {}
-        self._early_stop_order: Deque[int] = deque()
-        #: Recovery grants (req_id ``-1``) that arrived before their job
-        #: was begun on this node — a late joiner's first grant can race
-        #: its own job hand-out.  Drained by the job runner after the
-        #: pipeline attaches; bounded like the other straggler maps.
-        self._early_grants: Dict[int, List[PairBlock]] = {}
-        self._jobs: "queue.Queue[Optional[Tuple]]" = queue.Queue()
+        #: Set when a job starts, a pipeline finishes (its ``on_done``)
+        #: or shutdown arrives: the node's driver waits on it.
+        self.wake = threading.Event()
+        #: True once ``("shutdown",)`` was read.
+        self.shut_down = False
 
     # -- wiring ----------------------------------------------------------
 
@@ -183,61 +183,47 @@ class NodeCommServer:
         with self._jobs_lock:
             return list(self._jobs_state.values())
 
-    def next_job(self) -> Optional[Tuple]:
-        """Block for the next job spec; None once shutdown was received."""
-        return self._jobs.get()
+    def _begin_job(self, job_id: int, packed: Any, max_inflight: Optional[int]) -> None:
+        """Register one hand-out's job and start its pipeline (comm thread).
 
-    def begin_job(self, job_id: int, keys: Sequence[Hashable]) -> NodeJobState:
-        """Create the protocol state for ``job_id`` and register it.
-
-        Called on the job's runner thread before its pipeline is
-        attached.  If the coordinator already stopped this job (an
-        abort raced the job hand-out), the stop state is applied
-        immediately so the caller can skip straight to the shutdown
-        handshake.
+        Any failure before the job is registered is that job's: it is
+        reported with an empty stats report, so the coordinator ends
+        the job at once, and the node keeps serving.
         """
-        state = NodeJobState(
-            job_id,
-            keys,
-            self.cluster,
-            self.node_id,
-            functools.partial(self._send_coordinator_for, job_id),
-            # Result blocks leave through the transport's packer, so a
-            # zero-copy transport ships descriptors instead of pickled
-            # triple tuples.
-            pack_result_block=self.transport.pack_result_block,
-        )
+        try:
+            # The spec travels out-of-band (or inline, per the fabric)
+            # and unpacks on this side.
+            keys, pair_filter, blocks = self.transport.unpack_job_payload(packed)
+            state = NodeJobState(
+                job_id,
+                keys,
+                self.cluster,
+                self.node_id,
+                functools.partial(self._send_coordinator_for, job_id),
+                # Result blocks leave through the transport's packer, so
+                # a zero-copy transport ships descriptors instead of
+                # pickled triple tuples.
+                pack_result_block=self.transport.pack_result_block,
+            )
+            state.pipeline = self._make_pipeline(self, state, pair_filter, blocks, max_inflight)
+        except BaseException:  # noqa: BLE001 - the job's failure, not the node's
+            self.transport.send_coordinator(
+                ("error", self.node_id, job_id, traceback.format_exc())
+            )
+            self.transport.send_coordinator(
+                ("stats", self.node_id, job_id, NodeStats(node_id=self.node_id))
+            )
+            return
         with self._jobs_lock:
             self._jobs_state[job_id] = state
-            early = self._early_stops.pop(job_id, None)
-        if early is not None:
-            self._apply_stop(state, bool(early))
-        return state
-
-    def attach(self, state: NodeJobState, pipeline: NodePipeline) -> None:
-        """Bind the pipeline whose host cache and deques serve this job.
-
-        Grants that arrived before the pipeline existed (a recovery
-        re-injection racing the job hand-out) are drained into it here.
-        """
-        with self._jobs_lock:
-            state.pipeline = pipeline
-            early = self._early_grants.pop(state.job_id, [])
-        for block in early:
-            pipeline.inject_block(block)
+        state.pipeline.start()
+        self.wake.set()  # the driver arms the job's watchdog
 
     def end_job(self, state: NodeJobState) -> None:
         """Retire the finished job's state (the engine stays warm)."""
         state.stopped.set()
         with self._jobs_lock:
             self._jobs_state.pop(state.job_id, None)
-            self._early_grants.pop(state.job_id, None)
-            if state.job_id not in self._ended_jobs:
-                self._ended_jobs.add(state.job_id)
-                self._ended_order.append(state.job_id)
-                while len(self._ended_order) > self._ended_cap:
-                    self._ended_jobs.discard(self._ended_order.popleft())
-        state.pipeline = None
 
     def serve(self) -> None:
         """Inbox loop (comm thread body); returns once it handled ``("shutdown",)``.
@@ -370,14 +356,16 @@ class NodeCommServer:
         """Process one protocol message (mediator / candidate / reply)."""
         kind = msg[0]
         if kind == "job":
-            # The spec travels out-of-band (or inline, per the fabric)
-            # and unpacks on this side.
             _, job_id, packed, max_inflight = msg
-            keys, pair_filter, blocks = self.transport.unpack_job_payload(packed)
-            self._jobs.put((job_id, keys, pair_filter, blocks, max_inflight))
+            self._begin_job(job_id, packed, max_inflight)
             return
         if kind == "shutdown":
-            self._jobs.put(None)
+            # The coordinator stopped every job it still counts on; what
+            # is left here has nobody waiting for it.
+            self.shut_down = True
+            for state in self.active_jobs():
+                self._apply_stop(state, True)
+            self.wake.set()
             return
         if kind == "pfree":
             # A receiver finished copying a shared-memory payload;
@@ -416,18 +404,6 @@ class NodeCommServer:
             state = self._job_state(job_id)
             if state is not None:
                 self._apply_stop(state, bool(abort))
-                return
-            with self._jobs_lock:
-                if job_id not in self._ended_jobs:
-                    # The stop raced the job hand-out: remember it for
-                    # begin_job.
-                    if job_id not in self._early_stops:
-                        self._early_stop_order.append(job_id)
-                        while len(self._early_stop_order) > self._ended_cap:
-                            self._early_stops.pop(
-                                self._early_stop_order.popleft(), None
-                            )
-                    self._early_stops[job_id] = bool(abort)
             return
 
         job_id = msg[1]
@@ -467,9 +443,7 @@ class NodeCommServer:
                 return
             payload = (
                 state.pipeline.host_payload_view(state.keys[idx])
-                if state is not None
-                and state.pipeline is not None
-                and 0 <= idx < len(state.keys)
+                if state is not None and 0 <= idx < len(state.keys)
                 else None
             )
             if payload is not None:
@@ -519,11 +493,7 @@ class NodeCommServer:
             pend.resolve((payload, hop, provider, wire))
         elif kind == "sprobe":
             _, _, thief, req_id = msg
-            block = (
-                state.pipeline.steal_for_remote()
-                if state is not None and state.pipeline is not None
-                else None
-            )
+            block = state.pipeline.steal_for_remote() if state is not None else None
             self._send_coordinator(
                 state, ("srep", job_id, self.node_id, thief, req_id, block)
             )
@@ -532,28 +502,13 @@ class NodeCommServer:
             pend = self._pop_pending(req_id)
             if pend is not None:
                 pend.resolve(block)
-            elif block is not None:
+            elif block is not None and state is not None and not state.stopped.is_set():
                 # The thief timed out waiting (or this is a recovery
                 # re-injection, req_id -1); never lose a granted block.
                 # The job tag guarantees the block belongs to this
-                # job's index space — a grant for an ended job is
-                # dropped instead, and a grant racing the job hand-out
-                # is parked for :meth:`attach` to drain (checked and
-                # buffered under the jobs lock so the runner's drain
-                # cannot miss it).
-                pipeline = None
-                with self._jobs_lock:
-                    st = self._jobs_state.get(job_id)
-                    if st is not None and st.stopped.is_set():
-                        pass  # job ended here: drop
-                    elif st is not None and st.pipeline is not None:
-                        pipeline = st.pipeline
-                    elif job_id not in self._ended_jobs:
-                        parked = self._early_grants.setdefault(job_id, [])
-                        if len(parked) < self._ended_cap:
-                            parked.append(block)
-                if pipeline is not None:
-                    pipeline.inject_block(block)
+                # job's index space — a grant for a job this node does
+                # not hold, or has stopped, is dropped instead.
+                state.pipeline.inject_block(block)
         else:
             raise ValueError(f"unknown cluster message {kind!r}")
 
@@ -567,8 +522,7 @@ class NodeCommServer:
                 del self._pending[pend.req_id]
         for pend in mine:
             pend.resolve(None)
-        if state.pipeline is not None:
-            state.pipeline.request_stop(abort=abort)
+        state.pipeline.request_stop(abort=abort)
 
     def ship_stats(self, state: NodeJobState, stats: NodeStats) -> None:
         """Send one job's final report: pipeline plus protocol counters."""

@@ -731,7 +731,15 @@ class NodePipeline:
         return slots
 
     def _fill_device(self, st: _DeviceState, idx: int, wslot: Slot) -> None:
-        """Fill a reserved device slot from host cache, a peer, or a load."""
+        """Fill a reserved device slot from host cache, disk, a peer, or a load.
+
+        A host hit is one H2D copy.  On a host miss the host slot is
+        reserved too, and every source ends in the same steps under one
+        guard: the item reaches the device and host memory, then both
+        slots publish.  Whatever raises before that abandons the host
+        slot (the caller abandons the device slot), so no later job
+        waits on a slot that nobody will publish.
+        """
         key = self.keys[idx]
         host_payload: Optional[np.ndarray] = None
         host_wslot: Optional[Slot] = None
@@ -754,131 +762,108 @@ class NodePipeline:
                     raise _RunAborted("run aborted")
 
         if host_payload is not None:
-            # Host hit: H2D copy and publish.
             dev_buf = st.device.h2d(host_payload)
             with st.cond:
                 st.cache.publish(wslot, payload=dev_buf, initial_readers=1)
                 st.cond.notify_all()
             return
 
-        assert host_wslot is not None
-
-        # Host miss: the persistent disk level comes before any peer
-        # round-trip — it is node-local and serves the preprocessed
-        # payload as an mmap, skipping io/parse/preprocess entirely.
-        if self._persist is not None:
-            tracing = self.trace.enabled
-            t0 = self._now() if tracing else 0.0
-            persist_payload = self._persist.load(key)  # None on any miss; never raises
-            if persist_payload is not None:
-                if tracing:
-                    self.trace.record("IO", "persist", t0, self._now(), self.job_id)
-                with self.counters_lock:
-                    self.counters["persist_hits"] += 1
-                    self.counters["persist_bytes_read"] += int(persist_payload.nbytes)
-                try:
-                    dev_buf = st.device.h2d(persist_payload)
-                except BaseException:
-                    with self.host_cond:
-                        self.host_cache.abandon(host_wslot)
-                        self.host_cond.notify_all()
-                    raise
-                with st.cond:
-                    st.cache.publish(wslot, payload=dev_buf, initial_readers=1)
-                    st.cond.notify_all()
-                with self.host_cond:
-                    self.host_cache.publish(host_wslot, payload=persist_payload)
-                    self.host_cond.notify_all()
-                return
-            with self.counters_lock:
-                self.counters["persist_misses"] += 1
-
-        # Still cold locally: consult the distributed cache level.
-        if self.remote_fetch is not None:
-            try:
-                remote_payload = self.remote_fetch(idx)
-            except BaseException:
-                with self.host_cond:
-                    self.host_cache.abandon(host_wslot)
-                    self.host_cond.notify_all()
-                raise
-            if remote_payload is not None:
-                # A peer's host cache served the pre-processed item:
-                # publish it to both local levels, exactly like a load.
-                dev_buf = st.device.h2d(remote_payload)
-                with st.cond:
-                    st.cache.publish(wslot, payload=dev_buf, initial_readers=1)
-                    st.cond.notify_all()
-                with self.host_cond:
-                    self.host_cache.publish(host_wslot, payload=remote_payload)
-                    self.host_cond.notify_all()
-                return
-
-        # Fall through to the load pipeline l(i), on this job thread.
-        # The read is timed *inside* the I/O lane: calibration must not
-        # count time queued behind other loads (same reason
-        # run_kernel_timed times on the device thread), while the trace
-        # keeps the caller span.
+        blob: Optional[bytes] = None
         try:
-            tracing = self.trace.enabled
-            t0 = self._now() if tracing else 0.0
-            with self._io_lock:
-                t = time.perf_counter()
-                blob = self.store.read(self.app.file_name(key))
-                io_duration = time.perf_counter() - t
-            if tracing:
-                self.trace.record("IO", "io", t0, self._now(), self.job_id)
-
-            t0 = self._now() if tracing else 0.0
-            t = time.perf_counter()
-            parsed = self.app.parse(key, blob)
-            parse_duration = time.perf_counter() - t
-            if tracing:
-                self.trace.record("CPU", "parse", t0, self._now(), self.job_id)
-
-            dev_parsed = st.device.h2d(parsed)
-            t0 = self._now() if tracing else 0.0
-            dev_item, pre_duration = st.device.run_kernel_timed(
-                self.app.preprocess, key, dev_parsed
-            )
-            if tracing:
-                self.trace.record(st.device.name, "preprocess", t0, self._now(), self.job_id)
-
-            with self.counters_lock:
-                self.counters["loads"] += 1
-                self.counters["io_bytes"] += len(blob)
-                self.counters["parse_seconds"] += parse_duration
-                self.calibration.record_io(len(blob), io_duration)
-                self.calibration.record_parse(parse_duration)
-                self.calibration.record_preprocess(
-                    pre_duration, st.device.speed_factor
-                )
+            # The persistent disk level comes before any peer round-trip:
+            # it is node-local and serves the preprocessed payload as an
+            # mmap, skipping io/parse/preprocess entirely.  A peer's host
+            # cache serves the preprocessed item too; only a miss on both
+            # runs the load pipeline.
+            host_payload = self._persist_load(key)
+            if host_payload is None and self.remote_fetch is not None:
+                host_payload = self.remote_fetch(idx)
+            if host_payload is not None:
+                dev_item = st.device.h2d(host_payload)
+            else:
+                blob, dev_item = self._load(st, key)
+                host_payload = st.device.d2h(dev_item)
         except BaseException:
             with self.host_cond:
                 self.host_cache.abandon(host_wslot)
                 self.host_cond.notify_all()
             raise
-
-        # Item is on the device: publish there first, then write the
-        # host copy back (both caches end up holding the item).
         with st.cond:
             st.cache.publish(wslot, payload=dev_item, initial_readers=1)
             st.cond.notify_all()
-        host_payload = st.device.d2h(dev_item)
         with self.host_cond:
             self.host_cache.publish(host_wslot, payload=host_payload)
             self.host_cond.notify_all()
 
-        # Write the freshly loaded item back to the persistent level so
-        # the next session warm-starts.  A remote-fetch hit deliberately
-        # skips this: the originating node already wrote it back.
-        if self._persist is not None:
+        # Write a freshly loaded item back to the persistent level so
+        # the next session warm-starts.  Only a load writes: a persist
+        # hit is there already, and a remote-fetch hit was written back
+        # by the node that loaded it.
+        if blob is not None and self._persist is not None:
             # ``store`` never raises: 0 means already present or not storable.
             written = self._persist.store(key, host_payload, blob=blob)
             if written:
                 with self.counters_lock:
                     self.counters["persist_stores"] += 1
                     self.counters["persist_bytes_written"] += written
+
+    def _persist_load(self, key: Hashable) -> Optional[np.ndarray]:
+        """The persistent level's payload for ``key``, or None (counted)."""
+        if self._persist is None:
+            return None
+        tracing = self.trace.enabled
+        t0 = self._now() if tracing else 0.0
+        payload = self._persist.load(key)  # None on any miss; never raises
+        with self.counters_lock:
+            if payload is None:
+                self.counters["persist_misses"] += 1
+            else:
+                self.counters["persist_hits"] += 1
+                self.counters["persist_bytes_read"] += int(payload.nbytes)
+        if tracing and payload is not None:
+            self.trace.record("IO", "persist", t0, self._now(), self.job_id)
+        return payload
+
+    def _load(self, st: _DeviceState, key: Hashable) -> "tuple[bytes, Any]":
+        """The load pipeline l(i) on this job thread: the blob and the device item.
+
+        The read is timed *inside* the I/O lane: calibration must not
+        count time queued behind other loads (same reason
+        run_kernel_timed times on the device thread), while the trace
+        keeps the caller span.
+        """
+        tracing = self.trace.enabled
+        t0 = self._now() if tracing else 0.0
+        with self._io_lock:
+            t = time.perf_counter()
+            blob = self.store.read(self.app.file_name(key))
+            io_duration = time.perf_counter() - t
+        if tracing:
+            self.trace.record("IO", "io", t0, self._now(), self.job_id)
+
+        t0 = self._now() if tracing else 0.0
+        t = time.perf_counter()
+        parsed = self.app.parse(key, blob)
+        parse_duration = time.perf_counter() - t
+        if tracing:
+            self.trace.record("CPU", "parse", t0, self._now(), self.job_id)
+
+        dev_parsed = st.device.h2d(parsed)
+        t0 = self._now() if tracing else 0.0
+        dev_item, pre_duration = st.device.run_kernel_timed(
+            self.app.preprocess, key, dev_parsed
+        )
+        if tracing:
+            self.trace.record(st.device.name, "preprocess", t0, self._now(), self.job_id)
+
+        with self.counters_lock:
+            self.counters["loads"] += 1
+            self.counters["io_bytes"] += len(blob)
+            self.counters["parse_seconds"] += parse_duration
+            self.calibration.record_io(len(blob), io_duration)
+            self.calibration.record_parse(parse_duration)
+            self.calibration.record_preprocess(pre_duration, st.device.speed_factor)
+        return blob, dev_item
 
     # -- job execution ---------------------------------------------------
 

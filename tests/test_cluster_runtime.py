@@ -14,6 +14,7 @@ Two layers:
   of hangs — without leaking ``/dev/shm`` segments.
 """
 
+import functools
 import glob
 import os
 import threading
@@ -36,11 +37,14 @@ from repro.runtime.cluster import (
     ClusterRocketRuntime,
     NodeCommServer,
 )
+from repro.runtime.cluster import node as cluster_node
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.pernode import NodeEngine, NodePipeline
 from repro.runtime.stats import NodeStats
 from repro.runtime.transport import Transport
 from repro.runtime.transport.shm import SharedMemoryFabric
 from repro.scheduling.quadtree import PairBlock
+from repro.util.trace import TraceRecorder
 
 from tests.test_elastic import wait_for
 
@@ -119,14 +123,32 @@ class _SyncTransport(Transport):
 
 
 class StubPipeline:
-    """Just enough pipeline surface for the comm server's server side."""
+    """Just enough pipeline surface for the comm server and the node driver."""
 
     def __init__(self, payloads=None):
         self.payloads = dict(payloads or {})
         self.injected = []
         self.stopped = None
+        self.started = False
+        self.errors = []
+        self.trace = TraceRecorder(enabled=False)
         #: What ``has_queued_work`` reports (the result flush rule reads it).
         self.queued = False
+
+    def start(self):
+        self.started = True
+
+    def wait(self, timeout):
+        return self.stopped is not None
+
+    def join(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+    def stats(self):
+        return NodeStats()
 
     def has_queued_work(self):
         return self.queued
@@ -147,18 +169,34 @@ class StubPipeline:
 JOB = 0  # protocol job id used by the unit-test network
 
 
+def stub_pipelines(payloads_by_node=None):
+    """A pipeline factory handing each node a :class:`StubPipeline`."""
+
+    def make(comm, state, pair_filter, blocks, max_inflight):
+        return StubPipeline((payloads_by_node or {}).get(comm.node_id, {}))
+
+    return make
+
+
+def hand_out(server, job_id, keys, blocks=()):
+    """Deliver one ``("job", ...)`` hand-out; return the job's registered state."""
+    server.handle(("job", job_id, (list(keys), None, list(blocks)), None))
+    return server._job_state(job_id)
+
+
 def make_net(n_nodes, keys, payloads_by_node, max_hops=2, **cluster):
     net = SyncNet()
     cfg = ClusterConfig(
         n_nodes=n_nodes, max_hops=max_hops, fetch_timeout=1.0, steal_timeout=0.2, **cluster
     )
     net.states = {}
-    for node in range(n_nodes):
-        server = NodeCommServer(node, cfg, net.transport_for(node))
-        state = server.begin_job(JOB, keys)
-        server.attach(state, StubPipeline(payloads_by_node.get(node, {})))
-        net.servers[node] = server
-        net.states[node] = state
+    for node_id in range(n_nodes):
+        net.servers[node_id] = NodeCommServer(
+            node_id, cfg, net.transport_for(node_id), stub_pipelines(payloads_by_node)
+        )
+    for node_id, server in net.servers.items():
+        net.states[node_id] = hand_out(server, JOB, keys)
+        assert net.states[node_id].pipeline.started
     return net
 
 
@@ -250,8 +288,7 @@ class TestDistributedCacheProtocol:
         to a local load, not block out its fetch timeout."""
         net = make_net(2, self.KEYS, {})
         assert net.servers[0].remote_fetch(net.states[0], 1) is None  # warm-up
-        state_other = net.servers[0].begin_job(99, self.KEYS)
-        net.servers[0].attach(state_other, StubPipeline({}))
+        state_other = hand_out(net.servers[0], 99, self.KEYS)
         # Node 1 never began job 99: the mediator answers with a miss.
         assert net.servers[0].remote_fetch(state_other, 1) is None
         assert state_other.stats.hop_stats.misses + state_other.stats.hop_stats.no_candidates >= 1
@@ -291,7 +328,7 @@ class TestDistributedCacheProtocol:
         server.end_job(net.states[0])
         block = PairBlock.root(8)
         server.handle(("sgrant", JOB, 12345, block))
-        assert net.states[0].pipeline is None  # detached, nothing injected
+        assert net.states[0].pipeline.injected == []
 
     def test_stop_wakes_blocked_steal(self):
         net = make_net(2, self.KEYS, {})
@@ -312,40 +349,25 @@ class TestDistributedCacheProtocol:
         net = make_net(2, self.KEYS, {})
         server = net.servers[0]
         state_a = net.states[0]
-        state_b = server.begin_job(7, self.KEYS)
-        server.attach(state_b, StubPipeline({}))
+        state_b = hand_out(server, 7, self.KEYS)
         server.handle(("stop", JOB, True))
         assert state_a.stopped.is_set() and state_a.pipeline.stopped is True
         assert not state_b.stopped.is_set() and state_b.pipeline.stopped is None
 
 
-class FakeJobPipeline:
+class FakeJobPipeline(StubPipeline):
     """A pipeline that emits one launch while work is still queued, then ends."""
 
-    def __init__(self, *args, emit_block, **kwargs):
-        self.emit_block = emit_block
-        self.errors = []
-
-    def has_queued_work(self):
-        return True  # nothing but the job's end ships the launch below
+    def __init__(self, comm, state, pair_filter, blocks, max_inflight):
+        super().__init__()
+        self.emit_block = state.emit_block
+        self.queued = True  # nothing but the job's end ships the launch below
 
     def start(self):
         self.emit_block([(0, 1)], [1.0])
 
     def wait(self, timeout):
         return True
-
-    def join(self, timeout):
-        pass
-
-    def close(self):
-        pass
-
-    def request_stop(self, abort=False):
-        pass
-
-    def stats(self):
-        return NodeStats()
 
 
 class TestResultFlushRule:
@@ -380,20 +402,151 @@ class TestResultFlushRule:
         assert server.global_steal(state) is None  # nobody answers: steal_timeout
         assert self.sent(net) == [("results", 1), ("sreq", None)]
 
-    def test_job_end_ships_the_partial_batch(self, monkeypatch):
-        from repro.runtime.cluster import node
-
-        monkeypatch.setattr(node, "NodePipeline", FakeJobPipeline)
+    def test_job_end_ships_the_partial_batch(self):
         net = SyncNet()
         cluster = ClusterConfig(n_nodes=2, result_batch=4)
-        server = NodeCommServer(0, cluster, net.transport_for(0))
-        job = (JOB, self.KEYS, None, [], None)
-        node._run_node_job(server, None, None, None, RocketConfig(), cluster, job)
+        server = NodeCommServer(0, cluster, net.transport_for(0), FakeJobPipeline)
+        hand_out(server, JOB, self.KEYS)
+        server.handle(("shutdown",))
+        cluster_node._drive(server, watchdog=60.0)  # retires the finished job, then returns
         assert self.sent(net) == [("results", 1), ("stats", None)]
+        assert server.active_jobs() == []
+
+
+class TestHandOutOrdering:
+    """A job exists from the moment its hand-out is read.
+
+    The coordinator's messages to a node arrive in order, so whatever it
+    sends after a job's hand-out — a stop, a recovery grant — finds the
+    job registered, with its pipeline started.
+    """
+
+    KEYS = [f"k{i}" for i in range(8)]
+
+    def node0(self, make_pipeline=None, **cluster):
+        net = SyncNet()
+        cfg = ClusterConfig(n_nodes=2, fetch_timeout=1.0, steal_timeout=0.05, **cluster)
+        server = NodeCommServer(
+            0, cfg, net.transport_for(0), make_pipeline or stub_pipelines()
+        )
+        net.servers[0] = server
+        return net, server
+
+    @staticmethod
+    def drive_to_shutdown(server):
+        server.handle(("shutdown",))
+        cluster_node._drive(server, watchdog=60.0)
+        assert server.active_jobs() == []
+
+    def test_a_stop_right_behind_the_hand_out_aborts_the_job_and_reports(self):
+        net, server = self.node0()
+        state = hand_out(server, JOB, self.KEYS, [PairBlock.root(len(self.KEYS))])
+        server.handle(("stop", JOB, True))
+        assert state.stopped.is_set() and state.pipeline.stopped is True
+        self.drive_to_shutdown(server)
+        # Aborted, so no error: just the report the coordinator waits for.
+        assert [msg[:3] for msg in net.coordinator_log] == [("stats", 0, JOB)]
+
+    def test_a_recovery_grant_right_behind_a_late_joiners_hand_out_is_run(self):
+        n = 6
+        store, keys = make_store(n)
+        config = RocketConfig(n_devices=1, device_cache_slots=8, host_cache_slots=8, leaf_size=2)
+        cluster = dict(distributed_cache=False)
+        engine = NodeEngine(config)
+        factory = functools.partial(
+            cluster_node._build_pipeline, SumApp(), store, config, ClusterConfig(**cluster), engine
+        )
+        net, server = self.node0(factory, **cluster)
+        try:
+            # A late joiner's share is empty; its first work is the
+            # recovery grant (req_id -1) sent right behind the hand-out.
+            hand_out(server, JOB, keys)
+            server.handle(("sgrant", JOB, -1, PairBlock.root(n)))
+
+            def delivered():
+                return {
+                    (i, j): v
+                    for msg in list(net.coordinator_log) if msg[0] == "results"
+                    for i, j, v in msg[3]
+                }
+
+            wait_for(lambda: len(delivered()) == n * (n - 1) // 2, timeout=20.0)
+            server.handle(("stop", JOB, False))
+            self.drive_to_shutdown(server)
+        finally:
+            engine.close()
+        # sum(item i) = 8 floats of 2 * (i + 1) after preprocessing.
+        assert delivered() == {
+            (i, j): 256.0 * (i + 1) * (j + 1) for i in range(n) for j in range(i + 1, n)
+        }
+        assert [msg[0] for msg in net.coordinator_log if msg[0] in ("error", "stats")] == [
+            "stats"
+        ]
+
+    def test_a_stop_for_a_job_never_received_leaves_no_state(self):
+        net, server = self.node0()
+        server.handle(("stop", 42, True))
+        server.handle(("sgrant", 42, -1, PairBlock.root(len(self.KEYS))))
+        assert server.active_jobs() == [] and net.coordinator_log == []
+        # Nothing remembers the id: a hand-out under it runs untouched.
+        state = hand_out(server, 42, self.KEYS)
+        assert not state.stopped.is_set()
+        assert state.pipeline.stopped is None and state.pipeline.injected == []
+
+    def test_a_hand_out_that_cannot_be_built_fails_only_its_job(self):
+        def broken(comm, state, pair_filter, blocks, max_inflight):
+            raise RuntimeError("injected construction fault")
+
+        net, server = self.node0(broken)
+        server.handle(("job", JOB, (self.KEYS, None, []), None))
+        # A job error (never the node's fatal ``None`` id) and a report.
+        assert [msg[:3] for msg in net.coordinator_log] == [
+            ("error", 0, JOB), ("stats", 0, JOB)
+        ]
+        assert "injected construction fault" in net.coordinator_log[0][3]
+        assert server.active_jobs() == []
+        server.handle(("stop", JOB, True))  # the coordinator's stop finds nothing
+        assert server.active_jobs() == [] and len(net.coordinator_log) == 2
+
+
+class TestNodeDriver:
+    """The node's main thread retires jobs; nothing ticks."""
+
+    def test_a_job_past_its_watchdog_is_stopped_and_reported(self):
+        net = SyncNet()
+        server = NodeCommServer(
+            0, ClusterConfig(n_nodes=2), net.transport_for(0), stub_pipelines()
+        )
+        state = hand_out(server, JOB, [f"k{i}" for i in range(4)])
+        driver = threading.Thread(target=cluster_node._drive, args=(server, 0.3))
+        t0 = time.perf_counter()
+        driver.start()
+        # No message arrives: the driver wakes at the job's deadline.
+        wait_for(lambda: server.active_jobs() == [], timeout=5.0)
+        waited = time.perf_counter() - t0
+        server.handle(("shutdown",))
+        driver.join(timeout=5.0)
+        assert not driver.is_alive()
+        assert 0.2 <= waited < 2.0
+        assert state.pipeline.stopped is True  # aborted, not left running
+        assert [msg[:3] for msg in net.coordinator_log] == [("error", 0, JOB), ("stats", 0, JOB)]
+        assert net.coordinator_log[0][3] == "node watchdog expired"
 
 
 # ----------------------------------------------------------------------
 # End-to-end multi-process tests
+
+
+class FirstJobFailsPipeline(NodePipeline):
+    """A node pipeline whose first construction in each process raises."""
+
+    failed = False
+
+    def __init__(self, *args, **kwargs):
+        if not FirstJobFailsPipeline.failed:
+            FirstJobFailsPipeline.failed = True  # in the forked node only
+            raise RuntimeError("injected construction fault")
+        super().__init__(*args, **kwargs)
 
 
 def run_local(keys, store, **cfg):
@@ -577,6 +730,29 @@ class TestClusterRuntime:
         )
         with pytest.raises(RuntimeError, match="ValueError: corrupt file"):
             runtime.run(keys)
+
+    def test_a_job_that_cannot_start_on_its_nodes_fails_alone(self, monkeypatch):
+        """A node-side failure outside the pipeline fails that job at
+        once, and the session keeps serving: the node still ships the
+        job's report, so the coordinator never runs out the report
+        deadline and declares the whole session dead."""
+        monkeypatch.setattr(cluster_node, "NodePipeline", FirstJobFailsPipeline)
+        store, keys = make_store(6)
+        runtime = ClusterRocketRuntime(
+            SumApp(), store, RocketConfig(**self.CFG), cluster=ClusterConfig(n_nodes=2)
+        )
+        with runtime.open_session() as session:
+            first = session.submit(AllPairs(keys))
+            assert first.wait(timeout=5.0), "the failed job waited out the report deadline"
+            assert first.state is RunState.FAILED
+            with pytest.raises(RuntimeError, match="injected construction fault"):
+                first.result()
+            second = session.submit(AllPairs(keys))
+            assert second.wait(timeout=60.0) and second.state is RunState.DONE
+            local = run_local(keys, store, **self.CFG)
+            results = second.result()
+            for a, b, v in local.items():
+                assert results.get(a, b) == v
 
     @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_node_crash_surfaces_as_clean_error(self, transport):

@@ -25,6 +25,7 @@ from repro.core.session import RunState
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
 from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime, NodeCommServer
+from repro.runtime.cluster import node as cluster_node
 from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
 from repro.runtime.transport.shm import SharedMemoryFabric
 from repro.scheduling.workstealing import VictimSelector, WorkerTopology
@@ -299,20 +300,19 @@ class TestDeathMatrix:
         between the stop broadcast and the report.
         """
         log = tmp_path / "held_pins.log"
-        end_job, ship_stats = NodeCommServer.end_job, NodeCommServer.ship_stats
+        retire, ship_stats = cluster_node._retire, NodeCommServer.ship_stats
         delay = self.REPORT_DELAY
 
-        def logging_end_job(comm, state):
-            if state.pipeline is not None:
-                with open(log, "a") as fh:
-                    fh.write(f"{state.pipeline.held_pins}\n")
-            end_job(comm, state)
+        def logging_retire(comm, state, finished):
+            retire(comm, state, finished)  # joined, reported, ended
+            with open(log, "a") as fh:
+                fh.write(f"{state.pipeline.held_pins}\n")
 
         def slow_ship_stats(comm, state, stats):
             time.sleep(delay)
             ship_stats(comm, state, stats)
 
-        monkeypatch.setattr(NodeCommServer, "end_job", logging_end_job)
+        monkeypatch.setattr(cluster_node, "_retire", logging_retire)
         monkeypatch.setattr(NodeCommServer, "ship_stats", slow_ship_stats)
         return lambda: [int(x) for x in log.read_text().split()] if log.exists() else []
 

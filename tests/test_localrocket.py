@@ -376,6 +376,80 @@ class TestPipelineFailurePath:
         assert runtime.run(sorted(values)).is_complete()
 
 
+class TestFillDeviceGuard:
+    """Every source of a device fill publishes under one guard.
+
+    The host slot a host miss reserves is shared by every job on the
+    engine: if a copy raised after it was reserved and nobody abandoned
+    it, the slot would stay in WRITE state and every later job needing
+    the key would wait on it until aborted.
+    """
+
+    CFG = dict(
+        n_devices=1, device_cache_slots=8, host_cache_slots=8, leaf_size=2,
+        watchdog_seconds=30.0,
+    )
+
+    @staticmethod
+    def run_job(engine, keys, store, remote_fetch):
+        from repro.runtime.pernode import NodePipeline
+        from repro.scheduling.quadtree import PairBlock
+
+        emitted = []
+        pipeline = NodePipeline(
+            SumApp(), store, RocketConfig(**TestFillDeviceGuard.CFG), keys,
+            emit_block=lambda pairs, values: emitted.extend(values),
+            expected_pairs=len(keys) * (len(keys) - 1) // 2,
+            initial_blocks=[PairBlock.root(len(keys))],
+            remote_fetch=remote_fetch,
+            engine=engine,
+        )
+        pipeline.start()
+        finished = pipeline.wait(10.0)
+        pipeline.request_stop(abort=True)  # a wedged job must not outlive the test
+        pipeline.join(timeout=5.0)
+        pipeline.close()
+        return finished, pipeline.errors, emitted
+
+    @pytest.mark.parametrize("source, copy", [("peer", "h2d"), ("load", "d2h")])
+    def test_a_failed_copy_frees_the_host_slot_for_the_next_job(self, source, copy):
+        from repro.runtime.pernode import NodeEngine
+
+        store, values = make_store(4)
+        keys = sorted(values)
+        app = SumApp()
+
+        def peer(idx):  # a peer's host cache serves every item
+            key = keys[idx]
+            return app.preprocess(key, app.parse(key, store.read(app.file_name(key))))
+
+        remote_fetch = peer if source == "peer" else None
+        engine = NodeEngine(RocketConfig(**self.CFG))
+        try:
+            device = engine.states[0].device
+            real = getattr(device, copy)
+            faults = [RuntimeError(f"injected {copy} fault")]
+
+            def copy_failing_once(data):
+                if faults:
+                    raise faults.pop()
+                return real(data)
+
+            setattr(device, copy, copy_failing_once)
+            finished, errors, _ = self.run_job(engine, keys, store, remote_fetch)
+            assert finished and any(f"injected {copy} fault" in str(e) for e in errors)
+            assert engine.host_cache.pinned_count() == 0
+
+            finished, errors, emitted = self.run_job(engine, keys, store, remote_fetch)
+            assert finished, "the second job waited on a host slot nobody publishes"
+            assert errors == []
+            assert sorted(emitted) == sorted(
+                values[a] * values[b] for i, a in enumerate(keys) for b in keys[i + 1:]
+            )
+        finally:
+            engine.close()
+
+
 class LaneRecordingStore(InMemoryStore):
     """A store whose ``read`` records its callers and peak concurrency."""
 
