@@ -24,10 +24,11 @@ import time
 import numpy as np
 
 from repro.apps import ForensicsApplication
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_forensics_dataset
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
+from repro.runtime.cluster import ClusterConfig
 from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
@@ -63,10 +64,10 @@ def cluster_config(n_nodes):
 
 def run_variant(app, store, keys, n_nodes, disturb=None):
     """One timed session run; ``disturb(session)`` fires mid-job."""
-    runtime = ClusterRocketRuntime(
-        app, store, RocketConfig(**CONFIG), cluster=cluster_config(n_nodes)
+    rocket = Rocket(
+        app, store, RocketConfig(**CONFIG), backend="cluster", cluster=cluster_config(n_nodes)
     )
-    session = runtime.open_session()
+    session = rocket.session()
     try:
         start = time.perf_counter()
         handle = session.submit(AllPairs(keys))

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from repro.apps import ForensicsApplication
+from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_forensics_dataset
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
 from _common import print_block, write_bench_json
@@ -47,7 +48,7 @@ def test_cluster_scaling_pairs_per_second(once):
     """Throughput and wire traffic for 1-4 real worker processes."""
     app, store, keys = make_workload()
 
-    local = LocalRocketRuntime(app, store, RocketConfig(**CONFIG))
+    local = Rocket(app, store, RocketConfig(**CONFIG))
     baseline = local.run(keys)
 
     rows = [[
@@ -58,11 +59,12 @@ def test_cluster_scaling_pairs_per_second(once):
 
     def run_all():
         for n_nodes in (1, 2, 3, 4):
-            runtime = ClusterRocketRuntime(
+            rocket = Rocket(
                 app, store, RocketConfig(**CONFIG),
+                backend="cluster",
                 cluster=ClusterConfig(n_nodes=n_nodes, fetch_timeout=30.0, steal_timeout=5.0),
             )
-            runs[n_nodes] = (runtime.run(keys), runtime.last_stats)
+            runs[n_nodes] = (rocket.run(keys), rocket.last_stats)
 
     once(run_all)
 
@@ -114,12 +116,13 @@ def test_cluster_scaling_pairs_per_second(once):
 def test_cluster_hop_distribution(once):
     """Hop-outcome histogram of the live protocol (Fig. 11 analogue)."""
     app, store, keys = make_workload()
-    runtime = ClusterRocketRuntime(
+    rocket = Rocket(
         app, store, RocketConfig(**CONFIG),
+        backend="cluster",
         cluster=ClusterConfig(n_nodes=4, max_hops=3, fetch_timeout=30.0, steal_timeout=5.0),
     )
-    once(runtime.run, keys)
-    stats = runtime.last_stats
+    once(rocket.run, keys)
+    stats = rocket.last_stats
     pct = stats.hop_stats.percentages()
     print_block(
         "Distributed-cache outcomes (4 nodes, h=3, real transport)",

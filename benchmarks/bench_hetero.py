@@ -27,8 +27,9 @@ import time
 import numpy as np
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.scheduling.workstealing import StealPolicy
 from repro.util.tables import format_table
 
@@ -80,12 +81,12 @@ def make_workload():
 
 
 def run_policy(store, keys, policy):
-    runtime = LocalRocketRuntime(
+    rocket = Rocket(
         SleepCompareApp(), store, RocketConfig(steal_policy=policy, **CONFIG)
     )
-    results = runtime.run(keys)
+    results = rocket.run(keys)
     assert results.is_complete()
-    return runtime.last_stats
+    return rocket.last_stats
 
 
 def test_speed_aware_beats_uniform_on_skewed_mix(once):

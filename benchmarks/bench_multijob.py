@@ -24,9 +24,10 @@ import time
 import numpy as np
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
 from _common import print_block, write_bench_json
@@ -79,8 +80,8 @@ def make_store(n):
 
 def run_schedule(policy, store, keys):
     """Submit large-then-small under ``policy``; returns the timings."""
-    runtime = LocalRocketRuntime(ComputeHeavyApp(), store, RocketConfig(**CONFIG))
-    session = runtime.open_session(policy=policy)
+    rocket = Rocket(ComputeHeavyApp(), store, RocketConfig(**CONFIG))
+    session = rocket.session(policy=policy)
     try:
         t0 = time.perf_counter()
         large = session.submit(AllPairs(keys))

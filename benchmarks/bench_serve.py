@@ -48,7 +48,7 @@ def test_served_clients_beat_cold_one_shots(once):
         measured["cold_results"] = cold_matrices[0]
 
         # Served: one daemon, one warm session, N concurrent tenants.
-        session = make_runtime(store).open_session(policy="fair")
+        session = make_runtime(store).session(policy="fair")
         server = RocketServer(session, keys).start()
         try:
             with connect(server.address, tenant="primer") as primer:

@@ -23,9 +23,10 @@ import time
 import numpy as np
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
+from repro.runtime.cluster import ClusterConfig
 from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
@@ -78,8 +79,9 @@ def make_corpus():
 
 
 def make_runtime(store):
-    return ClusterRocketRuntime(
-        LoadHeavyApp(), store, RocketConfig(**CONFIG), cluster=ClusterConfig(**CLUSTER)
+    return Rocket(
+        LoadHeavyApp(), store, RocketConfig(**CONFIG), backend="cluster",
+        cluster=ClusterConfig(**CLUSTER)
     )
 
 
@@ -100,7 +102,7 @@ def test_session_warm_jobs_beat_cold_runs(once):
         measured["cold_results"] = cold_results
 
         # Warm: the same workload as the second job of a live session.
-        session = make_runtime(store).open_session()
+        session = make_runtime(store).session()
         try:
             first = session.submit(workload)
             first.result()

@@ -24,9 +24,10 @@ import time
 import numpy as np
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
 from _common import print_block, write_bench_json
@@ -79,9 +80,9 @@ def make_corpus():
 
 def run_session(store, keys, store_dir):
     """One fresh session (cold process state) against the shared store."""
-    session = LocalRocketRuntime(
+    session = Rocket(
         ExpensiveApp(), store, RocketConfig(store_dir=store_dir, **CONFIG)
-    ).open_session()
+    ).session()
     try:
         t0 = time.perf_counter()
         results = session.submit(AllPairs(keys)).result()

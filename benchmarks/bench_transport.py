@@ -24,9 +24,10 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_transport.py -q -s
 import numpy as np
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.util.tables import format_table
 
 from _common import print_block, write_bench_json
@@ -85,19 +86,19 @@ def test_transport_shootout(once):
     """Bytes serialized and messages sent per data-plane configuration."""
     app, store, keys = make_workload()
 
-    local = LocalRocketRuntime(app, store, RocketConfig(**CONFIG))
+    local = Rocket(app, store, RocketConfig(**CONFIG))
     baseline = local.run(keys)
     runs = {}
 
     def run_all():
         for label, plan in PLANS:
-            runtime = ClusterRocketRuntime(
+            rocket = Rocket(
                 app, store, RocketConfig(**CONFIG),
-                cluster=ClusterConfig(
+                backend="cluster", cluster=ClusterConfig(
                     n_nodes=N_NODES, fetch_timeout=30.0, steal_timeout=5.0, **plan
                 ),
             )
-            runs[label] = (runtime.run(keys), runtime.last_stats)
+            runs[label] = (rocket.run(keys), rocket.last_stats)
 
     once(run_all)
 

@@ -66,13 +66,7 @@ from repro.core import (
     Workload,
 )
 from repro.obs import MetricsRegistry, configure_logging, get_logger
-from repro.runtime import (
-    ClusterConfig,
-    ClusterRocketRuntime,
-    LocalRocketRuntime,
-    RunStats,
-    VirtualDevice,
-)
+from repro.runtime import ClusterConfig, RunStats, VirtualDevice
 from repro.util.trace import ProfileTrace
 
 __version__ = "1.2.0"
@@ -96,10 +90,8 @@ __all__ = [
     "ResultMatrix",
     "HostBuffer",
     "DeviceBuffer",
-    "LocalRocketRuntime",
     "RunStats",
     "ClusterConfig",
-    "ClusterRocketRuntime",
     "VirtualDevice",
     "MetricsRegistry",
     "ProfileTrace",

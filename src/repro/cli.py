@@ -399,8 +399,9 @@ def _run_jobs_file(
 def _build_runtime(args: argparse.Namespace, profiling: bool = False):
     """Shared ``run``/``serve`` setup: synthetic data + backend config.
 
-    Returns ``(app, store, keys, config, backend, options)`` ready for
-    the ``Rocket`` constructor.
+    Returns ``(app, store, keys, config, backend, cluster)`` ready for
+    the ``Rocket`` constructor (``cluster`` is None on the local
+    backend).
     """
     from repro.data.filestore import InMemoryStore
     from repro.runtime.localrocket import RocketConfig
@@ -427,11 +428,11 @@ def _build_runtime(args: argparse.Namespace, profiling: bool = False):
         store_dir=args.store_dir,
     )
 
-    options = {}
+    cluster = None
     if backend == "cluster":
         from repro.runtime.cluster import ClusterConfig
 
-        options["cluster"] = ClusterConfig(
+        cluster = ClusterConfig(
             n_nodes=args.nodes,
             max_hops=args.hops,
             distributed_cache=not args.no_distributed_cache,
@@ -440,16 +441,16 @@ def _build_runtime(args: argparse.Namespace, profiling: bool = False):
             node_speed_factors=node_speeds,
             max_nodes=args.max_nodes,
         )
-    return app, store, keys, config, backend, options
+    return app, store, keys, config, backend, cluster
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.rocket import Rocket
 
-    app, store, keys, config, backend, options = _build_runtime(
+    app, store, keys, config, backend, cluster = _build_runtime(
         args, profiling=bool(args.profile)
     )
-    rocket = Rocket(app, store, config, backend=backend, **options)
+    rocket = Rocket(app, store, config, backend, cluster=cluster)
     if args.jobs_file:
         return _run_jobs_file(rocket, args.jobs_file, keys, args.save, args.profile)
     workload = _make_workload(keys, args.bipartite, args.delta)
@@ -478,13 +479,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.rocket import Rocket
     from repro.serve import RocketServer, TenantDirectory
 
-    app, store, keys, config, backend, options = _build_runtime(args)
+    app, store, keys, config, backend, cluster = _build_runtime(args)
     tenants = (
         TenantDirectory.from_file(args.tenants)
         if args.tenants
         else TenantDirectory.permissive()
     )
-    session = Rocket(app, store, config, backend=backend, **options).session(
+    session = Rocket(app, store, config, backend, cluster=cluster).session(
         policy="fair", max_active=args.max_active
     )
     try:

@@ -18,57 +18,43 @@ same architecture on actual OS threads and processes:
   that misses the item (behind a single I/O lane), and concurrent-job
   admission control;
 - :mod:`repro.runtime.localrocket` — the single-process configuration
-  (no third cache level; what the examples and application-correctness
-  tests run on);
+  (:class:`LocalSession`; no third cache level; what the examples and
+  application-correctness tests run on) and the shared
+  :class:`RocketConfig`;
 - :mod:`repro.runtime.cluster` — the multi-process configuration: one
   worker process per node, a live distributed cache level (mediator
   protocol over real IPC), global work stealing through the
   coordinator, and batched result streaming;
-- :mod:`repro.runtime.transport` — the pluggable data plane of the
+- :mod:`repro.runtime.transport` — the data plane of the
   cluster runtime: inline queue shipping (``"queue"``) or zero-copy
   shared-memory descriptors (``"shm"``);
-- :mod:`repro.runtime.backend` — the backend registry behind
-  ``Rocket(..., backend=...)`` and the session driver
-  (:class:`BackendSession`, one job lifecycle): the one session type,
-  what ``Rocket.session()`` returns and ``repro.RocketSession`` names;
+- :mod:`repro.runtime.backend` — the session driver
+  (:class:`BackendSession`, one job lifecycle) both sessions share:
+  the one session type, what ``Rocket.session()`` returns and
+  ``repro.RocketSession`` names;
 - :mod:`repro.runtime.stats` — the one additive stats record
   (``NodeStats`` per node, ``RunStats`` per job) and its fold into the
   metrics registry.
 """
 
-from repro.runtime.backend import (
-    BackendSession,
-    RocketBackend,
-    available_backends,
-    create_backend,
-)
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ClusterRocketRuntime,
-    ClusterSession,
-)
+from repro.runtime.backend import BackendSession
+from repro.runtime.cluster import ClusterConfig, ClusterSession
 from repro.runtime.devices import VirtualDevice
-from repro.runtime.localrocket import LocalRocketRuntime, LocalSession
+from repro.runtime.localrocket import LocalSession
 from repro.runtime.pernode import NodeEngine, NodePipeline
 from repro.runtime.stats import NodeStats, RunStats
-from repro.runtime.transport import Transport, TransportFabric, available_transports
+from repro.runtime.transport import Transport, TransportFabric
 
 __all__ = [
     "VirtualDevice",
-    "LocalRocketRuntime",
     "LocalSession",
     "RunStats",
     "NodeEngine",
     "NodePipeline",
     "NodeStats",
     "ClusterConfig",
-    "ClusterRocketRuntime",
     "ClusterSession",
     "BackendSession",
-    "RocketBackend",
-    "available_backends",
-    "create_backend",
     "Transport",
     "TransportFabric",
-    "available_transports",
 ]

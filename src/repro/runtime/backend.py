@@ -1,30 +1,26 @@
-"""Execution-backend abstraction for :class:`~repro.core.rocket.Rocket`.
+"""The session driver every execution backend shares.
 
-Rocket can execute the same all-pairs application on different
-substrates — the threaded single-process runtime, or the multi-process
-cluster runtime — behind one interface (the ``AbstractRunner`` /
+Rocket executes the same all-pairs application on different substrates
+— the threaded single-process runtime, or the multi-process cluster
+runtime — behind one job contract (the ``AbstractRunner`` /
 concrete-runner split familiar from pipeline frameworks: the base owns
 the run contract, a runner supplies only how work reaches its
 executors):
 
-- :class:`RocketBackend` — the interface: ``open_session()`` returning
-  a live :class:`BackendSession` that accepts
-  :class:`~repro.core.workload.Workload` submissions, plus the
-  one-shot ``run(workload)`` wrapper (open a session, submit, wait,
-  close) and a ``last_stats`` attribute holding the
-  :class:`~repro.runtime.stats.RunStats` of the most recent job;
 - :class:`BackendSession` — one live execution context and the job
   lifecycle every backend shares: submit, admission, cancellation,
   watchdog, terminal resolution, metrics, close.  It is the one session
-  type: ``Rocket.session()`` returns it and ``repro.RocketSession``
-  names it;
-- a registry mapping backend names to factories, so
-  ``Rocket(app, store, backend="cluster", n_nodes=4)`` needs no imports
-  from the caller.
+  type: :meth:`Rocket.session <repro.core.rocket.Rocket.session>`
+  opens a :class:`~repro.runtime.localrocket.LocalSession` or a
+  :class:`~repro.runtime.cluster.ClusterSession`, and
+  ``repro.RocketSession`` names this base;
+- :class:`SessionJob` — what the driver tracks for one active job.
 
-Factories import their runtime modules on first use rather than at
-module level: the runtime modules themselves import this registry, so
-eager imports here would be circular.
+A session reads the application, the store (and the cluster's
+:class:`~repro.runtime.cluster.ClusterConfig`) from the
+:class:`~repro.core.rocket.Rocket` that opened it, runs the
+:class:`~repro.runtime.localrocket.RocketConfig` it was given, and
+publishes each completed job's stats as that Rocket's ``last_stats``.
 """
 
 from __future__ import annotations
@@ -34,28 +30,23 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.api import Application
 from repro.core.result import ResultMatrix
 from repro.core.scheduler import JobScheduler
 from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import Workload, as_workload
-from repro.data.filestore import FileStore
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.stats import NodeStats, RunStats, fold_stats
 from repro.store.integration import SessionMemo
 from repro.util.trace import ProfileTrace, TraceRecorder
 
-__all__ = [
-    "BackendSession",
-    "SessionJob",
-    "RocketBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
-]
+if TYPE_CHECKING:
+    from repro.core.rocket import Rocket
+    from repro.runtime.localrocket import RocketConfig
+
+__all__ = ["BackendSession", "SessionJob"]
 
 
 class SessionJob:
@@ -122,7 +113,7 @@ class BackendSession(ABC):
       job with an error — or one that ended short of its pair count —
       ends FAILED and is logged, and a DONE job carries its
       :class:`~repro.runtime.stats.RunStats`, folded into
-      :meth:`metrics` and published as the backend's ``last_stats``.
+      :meth:`metrics` and published as the Rocket's ``last_stats``.
       Cancelling or failing one job never disturbs a co-running one.
     - ``close()`` tears the session down exactly once: it cancels every
       queued and running job, waits for the driver, resolves whatever a
@@ -156,6 +147,8 @@ class BackendSession(ABC):
     :meth:`add_node` / :meth:`retire_node`.
     """
 
+    #: Name of the executing backend (set by subclasses).
+    backend = "?"
     #: Display name of this process in :meth:`profile`.
     _process_name = "rocket"
     #: Data plane reported in the jobs' ``RunStats``.
@@ -163,8 +156,11 @@ class BackendSession(ABC):
     #: How long ``close()`` waits for the driver thread to drain.
     _JOIN_TIMEOUT = 30.0
 
-    def __init__(self, runtime: "RocketBackend", scheduler: JobScheduler, log_name: str) -> None:
-        self._runtime = runtime
+    def __init__(
+        self, rocket: "Rocket", config: "RocketConfig", scheduler: JobScheduler, log_name: str
+    ) -> None:
+        self._rocket = rocket
+        self._config = config
         self._scheduler = scheduler
         self.policy = scheduler.policy
         self._lock = threading.Lock()
@@ -175,18 +171,17 @@ class BackendSession(ABC):
         #: the scheduler-lane spans, finished jobs' node buffers wait as
         #: ``(name, pid, origin, events)`` for :meth:`profile` to merge,
         #: and the registry accumulates counters across jobs.
-        self._trace = TraceRecorder(enabled=runtime.config.profiling)
+        self._trace = TraceRecorder(enabled=config.profiling)
         self._node_traces: Deque[Tuple[str, int, float, List]] = deque(maxlen=256)
         self._metrics = MetricsRegistry()
-        cfg = runtime.config
         self._memo: Optional[SessionMemo] = (
-            SessionMemo(runtime.app, runtime.store, cfg.store_dir) if cfg.store_dir else None
+            SessionMemo(rocket.app, rocket.store, config.store_dir) if config.store_dir else None
         )
         self._job_records: Deque[Dict[str, object]] = deque(maxlen=64)
         self._log = get_logger(log_name)
         #: Started by the subclass once its executors are up.
         self._thread = threading.Thread(
-            target=self._serve, name=f"rocket-{runtime.name}-session", daemon=True
+            target=self._serve, name=f"rocket-{self.backend}-session", daemon=True
         )
 
     # -- backend hooks ---------------------------------------------------
@@ -225,14 +220,9 @@ class BackendSession(ABC):
     # -- public surface --------------------------------------------------
 
     @property
-    def backend(self) -> str:
-        """Name of the executing backend."""
-        return self._runtime.name
-
-    @property
     def last_stats(self) -> Optional[RunStats]:
-        """Statistics of the backend's most recently completed job."""
-        return self._runtime.last_stats
+        """Statistics of the most recently completed job of the opening Rocket."""
+        return self._rocket.last_stats
 
     def submit(
         self,
@@ -256,7 +246,7 @@ class BackendSession(ABC):
         # jobs while a large submission prepares.  Warming grain_blocks
         # first also seeds the accepted-pair counts, so a filtered
         # workload's predicate sweeps each pair exactly once.
-        self._runtime.app.validate_keys(workload.keys)
+        self._rocket.app.validate_keys(workload.keys)
         memo, trace = self._memo, self._trace
         residual: Optional[Workload] = workload
         if memo is not None:
@@ -424,7 +414,7 @@ class BackendSession(ABC):
                     done, total = job.handle.progress()
                     job.error = RuntimeError(
                         f"run did not finish within watchdog_seconds="
-                        f"{self._runtime.config.watchdog_seconds}; completed "
+                        f"{self._config.watchdog_seconds}; completed "
                         f"{done}/{total} pairs"
                     )
                     self._stop(job)
@@ -571,200 +561,5 @@ class BackendSession(ABC):
         )
         fold_stats(self._metrics, stats)
         self._log.info("job done", job_id=job.job_id)
-        self._runtime.last_stats = stats
+        self._rocket.last_stats = stats
         handle._finish(RunState.DONE, stats=stats)
-
-
-class RocketBackend(ABC):
-    """One way of executing an all-pairs application.
-
-    Concrete backends implement :meth:`open_session`; the blocking
-    :meth:`run` wrapper is derived.  They expose ``last_stats`` (the
-    most recent job's :class:`~repro.runtime.stats.RunStats`, ``None``
-    before any run) and must leave the result matrix identical across
-    backends: the pipeline callbacks are pure, so only timing may
-    differ.
-    """
-
-    #: Registry key of the backend (set by subclasses).
-    name: str = "?"
-
-    last_stats: Optional[RunStats] = None
-
-    def open_session(self, *, policy="fifo", max_active: Optional[int] = None) -> BackendSession:
-        """Spin up a live session against this backend's configuration.
-
-        ``policy`` selects the job scheduling policy (``"fifo"`` —
-        serial, submission order; ``"fair"`` — concurrent weighted fair
-        sharing) and ``max_active`` bounds how many jobs run
-        concurrently under FAIR.
-        """
-        raise NotImplementedError(f"backend {self.name!r} does not support sessions")
-
-    def _one_shot_session(self, keys: Union[Sequence[Hashable], Workload]) -> BackendSession:
-        """The session :meth:`run` executes ``keys`` (its single workload) on.
-
-        Backends that can size resources to one known workload (e.g.
-        the local engine's cache-slot bound) override this; the default
-        is a plain :meth:`open_session`.
-        """
-        return self.open_session()
-
-    def run(
-        self,
-        keys: Union[Sequence[Hashable], Workload],
-        profile: Optional[str] = None,
-    ) -> ResultMatrix:
-        """Execute one workload to completion (one-shot session).
-
-        ``keys`` may be a plain key sequence (all pairs) or any
-        :class:`~repro.core.workload.Workload`.  Statistics land in
-        ``last_stats``.  With ``profile=`` the session's merged
-        Chrome/Perfetto trace is written to that path before the
-        session closes (meaningful when the backend's config has
-        ``profiling=True`` — :meth:`Rocket.run <repro.core.rocket.Rocket.run>`
-        arranges that automatically).
-        """
-        session = self._one_shot_session(keys)
-        try:
-            result = session.run(keys)
-            if profile is not None:
-                session.profile().save(profile)
-        finally:
-            session.close()
-        return result
-
-
-_FACTORIES: Dict[str, Callable[..., RocketBackend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[..., RocketBackend], overwrite: bool = False
-) -> None:
-    """Register a backend factory under ``name``.
-
-    Registering a name twice is an error unless ``overwrite=True`` —
-    silently shadowing a backend is almost always a bug in plugin code.
-    """
-    if name in _FACTORIES and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass overwrite=True to replace it"
-        )
-    _FACTORIES[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered execution backends, sorted."""
-    return tuple(sorted(_FACTORIES))
-
-
-def create_backend(
-    name: str, app: Application, store: FileStore, config=None, **options
-) -> RocketBackend:
-    """Instantiate backend ``name`` for an application and store.
-
-    ``options`` are forwarded to the backend factory (e.g. ``n_nodes``
-    or ``cluster`` for the cluster backend); unknown options raise
-    ``TypeError`` from the factory itself.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-    return factory(app, store, config, **options)
-
-
-def _coerce_steal_policy(value):
-    """Accept a StealPolicy or its string name ("uniform" / "speed")."""
-    from repro.scheduling.workstealing import StealPolicy
-
-    if isinstance(value, StealPolicy):
-        return value
-    try:
-        return StealPolicy(value)
-    except ValueError:
-        raise ValueError(
-            f"unknown steal policy {value!r}; "
-            f"available: {', '.join(p.value for p in StealPolicy)}"
-        ) from None
-
-
-def _apply_scheduling_options(config, device_speeds, steal_policy, store_dir=None):
-    """Fold the Rocket-level scheduling shorthands into a RocketConfig."""
-    import dataclasses
-
-    overrides = {}
-    if device_speeds is not None:
-        overrides["device_speed_factors"] = tuple(float(s) for s in device_speeds)
-    if steal_policy is not None:
-        overrides["steal_policy"] = _coerce_steal_policy(steal_policy)
-    if store_dir is not None:
-        overrides["store_dir"] = str(store_dir)
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _local_factory(app, store, config=None, **options) -> RocketBackend:
-    from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
-
-    device_speeds = options.pop("device_speeds", None)
-    steal_policy = options.pop("steal_policy", None)
-    store_dir = options.pop("store_dir", None)
-    if options:
-        raise TypeError(f"unknown local backend options {sorted(options)}")
-    config = _apply_scheduling_options(
-        config if config is not None else RocketConfig(),
-        device_speeds, steal_policy, store_dir,
-    )
-    return LocalRocketRuntime(app, store, config)
-
-
-def _cluster_factory(app, store, config=None, **options) -> RocketBackend:
-    import dataclasses
-
-    from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-    from repro.runtime.localrocket import RocketConfig
-
-    cluster = options.pop("cluster", None)
-    n_nodes = options.pop("n_nodes", None)
-    transport = options.pop("transport", None)
-    result_batch = options.pop("result_batch", None)
-    device_speeds = options.pop("device_speeds", None)
-    node_speeds = options.pop("node_speeds", None)
-    steal_policy = options.pop("steal_policy", None)
-    max_nodes = options.pop("max_nodes", None)
-    store_dir = options.pop("store_dir", None)
-    if options:
-        raise TypeError(f"unknown cluster backend options {sorted(options)}")
-    if cluster is None:
-        cluster = ClusterConfig(n_nodes=n_nodes if n_nodes is not None else 2)
-    elif n_nodes is not None and n_nodes != cluster.n_nodes:
-        raise ValueError(
-            f"conflicting node counts: n_nodes={n_nodes} vs cluster.n_nodes={cluster.n_nodes}"
-        )
-    config = _apply_scheduling_options(
-        config if config is not None else RocketConfig(),
-        device_speeds, steal_policy, store_dir,
-    )
-    # Data-plane / heterogeneity shorthands: ``Rocket(..., transport="shm",
-    # node_speeds=((1.0,), (0.25,)))`` overrides the (or a default)
-    # ClusterConfig.
-    overrides = {}
-    if transport is not None:
-        overrides["transport"] = transport
-    if result_batch is not None:
-        overrides["result_batch"] = result_batch
-    if node_speeds is not None:
-        overrides["node_speed_factors"] = tuple(
-            tuple(float(s) for s in speeds) for speeds in node_speeds
-        )
-    if max_nodes is not None:
-        overrides["max_nodes"] = int(max_nodes)
-    if overrides:
-        cluster = dataclasses.replace(cluster, **overrides)
-    return ClusterRocketRuntime(app, store, config, cluster=cluster)
-
-
-register_backend("local", _local_factory, overwrite=True)
-register_backend("cluster", _cluster_factory, overwrite=True)

@@ -1,6 +1,6 @@
 """Multi-process cluster runtime: the paper's mechanisms over real IPC.
 
-:class:`ClusterRocketRuntime` spawns one worker **process** per
+:class:`ClusterSession` spawns one worker **process** per
 simulated cluster node (``multiprocessing``), each running the same
 threaded per-node pipeline as the local runtime
 (:class:`~repro.runtime.pernode.NodePipeline`), and wires the three
@@ -28,7 +28,7 @@ cross-node mechanisms of the paper for real:
    (pipeline counters, hop histogram, bytes and messages over the wire,
    per-kind message counts).
 
-*How* bytes move between the processes is delegated to a pluggable
+*How* bytes move between the processes is delegated to a
 :class:`~repro.runtime.transport.Transport`
 (``ClusterConfig(transport=...)``): the ``"queue"`` transport pickles
 payloads inline through ``multiprocessing`` queues (one per sender and
@@ -62,8 +62,8 @@ abort)``) leaves co-running jobs untouched.  How many jobs run at once and in wh
 order is decided coordinator-side by the
 :class:`~repro.core.scheduler.JobScheduler` (FIFO: serial, the
 historical behaviour; FAIR: priority-ordered concurrent admission).
-``ClusterRocketRuntime.run()`` is the one-shot compatibility path:
-open a session, submit one workload, close.
+``Rocket(..., backend="cluster").run()`` is the one-shot path: open a
+session, submit one workload, close.
 
 Membership is live, in one mode: nodes join and retire while jobs run,
 and a node that dies is evicted — its unfinished blocks are re-injected
@@ -74,18 +74,17 @@ The package follows the seams between the roles: :mod:`.config`
 (:class:`ClusterConfig`), :mod:`.comm` (the per-node protocol endpoint),
 :mod:`.node` (the worker process), :mod:`.job` (the coordinator's state
 for one job: shares, steals, recovery) and :mod:`.session` (the
-coordinator: :class:`ClusterRocketRuntime`, :class:`ClusterSession`).
+coordinator, :class:`ClusterSession`).
 """
 
 from repro.runtime.cluster.comm import NodeCommServer, NodeJobState
 from repro.runtime.cluster.config import ClusterConfig
-from repro.runtime.cluster.session import ClusterRocketRuntime, ClusterSession
+from repro.runtime.cluster.session import ClusterSession
 from repro.runtime.stats import MESSAGE_KINDS
 from repro.runtime.transport import QueueTransport
 
 __all__ = [
     "ClusterConfig",
-    "ClusterRocketRuntime",
     "ClusterSession",
     "NodeCommServer",
     "NodeJobState",

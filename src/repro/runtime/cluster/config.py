@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.runtime.transport import FABRICS
+
 __all__ = ["ClusterConfig"]
 
 
@@ -71,6 +73,10 @@ class ClusterConfig:
             raise ValueError(f"max_hops (h) must be >= 1, got {self.max_hops}")
         if self.fetch_timeout <= 0 or self.steal_timeout <= 0 or self.poll_interval <= 0:
             raise ValueError("timeouts must be positive")
+        if self.transport not in FABRICS:
+            raise ValueError(
+                f"unknown transport {self.transport!r}; available: {', '.join(FABRICS)}"
+            )
         if self.result_batch < 1:
             raise ValueError(f"result_batch must be >= 1, got {self.result_batch}")
         if self.shm_segment_bytes < 65536:

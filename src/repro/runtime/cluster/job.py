@@ -26,7 +26,7 @@ class _ClusterJob(SessionJob):
     """
 
     def __init__(self, session: "ClusterSession", handle: RunHandle) -> None:
-        cfg = session._runtime.config
+        cfg = session._config
         super().__init__(handle, cfg.watchdog_seconds)
         self.session = session
         workload = handle.residual  # what the memo store left to compute
@@ -148,7 +148,7 @@ class _ClusterJob(SessionJob):
         selector so a thief's probe can never park on a victim that
         will not answer.
         """
-        cfg = self.session._runtime.config
+        cfg = self.session._config
         topology = self.session._topology
         live = self.session._live
         excluded = frozenset(

@@ -1,4 +1,4 @@
-"""The coordinator: ``ClusterRocketRuntime`` and its live ``ClusterSession``."""
+"""The coordinator: the live ``ClusterSession``."""
 
 from __future__ import annotations
 
@@ -8,75 +8,23 @@ import pickle
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.api import Application
 from repro.core.scheduler import JobScheduler, coerce_policy
 from repro.core.session import RunHandle
 from repro.core.workload import Workload
-from repro.data.filestore import FileStore
-from repro.runtime.backend import BackendSession, RocketBackend
-from repro.runtime.cluster.config import ClusterConfig
+from repro.runtime.backend import BackendSession
 from repro.runtime.cluster.job import _ClusterJob
 from repro.runtime.cluster.node import _node_main
 from repro.runtime.localrocket import RocketConfig
 from repro.runtime.stats import NodeStats
-from repro.runtime.transport import CHANNEL_ERRORS, available_transports, create_fabric
+from repro.runtime.transport import CHANNEL_ERRORS, create_fabric
 from repro.scheduling.workstealing import WorkerTopology
 
-__all__ = ["ClusterRocketRuntime", "ClusterSession"]
+if TYPE_CHECKING:
+    from repro.core.rocket import Rocket
 
-
-class ClusterRocketRuntime(RocketBackend):
-    """Run an all-pairs application across real OS processes.
-
-    ``run(workload)`` (inherited) executes one workload through a
-    one-shot session — spawn, run, tear down; :meth:`open_session`
-    returns a
-    :class:`ClusterSession` whose worker processes, transport fabric
-    and cache levels persist across many submitted workloads.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        app: Application,
-        store: FileStore,
-        config: RocketConfig = RocketConfig(),
-        cluster: ClusterConfig = ClusterConfig(),
-    ) -> None:
-        self.app = app
-        self.store = store
-        self.config = config
-        self.cluster = cluster
-        if cluster.transport not in available_transports():
-            raise ValueError(
-                f"unknown transport {cluster.transport!r}; "
-                f"available: {', '.join(available_transports())}"
-            )
-        if cluster.node_speed_factors is not None:
-            for node, speeds in enumerate(cluster.node_speed_factors):
-                if len(speeds) != config.n_devices:
-                    raise ValueError(
-                        f"node {node}: {len(speeds)} speed factors for "
-                        f"{config.n_devices} devices"
-                    )
-
-    def _node_configs(self) -> List[RocketConfig]:
-        """Per-node RocketConfigs (heterogeneous speed overrides applied)."""
-        if self.cluster.node_speed_factors is None:
-            return [self.config] * self.cluster.n_nodes
-        return [
-            dataclasses.replace(self.config, device_speed_factors=tuple(speeds))
-            for speeds in self.cluster.node_speed_factors
-        ]
-
-    def open_session(
-        self, *, policy="fifo", max_active: Optional[int] = None
-    ) -> "ClusterSession":
-        """Spawn the worker processes and return the live session."""
-        return ClusterSession(self, policy=policy, max_active=max_active)
+__all__ = ["ClusterSession"]
 
 
 class ClusterSession(BackendSession):
@@ -102,17 +50,20 @@ class ClusterSession(BackendSession):
     resource; no exit path leaks processes or ``/dev/shm`` segments.
     """
 
+    backend = "cluster"
     _process_name = "coordinator"
 
     def __init__(
         self,
-        runtime: ClusterRocketRuntime,
+        rocket: "Rocket",
+        cfg: RocketConfig,
+        *,
         policy="fifo",
         max_active: Optional[int] = None,
     ) -> None:
-        cfg, cl = runtime.config, runtime.cluster
+        cl = rocket.cluster
         super().__init__(
-            runtime, JobScheduler(coerce_policy(policy), max_active=max_active),
+            rocket, cfg, JobScheduler(coerce_policy(policy), max_active=max_active),
             "cluster.coordinator",
         )
         self._transport = cl.transport
@@ -124,12 +75,19 @@ class ClusterSession(BackendSession):
                 f"on this platform"
             ) from exc
         self._ctx = ctx
-        self._node_cfgs = runtime._node_configs()
+        # Per-node configs: a heterogeneous node mix overrides each
+        # node's device speed factors.
+        node_cfgs = [cfg] * cl.n_nodes
+        if cl.node_speed_factors is not None:
+            node_cfgs = [
+                dataclasses.replace(cfg, device_speed_factors=tuple(speeds))
+                for speeds in cl.node_speed_factors
+            ]
         capacity = cl.capacity
         self._capacity = capacity
         # Slots beyond the initial node set (filled by ``add_node``)
         # run the base config at the base speed.
-        self._node_speeds = [c.aggregate_speed for c in self._node_cfgs] + [
+        self._node_speeds = [c.aggregate_speed for c in node_cfgs] + [
             cfg.aggregate_speed
         ] * (capacity - cl.n_nodes)
         self._topology = WorkerTopology.from_gpus_per_node(
@@ -151,7 +109,7 @@ class ClusterSession(BackendSession):
             ctx.Process(
                 target=_node_main,
                 args=(
-                    i, runtime.app, runtime.store, self._node_cfgs[i], cl,
+                    i, rocket.app, rocket.store, node_cfgs[i], cl,
                     self._fabric, 0, tuple(range(cl.n_nodes)),
                 ),
                 name=f"rocket-node{i}",
@@ -290,8 +248,7 @@ class ClusterSession(BackendSession):
             event.set()
 
     def _do_add_node(self) -> int:
-        runtime = self._runtime
-        cl = runtime.cluster
+        rocket = self._rocket
         if self._next_slot >= self._capacity:
             raise RuntimeError(
                 f"cluster is at capacity ({self._capacity} node slots); "
@@ -303,7 +260,7 @@ class ClusterSession(BackendSession):
         proc = self._ctx.Process(
             target=_node_main,
             args=(
-                node, runtime.app, runtime.store, runtime.config, cl,
+                node, rocket.app, rocket.store, self._config, rocket.cluster,
                 self._fabric, self._epoch + 1, live,
             ),
             name=f"rocket-node{node}",
@@ -373,7 +330,7 @@ class ClusterSession(BackendSession):
             self._do_control(cmd)
         # Process-death detection, only on idle ticks: in-flight
         # error/stats messages beat the generic crash report.
-        idle = not self._drain(self._runtime.cluster.poll_interval)
+        idle = not self._drain(self._rocket.cluster.poll_interval)
         if idle and self._fatal is None:
             self._check_dead_nodes()
 

@@ -4,37 +4,33 @@ Architecture (paper Section 4.3, scaled to one machine): the actual
 per-node machinery — worker threads, two :class:`~repro.cache.slots.SlotCache`
 levels, the load pipeline and job admission — lives in
 :class:`~repro.runtime.pernode.NodePipeline`, which this runtime and
-the multi-process :mod:`repro.runtime.cluster` runtime share.  This
-class is the single-node configuration: no third cache level, no
-global stealing, results written straight into an in-process
-:class:`~repro.core.result.ResultMatrix`.
+the multi-process :mod:`repro.runtime.cluster` runtime share.
+:class:`LocalSession` is the single-node configuration: no third cache
+level, no global stealing, results written straight into an in-process
+:class:`~repro.core.result.ResultMatrix`.  :class:`RocketConfig` holds
+the tunables both backends share.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.cache.policy import EvictionPolicy
-from repro.core.api import Application
 from repro.core.scheduler import DEFAULT_GRAIN, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle
-from repro.core.workload import as_workload
-from repro.data.filestore import FileStore
-from repro.runtime.backend import BackendSession, RocketBackend, SessionJob
+from repro.runtime.backend import BackendSession, SessionJob
 from repro.runtime.pernode import NodeEngine, NodePipeline
 from repro.runtime.stats import NodeStats, RunStats
 from repro.scheduling.workstealing import StealPolicy
 from repro.util.rng import RngFactory
 from repro.util.trace import TraceRecorder
 
-__all__ = [
-    "RocketConfig",
-    "RunStats",
-    "LocalRocketRuntime",
-    "LocalSession",
-]
+if TYPE_CHECKING:
+    from repro.core.rocket import Rocket
+
+__all__ = ["RocketConfig", "RunStats", "LocalSession"]
 
 
 @dataclass(frozen=True)
@@ -115,45 +111,6 @@ class RocketConfig:
         return float(sum(self.device_speeds))
 
 
-class LocalRocketRuntime(RocketBackend):
-    """Run an :class:`~repro.core.api.Application` all-pairs on one machine.
-
-    ``run(workload)`` (inherited) executes one workload through a
-    one-shot session; :meth:`open_session` returns a
-    :class:`LocalSession` that keeps devices, caches and pools warm
-    across many submitted workloads.
-    """
-
-    name = "local"
-
-    def __init__(
-        self,
-        app: Application,
-        store: FileStore,
-        config: RocketConfig = RocketConfig(),
-    ) -> None:
-        self.app = app
-        self.store = store
-        self.config = config
-
-    def open_session(
-        self,
-        capacity_hint: Optional[int] = None,
-        *,
-        policy="fifo",
-        max_active: Optional[int] = None,
-    ) -> "LocalSession":
-        """Spin up a live single-node session (engine + scheduler loop)."""
-        return LocalSession(
-            self, capacity_hint=capacity_hint, policy=policy, max_active=max_active
-        )
-
-    def _one_shot_session(self, keys) -> "LocalSession":
-        # One known workload: bound the engine's cache slots by its
-        # item count instead of allocating the full configured slots.
-        return self.open_session(capacity_hint=as_workload(keys).n_items)
-
-
 class _LocalJob(SessionJob):
     """One active job in a LocalSession: its pipeline on the shared engine."""
 
@@ -178,8 +135,14 @@ class LocalSession(BackendSession):
     (or co-running) jobs loaded; cache pins are held by the owning
     job's pipeline, so cancelling one job releases exactly its pins and
     never disturbs a co-running job's pinned slots.
+
+    ``capacity_hint`` bounds the engine's cache slots by the item count
+    of the one workload a one-shot :meth:`Rocket.run
+    <repro.core.rocket.Rocket.run>` submits, instead of allocating the
+    full configured slots.
     """
 
+    backend = "local"
     _process_name = "rocket-local"
     #: Driver wake-up backstop while jobs run; all interesting
     #: transitions set the wake event explicitly, the timeout only
@@ -188,12 +151,13 @@ class LocalSession(BackendSession):
 
     def __init__(
         self,
-        runtime: LocalRocketRuntime,
-        capacity_hint: Optional[int] = None,
+        rocket: "Rocket",
+        cfg: RocketConfig,
+        *,
         policy="fifo",
         max_active: Optional[int] = None,
+        capacity_hint: Optional[int] = None,
     ) -> None:
-        cfg = runtime.config
         policy = coerce_policy(policy)
         # A FAIR quantum is one leaf; one leaf per device in flight keeps
         # the devices busy and leaves each next leaf to the weights.
@@ -207,7 +171,7 @@ class LocalSession(BackendSession):
             # sweep never stalls the shared admission loop.
             decompose=policy is SchedulingPolicy.FAIR,
         )
-        super().__init__(runtime, scheduler, "session.local")
+        super().__init__(rocket, cfg, scheduler, "session.local")
         #: What ``_pump`` parks on; set by :meth:`_notify`.
         self._wake = threading.Event()
         self._engine = NodeEngine(cfg, rngs=RngFactory(cfg.seed), capacity_hint=capacity_hint)
@@ -231,7 +195,7 @@ class LocalSession(BackendSession):
 
     def _start_job(self, handle: RunHandle) -> _LocalJob:
         """Start one admitted job's pipeline on the shared engine."""
-        cfg = self._runtime.config
+        cfg = self._config
         workload = handle.residual  # what the memo store left to compute
         fifo = self.policy is SchedulingPolicy.FIFO
         scheduler = self._scheduler
@@ -249,8 +213,8 @@ class LocalSession(BackendSession):
                 self._notify()  # the session window reopened: refill grants
 
         pipeline = NodePipeline(
-            self._runtime.app,
-            self._runtime.store,
+            self._rocket.app,
+            self._rocket.store,
             cfg,
             workload.keys,
             pair_filter=workload.pair_filter,

@@ -1,8 +1,8 @@
 """The per-node execution pipeline shared by the local and cluster runtimes.
 
-:class:`NodePipeline` is the machinery that used to live inside
-``LocalRocketRuntime``, extracted so that both the single-process
-runtime and the multi-process cluster runtime run the *same* code for
+:class:`NodePipeline` is one node's machinery, shared so that both the
+single-process runtime (:class:`~repro.runtime.localrocket.LocalSession`)
+and the multi-process cluster runtime run the *same* code for
 everything that happens inside one node (paper Section 4.3):
 
 - one worker thread per device runs the divide-and-conquer loop over

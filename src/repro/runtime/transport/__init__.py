@@ -1,8 +1,8 @@
-"""Pluggable data plane of the multi-process cluster runtime.
+"""The data plane of the multi-process cluster runtime.
 
 - :mod:`repro.runtime.transport.base` — the :class:`Transport` /
-  :class:`TransportFabric` interfaces, the name registry, and the
-  :class:`ResultBatcher` that coalesces per-pair result messages;
+  :class:`TransportFabric` interfaces and the :class:`ResultBatcher`
+  that coalesces per-pair result messages;
 - :mod:`repro.runtime.transport.queues` — the baseline transport:
   inline payloads pickled through ``multiprocessing`` queues;
 - :mod:`repro.runtime.transport.shm` — the zero-copy transport:
@@ -10,8 +10,8 @@
   segments carved by a :class:`~repro.core.buffers.BufferPool`, with
   only ``(segment, offset, shape, dtype)`` descriptors on the wire.
 
-Select with ``ClusterConfig(transport="queue"|"shm")``, or register
-your own fabric under a new name with :func:`register_transport`.
+Select with ``ClusterConfig(transport="queue"|"shm")``; the names map to
+their fabrics in :data:`FABRICS`.
 """
 
 from repro.runtime.transport.base import (
@@ -19,9 +19,6 @@ from repro.runtime.transport.base import (
     ResultBatcher,
     Transport,
     TransportFabric,
-    available_transports,
-    create_fabric,
-    register_transport,
 )
 from repro.runtime.transport.queues import QueueFabric, QueueTransport
 from repro.runtime.transport.shm import (
@@ -40,10 +37,20 @@ __all__ = [
     "SharedMemoryTransport",
     "SharedMemoryFabric",
     "ShmDescriptor",
-    "available_transports",
+    "FABRICS",
     "create_fabric",
-    "register_transport",
 ]
 
-register_transport(QueueFabric.name, QueueFabric, overwrite=True)
-register_transport(SharedMemoryFabric.name, SharedMemoryFabric, overwrite=True)
+#: Transport name -> fabric class (``ClusterConfig.transport`` values).
+FABRICS = {QueueFabric.name: QueueFabric, SharedMemoryFabric.name: SharedMemoryFabric}
+
+
+def create_fabric(name: str, ctx, cluster) -> TransportFabric:
+    """Instantiate transport ``name`` for one cluster run.
+
+    ``ctx`` is the ``multiprocessing`` context, ``cluster`` the
+    :class:`~repro.runtime.cluster.ClusterConfig` (node count, segment
+    sizing, timeouts); ``ClusterConfig`` has already rejected a name
+    missing from :data:`FABRICS`.
+    """
+    return FABRICS[name](ctx, cluster)

@@ -23,10 +23,9 @@ pluggable-runner pattern of pipeline frameworks):
 
 The base class implements the inline payload plane, so a transport
 that only cares about messaging (tests, the queue transport) overrides
-nothing else.  Concrete fabrics register themselves in a name registry
-mirroring :mod:`repro.runtime.backend`, which is what makes
-``ClusterConfig(transport="shm")`` and ``run --transport shm`` work
-without imports at the call site.
+nothing else.  The two concrete fabrics are picked by name —
+``ClusterConfig(transport="shm")``, ``run --transport shm`` — through
+:func:`repro.runtime.transport.create_fabric`.
 
 :class:`ResultBatcher` lives here too: it turns the per-job
 ``emit_block`` stream of :class:`~repro.runtime.pernode.NodePipeline`
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +46,6 @@ __all__ = [
     "Transport",
     "TransportFabric",
     "ResultBatcher",
-    "available_transports",
-    "create_fabric",
-    "register_transport",
 ]
 
 
@@ -297,39 +293,3 @@ class ResultBatcher:
         self.results_sent += len(block)
         payload: Any = block if self._pack is None else self._pack(block)
         self._send(("results", self.node_id, self.job_id, payload))
-
-
-# ----------------------------------------------------------------------
-# Registry
-
-_FABRICS: Dict[str, Callable[..., TransportFabric]] = {}
-
-
-def register_transport(
-    name: str, factory: Callable[..., TransportFabric], overwrite: bool = False
-) -> None:
-    """Register a fabric factory ``(ctx, cluster_config) -> fabric``."""
-    if name in _FABRICS and not overwrite:
-        raise ValueError(f"transport {name!r} is already registered")
-    _FABRICS[name] = factory
-
-
-def available_transports() -> Tuple[str, ...]:
-    """Names of the registered transports, sorted."""
-    return tuple(sorted(_FABRICS))
-
-
-def create_fabric(name: str, ctx, cluster) -> TransportFabric:
-    """Instantiate transport ``name`` for one cluster run.
-
-    ``ctx`` is the ``multiprocessing`` context, ``cluster`` the
-    :class:`~repro.runtime.cluster.ClusterConfig` (node count, segment
-    sizing, timeouts).
-    """
-    try:
-        factory = _FABRICS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transport {name!r}; available: {', '.join(available_transports())}"
-        ) from None
-    return factory(ctx, cluster)

@@ -1,10 +1,13 @@
-"""Error-path coverage for the execution-backend registry.
+"""Error-path coverage for ``Rocket``'s backend selection.
 
 The happy paths (running workloads through ``Rocket(backend=...)``)
-live in ``test_cluster_runtime.py``; this file pins down the registry's
-failure modes — unknown names, duplicate registration, option
-validation — and the data-plane shorthands the cluster factory accepts.
+live in ``test_cluster_runtime.py``; this file pins down the
+constructor's failure modes — unknown backend names, options that do
+not belong to the chosen backend, conflicting node counts — and the
+cluster data-plane validation ``ClusterConfig`` does when it is built.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,12 +15,6 @@ import pytest
 from repro.core.api import Application
 from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
-from repro.runtime.backend import (
-    RocketBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
 from repro.runtime.cluster import ClusterConfig
 from repro.runtime.localrocket import RocketConfig
 
@@ -50,81 +47,62 @@ class TestRegistryErrorPaths:
     def test_unknown_backend_lists_available(self, app_and_store):
         app, store = app_and_store
         with pytest.raises(ValueError, match="unknown backend 'quantum'") as exc:
-            create_backend("quantum", app, store)
+            Rocket(app, store, backend="quantum")
         # The message tells the user what *is* available.
-        for name in available_backends():
-            assert name in str(exc.value)
+        assert "available: local, cluster" in str(exc.value)
 
     def test_rocket_surfaces_the_same_message(self, app_and_store):
+        # The backend name is checked before the options that depend on it.
         app, store = app_and_store
         with pytest.raises(ValueError, match="unknown backend"):
-            Rocket(app, store, backend="quantum")
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="'local' is already registered"):
-            register_backend("local", lambda *a, **k: None)
-
-    def test_overwrite_allows_replacement(self, app_and_store):
-        app, store = app_and_store
-
-        class DummyBackend(RocketBackend):
-            name = "dummy-registry-test"
-
-            def run(self, keys, pair_filter=None):
-                raise NotImplementedError
-
-        factory = lambda app, store, config=None, **o: DummyBackend()  # noqa: E731
-        register_backend("dummy-registry-test", factory)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("dummy-registry-test", factory)
-            register_backend("dummy-registry-test", factory, overwrite=True)
-            assert isinstance(
-                create_backend("dummy-registry-test", app, store), DummyBackend
-            )
-        finally:
-            from repro.runtime import backend as backend_module
-
-            backend_module._FACTORIES.pop("dummy-registry-test", None)
+            Rocket(app, store, backend="quantum", n_nodes=2)
 
     def test_local_backend_rejects_unknown_options(self, app_and_store):
         app, store = app_and_store
-        with pytest.raises(TypeError, match="unknown local backend options.*n_nodes"):
-            create_backend("local", app, store, n_nodes=4)
+        with pytest.raises(ValueError, match="cluster backend only"):
+            Rocket(app, store, n_nodes=4)
+
+    def test_local_backend_rejects_a_cluster_config(self, app_and_store):
+        app, store = app_and_store
+        with pytest.raises(ValueError, match="cluster backend only"):
+            Rocket(app, store, backend="local", cluster=ClusterConfig())
 
     def test_cluster_backend_rejects_unknown_options(self, app_and_store):
+        # Every cluster knob is a ClusterConfig field; Rocket's keyword
+        # options are exactly backend, n_nodes and cluster.
         app, store = app_and_store
-        with pytest.raises(TypeError, match="unknown cluster backend options.*warp"):
-            create_backend("cluster", app, store, warp_factor=9)
+        with pytest.raises(TypeError, match="warp_factor"):
+            Rocket(app, store, backend="cluster", warp_factor=9)
+        with pytest.raises(TypeError, match="transport"):
+            Rocket(app, store, backend="cluster", transport="shm")
 
     def test_conflicting_node_counts_raise(self, app_and_store):
         app, store = app_and_store
         with pytest.raises(ValueError, match="conflicting node counts"):
-            create_backend(
-                "cluster", app, store, RocketConfig(),
+            Rocket(
+                app, store, RocketConfig(), backend="cluster",
                 n_nodes=3, cluster=ClusterConfig(n_nodes=2),
             )
 
 
+class TestConfigNone:
+    def test_profiled_run_with_config_none(self, app_and_store, tmp_path):
+        # ``config=None`` means the defaults, for the Rocket's own
+        # ``config`` too: a profiled run reads its profiling flag.
+        app, store = app_and_store
+        for key in ("b", "c"):
+            store.write(f"{key}.bin", np.ones(4).tobytes())
+        rocket = Rocket(app, store, None)
+        trace = tmp_path / "trace.json"
+        results = rocket.run(["a", "b", "c"], profile=str(trace))
+        assert results.is_complete()
+        assert rocket.config == RocketConfig()
+        assert rocket.last_stats is not None and rocket.last_stats.n_pairs == 3
+        assert json.loads(trace.read_text())["traceEvents"]
+
+
 class TestClusterDataPlaneOptions:
-    def test_transport_shorthand_sets_cluster_config(self, app_and_store):
-        app, store = app_and_store
-        backend = create_backend(
-            "cluster", app, store, transport="shm", result_batch=7, n_nodes=3
-        )
-        assert backend.cluster.transport == "shm"
-        assert backend.cluster.result_batch == 7
-        assert backend.cluster.n_nodes == 3
-
-    def test_transport_overrides_explicit_cluster_config(self, app_and_store):
-        app, store = app_and_store
-        backend = create_backend(
-            "cluster", app, store,
-            cluster=ClusterConfig(n_nodes=2, transport="queue"), transport="shm",
-        )
-        assert backend.cluster.transport == "shm"
-
-    def test_unknown_transport_rejected_at_construction(self, app_and_store):
-        app, store = app_and_store
-        with pytest.raises(ValueError, match="unknown transport 'telegraph'"):
-            Rocket(app, store, backend="cluster", transport="telegraph")
+    def test_unknown_transport_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown transport 'telegraph'") as exc:
+            ClusterConfig(transport="telegraph")
+        assert "available: queue, shm" in str(exc.value)

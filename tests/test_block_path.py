@@ -35,12 +35,13 @@ import pytest
 from repro.apps import BioinformaticsApplication, ForensicsApplication
 from repro.core.api import Application
 from repro.core.result import ResultMatrix
+from repro.core.rocket import Rocket
 from repro.core.session import RunHandle, RunState
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_bioinformatics_dataset
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.runtime.pernode import NodePipeline
 from repro.runtime.transport.base import ResultBatcher
 from repro.scheduling.quadtree import PairBlock
@@ -296,12 +297,12 @@ class TestBlockPathParity:
     def test_every_workload_shape_on_the_local_backend(self, app_cls, assert_values):
         store, keys = forensics_store()
         for workload in workload_shapes(keys):
-            ref = LocalRocketRuntime(
+            ref = Rocket(
                 PerPairForensics(), store, RocketConfig(**CFG)
             ).run(workload)
-            session = LocalRocketRuntime(
+            session = Rocket(
                 app_cls(), store, RocketConfig(**CFG)
-            ).open_session()
+            ).session()
             try:
                 matrix, streamed, progress, stats = run_and_observe(session, workload)
             finally:
@@ -315,13 +316,14 @@ class TestBlockPathParity:
     def test_all_pairs_on_the_cluster_backend(self, app_cls, assert_values):
         store, keys = forensics_store()
         workload = AllPairs(keys)
-        ref = LocalRocketRuntime(
+        ref = Rocket(
             PerPairForensics(), store, RocketConfig(**CFG)
         ).run(workload)
-        session = ClusterRocketRuntime(
+        session = Rocket(
             app_cls(), store, RocketConfig(**dict(CFG, n_devices=1)),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0),
-        ).open_session()
+        ).session()
         try:
             matrix, streamed, progress, _ = run_and_observe(session, workload)
         finally:
@@ -337,7 +339,7 @@ class TestBlockPathParity:
 
         store, keys = forensics_store(n_images=12)
         ref = as_dict(
-            LocalRocketRuntime(PerPairForensics(), store, RocketConfig(**CFG)).run(keys)
+            Rocket(PerPairForensics(), store, RocketConfig(**CFG)).run(keys)
         )
         emitted = []
         first_block = threading.Event()
@@ -394,7 +396,7 @@ class TestNoDeadlock:
             n_devices=n_devices, device_cache_slots=slots, host_cache_slots=4,
             grain=64, leaf_size=2, seed=3, watchdog_seconds=60.0,
         )
-        session = LocalRocketRuntime(app_cls(), store, cfg).open_session(policy=policy)
+        session = Rocket(app_cls(), store, cfg).session(policy=policy)
         try:
             handles = [
                 session.submit(
@@ -430,7 +432,7 @@ def test_grain_reaches_the_kernel_when_the_cache_fits():
     store = InMemoryStore()
     keys = list(make_bioinformatics_dataset(store, n_species=112, seed=3).keys)
     cfg = RocketConfig(n_devices=2, device_cache_slots=128, host_cache_slots=128)
-    session = LocalRocketRuntime(BioinformaticsApplication(), store, cfg).open_session()
+    session = Rocket(BioinformaticsApplication(), store, cfg).session()
     try:
         session.submit(AllPairs(keys)).result(timeout=120.0)  # loads every item
         handle = session.submit(AllPairs(keys))

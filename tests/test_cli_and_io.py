@@ -109,3 +109,56 @@ class TestCli:
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             main(["demo", "astronomy"])
+
+
+class TestCliRun:
+    """``repro run``: the CLI's path through ``Rocket`` on both backends."""
+
+    def test_cluster_run_over_shm(self, tmp_path, capsys):
+        out_path = tmp_path / "results.json"
+        rc = main(["run", "forensics", "--backend", "cluster", "--nodes", "2",
+                   "--transport", "shm", "--items", "6", "--save", str(out_path)])
+        assert rc == 0
+        back = load_results(out_path)
+        assert back.is_complete() and back.expected_pairs == 15
+        assert "on 2 nodes" in capsys.readouterr().out
+
+    def test_cluster_profile_holds_coordinator_and_nodes(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        rc = main(["run", "forensics", "--backend", "cluster", "--nodes", "2",
+                   "--items", "6", "--devices", "1", "--profile", str(trace_path)])
+        assert rc == 0
+        spans = [e for e in json.loads(trace_path.read_text())["traceEvents"]
+                 if e.get("ph") == "X"]
+        assert len({e["pid"] for e in spans}) >= 3  # coordinator + 2 nodes
+
+    def test_jobs_file_runs_every_job(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([
+            {"workload": "all"},
+            {"workload": "bipartite", "n": 2, "priority": 4},
+        ]))
+        out_path = tmp_path / "results"
+        rc = main(["run", "forensics", "--items", "6", "--jobs-file", str(jobs),
+                   "--save", str(out_path)])
+        assert rc == 0
+        whole = load_results(f"{out_path}.job0.json")
+        query = load_results(f"{out_path}.job1.json")
+        assert whole.is_complete() and whole.expected_pairs == 15
+        assert query.is_complete() and query.expected_pairs == 2 * 4
+        for a, b, value in query.items():
+            assert whole.get(a, b) == value
+
+    def test_per_node_device_speed_mix(self, tmp_path, capsys):
+        out_path = tmp_path / "results.json"
+        rc = main(["run", "bioinformatics", "--backend", "cluster", "--nodes", "2",
+                   "--devices", "2", "--device-speeds", "1.0,1.0,0.5,0.5",
+                   "--steal-policy", "speed", "--items", "6", "--save", str(out_path)])
+        assert rc == 0
+        assert load_results(out_path).is_complete()
+
+    @pytest.mark.parametrize("speeds", ["1.0,fast", "1.0,0.5,0.5"])
+    def test_malformed_device_speeds_rejected(self, speeds):
+        with pytest.raises(SystemExit):
+            main(["run", "forensics", "--backend", "cluster", "--nodes", "2",
+                  "--items", "6", "--device-speeds", speeds])

@@ -31,14 +31,9 @@ from repro.core.session import RunState
 from repro.core.workload import AllPairs, Bipartite, FilteredPairs
 from repro.data import make_forensics_dataset
 from repro.data.filestore import InMemoryStore
-from repro.runtime.backend import available_backends, create_backend
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ClusterRocketRuntime,
-    NodeCommServer,
-)
+from repro.runtime.cluster import ClusterConfig, NodeCommServer
 from repro.runtime.cluster import node as cluster_node
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.runtime.pernode import NodeEngine, NodePipeline
 from repro.runtime.stats import NodeStats
 from repro.runtime.transport import Transport
@@ -550,8 +545,8 @@ class FirstJobFailsPipeline(NodePipeline):
 
 
 def run_local(keys, store, **cfg):
-    runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**cfg))
-    return runtime.run(keys)
+    rocket = Rocket(SumApp(), store, RocketConfig(**cfg))
+    return rocket.run(keys)
 
 
 class TestClusterRuntime:
@@ -573,21 +568,21 @@ class TestClusterRuntime:
         local = run_local(keys, store, **self.CFG)
         before = shm_segments() if transport == "shm" else None
 
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(),
             store,
             RocketConfig(**self.CFG),
-            cluster=ClusterConfig(
+            backend="cluster", cluster=ClusterConfig(
                 n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0,
                 transport=transport, result_batch=8,
             ),
         )
-        results = runtime.run(keys)
+        results = rocket.run(keys)
         assert results.is_complete()
         for a, b, v in local.items():
             assert results.get(a, b) == v  # bit-identical: pure pipelines
 
-        stats = runtime.last_stats
+        stats = rocket.last_stats
         assert stats is not None
         assert stats.transport == transport
         assert stats.n_pairs == 66 and stats.n_nodes == 2
@@ -620,12 +615,13 @@ class TestClusterRuntime:
 
     def test_single_node_cluster(self):
         store, keys = make_store(8)
-        runtime = ClusterRocketRuntime(
-            SumApp(), store, RocketConfig(**self.CFG), cluster=ClusterConfig(n_nodes=1)
+        rocket = Rocket(
+            SumApp(), store, RocketConfig(**self.CFG), backend="cluster",
+            cluster=ClusterConfig(n_nodes=1)
         )
-        results = runtime.run(keys)
+        results = rocket.run(keys)
         assert results.is_complete()
-        assert runtime.last_stats.hop_stats.requests == 0
+        assert rocket.last_stats.hop_stats.requests == 0
 
     @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_three_nodes_with_tight_caches_survive_churn(self, transport):
@@ -633,19 +629,19 @@ class TestClusterRuntime:
         cfg = dict(self.CFG, device_cache_slots=3, host_cache_slots=4)
         store, keys = make_store(10)
         local = run_local(keys, store, **cfg)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(),
             store,
             RocketConfig(**cfg),
-            cluster=ClusterConfig(
+            backend="cluster", cluster=ClusterConfig(
                 n_nodes=3, fetch_timeout=20.0, steal_timeout=5.0, transport=transport
             ),
         )
-        results = runtime.run(keys)
+        results = rocket.run(keys)
         assert results.is_complete()
         for a, b, v in local.items():
             assert results.get(a, b) == v
-        stats = runtime.last_stats
+        stats = rocket.last_stats
         assert stats.hop_stats.requests > 0
         # With 4 host slots for 10 items, some requests must fail and
         # fall through to local loads.
@@ -658,22 +654,22 @@ class TestClusterRuntime:
 
         store, keys = make_store(10)
         local = run_local(keys, store, **self.CFG)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(),
             store,
             RocketConfig(**dict(self.CFG, steal_policy=StealPolicy.SPEED)),
-            cluster=ClusterConfig(
+            backend="cluster", cluster=ClusterConfig(
                 n_nodes=2,
                 fetch_timeout=20.0,
                 steal_timeout=5.0,
                 node_speed_factors=((1.0,), (0.25,)),
             ),
         )
-        results = runtime.run(keys)
+        results = rocket.run(keys)
         assert results.is_complete()
         for a, b, v in local.items():
             assert results.get(a, b) == v
-        stats = runtime.last_stats
+        stats = rocket.last_stats
         assert stats.aggregate_speed == pytest.approx(1.25)
         assert stats.node_stats[0].aggregate_speed == pytest.approx(1.0)
         assert stats.node_stats[1].aggregate_speed == pytest.approx(0.25)
@@ -692,10 +688,11 @@ class TestClusterRuntime:
         with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
             ClusterConfig(n_nodes=2, node_speed_factors=((1.0,), (2.0,)))
         with pytest.raises(ValueError, match="speed factors for"):
-            ClusterRocketRuntime(
+            Rocket(
                 SumApp(),
                 store,
                 RocketConfig(n_devices=2),
+                backend="cluster",
                 cluster=ClusterConfig(n_nodes=2, node_speed_factors=((1.0,), (0.5,))),
             )
 
@@ -703,10 +700,11 @@ class TestClusterRuntime:
         store, keys = make_store(9)
         local = run_local(keys, store, **self.CFG)  # unfiltered sanity baseline
         assert local.is_complete()
-        runtime = ClusterRocketRuntime(
-            SumApp(), store, RocketConfig(**self.CFG), cluster=ClusterConfig(n_nodes=2)
+        rocket = Rocket(
+            SumApp(), store, RocketConfig(**self.CFG), backend="cluster",
+            cluster=ClusterConfig(n_nodes=2)
         )
-        results = runtime.run(FilteredPairs(keys, accept_pair))
+        results = rocket.run(FilteredPairs(keys, accept_pair))
         expected = [
             (a, b) for i, a in enumerate(keys) for b in keys[i + 1:] if accept_pair(a, b)
         ]
@@ -722,14 +720,14 @@ class TestClusterRuntime:
                 return super().parse(key, file_contents)
 
         store, keys = make_store(6)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             BadApp(),
             store,
             RocketConfig(**dict(self.CFG, watchdog_seconds=60.0)),
-            cluster=ClusterConfig(n_nodes=2),
+            backend="cluster", cluster=ClusterConfig(n_nodes=2),
         )
         with pytest.raises(RuntimeError, match="ValueError: corrupt file"):
-            runtime.run(keys)
+            rocket.run(keys)
 
     def test_a_job_that_cannot_start_on_its_nodes_fails_alone(self, monkeypatch):
         """A node-side failure outside the pipeline fails that job at
@@ -738,10 +736,11 @@ class TestClusterRuntime:
         deadline and declares the whole session dead."""
         monkeypatch.setattr(cluster_node, "NodePipeline", FirstJobFailsPipeline)
         store, keys = make_store(6)
-        runtime = ClusterRocketRuntime(
-            SumApp(), store, RocketConfig(**self.CFG), cluster=ClusterConfig(n_nodes=2)
+        rocket = Rocket(
+            SumApp(), store, RocketConfig(**self.CFG), backend="cluster",
+            cluster=ClusterConfig(n_nodes=2)
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             first = session.submit(AllPairs(keys))
             assert first.wait(timeout=5.0), "the failed job waited out the report deadline"
             assert first.state is RunState.FAILED
@@ -764,14 +763,14 @@ class TestClusterRuntime:
 
         store, keys = make_store(6)
         before = shm_segments() if transport == "shm" else None
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             CrashApp(),
             store,
             RocketConfig(**dict(self.CFG, watchdog_seconds=60.0)),
-            cluster=ClusterConfig(n_nodes=2, transport=transport),
+            backend="cluster", cluster=ClusterConfig(n_nodes=2, transport=transport),
         )
         with pytest.raises(RuntimeError, match=r"no live node remains: node 0 died \(exit code 3\), node 1 died \(exit code 3\)"):
-            runtime.run(keys)
+            rocket.run(keys)
         if transport == "shm":
             # The coordinator owns the segments: a crashed worker must
             # not leak /dev/shm entries.
@@ -794,9 +793,9 @@ class TestEventDrivenControlPlane:
         slow_keys = [f"slow{i:02d}" for i in range(12)]
         for key in slow_keys:
             store.write(f"{key}.bin", np.ones(8).tobytes())
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             KeyPacedSumApp(), store, RocketConfig(**TestClusterRuntime.CFG),
-            cluster=ClusterConfig(n_nodes=2, poll_interval=5.0),
+            backend="cluster", cluster=ClusterConfig(n_nodes=2, poll_interval=5.0),
         )
         took = {}
 
@@ -805,7 +804,7 @@ class TestEventDrivenControlPlane:
             action()
             took[name] = time.perf_counter() - start
 
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             for k in range(3):
                 timed(f"job{k}", lambda: session.submit(AllPairs(keys)).result(timeout=60.0))
@@ -829,15 +828,15 @@ class TestEventDrivenControlPlane:
         keys = make_forensics_dataset(
             store, n_images=64, n_cameras=8, image_shape=(128, 128), seed=1
         ).keys
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             ForensicsApplication(), store,
             RocketConfig(
                 n_devices=1, device_cache_slots=12, host_cache_slots=40, grain=64,
                 watchdog_seconds=120.0,
             ),
-            cluster=ClusterConfig(n_nodes=2),
+            backend="cluster", cluster=ClusterConfig(n_nodes=2),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             session.submit(Bipartite(keys[:5], keys[5:])).result(timeout=60.0)  # warm caches
             handle = session.submit(AllPairs(keys))
             handle.result(timeout=60.0)
@@ -849,14 +848,16 @@ class TestEventDrivenControlPlane:
 
 
 # ----------------------------------------------------------------------
-# Backend registry / Rocket integration
+# Backend selection / Rocket integration
 
 
 class TestBackendSelection:
     def test_registry_lists_both_backends(self):
-        names = available_backends()
-        assert "local" in names and "cluster" in names
-        assert Rocket.backends() == names
+        store, keys = make_store(4)
+        for name in ("local", "cluster"):
+            assert Rocket(SumApp(), store, backend=name).backend == name
+        with pytest.raises(ValueError, match="available: local, cluster"):
+            Rocket(SumApp(), store, backend="quantum")
 
     def test_unknown_backend_raises(self):
         store, keys = make_store(4)
@@ -865,14 +866,14 @@ class TestBackendSelection:
 
     def test_local_backend_rejects_cluster_options(self):
         store, keys = make_store(4)
-        with pytest.raises(TypeError, match="unknown local backend options"):
+        with pytest.raises(ValueError, match="cluster backend only"):
             Rocket(SumApp(), store, backend="local", n_nodes=2)
 
     def test_conflicting_node_counts_raise(self):
         store, keys = make_store(4)
         with pytest.raises(ValueError, match="conflicting node counts"):
-            create_backend(
-                "cluster", SumApp(), store, RocketConfig(), n_nodes=3,
+            Rocket(
+                SumApp(), store, RocketConfig(), "cluster", n_nodes=3,
                 cluster=ClusterConfig(n_nodes=2),
             )
 

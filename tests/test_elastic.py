@@ -21,12 +21,13 @@ import pytest
 
 from repro.cache.distributed import CandidateDirectory, mediator_of_live
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.session import RunState
 from repro.core.workload import AllPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime, NodeCommServer
+from repro.runtime.cluster import ClusterConfig, NodeCommServer
 from repro.runtime.cluster import node as cluster_node
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.runtime.transport.shm import SharedMemoryFabric
 from repro.scheduling.workstealing import VictimSelector, WorkerTopology
 from repro.util.rng import RngFactory
@@ -118,8 +119,8 @@ def kill_mid_job(session, handle, nodes):
 def local_baseline(keys, store):
     app = SlowSumApp()
     app.compare_delay = 0.0
-    runtime = LocalRocketRuntime(app, store, RocketConfig(**CFG))
-    return runtime.run(keys)
+    rocket = Rocket(app, store, RocketConfig(**CFG))
+    return rocket.run(keys)
 
 
 def assert_parity(results, baseline):
@@ -175,11 +176,11 @@ class TestElasticPrimitives:
 
     def test_plain_session_supports_membership_calls(self):
         store, keys = make_store(6)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=ClusterConfig(n_nodes=2),
+            backend="cluster", cluster=ClusterConfig(n_nodes=2),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             assert session.add_node() == 2
             assert session.retire_node() == 2
             assert session._live == {0, 1}
@@ -199,11 +200,11 @@ class TestNodeLossRecovery:
         baseline = local_baseline(keys, store)
         before = shm_segments() if transport == "shm" else None
 
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg(transport),
+            backend="cluster", cluster=cluster_cfg(transport),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             kill_mid_job(session, handle, [1])
@@ -229,11 +230,11 @@ class TestNodeLossRecovery:
     def test_kill_is_accounted_on_the_job(self):
         store, keys = make_store(14)
         baseline = local_baseline(keys, store)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue"),
+            backend="cluster", cluster=cluster_cfg("queue"),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             handle = session.submit(AllPairs(keys))
             # Node 0 holds the initial share: killed this early it still
             # owns unfinished blocks, so the loss is handled mid-job.
@@ -248,11 +249,11 @@ class TestNodeLossRecovery:
 
     def test_losing_every_node_is_still_fatal(self):
         store, keys = make_store(10)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue", n_nodes=2),
+            backend="cluster", cluster=cluster_cfg("queue", n_nodes=2),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             kill_mid_job(session, handle, range(len(session._procs)))
@@ -263,11 +264,11 @@ class TestNodeLossRecovery:
 
     def test_cancel_racing_a_node_death_resolves_cleanly(self):
         store, keys = make_store(14)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue"),
+            backend="cluster", cluster=cluster_cfg("queue"),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             handle = session.submit(AllPairs(keys))
             kill_mid_job(session, handle, [1])
             handle.cancel()
@@ -324,11 +325,11 @@ class TestDeathMatrix:
         baseline = local_baseline(keys, store)
         total = len(keys) * (len(keys) - 1) // 2
         before = shm_segments()
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg(transport, n_nodes=2),
+            backend="cluster", cluster=cluster_cfg(transport, n_nodes=2),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         streamed, stream_error = [], []
 
         def consume(handle):
@@ -403,11 +404,11 @@ class TestMembership:
     def test_join_mid_job_participates(self, transport):
         store, keys = make_store(20)  # long enough to outlast the fork
         baseline = local_baseline(keys, store)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg(transport, n_nodes=2),
+            backend="cluster", cluster=cluster_cfg(transport, n_nodes=2),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             handle = session.submit(AllPairs(keys))
             mid_job(handle)
             new = session.add_node()
@@ -425,11 +426,11 @@ class TestMembership:
 
     def test_add_node_beyond_capacity_fails_cleanly(self):
         store, keys = make_store(6)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue", n_nodes=2, max_nodes=3),
+            backend="cluster", cluster=cluster_cfg("queue", n_nodes=2, max_nodes=3),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             assert session.add_node() == 2
             with pytest.raises(RuntimeError, match="capacity"):
                 session.add_node()
@@ -440,11 +441,11 @@ class TestMembership:
     def test_retire_with_drain_loses_no_pairs(self, transport):
         store, keys = make_store(14)
         baseline = local_baseline(keys, store)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg(transport),
+            backend="cluster", cluster=cluster_cfg(transport),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             handle = session.submit(AllPairs(keys))
             mid_job(handle)
             gone = session.retire_node()
@@ -459,11 +460,11 @@ class TestMembership:
 
     def test_retiring_the_last_node_is_refused(self):
         store, keys = make_store(4)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue", n_nodes=2),
+            backend="cluster", cluster=cluster_cfg("queue", n_nodes=2),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             session.retire_node(0)
             with pytest.raises(RuntimeError, match="last live node"):
                 session.retire_node()
@@ -471,11 +472,11 @@ class TestMembership:
     def test_churn_kill_and_join_same_job(self):
         store, keys = make_store(20)  # long enough to outlast the fork
         baseline = local_baseline(keys, store)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue", n_nodes=2),
+            backend="cluster", cluster=cluster_cfg("queue", n_nodes=2),
         )
-        with runtime.open_session() as session:
+        with rocket.session() as session:
             handle = session.submit(AllPairs(keys))
             mid_job(handle)
             new = session.add_node()
@@ -492,11 +493,11 @@ class TestMembership:
 class TestCloseResolvesQueuedHandles:
     def test_cluster_close_resolves_queued_jobs(self):
         store, keys = make_store(10)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowSumApp(), store, RocketConfig(**CFG),
-            cluster=cluster_cfg("queue", n_nodes=2),
+            backend="cluster", cluster=cluster_cfg("queue", n_nodes=2),
         )
-        session = runtime.open_session()  # FIFO: later jobs queue
+        session = rocket.session()  # FIFO: later jobs queue
         handles = [session.submit(AllPairs(keys)) for _ in range(4)]
         session.close()
         for handle in handles:
@@ -508,8 +509,8 @@ class TestCloseResolvesQueuedHandles:
     def test_local_close_resolves_queued_jobs(self):
         store, keys = make_store(10)
         app = SlowSumApp()
-        runtime = LocalRocketRuntime(app, store, RocketConfig(**CFG))
-        session = runtime.open_session()
+        rocket = Rocket(app, store, RocketConfig(**CFG))
+        session = rocket.session()
         handles = [session.submit(AllPairs(keys)) for _ in range(4)]
         session.close()
         for handle in handles:

@@ -26,11 +26,12 @@ import pytest
 
 from repro.apps import BioinformaticsApplication, ForensicsApplication
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs, Bipartite, DeltaPairs, FilteredPairs
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_bioinformatics_dataset, make_forensics_dataset
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 
 CFG = dict(
     n_devices=1,
@@ -174,10 +175,10 @@ class TestLocalRuntimeParity:
     def test_every_workload_shape_matches_per_pair(self):
         store, keys = forensics_store()
         for workload in workload_shapes(keys):
-            ref = LocalRocketRuntime(
+            ref = Rocket(
                 PerPairForensics(), store, RocketConfig(**CFG)
             ).run(workload)
-            got = LocalRocketRuntime(
+            got = Rocket(
                 ForensicsApplication(), store, RocketConfig(**CFG)
             ).run(workload)
             assert got.is_complete()
@@ -185,10 +186,10 @@ class TestLocalRuntimeParity:
 
     def test_app_without_compare_block_runs_per_pair_path(self):
         store, keys = forensics_store(n_images=6)
-        runtime = LocalRocketRuntime(PerPairForensics(), store, RocketConfig(**CFG))
-        matrix = runtime.run(AllPairs(keys))
+        rocket = Rocket(PerPairForensics(), store, RocketConfig(**CFG))
+        matrix = rocket.run(AllPairs(keys))
         assert matrix.is_complete()
-        assert runtime.last_stats.n_pairs == 15
+        assert rocket.last_stats.n_pairs == 15
 
     def test_cancel_mid_batch_drains_cleanly(self):
         class SlowBatchedForensics(ForensicsApplication):
@@ -197,9 +198,9 @@ class TestLocalRuntimeParity:
                 return super().compare_block(keys_a, items_a, keys_b, items_b)
 
         store, keys = forensics_store()
-        session = LocalRocketRuntime(
+        session = Rocket(
             SlowBatchedForensics(), store, RocketConfig(**CFG)
-        ).open_session()
+        ).session()
         try:
             handle = session.submit(AllPairs(keys))
             streamed = []
@@ -224,7 +225,7 @@ class TestLocalRuntimeParity:
             assert engine.host_cache.pinned_count() == 0
             # Partial results are a subset of the true matrix...
             ref = as_dict(
-                LocalRocketRuntime(
+                Rocket(
                     ForensicsApplication(), store, RocketConfig(**CFG)
                 ).run(AllPairs(keys))
             )
@@ -247,14 +248,15 @@ class TestClusterRuntimeParity:
         store, keys = forensics_store()
         references = {
             w.describe(): as_dict(
-                LocalRocketRuntime(PerPairForensics(), store, RocketConfig(**CFG)).run(w)
+                Rocket(PerPairForensics(), store, RocketConfig(**CFG)).run(w)
             )
             for w in workload_shapes(keys)
         }
-        session = ClusterRocketRuntime(
+        session = Rocket(
             ForensicsApplication(), store, RocketConfig(**CFG),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0),
-        ).open_session()
+        ).session()
         try:
             for workload in workload_shapes(keys):
                 matrix = session.submit(workload).result(timeout=120.0)

@@ -26,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs, Bipartite
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.runtime.pernode import NodePipeline, _pin_needs
 from repro.scheduling.quadtree import PairBlock
 from repro.scheduling.throttle import ThreadAdmission
@@ -277,7 +278,7 @@ class TestLaunchesAreLeaves:
         _, launches, _ = run_bare_pipeline(LoopedForensics(), store, keys, cfg)
         assert Counter(launches) == expected
 
-        session = LocalRocketRuntime(LoopedForensics(), store, cfg).open_session()
+        session = Rocket(LoopedForensics(), store, cfg).session()
         try:
             handle = session.submit(AllPairs(keys))
             handle.result(timeout=60.0)
@@ -326,7 +327,7 @@ class TestLaunchesAreLeaves:
         )
         workload = AllPairs(keys)
         quanta = workload.grain_blocks(cfg.grain)
-        session = LocalRocketRuntime(LoopedForensics(), store, cfg).open_session(policy="fair")
+        session = Rocket(LoopedForensics(), store, cfg).session(policy="fair")
         try:
             handle = session.submit(workload)
             handle.result(timeout=60.0)
@@ -340,7 +341,7 @@ class TestLaunchesAreLeaves:
 def forensics_reference():
     store, keys = forensics_store(n_images=10)
     cfg = RocketConfig(n_devices=1, device_cache_slots=16, host_cache_slots=16, seed=7)
-    ref = as_dict(LocalRocketRuntime(PerPairForensics(), store, cfg).run(keys))
+    ref = as_dict(Rocket(PerPairForensics(), store, cfg).run(keys))
     return store, keys, ref
 
 
@@ -478,8 +479,8 @@ class TestFairBehindAWholeLeaf:
             n_devices=2, device_cache_slots=8, host_cache_slots=16, grain=16,
             seed=7, watchdog_seconds=60.0,
         )
-        ref = as_dict(LocalRocketRuntime(PerPairForensics(), store, cfg).run(keys))
-        session = LocalRocketRuntime(SlowLoopedForensics(), store, cfg).open_session(
+        ref = as_dict(Rocket(PerPairForensics(), store, cfg).run(keys))
+        session = Rocket(SlowLoopedForensics(), store, cfg).session(
             policy="fair"
         )
         try:

@@ -15,7 +15,7 @@ from repro.core.rocket import Rocket
 from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_forensics_dataset
 from repro.runtime.devices import VirtualDevice
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.localrocket import RocketConfig
 
 
 class TestVirtualDevice:
@@ -150,38 +150,38 @@ class TestLocalRocketRuntime:
     def test_parse_called_once_per_load(self):
         store, values = make_store(6)
         app = SumApp()
-        runtime = LocalRocketRuntime(app, store, RocketConfig(n_devices=1, device_cache_slots=6, host_cache_slots=6, seed=0))
-        runtime.run(sorted(values))
+        rocket = Rocket(app, store, RocketConfig(n_devices=1, device_cache_slots=6, host_cache_slots=6, seed=0))
+        rocket.run(sorted(values))
         # Ample cache: each item loaded exactly once.
         assert app.parse_calls == 6
         assert app.preprocess_calls == 6
-        assert runtime.last_stats.reuse_factor == pytest.approx(1.0)
+        assert rocket.last_stats.reuse_factor == pytest.approx(1.0)
 
     def test_tight_cache_forces_reloads(self):
         store, values = make_store(10)
         app = SumApp()
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             app, store, RocketConfig(n_devices=1, device_cache_slots=3, host_cache_slots=4, seed=0)
         )
-        runtime.run(sorted(values))
+        rocket.run(sorted(values))
         assert app.parse_calls > 10  # reloads happened
-        assert runtime.last_stats.reuse_factor > 1.0
+        assert rocket.last_stats.reuse_factor > 1.0
 
     def test_single_device_single_job(self):
         store, values = make_store(5)
         app = SumApp()
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             app,
             store,
             RocketConfig(n_devices=1, concurrent_jobs=1, device_cache_slots=3, host_cache_slots=5),
         )
-        results = runtime.run(sorted(values))
+        results = rocket.run(sorted(values))
         assert results.is_complete()
 
     def test_heterogeneous_speed_factors(self):
         store, values = make_store(8)
         app = SumApp()
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             app,
             store,
             RocketConfig(
@@ -192,9 +192,9 @@ class TestLocalRocketRuntime:
                 seed=3,
             ),
         )
-        results = runtime.run(sorted(values))
+        results = rocket.run(sorted(values))
         assert results.is_complete()
-        stats = runtime.last_stats
+        stats = rocket.last_stats
         assert sum(stats.pairs_per_device.values()) == 28
 
     def test_parse_error_propagates(self):
@@ -207,35 +207,35 @@ class TestLocalRocketRuntime:
                     raise ValueError(f"corrupt file for {key}")
                 return super().parse(key, file_contents)
 
-        runtime = LocalRocketRuntime(BadApp(), store, RocketConfig(n_devices=1, watchdog_seconds=30))
+        rocket = Rocket(BadApp(), store, RocketConfig(n_devices=1, watchdog_seconds=30))
         with pytest.raises(ValueError, match="corrupt file"):
-            runtime.run(sorted(values))
+            rocket.run(sorted(values))
 
     def test_missing_file_propagates(self):
         store, values = make_store(3)
         app = SumApp()
-        runtime = LocalRocketRuntime(app, store, RocketConfig(n_devices=1, watchdog_seconds=30))
+        rocket = Rocket(app, store, RocketConfig(n_devices=1, watchdog_seconds=30))
         with pytest.raises(KeyError):
-            runtime.run(sorted(values) + ["ghost"])
+            rocket.run(sorted(values) + ["ghost"])
 
     def test_eviction_policy_configurable(self):
         store, values = make_store(8)
         app = SumApp()
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             app,
             store,
             RocketConfig(n_devices=1, device_cache_slots=3, host_cache_slots=4, eviction=EvictionPolicy.FIFO),
         )
-        assert runtime.run(sorted(values)).is_complete()
+        assert rocket.run(sorted(values)).is_complete()
 
     def test_profiling_trace(self):
         store, values = make_store(5)
         app = SumApp()
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             app, store, RocketConfig(n_devices=1, profiling=True, seed=0)
         )
-        runtime.run(sorted(values))
-        trace = runtime.last_stats.trace
+        rocket.run(sorted(values))
+        trace = rocket.last_stats.trace
         assert trace is not None
         assert "CPU" in trace.lanes()
         assert trace.busy_time("IO") >= 0.0
@@ -247,10 +247,10 @@ class TestLocalRocketRuntime:
 
         def collect():
             app = SumApp()
-            runtime = LocalRocketRuntime(
+            rocket = Rocket(
                 app, store, RocketConfig(n_devices=2, device_cache_slots=4, host_cache_slots=5, seed=5)
             )
-            return [v for _, _, v in runtime.run(keys).items()]
+            return [v for _, _, v in rocket.run(keys).items()]
 
         assert collect() == collect()
 
@@ -361,19 +361,19 @@ class TestPipelineFailurePath:
     def test_failing_kernel_surfaces_through_runtime(self):
         """End-to-end: the error propagates, the run does not hang."""
         store, values = make_store(8)
-        runtime = LocalRocketRuntime(DeviceFailApp(), store, RocketConfig(**self.CFG))
+        rocket = Rocket(DeviceFailApp(), store, RocketConfig(**self.CFG))
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="injected kernel fault"):
-            runtime.run(sorted(values))
+            rocket.run(sorted(values))
         assert time.perf_counter() - t0 < self.CFG["watchdog_seconds"]
 
     def test_healthy_device_alone_completes(self):
         """Poisoning a device that does not exist must be harmless."""
         store, values = make_store(6)
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             DeviceFailApp(poison_device="gpu9"), store, RocketConfig(**self.CFG)
         )
-        assert runtime.run(sorted(values)).is_complete()
+        assert rocket.run(sorted(values)).is_complete()
 
 
 class TestFillDeviceGuard:

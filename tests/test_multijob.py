@@ -26,8 +26,8 @@ from repro.core.rocket import Rocket
 from repro.core.scheduler import JobAccounting, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle, RunState
 from repro.core.workload import AllPairs, Bipartite, FilteredPairs
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 
 from tests.test_cluster_runtime import SumApp, make_store
 
@@ -50,14 +50,14 @@ class SlowApp(SumApp):
         return super().compare(key_a, a, key_b, b)
 
 
-def make_backend(name, store, app=None, cluster_overrides=None, **cfg_overrides):
+def make_rocket(name, store, app=None, cluster_overrides=None, **cfg_overrides):
     cfg = RocketConfig(**dict(CFG, **cfg_overrides))
     app = app if app is not None else SumApp()
     if name == "local":
-        return LocalRocketRuntime(app, store, cfg)
+        return Rocket(app, store, cfg)
     cluster_cfg = dict(n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0)
     cluster_cfg.update(cluster_overrides or {})
-    return ClusterRocketRuntime(app, store, cfg, cluster=ClusterConfig(**cluster_cfg))
+    return Rocket(app, store, cfg, backend="cluster", cluster=ClusterConfig(**cluster_cfg))
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +242,7 @@ class TestGrainBlocks:
 class TestRunHandleStates:
     def test_queued_running_done(self):
         store, keys = make_store(6)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             handle = session.submit(AllPairs(keys))
             assert handle.state in (RunState.QUEUED, RunState.RUNNING, RunState.DONE)
@@ -254,8 +254,8 @@ class TestRunHandleStates:
 
     def test_wait_times_out_then_succeeds(self):
         store, keys = make_store(8)
-        runtime = make_backend("local", store, app=SlowApp())
-        session = runtime.open_session()
+        rocket = make_rocket("local", store, app=SlowApp())
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             assert handle.wait(timeout=0.001) is False  # still running
@@ -270,7 +270,7 @@ class TestRunHandleStates:
                 raise ValueError("boom")
 
         store, keys = make_store(4)
-        session = make_backend("local", store, app=BadApp()).open_session()
+        session = make_rocket("local", store, app=BadApp()).session()
         try:
             handle = session.submit(AllPairs(keys))
             assert handle.wait(timeout=30.0)
@@ -282,7 +282,7 @@ class TestRunHandleStates:
 
     def test_running_to_cancelled(self):
         store, keys = make_store(8)
-        session = make_backend("local", store, app=SlowApp()).open_session()
+        session = make_rocket("local", store, app=SlowApp()).session()
         try:
             handle = session.submit(AllPairs(keys))
             deadline = time.perf_counter() + 10.0
@@ -307,7 +307,7 @@ class TestRunHandleStates:
         the ``cancel()`` call itself, without the backend session ever
         receiving the job."""
         store, keys = make_store(8)
-        session = make_backend(backend, store, app=SlowApp()).open_session()
+        session = make_rocket(backend, store, app=SlowApp()).session()
         try:
             blocker = session.submit(AllPairs(keys))
             queued = session.submit(AllPairs(keys))
@@ -330,7 +330,7 @@ class TestRunHandleStates:
 
 
 def _assert_parity(results, store, keys):
-    ref = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG)).run(keys)
+    ref = Rocket(SumApp(), store, RocketConfig(**CFG)).run(keys)
     got = dict(((a, b), v) for a, b, v in results.items())
     for a, b, v in results.items():
         assert ref.get(a, b) == pytest.approx(v)
@@ -354,11 +354,11 @@ class TestConcurrentJobs:
         # Small result batches + a fast flush tick keep the
         # coordinator's progress view fine-grained on the cluster
         # backend (a 64-pair batch would hide the interleaving).
-        runtime = make_backend(
+        rocket = make_rocket(
             backend, store, app=SlowerApp(),
             cluster_overrides=dict(result_batch=4, poll_interval=0.01),
         )
-        session = runtime.open_session(policy="fair")
+        session = rocket.session(policy="fair")
         try:
             big = session.submit(AllPairs(keys))
             small = session.submit(AllPairs(keys[:7]), priority=4.0)
@@ -389,8 +389,8 @@ class TestConcurrentJobs:
         """Result parity: two co-scheduled jobs produce exactly what two
         serial runs produce."""
         store, keys = make_store(10)
-        runtime = make_backend(backend, store)
-        session = runtime.open_session(policy="fair")
+        rocket = make_rocket(backend, store)
+        session = rocket.session(policy="fair")
         try:
             first = session.submit(AllPairs(keys))
             second = session.submit(Bipartite(keys[:4], keys[4:]), priority=2.0)
@@ -399,8 +399,8 @@ class TestConcurrentJobs:
         finally:
             session.close()
         assert first_res.is_complete() and second_res.is_complete()
-        serial = make_backend(backend, store)
-        serial_session = serial.open_session()
+        serial = make_rocket(backend, store)
+        serial_session = serial.session()
         try:
             ref_first = serial_session.submit(AllPairs(keys)).result(timeout=90.0)
             ref_second = serial_session.submit(
@@ -417,8 +417,8 @@ class TestConcurrentJobs:
         """Cancel isolation: aborting job A never evicts or unpins job
         B's state; B completes with full results and A's pins drain."""
         store, keys = make_store(12)
-        runtime = make_backend("local", store, app=SlowApp())
-        session = runtime.open_session(policy="fair")
+        rocket = make_rocket("local", store, app=SlowApp())
+        session = rocket.session(policy="fair")
         try:
             doomed = session.submit(AllPairs(keys))
             survivor = session.submit(AllPairs(keys[6:]), priority=2.0)
@@ -447,8 +447,8 @@ class TestConcurrentJobs:
     def test_fair_priority_orders_admission(self):
         """With one active slot, queued jobs start in priority order."""
         store, keys = make_store(6)
-        runtime = make_backend("local", store, app=SlowApp())
-        session = runtime.open_session(policy="fair", max_active=1)
+        rocket = make_rocket("local", store, app=SlowApp())
+        session = rocket.session(policy="fair", max_active=1)
         try:
             order = []
             blocker = session.submit(AllPairs(keys))
@@ -493,8 +493,8 @@ class TestConcurrentJobs:
                 return out
 
         store, keys = make_store(8)
-        runtime = make_backend("local", store, app=GaugeApp(), n_devices=n_devices)
-        session = runtime.open_session(policy="fair")
+        rocket = make_rocket("local", store, app=GaugeApp(), n_devices=n_devices)
+        session = rocket.session(policy="fair")
         try:
             handle = session.submit(AllPairs(keys), max_inflight=1)
             assert handle.result(timeout=60.0).is_complete()
@@ -511,7 +511,7 @@ class TestConcurrentJobs:
         """Migration guarantee: the default policy behaves exactly like
         the pre-scheduler serial dispatcher."""
         store, keys = make_store(8)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             first = session.submit(AllPairs(keys), priority=1.0)
             second = session.submit(AllPairs(keys), priority=100.0)

@@ -34,8 +34,8 @@ from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs
 from repro.model.perfmodel import StageCalibration
 from repro.obs import MetricsRegistry, configure_logging, get_logger
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.runtime.stats import (
     NODE_METRICS,
     NOT_EXPORTED,
@@ -200,10 +200,10 @@ class TestProfileTrace:
 class TestProfiledRuns:
     def test_local_disabled_run_records_nothing(self):
         store, keys = make_store(6)
-        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
-        runtime.run(keys)
-        assert runtime.last_stats.trace is None
-        session = runtime.open_session()
+        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
+        rocket.run(keys)
+        assert rocket.last_stats.trace is None
+        session = rocket.session()
         try:
             session.submit(AllPairs(keys)).result()
             assert session.profile().n_events == 0
@@ -212,10 +212,10 @@ class TestProfiledRuns:
 
     def test_local_profiled_session_traces_jobs(self):
         store, keys = make_store(6)
-        runtime = LocalRocketRuntime(
+        rocket = Rocket(
             SumApp(), store, RocketConfig(profiling=True, **CFG)
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             handle.result()
@@ -236,13 +236,14 @@ class TestProfiledRuns:
         """The tentpole acceptance: one trace, spans from every process."""
         n_nodes = 2
         store, keys = make_store(8)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(),
             store,
             RocketConfig(profiling=True, **CFG),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=n_nodes, fetch_timeout=20.0, steal_timeout=5.0),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             handle.result()
@@ -390,15 +391,15 @@ def _run_one_job(backend):
     """One AllPairs job on ``backend``; returns (stats, metrics, job_id)."""
     store, keys = make_store(8)
     if backend == "local":
-        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
+        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
     else:
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(), store, RocketConfig(**CFG),
-            cluster=ClusterConfig(
+            backend="cluster", cluster=ClusterConfig(
                 n_nodes=int(backend[-1]), fetch_timeout=20.0, steal_timeout=5.0
             ),
         )
-    with runtime.open_session() as session:
+    with rocket.session() as session:
         handle = session.submit(AllPairs(keys))
         handle.result()
         return handle.stats, session.metrics(), handle.accounting.job_id
@@ -529,8 +530,8 @@ class TestStructuredLogging:
 
     def test_library_is_silent_by_default(self, capsys):
         store, keys = make_store(4)
-        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
-        runtime.run(keys)
+        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
+        rocket.run(keys)
         captured = capsys.readouterr()
         assert "session open" not in captured.err
         assert "session open" not in captured.out
@@ -539,8 +540,8 @@ class TestStructuredLogging:
         stream = io.StringIO()
         configure_logging(json_lines=True, level=logging.INFO, stream=stream)
         store, keys = make_store(4)
-        runtime = LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
-        runtime.run(keys)
+        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
+        rocket.run(keys)
         records = [json.loads(line) for line in stream.getvalue().splitlines()]
         messages = [r["msg"] for r in records]
         assert "session open" in messages

@@ -27,7 +27,7 @@ from repro.core.workload import AllPairs
 from repro.serve import RocketServer, connect
 
 from tests.test_cluster_runtime import SumApp, make_store
-from tests.test_multijob import make_backend
+from tests.test_multijob import make_rocket
 
 
 class PacedApp(SumApp):
@@ -68,7 +68,7 @@ class PoisonApp(PacedApp):
 def open_session(store, tmp_path=None, app=None, policy="fifo", **cfg):
     if tmp_path is not None:
         cfg["store_dir"] = str(tmp_path)
-    return make_backend("local", store, app=app, **cfg).open_session(policy=policy)
+    return make_rocket("local", store, app=app, **cfg).session(policy=policy)
 
 
 def wait_for(predicate, timeout=20.0):

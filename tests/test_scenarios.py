@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 
 from repro.core.api import Application
+from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs, FilteredPairs
 from repro.data.filestore import InMemoryStore
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import RocketConfig
 from repro.scheduling.workstealing import StealPolicy
 from repro.sim.cluster import ClusterSpec
 from repro.sim.rocketsim import RocketSimConfig, run_simulation
@@ -160,7 +161,7 @@ def test_cross_runtime_result_parity(sc):
     expected = reference_results(app, store, keys, pair_filter)
 
     workload = FilteredPairs(keys, pair_filter) if pair_filter else AllPairs(keys)
-    local = LocalRocketRuntime(app, store, rocket_config(sc))
+    local = Rocket(app, store, rocket_config(sc))
     local_results = local.run(workload)
     assert len(local_results) == len(expected)
     for (a, b), v in expected.items():
@@ -170,11 +171,11 @@ def test_cross_runtime_result_parity(sc):
     assert stats.calibration.cmp_count == len(expected)
     assert "model: predicted" in stats.summary()
 
-    cluster = ClusterRocketRuntime(
+    cluster = Rocket(
         app,
         store,
         rocket_config(sc),
-        cluster=ClusterConfig(
+        backend="cluster", cluster=ClusterConfig(
             n_nodes=sc["n_nodes"],
             transport=sc["transport"],
             fetch_timeout=20.0,

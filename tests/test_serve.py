@@ -53,7 +53,7 @@ from repro.serve import protocol
 from repro.serve.registry import JobRegistry
 
 from tests.test_cluster_runtime import SumApp, make_store
-from tests.test_multijob import SlowApp, make_backend
+from tests.test_multijob import SlowApp, make_rocket
 
 
 def make_server(
@@ -64,15 +64,15 @@ def make_server(
     ``config`` overrides ``RocketConfig`` fields of the served session.
     """
     store, keys = make_store(n_items)
-    runtime = make_backend(backend, store, app=app, **(config or {}))
-    session = runtime.open_session(policy="fair")
+    rocket = make_rocket(backend, store, app=app, **(config or {}))
+    session = rocket.session(policy="fair")
     server = RocketServer(session, keys, tenants=tenants, **server_kw).start()
     return server, store, keys
 
 
 def reference_results(store, keys, workload, app=None):
     """The in-process ground truth for a served workload."""
-    session = make_backend("local", store, app=app).open_session()
+    session = make_rocket("local", store, app=app).session()
     try:
         return session.submit(workload).result()
     finally:
@@ -475,7 +475,7 @@ class TestTenantScheduling:
         the heavy job may hold before the light one is admitted."""
         grain = 8  # 66 pairs in 28 quanta; the window is 1 device x 8 pairs
         store, keys = make_store(12)
-        session = make_backend("local", store, app=SlowApp(), grain=grain).open_session(
+        session = make_rocket("local", store, app=SlowApp(), grain=grain).session(
             policy="fair"
         )
         server = RocketServer(session, keys, tenants=self.directory()).start()
@@ -639,7 +639,7 @@ class TestSessionClosedContract:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_double_close_raises(self, backend):
         store, keys = make_store(4)
-        session = make_backend(backend, store).open_session()
+        session = make_rocket(backend, store).session()
         session.close()
         with pytest.raises(SessionClosed):
             session.close()
@@ -650,7 +650,7 @@ class TestSessionClosedContract:
         resolvable handle or raise SessionClosed — never anything else,
         and never a hung handle."""
         store, keys = make_store(6)
-        session = make_backend(backend, store, app=SlowApp()).open_session(policy="fair")
+        session = make_rocket(backend, store, app=SlowApp()).session(policy="fair")
         outcomes = []
         stop = threading.Event()
 
@@ -685,7 +685,7 @@ class TestSessionClosedContract:
 
     def test_context_manager_tolerates_early_close(self):
         store, keys = make_store(4)
-        with make_backend("local", store).open_session() as session:
+        with make_rocket("local", store).session() as session:
             session.submit(AllPairs(keys)).result()
             session.close()  # early close inside the block must not raise on exit
 
@@ -708,7 +708,7 @@ import numpy as np
 from repro.data.filestore import InMemoryStore
 from repro.serve import RocketServer
 from tests.test_cluster_runtime import SumApp
-from tests.test_multijob import make_backend
+from tests.test_multijob import make_rocket
 
 n_items, key_chars, self_signal = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
 store, keys = InMemoryStore(), []
@@ -716,7 +716,7 @@ for i in range(n_items):
     key = f"item{i:02d}".ljust(key_chars, "x")
     store.write(f"{key}.bin", np.full(8, float(i + 1)).tobytes())
     keys.append(key)
-server = RocketServer(make_backend("local", store).open_session(policy="fair"), keys)
+server = RocketServer(make_rocket("local", store).session(policy="fair"), keys)
 print(f"serving on {server.address}", flush=True)
 
 def kill_from_this_thread():

@@ -37,8 +37,9 @@ from repro.core.workload import (
 )
 from repro.data.filestore import InMemoryStore
 from repro.runtime.backend import BackendSession
-from repro.runtime.cluster import ClusterConfig, ClusterRocketRuntime
-from repro.runtime.localrocket import LocalRocketRuntime, LocalSession, RocketConfig
+from repro.runtime.cluster import ClusterConfig
+from repro.runtime.localrocket import LocalSession, RocketConfig
+from repro.runtime.pernode import NodeEngine
 from repro.scheduling.quadtree import PairBlock
 
 from tests.test_cluster_runtime import SumApp, make_store, shm_segments
@@ -54,13 +55,13 @@ CFG = dict(
 )
 
 
-def make_backend(name, store, transport="queue", **cfg_overrides):
+def make_rocket(name, store, transport="queue", **cfg_overrides):
     cfg = RocketConfig(**dict(CFG, **cfg_overrides))
     if name == "local":
-        return LocalRocketRuntime(SumApp(), store, cfg)
-    return ClusterRocketRuntime(
+        return Rocket(SumApp(), store, cfg)
+    return Rocket(
         SumApp(), store, cfg,
-        cluster=ClusterConfig(
+        backend="cluster", cluster=ClusterConfig(
             n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0, transport=transport
         ),
     )
@@ -228,7 +229,7 @@ class TestResultMatrixShapes:
 class TestLocalSession:
     def test_stream_is_lazy_and_exactly_once(self):
         store, keys = make_store(10)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             handle = session.submit(AllPairs(keys))
             seen = []
@@ -242,7 +243,7 @@ class TestLocalSession:
 
     def test_progress_and_states(self):
         store, keys = make_store(8)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             handle = session.submit(AllPairs(keys))
             assert handle.result().is_complete()
@@ -255,7 +256,7 @@ class TestLocalSession:
 
     def test_second_job_hits_warm_caches(self):
         store, keys = make_store(10)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             first = session.submit(AllPairs(keys))
             first.result()
@@ -274,7 +275,7 @@ class TestLocalSession:
 
     def test_jobs_queue_serially(self):
         store, keys = make_store(8)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             handles = [session.submit(AllPairs(keys)) for _ in range(3)]
             results = [h.result() for h in handles]
@@ -292,8 +293,8 @@ class TestLocalSession:
                 return super().parse(key, file_contents)
 
         store, keys = make_store(6)
-        runtime = LocalRocketRuntime(BadApp(), store, RocketConfig(**CFG))
-        session = runtime.open_session()
+        rocket = Rocket(BadApp(), store, RocketConfig(**CFG))
+        session = rocket.session()
         try:
             bad = session.submit(AllPairs(keys))
             with pytest.raises(ValueError, match="corrupt file"):
@@ -308,7 +309,7 @@ class TestLocalSession:
 
     def test_cancel_pending_job_never_runs(self):
         store, keys = make_store(8)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             blocker = session.submit(AllPairs(keys))
             queued = session.submit(AllPairs(keys))
@@ -327,8 +328,8 @@ class TestLocalSession:
                 return super().compare(key_a, a, key_b, b)
 
         store, keys = make_store(10)
-        runtime = LocalRocketRuntime(SlowApp(), store, RocketConfig(**CFG))
-        session = runtime.open_session()
+        rocket = Rocket(SlowApp(), store, RocketConfig(**CFG))
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             streamed = []
@@ -358,7 +359,7 @@ class TestLocalSession:
 
     def test_results_held_once_and_replayed_in_arrival_order(self):
         store, keys = make_store(8)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             handle = session.submit(AllPairs(keys))
             live = list(handle.stream())  # follows the run
@@ -376,7 +377,7 @@ class TestLocalSession:
 
     def test_submit_after_close_raises(self):
         store, keys = make_store(4)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         session.close()
         assert session.closed
         with pytest.raises(SessionClosed):
@@ -400,22 +401,23 @@ class TestLocalSession:
 
 
 class TestOneSessionType:
-    """``Rocket.session()``, ``backend.open_session()`` and
+    """``Rocket.session()`` and
     ``repro.RocketSession`` are one class: the session driver."""
 
     @staticmethod
-    def open_runtime(backend, store):
+    def open_rocket(backend, store):
         if backend == "local":
-            return LocalRocketRuntime(SumApp(), store, RocketConfig(**CFG))
-        return ClusterRocketRuntime(
+            return Rocket(SumApp(), store, RocketConfig(**CFG))
+        return Rocket(
             SumApp(), store, RocketConfig(**CFG),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=1, fetch_timeout=20.0, steal_timeout=5.0),
         )
 
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_open_session_is_the_full_session(self, backend):
         store, keys = make_store(6)
-        with self.open_runtime(backend, store).open_session() as session:
+        with self.open_rocket(backend, store).session() as session:
             assert session.backend == backend
             assert session.last_stats is None
             # A plain key list is submitted as AllPairs.
@@ -459,7 +461,7 @@ class TestSessionAcrossBackends:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_stream_matches_matrix_for_every_workload(self, backend):
         store, keys = make_store(self.N)
-        session = make_backend(backend, store).open_session()
+        session = make_rocket(backend, store).session()
         try:
             for workload in self.workloads(keys):
                 handle = session.submit(workload)
@@ -475,11 +477,11 @@ class TestSessionAcrossBackends:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_session_jobs_equal_fresh_runs(self, backend):
         store, keys = make_store(self.N)
-        fresh = make_backend(backend, store)
+        fresh = make_rocket(backend, store)
         expected_all = fresh.run(keys)
         expected_delta = fresh.run(DeltaPairs(keys[:7], keys[7:]))
 
-        session = make_backend(backend, store).open_session()
+        session = make_rocket(backend, store).session()
         try:
             first = session.submit(AllPairs(keys)).result()
             second = session.submit(DeltaPairs(keys[:7], keys[7:])).result()
@@ -490,7 +492,7 @@ class TestSessionAcrossBackends:
 
     def test_cluster_second_job_hits_warm_caches(self):
         store, keys = make_store(self.N)
-        session = make_backend("cluster", store).open_session()
+        session = make_rocket("cluster", store).session()
         try:
             first = session.submit(AllPairs(keys))
             first.result()
@@ -513,13 +515,13 @@ class TestSessionAcrossBackends:
 
         store, keys = make_store(12)
         before = shm_segments()
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SlowApp(), store, RocketConfig(**CFG),
-            cluster=ClusterConfig(
+            backend="cluster", cluster=ClusterConfig(
                 n_nodes=2, transport="shm", fetch_timeout=20.0, steal_timeout=5.0
             ),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             # Wait until the job is really in flight, then cancel.
@@ -548,12 +550,13 @@ class TestSessionAcrossBackends:
         watchdog.
         """
         store, keys = make_store(10)
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             SumApp(), store,
             RocketConfig(**dict(CFG, watchdog_seconds=30.0)),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=2, fetch_timeout=10.0, steal_timeout=2.0),
         )
-        session = runtime.open_session()
+        session = rocket.session()
         try:
             handle = session.submit(AllPairs(keys))
             handle.cancel()  # immediately: races the job hand-out
@@ -572,7 +575,7 @@ class TestSessionAcrossBackends:
 
     def test_cluster_rejects_unpicklable_filter(self):
         store, keys = make_store(6)
-        session = make_backend("cluster", store).open_session()
+        session = make_rocket("cluster", store).session()
         try:
             with pytest.raises(ValueError, match="picklable"):
                 session.submit(FilteredPairs(keys, lambda a, b: True))
@@ -583,7 +586,7 @@ class TestSessionAcrossBackends:
         """A session whose processes cannot even start must clean up.
 
         Under the "spawn" start method an unpicklable application makes
-        ``Process.start()`` raise inside ``open_session()``; the
+        ``Process.start()`` raise inside ``Rocket.session()``; the
         half-built session is unreachable, so the constructor itself
         must unlink the fabric's segments and kill started processes.
         """
@@ -591,12 +594,13 @@ class TestSessionAcrossBackends:
         app = SumApp()
         app.poison = threading.Lock()  # unpicklable under spawn
         before = shm_segments()
-        runtime = ClusterRocketRuntime(
+        rocket = Rocket(
             app, store, RocketConfig(**dict(CFG, watchdog_seconds=30.0)),
+            backend="cluster",
             cluster=ClusterConfig(n_nodes=2, start_method="spawn", transport="shm"),
         )
         with pytest.raises(Exception):
-            runtime.open_session()
+            rocket.session()
         time.sleep(0.2)
         assert shm_segments() == before
         assert not [p for p in multiprocessing.active_children()
@@ -604,8 +608,30 @@ class TestSessionAcrossBackends:
 
     def test_cluster_one_shot_run_with_workload(self):
         store, keys = make_store(8)
-        runtime = make_backend("cluster", store)
-        results = runtime.run(Bipartite(keys[:3], keys[3:]))
+        rocket = make_rocket("cluster", store)
+        results = rocket.run(Bipartite(keys[:3], keys[3:]))
         assert results.is_complete()
         assert len(results) == 15
-        assert runtime.last_stats.n_pairs == 15
+        assert rocket.last_stats.n_pairs == 15
+
+
+class TestOneShotEngineSizing:
+    """A one-shot run sizes its engine's cache slots by its workload; a
+    session, which may run larger jobs later, takes the configured slots."""
+
+    def test_run_passes_the_item_count_and_session_passes_none(self, monkeypatch):
+        hints = []
+        init = NodeEngine.__init__
+
+        def recording_init(self, config, **kwargs):
+            hints.append(kwargs.get("capacity_hint"))
+            init(self, config, **kwargs)
+
+        monkeypatch.setattr(NodeEngine, "__init__", recording_init)
+        store, keys = make_store(10)
+        rocket = Rocket(SumApp(), store, RocketConfig(**CFG))
+        assert rocket.run(keys).is_complete()
+        assert hints == [10]
+        with rocket.session() as session:
+            assert session.run(keys).is_complete()
+        assert hints == [10, None]

@@ -43,7 +43,7 @@ from repro.store import (
 from repro.store.memo import canonical_pair
 
 from tests.test_cluster_runtime import SumApp, make_store
-from tests.test_multijob import make_backend
+from tests.test_multijob import make_rocket
 
 
 def warm_config(store_dir, **overrides):
@@ -346,14 +346,14 @@ class TestWarmStart:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_repeat_run_recomputes_zero_pairs(self, backend, tmp_path):
         store, keys = make_store(6)
-        cold = make_backend(backend, store, store_dir=str(tmp_path)).open_session()
+        cold = make_rocket(backend, store, store_dir=str(tmp_path)).session()
         try:
             cold_results = result_dict(cold.submit(AllPairs(keys)).result())
         finally:
             cold.close()
 
         store2, keys2 = make_store(6)
-        warm = make_backend(backend, store2, store_dir=str(tmp_path)).open_session()
+        warm = make_rocket(backend, store2, store_dir=str(tmp_path)).session()
         try:
             warm_results = result_dict(warm.submit(AllPairs(keys2)).result())
             snap = warm.metrics()
@@ -370,8 +370,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("backend", ["local", "cluster"])
     def test_warm_item_cache_skips_load_pipeline(self, backend, tmp_path):
         store, keys = make_store(6)
-        runtime = make_backend(backend, store, store_dir=str(tmp_path))
-        cold_session = runtime.open_session()
+        rocket = make_rocket(backend, store, store_dir=str(tmp_path))
+        cold_session = rocket.session()
         try:
             cold = result_dict(cold_session.submit(AllPairs(keys)).result())
         finally:
@@ -380,8 +380,8 @@ class TestWarmStart:
         for seg in glob.glob(str(tmp_path / "memo" / "*.log")):
             os.unlink(seg)
         store2, keys2 = make_store(6)
-        runtime = make_backend(backend, store2, store_dir=str(tmp_path))
-        session = runtime.open_session()
+        rocket = make_rocket(backend, store2, store_dir=str(tmp_path))
+        session = rocket.session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
             snap = session.metrics()
@@ -403,7 +403,7 @@ class TestWarmStart:
             Rocket(SumApp(), store, warm_config(tmp_path)).run(keys)
         )
         store2, keys2 = make_store(6)
-        session = make_backend("local", store2, store_dir=str(tmp_path)).open_session()
+        session = make_rocket("local", store2, store_dir=str(tmp_path)).session()
         try:
             delta = DeltaPairs(keys2[:-2], keys2[-2:])
             results = result_dict(session.submit(delta).result())
@@ -469,9 +469,9 @@ class TestInvalidation:
         store2.write(name, data.tobytes())
 
         counting = CountingApp()
-        session = make_backend(
+        session = make_rocket(
             "local", store2, app=counting, store_dir=str(tmp_path)
-        ).open_session()
+        ).session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
             memo = session.metrics()["store"]["memo"]
@@ -507,9 +507,9 @@ class TestInvalidation:
 
         store2, keys2 = make_store(5)
         counting = CountingApp()
-        session = make_backend(
+        session = make_rocket(
             "local", store2, app=counting, store_dir=str(tmp_path)
-        ).open_session()
+        ).session()
         try:
             warm = result_dict(session.submit(AllPairs(keys2)).result())
         finally:
@@ -521,9 +521,9 @@ class TestInvalidation:
         """The item cache cannot create ``store_dir/items``: the pipeline
         runs without its persistent level, value-identical."""
         store, keys = make_store(5)
-        reference = result_dict(make_backend("local", store).run(keys))
+        reference = result_dict(make_rocket("local", store).run(keys))
         (tmp_path / "items").write_bytes(b"not a directory")
-        session = make_backend("local", store, store_dir=str(tmp_path)).open_session()
+        session = make_rocket("local", store, store_dir=str(tmp_path)).session()
         try:
             results = result_dict(session.submit(AllPairs(keys)).result())
             persistent = session.metrics()["cache"]["persistent"]
@@ -540,7 +540,7 @@ class TestInvalidation:
 class TestSurfaces:
     def test_session_metrics_expose_store_counters(self, tmp_path):
         store, keys = make_store(4)
-        session = make_backend("local", store, store_dir=str(tmp_path)).open_session()
+        session = make_rocket("local", store, store_dir=str(tmp_path)).session()
         try:
             session.submit(AllPairs(keys)).result()
             snap = session.metrics()
@@ -553,7 +553,7 @@ class TestSurfaces:
 
     def test_store_absent_without_store_dir(self):
         store, keys = make_store(4)
-        session = make_backend("local", store).open_session()
+        session = make_rocket("local", store).session()
         try:
             session.submit(AllPairs(keys)).result()
             assert "store" not in session.metrics()
@@ -564,8 +564,8 @@ class TestSurfaces:
         from repro.serve import RocketServer, connect
 
         store, keys = make_store(5)
-        runtime = make_backend("local", store, store_dir=str(tmp_path))
-        session = runtime.open_session(policy="fair")
+        rocket = make_rocket("local", store, store_dir=str(tmp_path))
+        session = rocket.session(policy="fair")
         server = RocketServer(session, keys).start()
         try:
             with connect(server.address) as client:

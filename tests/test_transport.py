@@ -4,7 +4,7 @@ Covers the pieces below the cluster protocol: the
 :class:`~repro.core.buffers.BufferPool` allocator, the shared-memory
 payload plane (descriptor round-trips, slot release, inline fallback,
 segment lifecycle), the :class:`~repro.runtime.transport.ResultBatcher`,
-and the transport registry — all in-process, no worker processes.
+and the transport-name lookup — all in-process, no worker processes.
 """
 
 import multiprocessing
@@ -19,9 +19,7 @@ from repro.runtime.transport import (
     QueueFabric,
     ResultBatcher,
     ShmDescriptor,
-    available_transports,
     create_fabric,
-    register_transport,
 )
 from repro.runtime.transport.shm import SharedMemoryFabric
 
@@ -329,17 +327,19 @@ class TestResultBatcher:
 
 class TestTransportRegistry:
     def test_builtin_transports_registered(self):
-        names = available_transports()
-        assert "queue" in names and "shm" in names
+        ctx = multiprocessing.get_context("fork")
+        for name, fabric_type in (("queue", QueueFabric), ("shm", SharedMemoryFabric)):
+            fabric = create_fabric(name, ctx, ClusterConfig(n_nodes=1, transport=name))
+            try:
+                assert type(fabric) is fabric_type
+            finally:
+                fabric.shutdown()
 
     def test_unknown_transport_raises_with_choices(self):
-        ctx = multiprocessing.get_context("fork")
-        with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
-            create_fabric("carrier-pigeon", ctx, ClusterConfig())
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_transport("queue", QueueFabric)
+        # Rejected when the config is built, long before any fabric.
+        with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'") as exc:
+            ClusterConfig(transport="carrier-pigeon")
+        assert "available: queue, shm" in str(exc.value)
 
     def test_cluster_config_validates_data_plane_fields(self):
         with pytest.raises(ValueError, match="result_batch"):
