@@ -3,9 +3,12 @@
 Pipeline mapping (paper Section 5.2):
 
 - *parse* (CPU): decompress the FASTA file and integer-encode the
-  proteome (the paper decompresses on the CPU);
+  proteome (the paper decompresses on the CPU) through a byte lookup
+  table;
 - *preprocess* (GPU): build the sparse composition vector — expensive,
-  "it requires scanning the entire genome";
+  "it requires scanning the entire genome": one pass over the
+  proteome's residues and a sort of its k-mers, never a pass over the
+  20^k k-mer space;
 - *compare* (GPU): sparse dot product between two CVs — cheap but
   irregular, since the vectors are sparse;
 - *postprocess* (CPU): plain scalar extraction.
@@ -82,7 +85,11 @@ class BioinformaticsApplication(Application[str, float]):
         return np.asarray(cv_distance_block([view_a], [view_b])[0])
 
     def compare_block(self, keys_a, items_a, keys_b, items_b) -> np.ndarray:
-        """Batched sparse-intersection distances — one launch per block."""
+        """Batched sparse-intersection distances — one launch per block.
+
+        Each pair's distance is bit-identical to :meth:`compare` of the
+        same two items, whatever other pairs share the launch.
+        """
         views_a = [self._as_view(item) for item in items_a]
         views_b = [self._as_view(item) for item in items_b]
         return cv_distance_block(views_a, views_b)

@@ -13,10 +13,18 @@ background, which is what makes the remaining signal phylogenetic.
 CVs are sparse (the paper: 10^5-1.8*10^6 non-zeros out of 20^k); we
 store them as (sorted indices, values) pairs and compare with a sparse
 dot product — the paper's "cheap but irregular" comparison kernel.
+
+Every integer stage runs in time proportional to the residue count, not
+to the 20^k k-mer space: residues are encoded through a byte lookup
+table, k-mer codes are accumulated over shifted slices, and the CV's
+support comes from sorting the proteome's own k-mers.  Only the
+(k-1)- and (k-2)-mer counts of the Markov model are dense (20^(k-1)
+and 20^(k-2) bins).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -36,17 +44,29 @@ __all__ = [
 ]
 
 ALPHABET = len(AMINO_ACIDS)  # 20
-_CODE_OF = {aa: idx for idx, aa in enumerate(AMINO_ACIDS)}
 #: Separator marker between proteins in an encoded proteome.
 SEPARATOR = -1
+#: Byte that joins proteins before a proteome is encoded in one pass.
+_JOIN = "\x00"
+#: Code of every byte: residues map to 0..19, ``_JOIN`` to ``SEPARATOR``
+#: and anything else to -2 (rejected).
+_CODES = np.full(256, -2, dtype=np.int16)
+_CODES[np.frombuffer(AMINO_ACIDS.encode("ascii"), dtype=np.uint8)] = np.arange(ALPHABET)
+_CODES[ord(_JOIN)] = SEPARATOR
+
+
+def _encode(text: str) -> np.ndarray:
+    """Byte codes of ``text``; a non-ASCII character becomes ``?`` (rejected)."""
+    return _CODES[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
 
 
 def encode_sequence(sequence: str) -> np.ndarray:
     """Encode an amino-acid string as an int16 code array."""
-    try:
-        return np.fromiter((_CODE_OF[c] for c in sequence), dtype=np.int16, count=len(sequence))
-    except KeyError as exc:
-        raise ValueError(f"unknown amino acid {exc.args[0]!r}") from None
+    codes = _encode(sequence)
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        raise ValueError(f"unknown amino acid {sequence[bad[0]]!r}")
+    return codes
 
 
 def encode_proteome(sequences: List[str]) -> np.ndarray:
@@ -56,17 +76,22 @@ def encode_proteome(sequences: List[str]) -> np.ndarray:
     """
     if not sequences:
         raise ValueError("empty proteome")
-    parts: List[np.ndarray] = []
-    sep = np.array([SEPARATOR], dtype=np.int16)
-    for idx, seq in enumerate(sequences):
-        if idx:
-            parts.append(sep)
-        parts.append(encode_sequence(seq))
-    return np.concatenate(parts)
+    codes = _encode(_JOIN.join(sequences))
+    if np.count_nonzero(codes < 0) != len(sequences) - 1:
+        # Something besides the joins is not a residue: name the first
+        # bad residue of the first bad protein.
+        for seq in sequences:
+            encode_sequence(seq)
+    return codes
 
 
 def _windows(codes: np.ndarray, k: int) -> np.ndarray:
-    """Codes of all valid k-mers in a separator-delimited code array."""
+    """Codes of all valid k-mers in a separator-delimited code array.
+
+    A k-mer's code is its base-20 value, accumulated Horner-style over
+    ``k`` shifted slices; a window is valid when the prefix count of
+    separators does not change across it.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if codes.ndim != 1:
@@ -74,11 +99,15 @@ def _windows(codes: np.ndarray, k: int) -> np.ndarray:
     n = codes.size
     if n < k:
         return np.zeros(0, dtype=np.int64)
-    view = np.lib.stride_tricks.sliding_window_view(codes, k)
-    valid = (view >= 0).all(axis=1)
-    view = view[valid].astype(np.int64)
-    weights = ALPHABET ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return view @ weights
+    m = n - k + 1
+    wide = codes.astype(np.int64)
+    acc = wide[:m].copy()
+    for shift in range(1, k):
+        acc *= ALPHABET
+        acc += wide[shift : shift + m]
+    breaks = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(codes < 0, out=breaks[1:])
+    return acc[breaks[k:] == breaks[:m]]
 
 
 def kmer_counts(codes: np.ndarray, k: int) -> np.ndarray:
@@ -94,17 +123,17 @@ def composition_vector(codes: np.ndarray, k: int = 4) -> Tuple[np.ndarray, np.nd
     """
     if k < 3:
         raise ValueError(f"the Markov correction needs k >= 3, got {k}")
-    counts_k = kmer_counts(codes, k)
+    windows_k = _windows(codes, k)
     counts_km1 = kmer_counts(codes, k - 1)
     counts_km2 = kmer_counts(codes, k - 2)
-    total_k = counts_k.sum()
+    total_k = windows_k.size
     total_km1 = counts_km1.sum()
     total_km2 = counts_km2.sum()
     if total_k == 0:
         raise ValueError(f"proteome shorter than k={k}")
 
-    idx = np.flatnonzero(counts_k)
-    p = counts_k[idx] / total_k
+    idx, counts_k = np.unique(windows_k, return_counts=True)
+    p = counts_k / total_k
     prefix = idx // ALPHABET  # a1..a_{k-1}
     suffix = idx % (ALPHABET ** (k - 1))  # a2..ak
     middle = prefix % (ALPHABET ** (k - 2))  # a2..a_{k-1}
@@ -169,6 +198,29 @@ def cv_view(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
     return idx, val, float(np.linalg.norm(val))
 
 
+#: All-zero dense scratch vectors shared by every kernel launch: a launch
+#: takes one, scatters and clears only the entries it touched, and gives
+#: it back, so launches reuse a few buffers instead of allocating a
+#: 20^k vector each.  One pool (not one buffer per thread) keeps the
+#: count at the number of concurrent launches when one-shot jobs start
+#: fresh kernel threads.
+_SCRATCH: List[np.ndarray] = []
+_SCRATCH_LOCK = threading.Lock()
+
+
+def _take_scratch(size: int) -> np.ndarray:
+    with _SCRATCH_LOCK:
+        dense = _SCRATCH.pop() if _SCRATCH else None
+    if dense is None or dense.size < size:
+        dense = np.zeros(size, dtype=np.float64)
+    return dense
+
+
+def _give_scratch(dense: np.ndarray) -> None:
+    with _SCRATCH_LOCK:
+        _SCRATCH.append(dense)
+
+
 def cv_distance_block(
     views_a: "list[Tuple[np.ndarray, np.ndarray, float]]",
     views_b: "list[Tuple[np.ndarray, np.ndarray, float]]",
@@ -177,34 +229,41 @@ def cv_distance_block(
 
     Instead of the per-pair sorted-merge (``isin`` + ``searchsorted``),
     each distinct right-hand operand is scattered once into a dense
-    scratch vector over the k-mer space; every pair against it is then a
-    gather + dot — O(nnz) per pair with no per-pair allocation.  The
-    sparse dot equals the merge-based one up to floating-point summation
-    order (documented tolerance ~1e-12 relative), since gathered zeros
-    contribute exactly 0.0 to the sum.
+    all-zero scratch vector over the k-mer space; every pair against it
+    is then a gather + dot — O(nnz) per pair with no per-pair allocation.
+    A pair's value depends only on its two views, never on the other
+    pairs of the block: its dot is one ``np.dot`` of its own operands
+    (gathered zeros contribute exactly 0.0), so the result is
+    bit-identical however the runtime groups pairs into launches.
     """
     n = len(views_a)
-    out = np.empty(n, dtype=np.float64)
     if n == 0:
-        return out
+        return np.empty(0, dtype=np.float64)
     # Group pairs by the identity of their right operand so each dense
     # scatter is amortised over every pair sharing that operand (block
     # locality makes sharing the common case).
     groups: Dict[int, List[int]] = {}
     for k, view in enumerate(views_b):
         groups.setdefault(id(view), []).append(k)
-    size = 0
-    for idx, _val, _norm in (*views_a, *views_b):
-        if idx.size:
-            size = max(size, int(idx[-1]) + 1)
-    dense = np.zeros(max(size, 1), dtype=np.float64)
-    for members in groups.values():
-        idx_b, val_b, norm_b = views_b[members[0]]
-        dense[idx_b] = val_b
-        for k in members:
-            idx_a, val_a, norm_a = views_a[k]
-            denom = norm_a * norm_b
-            corr = float(np.dot(val_a, dense[idx_a])) / denom if denom else 0.0
-            out[k] = (1.0 - corr) / 2.0
-        dense[idx_b] = 0.0
-    return out
+    distinct = {id(view): view for view in (*views_a, *views_b)}.values()
+    size = max((int(idx[-1]) + 1 for idx, _val, _norm in distinct if idx.size), default=1)
+    dots = np.empty(n, dtype=np.float64)
+    denoms = np.empty(n, dtype=np.float64)
+    dense = _take_scratch(size)
+    try:
+        for members in groups.values():
+            idx_b, val_b, norm_b = views_b[members[0]]
+            dense[idx_b] = val_b
+            for k in members:
+                idx_a, val_a, norm_a = views_a[k]
+                dots[k] = np.dot(val_a, dense[idx_a])
+                denoms[k] = norm_a * norm_b
+            dense[idx_b] = 0.0
+    except BaseException:
+        dense.fill(0.0)  # a group may have died half-scattered
+        raise
+    finally:
+        _give_scratch(dense)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(denoms != 0, dots / denoms, 0.0)
+    return (1.0 - corr) / 2.0

@@ -80,7 +80,11 @@ class PersistentItemCache:
             return None  # missing blob: let the real pipeline raise
         path = self._path_for(key, blob_hash)
         try:
-            return np.load(path, mmap_mode="r", allow_pickle=False)
+            # One load at a time: the ``.npy`` header parse
+            # (``ast.literal_eval``) raced into ``SystemError`` on
+            # CPython 3.11 when job threads loaded concurrently.
+            with self._lock:
+                return np.load(path, mmap_mode="r", allow_pickle=False)
         except FileNotFoundError:
             return None
         except (ValueError, EOFError):

@@ -54,6 +54,20 @@ __all__ = ["ResultMemoStore", "MEMO_DIR", "canonical_pair"]
 MEMO_DIR = "memo"
 _HEADER = struct.Struct("<II")  # record length, crc32 of the payload
 _MAX_RECORD = 64 * 1024 * 1024  # sanity bound: larger lengths mean corruption
+#: What decoding a CRC-valid record that this journal did not write can
+#: raise: a bad pickle stream, a missing class or module, an object whose
+#: reconstruction fails, or a value that is not a ``(fp, a, b, ha, hb,
+#: value[, stamp])`` tuple.  Such a record counts as a torn tail.
+_FOREIGN_RECORD = (
+    pickle.UnpicklingError,
+    EOFError,
+    ValueError,
+    TypeError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+)
 
 
 def canonical_pair(key_a, key_b) -> Tuple[Any, Any]:
@@ -127,7 +141,7 @@ class ResultMemoStore:
             try:
                 fp, key_a, key_b, hash_a, hash_b, value, *rest = pickle.loads(payload)
                 stamp = int(rest[0]) if rest else 0  # pre-stamp records
-            except Exception:
+            except _FOREIGN_RECORD:
                 torn = True
                 break
             self._fold((fp, key_a, key_b), (hash_a, hash_b, value, stamp))

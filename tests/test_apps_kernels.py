@@ -9,6 +9,8 @@ from repro.apps.bioinformatics.composition import (
     composition_vector,
     cv_correlation,
     cv_distance,
+    cv_distance_block,
+    cv_view,
     encode_proteome,
     encode_sequence,
     kmer_counts,
@@ -23,7 +25,9 @@ from repro.apps.microscopy.registration import (
     register_pair,
     rigid_transform,
 )
-from repro.data.synthetic import AMINO_ACIDS, make_template
+from repro.data.filestore import InMemoryStore
+from repro.data.formats import decode_fasta
+from repro.data.synthetic import AMINO_ACIDS, make_bioinformatics_dataset, make_template
 from repro.util.rng import seeded_rng
 
 
@@ -193,6 +197,169 @@ class TestComposition:
         a = (np.array([1, 2]), np.array([1.0, 1.0]))
         b = (np.array([3, 4]), np.array([1.0, 1.0]))
         assert cv_correlation(a, b) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Composition vectors pinned to their plain implementations
+# ---------------------------------------------------------------------------
+#
+# The shipped stages are the vectorised forms of the plain algorithms
+# below (a per-character encoder, a dense 20^k ``bincount`` with
+# ``flatnonzero`` support, and a block kernel over a fresh zero vector).
+# Every code, packed CV byte and distance must be identical to them.
+
+_REF_CODE_OF = {aa: idx for idx, aa in enumerate(AMINO_ACIDS)}
+
+
+def ref_encode_sequence(sequence):
+    try:
+        return np.fromiter(
+            (_REF_CODE_OF[c] for c in sequence), dtype=np.int16, count=len(sequence)
+        )
+    except KeyError as exc:
+        raise ValueError(f"unknown amino acid {exc.args[0]!r}") from None
+
+
+def ref_encode_proteome(sequences):
+    if not sequences:
+        raise ValueError("empty proteome")
+    parts = []
+    for idx, seq in enumerate(sequences):
+        if idx:
+            parts.append(np.array([-1], dtype=np.int16))
+        parts.append(ref_encode_sequence(seq))
+    return np.concatenate(parts)
+
+
+def ref_kmer_counts(codes, k):
+    if codes.size < k:
+        return np.zeros(20**k, dtype=np.int64)
+    view = np.lib.stride_tricks.sliding_window_view(codes, k)
+    view = view[(view >= 0).all(axis=1)].astype(np.int64)
+    return np.bincount(view @ 20 ** np.arange(k - 1, -1, -1, dtype=np.int64), minlength=20**k)
+
+
+def ref_composition_vector(codes, k):
+    counts_k = ref_kmer_counts(codes, k)
+    counts_km1 = ref_kmer_counts(codes, k - 1)
+    counts_km2 = ref_kmer_counts(codes, k - 2)
+    total_k = counts_k.sum()
+    if total_k == 0:
+        raise ValueError(f"proteome shorter than k={k}")
+    idx = np.flatnonzero(counts_k)
+    p = counts_k[idx] / total_k
+    prefix = idx // 20
+    suffix = idx % (20 ** (k - 1))
+    middle = prefix % (20 ** (k - 2))
+    p_prefix = counts_km1[prefix] / counts_km1.sum()
+    p_suffix = counts_km1[suffix] / counts_km1.sum()
+    p_middle = counts_km2[middle] / counts_km2.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p0 = p_prefix * p_suffix / p_middle
+        values = np.where(p0 > 0, (p - p0) / np.where(p0 > 0, p0, 1.0), 0.0)
+    keep = values != 0
+    return idx[keep], values[keep]
+
+
+def ref_cv_distance_block(views_a, views_b):
+    out = np.empty(len(views_a), dtype=np.float64)
+    size = max([int(idx[-1]) + 1 for idx, _, _ in (*views_a, *views_b) if idx.size] or [1])
+    for k, ((idx_a, val_a, norm_a), (idx_b, val_b, norm_b)) in enumerate(zip(views_a, views_b)):
+        dense = np.zeros(size, dtype=np.float64)
+        dense[idx_b] = val_b
+        denom = norm_a * norm_b
+        corr = float(np.dot(val_a, dense[idx_a])) / denom if denom else 0.0
+        out[k] = (1.0 - corr) / 2.0
+    return out
+
+
+def dataset_proteomes(seed):
+    store = InMemoryStore()
+    ds = make_bioinformatics_dataset(store, seed=seed)
+    return [list(decode_fasta(store.read(f"{key}.faz")).values()) for key in ds.keys]
+
+
+class TestCompositionMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_dataset_item_is_bit_identical(self, seed):
+        for proteome in dataset_proteomes(seed):
+            codes = encode_proteome(proteome)
+            ref_codes = ref_encode_proteome(proteome)
+            assert codes.dtype == ref_codes.dtype == np.int16
+            assert np.array_equal(codes, ref_codes)
+            for k in (3, 4, 5):
+                idx, vals = composition_vector(codes, k)
+                ref_idx, ref_vals = ref_composition_vector(ref_codes, k)
+                assert idx.dtype == ref_idx.dtype and vals.dtype == ref_vals.dtype
+                assert np.array_equal(idx, ref_idx)
+                assert np.array_equal(vals, ref_vals)
+                assert pack_cv(idx, vals).tobytes() == pack_cv(ref_idx, ref_vals).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_every_distance_is_bit_identical(self, k):
+        views = [
+            cv_view(pack_cv(*composition_vector(encode_proteome(p), k)))
+            for p in dataset_proteomes(0)
+        ]
+        pairs = [(i, j) for i in range(len(views)) for j in range(i + 1, len(views))]
+        views_a = [views[i] for i, _ in pairs]
+        views_b = [views[j] for _, j in pairs]
+        got = cv_distance_block(views_a, views_b)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ref_cv_distance_block(views_a, views_b).tobytes()
+
+    def test_protein_shorter_than_k_between_separators(self):
+        proteome = ["ACDEFGHIK", "MN", "PQRSTVWYAC", "", "DEF"]
+        for k in (3, 4, 5):
+            got = composition_vector(encode_proteome(proteome), k)
+            ref = ref_composition_vector(ref_encode_proteome(proteome), k)
+            assert pack_cv(*got).tobytes() == pack_cv(*ref).tobytes()
+
+    def test_single_protein_proteome(self):
+        proteome = ["".join(seeded_rng(4).choice(list(AMINO_ACIDS), 700))]
+        assert np.array_equal(encode_proteome(proteome), encode_sequence(proteome[0]))
+        for k in (3, 4, 5):
+            got = composition_vector(encode_proteome(proteome), k)
+            ref = ref_composition_vector(ref_encode_proteome(proteome), k)
+            assert pack_cv(*got).tobytes() == pack_cv(*ref).tobytes()
+
+    @pytest.mark.parametrize("proteome", [["AC", "DE", "F"], ["A"], [""]])
+    def test_all_proteins_shorter_than_k_raise_the_same_error(self, proteome):
+        with pytest.raises(ValueError) as ref_exc:
+            ref_composition_vector(ref_encode_proteome(proteome), 3)
+        with pytest.raises(ValueError) as exc:
+            composition_vector(encode_proteome(proteome), 3)
+        assert str(exc.value) == str(ref_exc.value) == "proteome shorter than k=3"
+
+    @pytest.mark.parametrize(
+        "proteome",
+        [
+            ["ACDX"],
+            ["ACD", "acd"],
+            ["ACD", "EFG", "HIK\u00e9LM"],
+            ["AC\u00e9X"],
+            ["ACXD\u00e9"],
+            ["ACD", "E\x00F"],
+            ["ACD", "EF G", "B"],
+            ["ACD", "*"],
+        ],
+    )
+    def test_bad_residues_raise_the_same_message(self, proteome):
+        with pytest.raises(ValueError) as ref_exc:
+            ref_encode_proteome(proteome)
+        with pytest.raises(ValueError) as exc:
+            encode_proteome(proteome)
+        assert str(exc.value) == str(ref_exc.value)
+        assert str(exc.value).startswith("unknown amino acid")
+        for seq in proteome:
+            try:
+                ref_encode_sequence(seq)
+            except ValueError as ref_err:
+                with pytest.raises(ValueError) as err:
+                    encode_sequence(seq)
+                assert str(err.value) == str(ref_err)
+            else:
+                assert np.array_equal(encode_sequence(seq), ref_encode_sequence(seq))
 
 
 # ---------------------------------------------------------------------------

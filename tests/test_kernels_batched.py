@@ -18,13 +18,18 @@ Three layers:
 """
 
 import math
+import random
+import threading
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.apps import BioinformaticsApplication, ForensicsApplication
+from repro.apps.bioinformatics.composition import cv_distance_block
+from repro.apps.forensics.prnu import ncc_pairs
 from repro.core.api import Application
 from repro.core.rocket import Rocket
 from repro.core.workload import AllPairs, Bipartite, DeltaPairs, FilteredPairs
@@ -128,7 +133,7 @@ class TestKernelParity:
         app = BioinformaticsApplication(k=3)
         assert app.supports_compare_block and app.supports_item_view
         ref, got = block_vs_pairs(app, load_items(app, store, ds.keys), ds.keys, use_views=True)
-        np.testing.assert_allclose(got, ref, rtol=REL_TOL, atol=ABS_TOL)
+        np.testing.assert_array_equal(got, ref)  # compare is a one-pair block
 
     def test_forensics_block_matches_per_pair(self):
         store, keys = forensics_store()
@@ -165,6 +170,135 @@ class TestKernelParity:
         items = load_items(app, store, keys)
         ref, got = block_vs_pairs(app, items, keys, use_views=False)
         np.testing.assert_array_equal(got, ref)  # it *is* the per-pair loop
+
+
+# ----------------------------------------------------------------------
+# Kernel invariants: a pair's bits do not depend on its launch
+
+
+def bio_views(n_species=12, k=4, seed=5):
+    store = InMemoryStore()
+    ds = make_bioinformatics_dataset(store, n_species=n_species, seed=seed)
+    app = BioinformaticsApplication(k=k)
+    items = load_items(app, store, ds.keys)
+    return [app.item_view(key, items[key]) for key in ds.keys]
+
+
+def forensics_residuals(n_images=10):
+    store, keys = forensics_store(n_images=n_images)
+    items = load_items(ForensicsApplication(), store, keys)
+    return [items[key] for key in keys]
+
+
+def all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def run_pairs(kernel, operands, pairs):
+    return kernel([operands[i] for i, _ in pairs], [operands[j] for _, j in pairs])
+
+
+def regroupings(n_ops, seed):
+    """Yield ways to launch pairs of ``n_ops`` operands, each a list of
+    launches: one block, single pairs, a leaf-shaped rectangle, and
+    random chunks of a shuffled order."""
+    pairs = all_pairs(n_ops)
+    yield [pairs]
+    yield [[pair] for pair in pairs]
+    half = n_ops // 2
+    yield [[(i, j) for i in range(half) for j in range(half, n_ops)]]
+    rng = random.Random(seed)
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    chunks, start = [], 0
+    while start < len(shuffled):
+        size = rng.randint(1, 17)
+        chunks.append(shuffled[start : start + size])
+        start += size
+    yield chunks
+
+
+KERNELS = [
+    pytest.param(cv_distance_block, bio_views, id="cv_distance_block"),
+    pytest.param(ncc_pairs, forensics_residuals, id="ncc_pairs"),
+]
+
+
+class TestKernelInvariants:
+    @pytest.mark.parametrize("kernel, operands", KERNELS)
+    def test_pair_value_is_identical_in_any_grouping(self, kernel, operands):
+        ops = operands()
+        pairs = all_pairs(len(ops))
+        whole = dict(zip(pairs, run_pairs(kernel, ops, pairs)))
+        for seed in range(3):
+            for launches in regroupings(len(ops), seed):
+                for launch in launches:
+                    for pair, value in zip(launch, run_pairs(kernel, ops, launch)):
+                        assert value == whole[pair], (pair, value, whole[pair])
+
+    @pytest.mark.parametrize("kernel, operands", KERNELS)
+    def test_concurrent_launches_match_sequential(self, kernel, operands):
+        ops = operands()
+        launches = list(regroupings(len(ops), seed=9))[-1]
+        expected = [run_pairs(kernel, ops, launch).tobytes() for launch in launches]
+        got = {}
+        barrier = threading.Barrier(2)
+
+        def worker(tid):
+            barrier.wait()
+            order = list(enumerate(launches))
+            if tid:
+                order.reverse()
+            for _ in range(3):
+                for pos, launch in order:
+                    got.setdefault(tid, []).append(
+                        (pos, run_pairs(kernel, ops, launch).tobytes())
+                    )
+
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        for tid in range(2):
+            assert len(got[tid]) == 3 * len(launches)
+            for pos, value in got[tid]:
+                assert value == expected[pos]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_launch_that_raises_leaves_next_call_unchanged(self, side):
+        views = bio_views(n_species=6)
+        pairs = all_pairs(len(views))
+        expected = run_pairs(cv_distance_block, views, pairs)
+        idx, val, norm = views[1]
+        broken = (idx, val[:-1], norm)  # idx and val lengths differ
+        # Pairs sharing views[0] as the right operand form one group; the
+        # broken view is launched after a good pair of that group.
+        good = views[2]
+        if side == "left":
+            views_a, views_b = [good, broken], [views[0], views[0]]
+        else:
+            views_a, views_b = [good, good], [views[0], broken]
+        with pytest.raises(ValueError):
+            cv_distance_block(views_a, views_b)
+        assert run_pairs(cv_distance_block, views, pairs).tobytes() == expected.tobytes()
+
+    def test_launch_allocates_no_dense_vector(self):
+        views = bio_views(n_species=16, k=4)
+        pairs = [(i, j) for i in range(8) for j in range(8, 16)]
+        assert len(pairs) == 64
+        views_a = [views[i] for i, _ in pairs]
+        views_b = [views[j] for _, j in pairs]
+        expected = cv_distance_block(views_a, views_b)  # warm-up
+        tracemalloc.start()
+        try:
+            got = cv_distance_block(views_a, views_b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        # A fresh 20^4 float64 scratch would be 1.28 MB.
+        assert peak < 64 * 1024, peak
 
 
 # ----------------------------------------------------------------------

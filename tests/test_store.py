@@ -22,8 +22,13 @@ Four layers:
 
 import glob
 import json
+import operator
 import os
+import pickle
+import struct
 import threading
+import time
+import zlib
 
 import numpy as np
 import pytest
@@ -227,6 +232,80 @@ class TestPersistentItemCache:
         assert cache.store(keys[0], np.arange(4, dtype=np.float64)) == 0
         assert not os.listdir(cache.items_dir)
 
+    def test_concurrent_loads_parse_one_header_at_a_time(self, tmp_path, monkeypatch):
+        """``np.load``'s header parse raced into ``SystemError`` when job
+        threads overlapped on CPython 3.11: loads are serialized."""
+        store, keys = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        payload = np.arange(64, dtype=np.float64)
+        cache.store(keys[0], payload)
+        real_load = np.load
+        state = {"inside": 0, "most": 0}
+        guard = threading.Lock()
+
+        def counting_load(*args, **kwargs):
+            with guard:
+                state["inside"] += 1
+                state["most"] = max(state["most"], state["inside"])
+            try:
+                time.sleep(0.0005)  # widen the window a race needs
+                return real_load(*args, **kwargs)
+            finally:
+                with guard:
+                    state["inside"] -= 1
+
+        monkeypatch.setattr(np, "load", counting_load)
+        loaded = [[] for _ in range(8)]
+        barrier = threading.Barrier(8)
+
+        def worker(tid):
+            barrier.wait()
+            for _ in range(20):
+                loaded[tid].append(np.array(cache.load(keys[0])))
+
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert state["most"] == 1
+        assert [len(got) for got in loaded] == [20] * 8
+        for got in loaded:
+            for arr in got:
+                np.testing.assert_array_equal(arr, payload)
+
+
+class _Reconstructs:
+    """Pickles to a call of ``func(*args)`` at load time."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+#: CRC-valid journal records this journal never wrote, one per shape of
+#: failure the decode can meet.
+FOREIGN_RECORDS = {
+    "not-a-pickle": b"not a pickle",
+    "truncated-pickle": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, 3))[:-5],
+    "empty": b"",
+    "scalar": pickle.dumps(5),
+    "short-tuple": pickle.dumps(("fp", "a")),
+    "text-stamp": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, "x")),
+    "none-stamp": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, None)),
+    "missing-module": b"cno_such_module_for_memo\nThing\n.",
+    "missing-class": b"cpickle\nNoSuchThing\n.",
+    "unregistered-extension": b"\x82\x05.",
+    "index-error": pickle.dumps(_Reconstructs(operator.getitem, [], 0)),
+    "key-error": pickle.dumps(_Reconstructs(operator.getitem, {}, "x")),
+}
+
+
+def journal_record(payload):
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
 
 # ----------------------------------------------------------------------
 # Result memo journal
@@ -322,6 +401,22 @@ class TestResultMemoStore:
         reader.refresh()
         assert reader.record_count() == 0
         assert reader.dropped_segments >= 1
+
+    @pytest.mark.parametrize("shape", sorted(FOREIGN_RECORDS))
+    def test_foreign_record_is_a_torn_tail(self, tmp_path, shape):
+        good = pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, 1))
+        (tmp_path / "memo").mkdir()
+        (tmp_path / "memo" / "seg-999999-alone.log").write_bytes(
+            journal_record(FOREIGN_RECORDS[shape])
+        )
+        (tmp_path / "memo" / "seg-999999-after.log").write_bytes(
+            journal_record(good) + journal_record(FOREIGN_RECORDS[shape])
+        )
+        reader = ResultMemoStore(tmp_path)
+        reader.refresh()
+        assert reader.record_count() == 1
+        assert reader.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
+        assert reader.dropped_segments == 1  # only the segment with nothing readable
 
 
 class TestFingerprint:
