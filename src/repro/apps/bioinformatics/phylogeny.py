@@ -10,10 +10,12 @@ generating tree of the synthetic data set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["neighbor_joining", "clade_sets", "robinson_foulds"]
 
@@ -26,6 +28,8 @@ def neighbor_joining(distances: np.ndarray, names: Sequence[str]) -> nx.Graph:
     (clamped at zero, the usual NJ convention for negative branch
     estimates).
     """
+    import networkx as nx
+
     dist = np.asarray(distances, dtype=np.float64)
     n = len(names)
     if dist.shape != (n, n):
@@ -93,6 +97,8 @@ def clade_sets(tree: nx.Graph) -> Set[FrozenSet[str]]:
     two; the smaller side identifies the bipartition.  Trivial splits
     (single leaf / all-but-one) are omitted, as in Robinson-Foulds.
     """
+    import networkx as nx
+
     leaves = {v for v in tree.nodes if isinstance(v, str)}
     if len(leaves) < 4:
         return set()

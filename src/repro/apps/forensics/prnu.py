@@ -16,13 +16,15 @@ The pipeline mirrors the paper's application:
 - :func:`ncc` — normalized cross-correlation between two residuals, the
   similarity metric named in the paper.
 
-All functions are pure NumPy and operate on float64 arrays in [0, 1].
+All functions operate on float64 arrays in [0, 1].  They are NumPy
+except :func:`denoise`, whose filter is SciPy's ``uniform_filter``;
+SciPy is imported on its first call, so a process that never denoises
+an image never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 __all__ = ["denoise", "extract_prnu", "ncc", "ncc_block", "ncc_pairs"]
 
@@ -37,6 +39,8 @@ def denoise(image: np.ndarray, window: int = 5) -> np.ndarray:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
+    from scipy.ndimage import uniform_filter
+
     return uniform_filter(image.astype(np.float64, copy=False), size=window, mode="reflect")
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.util.rng import seeded_rng
 
@@ -121,6 +120,8 @@ def register_pair(
     the data (how many restarts converge quickly), which is what makes
     this application's comparison time highly irregular.
     """
+    from scipy.optimize import minimize
+
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if method not in ("gmm_l2", "bhattacharyya"):

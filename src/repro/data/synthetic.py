@@ -20,15 +20,19 @@ Everything is deterministic under the provided seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.data.filestore import FileStore
 from repro.data.formats import encode_fasta, encode_image, encode_particle
-from repro.util.rng import seeded_rng, spawn_seeds
+from repro.util.rng import seeded_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "ForensicsDataset",
@@ -122,14 +126,35 @@ def make_forensics_dataset(
 # ---------------------------------------------------------------------------
 
 
+#: A tree node: a leaf is its species key, an internal node an int.
+Node = Union[str, int]
+
+
 @dataclass
 class BioinformaticsDataset:
     """Generated proteomes plus the true generating tree."""
 
     keys: List[str]
-    tree: nx.Graph  # leaves are the keys; internal nodes are ints
+    #: ``(parent, child, length)`` in join order; every internal node's
+    #: two children appear back to back.
+    edges: List[Tuple[int, Node, float]]
     n_proteins: int
     protein_length: int
+
+    @cached_property
+    def tree(self) -> "nx.Graph":
+        """The tree as an undirected graph: leaves are the keys, internal
+        nodes are ints, and edges carry a ``length`` attribute.
+
+        Built on first access, so generating a corpus never loads
+        NetworkX.
+        """
+        import networkx as nx
+
+        tree = nx.Graph()
+        tree.add_nodes_from(self.keys)
+        tree.add_weighted_edges_from(self.edges, weight="length")
+        return tree
 
     def true_clades(self) -> List[frozenset]:
         """Leaf bipartitions induced by the internal edges of the tree.
@@ -138,6 +163,8 @@ class BioinformaticsDataset:
         each internal edge splits the leaves in two; the smaller side is
         returned as a frozenset.
         """
+        import networkx as nx
+
         leaves = {n for n in self.tree.nodes if isinstance(n, str)}
         clades = []
         for u, v in self.tree.edges:
@@ -150,22 +177,26 @@ class BioinformaticsDataset:
         return clades
 
 
-def _random_binary_tree(names: List[str], rng: np.random.Generator) -> nx.Graph:
-    """Random coalescent: repeatedly join two random subtrees."""
-    tree = nx.Graph()
-    roots: List = list(names)
-    tree.add_nodes_from(roots)
+def _random_binary_tree(
+    names: List[str], rng: np.random.Generator
+) -> List[Tuple[int, Node, float]]:
+    """Random coalescent: repeatedly join two random subtrees.
+
+    Returns the ``(parent, child, length)`` edges in join order; the
+    last parent is the root.
+    """
+    edges: List[Tuple[int, Node, float]] = []
+    roots: List[Node] = list(names)
     next_internal = 0
     while len(roots) > 1:
         i, j = sorted(rng.choice(len(roots), size=2, replace=False))
         a, b = roots[i], roots[j]
         parent = next_internal
         next_internal += 1
-        tree.add_node(parent)
-        tree.add_edge(parent, a, length=float(rng.uniform(0.2, 1.0)))
-        tree.add_edge(parent, b, length=float(rng.uniform(0.2, 1.0)))
+        edges.append((parent, a, float(rng.uniform(0.2, 1.0))))
+        edges.append((parent, b, float(rng.uniform(0.2, 1.0))))
         roots = [r for k, r in enumerate(roots) if k not in (i, j)] + [parent]
-    return tree
+    return edges
 
 
 def _mutate(seq: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -197,14 +228,22 @@ def make_bioinformatics_dataset(
         raise ValueError(f"need at least 3 species, got {n_species}")
     rng = seeded_rng(seed)
     keys = [f"species{idx:03d}" for idx in range(n_species)]
-    tree = _random_binary_tree(keys, rng)
-    root = max(n for n in tree.nodes if isinstance(n, int))
+    edges = _random_binary_tree(keys, rng)
+    children: Dict[Node, List[Tuple[Node, float]]] = {}
+    for parent, child, length in edges:
+        children.setdefault(parent, []).append((child, length))
+    root = edges[-1][0]
     root_proteome = rng.integers(0, len(AMINO_ACIDS), (n_proteins, protein_length))
 
-    proteomes: Dict = {root: root_proteome}
-    for parent, child in nx.bfs_edges(tree, root):
-        length = tree.edges[parent, child]["length"]
-        proteomes[child] = _mutate(proteomes[parent], mutation_rate * length, rng)
+    # Breadth-first from the root, each node's children in join order:
+    # the mutation draws come off ``rng`` in that order.
+    proteomes: Dict[Node, np.ndarray] = {root: root_proteome}
+    frontier = deque([root])
+    while frontier:
+        parent = frontier.popleft()
+        for child, length in children.get(parent, ()):
+            proteomes[child] = _mutate(proteomes[parent], mutation_rate * length, rng)
+            frontier.append(child)
 
     lookup = np.array(list(AMINO_ACIDS))
     for key in keys:
@@ -213,7 +252,7 @@ def make_bioinformatics_dataset(
             for p in range(n_proteins)
         }
         store.write(f"{key}.faz", encode_fasta(records, compress=True))
-    return BioinformaticsDataset(keys, tree, n_proteins, protein_length)
+    return BioinformaticsDataset(keys, edges, n_proteins, protein_length)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ disconnects; results are retained until acked or a TTL expires.
 Shutdown is graceful by default: ``SIGTERM`` (installed by
 :meth:`serve_forever`) starts a **drain** — new submissions are
 rejected with ``draining``, live jobs (queued ones included: the
-scheduler admits and runs them) resolve, waiting clients receive
-their results, then the session closes and the process exits.
+scheduler admits and runs them) resolve, clients still connected
+collect the results of the jobs they submitted, then the session
+closes and the process exits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.core.session import RunState, SessionClosed
 from repro.core.workload import as_workload
@@ -72,12 +73,16 @@ STREAM_CHUNK = 4096
 class _Connection:
     """Per-connection state threaded through the verb handlers."""
 
-    __slots__ = ("sock", "peer", "tenant")
+    __slots__ = ("sock", "peer", "tenant", "undelivered")
 
     def __init__(self, sock: socket.socket, peer) -> None:
         self.sock = sock
         self.peer = peer
         self.tenant: Optional[TenantConfig] = None
+        #: Ids of jobs submitted here whose results have not been
+        #: delivered yet: a drain waits for them while the connection
+        #: stays open.
+        self.undelivered: Set[str] = set()
 
 
 class RocketServer:
@@ -121,8 +126,11 @@ class RocketServer:
         self._closed = False
         self._started = False
         self._stop = threading.Event()
-        #: Requests being answered; :meth:`close` lets them finish.
+        #: Requests being answered and the open connections; guarded by
+        #: ``_responses``.  :meth:`close` lets the answers finish and,
+        #: when draining, each open connection collect its jobs' results.
         self._responding = 0
+        self._connections: Set[_Connection] = set()
         self._responses = threading.Condition()
         self._started_at = time.monotonic()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -199,9 +207,12 @@ class RocketServer:
         """Stop the daemon; idempotent (unlike a session's close).
 
         With ``drain=True`` live jobs — queued handles included — run
-        to completion first (bounded by ``timeout`` /
-        ``drain_timeout``), so every handle resolves before the
-        session closes; with ``drain=False`` live jobs are cancelled.
+        to completion first, and every job submitted on a connection
+        that is still open waits until its client has read the
+        results (a terminal ``result``, a drained ``stream`` or an
+        ``ack``), all bounded by ``timeout`` / ``drain_timeout``; a
+        client that disconnects stops holding the drain.  With
+        ``drain=False`` live jobs are cancelled.
         """
         with self._lock:
             if self._closed:
@@ -219,10 +230,14 @@ class RocketServer:
         # cancelled so no handle is left unresolved behind the close.
         for record in self._registry.cancel_live():
             record.wait_drained(timeout=5.0)
-        # Responses still being sent finish first: exiting would cut the frame.
+        # Responses still being sent finish first: exiting would cut the
+        # frame.  A drain also waits for open connections to collect the
+        # results of the jobs they submitted.
         with self._responses:
             self._responses.wait_for(
-                lambda: not self._responding, max(0.0, deadline - time.monotonic())
+                lambda: not self._responding
+                and not (drain and any(c.undelivered for c in self._connections)),
+                max(0.0, deadline - time.monotonic()),
             )
         try:
             self._session.close()
@@ -268,6 +283,8 @@ class RocketServer:
     def _serve_connection(self, sock: socket.socket, peer) -> None:
         conn = _Connection(sock, peer)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._responses:
+            self._connections.add(conn)
         try:
             while True:
                 try:
@@ -293,6 +310,9 @@ class RocketServer:
         except OSError:
             return
         finally:
+            with self._responses:
+                self._connections.discard(conn)
+                self._responses.notify_all()
             try:
                 sock.close()
             except OSError:
@@ -385,6 +405,8 @@ class RocketServer:
                 max_inflight=max_inflight,
             )
             record = self._registry.register(tenant.name, handle)
+        with self._responses:
+            conn.undelivered.add(record.job_id)
         self._metrics.inc("serve.jobs.submitted")
         self._metrics.inc(f"serve.tenants.{tenant.name}.submitted")
         # Pairs served straight from the persistent memo store (zero when
@@ -401,6 +423,16 @@ class RocketServer:
             "pairs": workload.n_pairs,
             "effective_priority": priority * tenant.weight,
         }
+
+    def _delivered(self, job_id: str) -> None:
+        """The job's results reached a client: it no longer holds a drain.
+
+        Called while the response is still counted in ``_responding``,
+        so a drain keeps waiting until the frame is sent.
+        """
+        with self._responses:
+            for conn in self._connections:
+                conn.undelivered.discard(job_id)
 
     def _record(self, conn: _Connection, request: Dict[str, Any]):
         job_id = request.get("job")
@@ -429,6 +461,7 @@ class RocketServer:
             return status  # state is non-terminal: the client loops
         if record.handle.state is RunState.DONE:
             status["result"] = protocol.matrix_to_wire(record.handle._matrix)
+        self._delivered(record.job_id)
         return status
 
     def _op_stream(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -436,6 +469,8 @@ class RocketServer:
         cursor = int(request.get("cursor", 0))
         wait = min(float(request.get("wait", LONG_POLL_CAP)), LONG_POLL_CAP)
         chunk, drained = record.read_triples(cursor, STREAM_CHUNK, wait=wait)
+        if drained:
+            self._delivered(record.job_id)
         return {
             "triples": [[a, b, v] for a, b, v in chunk],
             "cursor": cursor + len(chunk),
@@ -452,6 +487,7 @@ class RocketServer:
 
     def _op_ack(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
         purged = self._registry.ack(conn.tenant.name, request.get("job"))
+        self._delivered(request["job"])
         return {"purged": purged}
 
     def _op_metrics(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:

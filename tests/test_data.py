@@ -1,5 +1,6 @@
 """Unit and property tests for file stores, codecs, and synthetic data."""
 
+import hashlib
 import threading
 import time
 
@@ -229,7 +230,75 @@ class TestForensicsDataset:
             make_forensics_dataset(InMemoryStore(), n_images=1)
 
 
+#: sha256 of (tree edges with lengths, true clades, store bytes) of the
+#: bioinformatics corpus per ``(seed, n_species)``, see
+#: :func:`bio_corpus_digests`.  Any change to the generator's random
+#: draws, their order or its file encoding changes a digest.
+BIO_CORPUS_DIGESTS = {
+    (0, 12): (
+        "caa932cd75b00a9997ae72fa21ec754d5e8061469f233782c105e8d7142dbe25",
+        "547dde22ba6d091d1a241e85654195e62620342242ebc7b589b250128a7cddff",
+        "f399611cf36623f10921c71c3b6ebdfd7dcef138ee1d804f3c94a2abce656790",
+    ),
+    (0, 112): (
+        "5f8f9b38a3ae9d8bf6d8b05cac7d77c403b3faf78b48a5cc1864f644c87bab7c",
+        "525ac0a356d427cefa6d45386a9ee72c807d45ded530455c7c40305612395e71",
+        "26e2aef4f57aae7ae58cb2e6153298692ccd220d01945eebb7684b936e528c3a",
+    ),
+    (1, 12): (
+        "15655aa2303a77c543faa9d14ba68f32bfb243140e5cd5b0845371d88c072e65",
+        "6d8322049af24d232152a5c1a21961f8c5f2844e0f8fb07e6110f2e9e706fff4",
+        "5a0f4b29a47b8aaba88f922abe70b01031ed8f230d48620aea506a3553a83ab3",
+    ),
+    (1, 112): (
+        "f4192b671d2d9b4885923cd4ebb3bb771583ebf68d23c63a1ac6233b8aaf6366",
+        "37ee7cd8f3b408df368fb0b4ec67335da2f91c619a3ecee99640dcf8c6b3cda6",
+        "839efaf987be1eb3d8fc3e1a0f673223e4e887c3d66c8dfd58404fe007213cb6",
+    ),
+    (7, 12): (
+        "6a849f6e5e261ff2b12b7ee34f90bb3513c438e522dc92498b50d59a263e373b",
+        "35d2bc6eb54866a1a6ea01d80cecc533fd3d4f7843ede43ad49e54bb7a425839",
+        "c1c2b209556e3151831036d3f7307f2a8c381461ca4ff6c69cc382334a2b3e55",
+    ),
+    (7, 112): (
+        "a09916bdd2d8efc18e38fd587d534c2261da3ea32df9af819ea3e23c0cba85f2",
+        "b02c805ac55373543501f0882339d9a55ce9fe26f4affe0e1e6a3520b712fa2a",
+        "d5bde836cecc6d7840e535cac4c75ff10fce164ca9e38b1b412afb257b49e764",
+    ),
+}
+
+
+def bio_corpus_digests(ds, store):
+    """Order-free sha256 digests of a bioinformatics corpus.
+
+    Edges are ``(node, node, length.hex())`` with the two node reprs
+    sorted; clades are sorted tuples of sorted leaf keys; the store is
+    every ``name\\0bytes`` record in name order.
+    """
+    edges = sorted(
+        tuple(sorted((repr(u), repr(v)))) + (float(length).hex(),)
+        for u, v, length in ds.tree.edges(data="length")
+    )
+    clades = sorted(tuple(sorted(c)) for c in ds.true_clades())
+    blobs = hashlib.sha256()
+    for name in sorted(store.names()):
+        blobs.update(name.encode() + b"\0" + store.read(name))
+    return (
+        hashlib.sha256(repr(edges).encode()).hexdigest(),
+        hashlib.sha256(repr(clades).encode()).hexdigest(),
+        blobs.hexdigest(),
+    )
+
+
 class TestBioinformaticsDataset:
+    @pytest.mark.parametrize("seed, n_species", sorted(BIO_CORPUS_DIGESTS))
+    def test_corpus_is_pinned_byte_for_byte(self, seed, n_species):
+        store = InMemoryStore()
+        ds = make_bioinformatics_dataset(store, n_species=n_species, seed=seed)
+        np.testing.assert_equal(
+            bio_corpus_digests(ds, store), BIO_CORPUS_DIGESTS[seed, n_species]
+        )
+        assert nx.is_tree(ds.tree)
     def test_tree_is_binary_tree_over_leaves(self):
         store = InMemoryStore()
         ds = make_bioinformatics_dataset(store, n_species=7, n_proteins=2, protein_length=50)

@@ -607,6 +607,18 @@ class TestDrain:
         finally:
             server.close()
 
+    def test_an_unread_result_holds_the_drain_only_until_the_timeout(self):
+        server, store, keys = make_server(n_items=4, drain_timeout=0.5)
+        try:
+            with connect(server.address) as client:
+                handle = client.submit(AllPairs(keys))
+                assert handle.wait(timeout=60)
+                started = time.monotonic()
+                server.close()
+                assert 0.4 < time.monotonic() - started < 5.0
+        finally:
+            server.close()
+
     def test_health_reports_drain_state(self):
         server, store, keys = make_server(n_items=4)
         try:
@@ -889,6 +901,55 @@ class TestServeCli:
             out, _ = daemon.communicate(timeout=120)
             assert daemon.returncode == 0, out
             assert "daemon drained, exiting" in out
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate(timeout=30)
+
+    @staticmethod
+    def _spawn_bio_daemon():
+        """``repro serve bioinformatics`` on an ephemeral port."""
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "bioinformatics",
+                "--items", "8", "--port", "0",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=CLI_ENV,
+        )
+        line = daemon.stdout.readline()
+        assert "serving on " in line, line
+        return daemon, line.strip().rsplit(" ", 1)[-1]
+
+    def test_a_finished_job_read_after_sigterm_is_delivered(self):
+        """A job that finished before the SIGTERM holds the drain until
+        its still-connected client reads the result."""
+        daemon, address = self._spawn_bio_daemon()
+        try:
+            with connect(address, tenant="cli") as client:
+                handle = client.submit(AllPairs(client.keys()))
+                assert handle.wait(timeout=120)
+                daemon.send_signal(signal.SIGTERM)
+                time.sleep(0.5)  # a daemon that does not wait has exited by now
+                assert handle.result(timeout=60).is_complete()
+            out, _ = daemon.communicate(timeout=60)
+            assert daemon.returncode == 0, out
+            assert "daemon drained, exiting" in out
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate(timeout=30)
+
+    def test_a_client_gone_unread_does_not_hold_the_drain(self):
+        daemon, address = self._spawn_bio_daemon()
+        try:
+            with connect(address, tenant="cli") as client:
+                assert client.submit(AllPairs(client.keys())).wait(timeout=120)
+            started = time.monotonic()
+            daemon.send_signal(signal.SIGTERM)
+            out, _ = daemon.communicate(timeout=60)
+            assert time.monotonic() - started < 2.0
+            assert daemon.returncode == 0, out
         finally:
             if daemon.poll() is None:
                 daemon.kill()
