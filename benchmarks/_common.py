@@ -6,13 +6,10 @@ through 12.4 M pairs); the scaling follows the *faithful scaling law*
 of :func:`repro.sim.workload.scaled_profile` — per-item load costs
 shrink with ``n`` — and cache capacities shrink by the same factor, so
 the cache-pressure regime and hence the figure *shapes* are preserved.
-EXPERIMENTS.md records paper-vs-measured numbers for every experiment.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
 
 from repro.sim.cluster import ClusterSpec
@@ -26,7 +23,6 @@ __all__ = [
     "run_scaled",
     "scale_cluster",
     "print_block",
-    "write_bench_json",
 ]
 
 
@@ -125,22 +121,3 @@ def print_block(title: str, body: str) -> None:
     """Uniform experiment output formatting."""
     bar = "=" * max(len(title), 8)
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-def write_bench_json(name: str, results: dict) -> str:
-    """Persist one benchmark's measured numbers as ``BENCH_<name>.json``.
-
-    CI collects these files as workflow artifacts, so the performance
-    trajectory across PRs is a series of durable measurements instead
-    of living only in assert floors.  The file lands in
-    ``$BENCH_OUT_DIR`` (default: the current directory) and holds
-    ``{"bench": name, "results": results}``; ``results`` must be
-    JSON-dumpable (plain numbers/strings/dicts/lists only).
-    """
-    out_dir = os.environ.get("BENCH_OUT_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"bench": name, "results": results}, fh, indent=2, sort_keys=True)
-    print(f"benchmark results written to {path}")
-    return path

@@ -6,8 +6,6 @@ Six subcommands cover the common entry points without writing code:
   synthetic data on a selectable execution backend (``local`` threads
   or a real multi-process ``cluster``) and print the run stats
   (optionally saving the result matrix as JSON);
-- ``demo`` — shorthand for ``run --backend local`` (kept for
-  compatibility);
 - ``serve`` — start the Rocket-as-a-service daemon: one warm session
   on the selected backend, served to socket clients until SIGTERM
   drains it (see :mod:`repro.serve`);
@@ -125,8 +123,8 @@ def _add_shape_arguments(p: argparse.ArgumentParser, with_jobs_file: bool = True
         )
 
 
-def add_run_arguments(p: argparse.ArgumentParser, with_backend: bool) -> None:
-    """The full ``run``/``demo`` flag set (data + shape + backend)."""
+def add_run_arguments(p: argparse.ArgumentParser) -> None:
+    """The full ``run`` flag set (data + shape + backend)."""
     _add_dataset_arguments(p)
     p.add_argument("--save", metavar="PATH", help="write the result matrix as JSON")
     _add_shape_arguments(p)
@@ -136,8 +134,7 @@ def add_run_arguments(p: argparse.ArgumentParser, with_backend: bool) -> None:
         "Chrome/Perfetto trace JSON to PATH (load it in "
         "chrome://tracing or ui.perfetto.dev)",
     )
-    if with_backend:
-        _add_backend_arguments(p)
+    _add_backend_arguments(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,10 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a paper application on a selected backend")
-    add_run_arguments(run, with_backend=True)
-
-    demo = sub.add_parser("demo", help="run a paper application on synthetic data (local backend)")
-    add_run_arguments(demo, with_backend=False)
+    add_run_arguments(run)
 
     serve = sub.add_parser(
         "serve",
@@ -407,8 +401,8 @@ def _build_runtime(args: argparse.Namespace, profiling: bool = False):
     from repro.runtime.localrocket import RocketConfig
     from repro.scheduling.workstealing import StealPolicy
 
-    backend = getattr(args, "backend", "local")
-    nodes = getattr(args, "nodes", 1) if backend == "cluster" else 1
+    backend = args.backend
+    nodes = args.nodes if backend == "cluster" else 1
     device_speeds, node_speeds = _parse_device_speeds(
         args.device_speeds, args.devices, nodes
     )
@@ -612,7 +606,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "profiles":
         return _cmd_profiles()
-    if args.command in ("run", "demo"):
+    if args.command == "run":
         return _cmd_run(args)
     if args.command == "serve":
         return _cmd_serve(args)

@@ -130,14 +130,6 @@ class Application(ABC, Generic[K, R]):
 
     # -- optional metadata ----------------------------------------------
 
-    def slot_nbytes_hint(self) -> int | None:
-        """Expected size of one pre-processed item, if known in advance.
-
-        Rocket sizes its fixed cache slots from this hint; ``None`` lets
-        the runtime size slots from the first loaded item.
-        """
-        return None
-
     def fingerprint(self) -> str:
         """Identity of this application for the persistent store.
 

@@ -96,15 +96,19 @@ class NodeJobState:
         """The job's per-process recorder: its pipeline's, which ships it."""
         return self.pipeline.trace
 
-    def emit_block(self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]) -> None:
-        """The pipeline's result hook: batch, but ship at once when the node has nothing queued.
+    def ship_if_idle(self) -> None:
+        """Ship the partial result batch once the node has nothing queued and nothing in flight.
 
-        With the deques empty no later launch of this node is sure to
-        fill the batch, so holding it would make the coordinator wait
-        on a result that is already computed.
+        Called after each launch is counted complete.  While work is
+        queued or a launch is in flight, a later launch adds to the
+        batch and ships it when it completes; deciding when a launch
+        emits would let two launches that emit side by side both hold.
+        A steal request ships the batch too
+        (:meth:`NodeCommServer.global_steal`).
         """
-        idle = not self.pipeline.has_queued_work()
-        self.batcher.emit_block(pairs, values, flush=idle)
+        pipeline = self.pipeline
+        if pipeline.in_flight() == 0 and not pipeline.has_queued_work():
+            self.batcher.flush()
 
 
 class NodeCommServer:
@@ -329,7 +333,8 @@ class NodeCommServer:
         """Request one of this job's blocks from a remote node.
 
         The job's partial result batch ships first: a node asking for
-        work has nothing queued, so nothing it holds will fill the batch.
+        work may wait a steal timeout for it, and the coordinator's
+        view of the job's progress should not wait with it.
         """
         if state.stopped.is_set():
             return None

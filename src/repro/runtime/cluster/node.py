@@ -57,7 +57,7 @@ def _build_pipeline(
         config,
         state.keys,
         pair_filter=pair_filter,
-        emit_block=state.emit_block,
+        emit_block=state.batcher.emit_block,
         node_id=node_id,
         rngs=RngFactory(config.seed + 7919 * (node_id + 1) + 104729 * job_id),
         # Under profiling the job records into a node-local recorder
@@ -77,6 +77,7 @@ def _build_pipeline(
         ),
         global_steal=functools.partial(comm.global_steal, state),
         on_done=comm.wake.set,
+        on_launch_done=state.ship_if_idle,
         initial_blocks=initial_blocks,
         engine=engine,
         max_inflight=max_inflight,
@@ -160,7 +161,6 @@ def _node_main(
             config,
             node_id=node_id,
             device_prefix=f"n{node_id}.gpu",
-            rngs=RngFactory(config.seed + 7919 * (node_id + 1)),
         )
         comm = NodeCommServer(
             node_id, cluster, transport,

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.cache.policy import EvictionPolicy
 from repro.core.scheduler import DEFAULT_GRAIN, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle
 from repro.runtime.backend import BackendSession, SessionJob
@@ -59,7 +58,6 @@ class RocketConfig:
     #: Per-device kernel speed factors (< 1 emulates a slower GPU);
     #: length must equal ``n_devices`` when given.
     device_speed_factors: Optional[Tuple[float, ...]] = None
-    eviction: EvictionPolicy = EvictionPolicy.LRU
     #: ``UNIFORM`` — the paper's randomized stealing; ``SPEED`` — the
     #: heterogeneity-aware policy: speed-proportional initial
     #: partitioning, victims ranked by estimated remaining time, steal
@@ -174,7 +172,7 @@ class LocalSession(BackendSession):
         super().__init__(rocket, cfg, scheduler, "session.local")
         #: What ``_pump`` parks on; set by :meth:`_notify`.
         self._wake = threading.Event()
-        self._engine = NodeEngine(cfg, rngs=RngFactory(cfg.seed), capacity_hint=capacity_hint)
+        self._engine = NodeEngine(cfg, capacity_hint=capacity_hint)
         self._log.info("session open", policy=policy.value)
         self._thread.start()
 

@@ -62,6 +62,9 @@ What differs between the runtimes is injected as hooks:
 - ``emit_block(pairs, values)`` — one finished batch; local: write into
   the in-process :class:`~repro.core.result.ResultMatrix`; cluster:
   stream the pairs to the coordinator;
+- ``on_launch_done()`` — called after each launch is counted complete;
+  cluster nodes ship their partial result batch there once nothing is
+  queued and nothing is in flight (:meth:`NodePipeline.in_flight`);
 - ``remote_fetch(idx)`` — the third (distributed) cache level,
   consulted after a host-cache miss and before the load pipeline;
   ``None`` (the local runtime) skips straight to loading;
@@ -175,13 +178,11 @@ class NodeEngine:
         *,
         node_id: int = 0,
         device_prefix: str = "gpu",
-        rngs: Optional[RngFactory] = None,
         capacity_hint: Optional[int] = None,
     ) -> None:
         cfg = config
         self.config = cfg
         self.node_id = node_id
-        rngs = rngs if rngs is not None else RngFactory(cfg.seed)
 
         speeds = cfg.device_speed_factors or (1.0,) * cfg.n_devices
         speed_aware = cfg.steal_policy is StealPolicy.SPEED
@@ -197,10 +198,7 @@ class NodeEngine:
         self.states: List[_DeviceState] = []
         for d in range(cfg.n_devices):
             device = VirtualDevice(f"{device_prefix}{d}", speed_factor=speeds[d])
-            cache = SlotCache(
-                dev_slots, policy=cfg.eviction, name=f"device:{node_id}:{d}",
-                rng=rngs.get(f"evict:n{node_id}:d{d}"),
-            )
+            cache = SlotCache(dev_slots, name=f"device:{node_id}:{d}")
             # Admission counts device-cache pins: dev_slots - 1 units,
             # at most ``limit`` jobs (see the module docstring).
             # Cost-guided: a slow device may only commit a
@@ -214,10 +212,7 @@ class NodeEngine:
             )
             self.states.append(_DeviceState(device, cache, admission))
 
-        self.host_cache = SlotCache(
-            host_slots, policy=cfg.eviction, name=f"host:{node_id}",
-            rng=rngs.get(f"evict:host:n{node_id}"),
-        )
+        self.host_cache = SlotCache(host_slots, name=f"host:{node_id}")
         self.host_cond = threading.Condition()
 
         #: The node's I/O lane: store reads are serialised per node.
@@ -330,6 +325,7 @@ class NodePipeline:
         remote_fetch: Optional[Callable[[int], Optional[np.ndarray]]] = None,
         global_steal: Optional[Callable[[], Optional[PairBlock]]] = None,
         on_done: Optional[Callable[[], None]] = None,
+        on_launch_done: Optional[Callable[[], None]] = None,
         initial_blocks: Sequence[PairBlock] = (),
         engine: Optional[NodeEngine] = None,
         max_inflight: Optional[int] = None,
@@ -359,6 +355,8 @@ class NodePipeline:
         self.global_steal = global_steal
         #: Called after the done event is set (possibly more than once).
         self.on_done = on_done
+        #: Called once per launch, after it is counted complete.
+        self.on_launch_done = on_launch_done
         #: The job's ``max_inflight`` cap, one unit per in-flight pair;
         #: per pipeline, i.e. per node on the cluster backend.
         self._window = ThreadAdmission(max_inflight) if max_inflight is not None else None
@@ -377,7 +375,7 @@ class NodePipeline:
         if engine is None:
             engine = NodeEngine(
                 cfg, node_id=node_id, device_prefix=device_prefix,
-                rngs=rngs, capacity_hint=n,
+                capacity_hint=n,
             )
         self.engine = engine
         #: Persistent (disk) cache level; None unless cfg.store_dir is
@@ -640,6 +638,11 @@ class NodePipeline:
         """True while any of this node's deques holds a task."""
         with self.sched_lock:
             return any(self.deques)
+
+    def in_flight(self) -> int:
+        """Pairs claimed for a launch and not yet counted complete."""
+        with self.counters_lock:
+            return self.counters["submitted"] - self.counters["completed"]
 
     def inject_block(self, block: PairBlock) -> None:
         """Push an externally delivered block onto the least-loaded deque."""
@@ -952,6 +955,8 @@ class NodePipeline:
                     self.expected_pairs is not None
                     and self.counters["completed"] >= self.expected_pairs
                 )
+            if self.on_launch_done is not None:
+                self.on_launch_done()
             if finished:
                 self._signal_done()
             else:

@@ -228,12 +228,12 @@ class ResultBatcher:
     ``emit_block`` is called from the pipeline's job threads, once per
     finished kernel launch, and ships from the emitting thread when the
     batch is full (whole — a shipped block may exceed ``batch_size`` by
-    up to one launch) or when the caller says the node has nothing
-    queued (``flush=True``).  The node also calls :meth:`flush` before
-    it asks for remote work and at job end, so a result is never held
-    while its node waits: a partial batch leaves on an event, not on a
-    timer.  ``batch_size=1`` reproduces the old one-message-per-pair
-    behaviour exactly.
+    up to one launch).  The node calls :meth:`flush` once a launch
+    leaves it with nothing queued and nothing in flight, before it asks
+    for remote work and at job end, so a result is never held while its
+    node waits: a partial batch leaves on an event, not on a timer.
+    ``batch_size=1`` reproduces the old one-message-per-pair behaviour
+    exactly.
     """
 
     def __init__(
@@ -262,18 +262,12 @@ class ResultBatcher:
         self.batches_sent = 0
         self.results_sent = 0
 
-    def emit_block(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        values: Sequence[Any],
-        *,
-        flush: bool = False,
-    ) -> None:
-        """Queue one finished launch under one lock; ships when full or ``flush``."""
+    def emit_block(self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]) -> None:
+        """Queue one finished launch under one lock; ships when full."""
         with self._lock:
             self._buf.extend((i, j, value) for (i, j), value in zip(pairs, values))
-            ship = flush or len(self._buf) >= self.batch_size
-            block = self._take_locked() if ship else None
+            full = len(self._buf) >= self.batch_size
+            block = self._take_locked() if full else None
         if block:
             self._ship(block)
 

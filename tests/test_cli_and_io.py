@@ -91,24 +91,24 @@ class TestCli:
         doc = json.loads(trace_path.read_text())
         assert doc["traceEvents"]
 
-    def test_demo_command_saves_results(self, tmp_path, capsys):
+    def test_run_command_saves_results(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"
-        rc = main(["demo", "forensics", "--items", "6", "--save", str(out_path)])
+        rc = main(["run", "forensics", "--items", "6", "--save", str(out_path)])
         assert rc == 0
         back = load_results(out_path)
         assert back.is_complete()
         assert back.n_items == 6
 
-    def test_demo_bioinformatics(self, capsys):
-        assert main(["demo", "bioinformatics", "--items", "4"]) == 0
+    def test_run_bioinformatics(self, capsys):
+        assert main(["run", "bioinformatics", "--items", "4"]) == 0
         assert "pairs" in capsys.readouterr().out
 
-    def test_demo_microscopy(self, capsys):
-        assert main(["demo", "microscopy", "--items", "4"]) == 0
+    def test_run_microscopy(self, capsys):
+        assert main(["run", "microscopy", "--items", "4"]) == 0
 
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
-            main(["demo", "astronomy"])
+            main(["run", "astronomy"])
 
 
 class TestCliRun:

@@ -127,8 +127,10 @@ class StubPipeline:
         self.started = False
         self.errors = []
         self.trace = TraceRecorder(enabled=False)
-        #: What ``has_queued_work`` reports (the result flush rule reads it).
+        #: What ``has_queued_work`` and ``in_flight`` report (the result
+        #: flush rule reads both).
         self.queued = False
+        self.pairs_in_flight = 0
 
     def start(self):
         self.started = True
@@ -147,6 +149,9 @@ class StubPipeline:
 
     def has_queued_work(self):
         return self.queued
+
+    def in_flight(self):
+        return self.pairs_in_flight
 
     def host_payload_view(self, key):
         return self.payloads.get(key)
@@ -355,7 +360,7 @@ class FakeJobPipeline(StubPipeline):
 
     def __init__(self, comm, state, pair_filter, blocks, max_inflight):
         super().__init__()
-        self.emit_block = state.emit_block
+        self.emit_block = state.batcher.emit_block
         self.queued = True  # nothing but the job's end ships the launch below
 
     def start(self):
@@ -365,8 +370,16 @@ class FakeJobPipeline(StubPipeline):
         return True
 
 
+class WiredStubPipeline(StubPipeline):
+    """A :class:`StubPipeline` made by the node's own pipeline factory; keeps the hooks it was given."""
+
+    def __init__(self, app, store, config, keys, **hooks):
+        super().__init__()
+        self.hooks = hooks
+
+
 class TestResultFlushRule:
-    """A node holds a partial result batch only while it has work queued."""
+    """A node holds a partial result batch while it has work queued or a launch in flight."""
 
     KEYS = [f"k{i}" for i in range(8)]
 
@@ -381,19 +394,76 @@ class TestResultFlushRule:
 
     def test_a_full_batch_ships_while_work_is_queued(self):
         net, _, state = self.node(queued=True)
-        state.emit_block([(0, 1), (0, 2)], [1.0, 2.0])
+        state.batcher.emit_block([(0, 1), (0, 2)], [1.0, 2.0])
+        state.ship_if_idle()
         assert self.sent(net) == []  # more launches are coming: keep batching
-        state.emit_block([(0, 3), (0, 4), (0, 5)], [3.0, 4.0, 5.0])
+        state.batcher.emit_block([(0, 3), (0, 4), (0, 5)], [3.0, 4.0, 5.0])
         assert self.sent(net) == [("results", 5)]  # full: shipped whole
 
     def test_a_launch_that_leaves_the_deques_empty_ships_at_once(self):
+        """At once when it is counted complete with no other launch in flight."""
         net, _, state = self.node(queued=False)
-        state.emit_block([(0, 1)], [1.0])
+        state.batcher.emit_block([(0, 1)], [1.0])
+        assert self.sent(net) == []  # emitted, not yet counted complete
+        state.ship_if_idle()
         assert self.sent(net) == [("results", 1)]
+
+    def test_with_two_launches_in_flight_the_second_completion_ships_both(self, monkeypatch):
+        """The hooks the node's pipeline factory wires: deques empty, launches A and B claimed."""
+        monkeypatch.setattr(cluster_node, "NodePipeline", WiredStubPipeline)
+        net = SyncNet()
+        cluster = ClusterConfig(n_nodes=2, result_batch=4)
+        factory = functools.partial(
+            cluster_node._build_pipeline, SumApp(), InMemoryStore(), RocketConfig(), cluster, None
+        )
+        server = NodeCommServer(0, cluster, net.transport_for(0), factory)
+        pipeline = hand_out(server, JOB, self.KEYS).pipeline
+        emit, launch_done = pipeline.hooks["emit_block"], pipeline.hooks.get("on_launch_done")
+        pipeline.pairs_in_flight = 2
+        emit([(0, 1)], [1.0])  # A
+        assert self.sent(net) == []  # B is still in flight: it adds to the batch
+        pipeline.pairs_in_flight = 1
+        launch_done()  # A counted complete
+        emit([(0, 2)], [2.0])  # B
+        assert self.sent(net) == []
+        pipeline.pairs_in_flight = 0
+        launch_done()  # B counted complete: nothing queued, nothing in flight
+        assert self.sent(net) == [("results", 2)]
+
+    def test_the_pipeline_reports_each_launch_after_counting_it_complete(self):
+        """One call per launch, never before its results are emitted; the last finds 0 in flight."""
+        store, keys = make_store(10)
+        emitted, calls = [], []
+        lock = threading.Lock()
+
+        def emit_block(pairs, values):
+            with lock:
+                emitted.extend(pairs)
+
+        def launch_done():
+            with lock:
+                calls.append((pipeline.in_flight(), len(emitted)))
+
+        pipeline = NodePipeline(
+            SumApp(), store, RocketConfig(n_devices=2, leaf_size=2, watchdog_seconds=60.0),
+            keys, emit_block=emit_block, on_launch_done=launch_done,
+            expected_pairs=45, initial_blocks=[PairBlock.root(10)],
+        )
+        pipeline.start()
+        try:
+            assert pipeline.wait(30.0)
+            pipeline.join(timeout=10.0)
+        finally:
+            pipeline.close()
+        assert not pipeline.errors
+        assert len(calls) == 45  # SumApp has no compare_block: one pair per launch
+        assert all(in_flight >= 0 for in_flight, _ in calls)
+        assert all(n_emitted >= k + 1 for k, (_, n_emitted) in enumerate(calls))
+        assert calls[-1][0] == 0
 
     def test_a_steal_request_ships_the_partial_batch_first(self):
         net, server, state = self.node(queued=True)
-        state.emit_block([(0, 1)], [1.0])
+        state.batcher.emit_block([(0, 1)], [1.0])
         assert server.global_steal(state) is None  # nobody answers: steal_timeout
         assert self.sent(net) == [("results", 1), ("sreq", None)]
 
@@ -821,6 +891,32 @@ class TestEventDrivenControlPlane:
         finally:
             timed("close", session.close)
         assert all(seconds < 1.0 for seconds in took.values()), took
+
+    @pytest.mark.parametrize(
+        "transport,result_batch", [("queue", 1), ("queue", 32), ("shm", 32)]
+    )
+    def test_one_pair_launches_batch_their_results(self, transport, result_batch):
+        """66 pairs of 256 KB items on 3 nodes, one pair per launch."""
+        cfg = dict(TestClusterRuntime.CFG, seed=11)
+        store, keys = make_store(12, floats=32768)
+        rocket = Rocket(
+            SumApp(), store, RocketConfig(**cfg),
+            backend="cluster", cluster=ClusterConfig(
+                n_nodes=3, fetch_timeout=30.0, steal_timeout=5.0,
+                transport=transport, result_batch=result_batch,
+            ),
+        )
+        results = rocket.run(keys)
+        for a, b, v in run_local(keys, store, **cfg).items():
+            assert results.get(a, b) == v
+        stats = rocket.last_stats
+        assert stats.n_pairs == 66
+        if result_batch == 1:
+            assert stats.message_kinds["result"] == 66
+        else:
+            # Each node ships when a batch fills, when it runs dry and
+            # before each steal request: not once per launch or two.
+            assert stats.message_kinds["result"] < 66 / 4
 
     def test_result_batching_survives_the_flush_rule(self):
         """A cluster-fetch-shaped job: 2,016 pairs, 2 nodes x 1 device, slots 12/40."""

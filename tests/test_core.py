@@ -145,9 +145,6 @@ class TestApplicationContract:
         with pytest.raises(ValueError):
             app.validate_keys(["a", "a"])
 
-    def test_slot_hint_default_none(self):
-        assert _Toy().slot_nbytes_hint() is None
-
     def test_abstract_methods_enforced(self):
         with pytest.raises(TypeError):
             Application()  # type: ignore[abstract]

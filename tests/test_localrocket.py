@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.apps import ForensicsApplication
-from repro.cache.policy import EvictionPolicy
 from repro.core.api import Application
 from repro.core.buffers import DeviceBuffer
 from repro.core.rocket import Rocket
@@ -16,6 +15,7 @@ from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_forensics_dataset
 from repro.runtime.devices import VirtualDevice
 from repro.runtime.localrocket import RocketConfig
+from repro.scheduling.workstealing import StealPolicy
 
 
 class TestVirtualDevice:
@@ -197,6 +197,30 @@ class TestLocalRocketRuntime:
         stats = rocket.last_stats
         assert sum(stats.pairs_per_device.values()) == 28
 
+    def test_speed_policy_gives_the_fast_device_more_pairs(self):
+        """A kernel-bound job on a (1.0, 0.25) device mix under ``SPEED``."""
+
+        class SleepCompareApp(SumApp):
+            def compare(self, key_a, a, key_b, b):
+                time.sleep(0.004)
+                return super().compare(key_a, a, key_b, b)
+
+        store, values = make_store(10)
+        rocket = Rocket(
+            SleepCompareApp(),
+            store,
+            RocketConfig(
+                n_devices=2, device_speed_factors=(1.0, 0.25), steal_policy=StealPolicy.SPEED,
+                device_cache_slots=16, host_cache_slots=32, leaf_size=2, seed=11,
+            ),
+        )
+        assert rocket.run(sorted(values)).is_complete()
+        stats = rocket.last_stats
+        assert stats.pairs_per_device["gpu0"] > stats.pairs_per_device["gpu1"]
+        # Online calibration timed every kernel and fed the run's model.
+        assert stats.calibration.cmp_count == stats.n_pairs == 45
+        assert stats.predicted_runtime > 0 and stats.model_efficiency > 0
+
     def test_parse_error_propagates(self):
         store, values = make_store(4)
         store.write("item02.bin", b"short")  # corrupt: not a multiple of 8
@@ -217,16 +241,6 @@ class TestLocalRocketRuntime:
         rocket = Rocket(app, store, RocketConfig(n_devices=1, watchdog_seconds=30))
         with pytest.raises(KeyError):
             rocket.run(sorted(values) + ["ghost"])
-
-    def test_eviction_policy_configurable(self):
-        store, values = make_store(8)
-        app = SumApp()
-        rocket = Rocket(
-            app,
-            store,
-            RocketConfig(n_devices=1, device_cache_slots=3, host_cache_slots=4, eviction=EvictionPolicy.FIFO),
-        )
-        assert rocket.run(sorted(values)).is_complete()
 
     def test_profiling_trace(self):
         store, values = make_store(5)

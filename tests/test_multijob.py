@@ -466,6 +466,21 @@ class TestConcurrentJobs:
         finally:
             session.close()
 
+    def test_a_fair_query_finishes_while_the_batch_job_ahead_of_it_runs(self):
+        """A priority-8 query submitted behind an AllPairs job does not wait for it."""
+        store, keys = make_store(16)
+        session = make_rocket("local", store, app=SlowApp()).session(policy="fair")
+        try:
+            batch = session.submit(AllPairs(keys))
+            query = session.submit(AllPairs(keys[:5]), priority=8.0)
+            assert query.result(timeout=60.0).is_complete()
+            done, total = batch.progress()
+            assert not batch.done() and done < total == 120
+            assert batch.result(timeout=60.0).is_complete()
+            assert query.accounting.finished_at < batch.accounting.finished_at
+        finally:
+            session.close()
+
     @pytest.mark.parametrize("n_devices", [1, 2])
     def test_max_inflight_caps_engine_pressure(self, n_devices):
         """A job submitted with max_inflight=1 never has more than one

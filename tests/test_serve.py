@@ -381,6 +381,22 @@ class TestServedParity:
         finally:
             server.close()
 
+    def test_a_second_client_repeating_a_job_loads_nothing(self):
+        """The daemon's session stays warm across clients: the repeat is served from its caches."""
+        server, store, keys = make_server(n_items=8)
+        try:
+            with connect(server.address, tenant="alice") as first:
+                expected = sorted(map(tuple, first.run(AllPairs(keys)).items()))
+                assert first.metrics()["session"]["pipeline"]["loads"] == 8
+            with connect(server.address, tenant="bob") as second:
+                matrix = second.run(AllPairs(keys))
+                snapshot = second.metrics()["session"]
+            assert sorted(map(tuple, matrix.items())) == expected
+            assert snapshot["jobs"]["completed"] == 2
+            assert snapshot["pipeline"]["loads"] == 8  # none by the second job
+        finally:
+            server.close()
+
     @pytest.mark.slow
     def test_cluster_backend_served_parity(self):
         """The daemon serves a multi-process cluster session unchanged —

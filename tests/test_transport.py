@@ -298,7 +298,9 @@ class TestResultBatcher:
         batcher = ResultBatcher(out.append, node_id=0, batch_size=100, job_id=0)
         batcher.emit_block([(0, 1)], [1.0])
         assert out == []  # no timer: a partial batch waits for an event
-        batcher.emit_block([(0, 2)], [2.0], flush=True)
+        batcher.emit_block([(0, 2)], [2.0])
+        assert out == []
+        batcher.flush()
         ((_, _, _, block),) = out
         assert block == ((0, 1, 1.0), (0, 2, 2.0))
 
@@ -313,7 +315,8 @@ class TestResultBatcher:
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=2, job_id=0)
         batcher.flush()
-        batcher.emit_block([], [], flush=True)
+        batcher.emit_block([], [])
+        batcher.flush()
         assert out == []
 
     def test_invalid_batch_size(self):
