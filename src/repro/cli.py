@@ -22,6 +22,7 @@ Six subcommands cover the common entry points without writing code:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import List, Optional
@@ -459,8 +460,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Fully memoized run: every pair came out of --store-dir and
         # the backend never executed a job.
         print("all pairs served from the persistent store; nothing recomputed")
-    sample = list(results.items())[:5]
-    for a, b, v in sample:
+    for a, b, v in itertools.islice(results.items(), 5):
         print(f"  {a} vs {b}: {v:+.4f}")
     if args.save:
         save_results(results, args.save)
@@ -531,7 +531,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             return 1
         status = handle.status()
         print(f"  {status['pairs_done']}/{status['pairs_total']} pairs")
-        for a, b, v in list(results.items())[:5]:
+        for a, b, v in itertools.islice(results.items(), 5):
             print(f"  {a} vs {b}: {v:+.4f}")
         if args.save:
             save_results(results, args.save)

@@ -29,7 +29,8 @@ class Application(ABC, Generic[K, R]):
     """Base class for all-pairs applications.
 
     Type parameters: ``K`` is the item key type (e.g. a file stem), ``R``
-    the per-pair result type (e.g. a correlation score).
+    the per-pair result type (e.g. a correlation score), a real number
+    (see :meth:`postprocess`).
     """
 
     #: Version tag of this application's load/compare pipeline.  Bump it
@@ -75,8 +76,14 @@ class Application(ABC, Generic[K, R]):
     def postprocess(self, key_a: K, key_b: K, raw_result: np.ndarray) -> R:
         """CPU stage: turn the raw comparison result into the final value.
 
-        The default returns the raw result unchanged (all three paper
-        applications have a negligible post-processing stage).
+        The value must be a real number (a Python or NumPy int or
+        float): results travel and are stored as float64 columns —
+        from the kernel launch through the transports to the result
+        matrix and the memo journal — and anything else (a string, an
+        array, None) fails the job with ``TypeError``.  The default
+        returns the raw result unchanged, so a ``compare`` that returns
+        a scalar needs no ``postprocess`` (all three paper applications
+        have a negligible post-processing stage).
         """
         return raw_result  # type: ignore[return-value]
 

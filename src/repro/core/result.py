@@ -1,13 +1,21 @@
 """Result collection for all-pairs (and partial-triangle) runs.
 
 The output of an all-pairs computation is the strict upper triangle of
-an ``n x n`` matrix (paper Fig. 1).  :class:`ResultMatrix` stores it
-keyed by unordered key pairs, thread-safely (jobs complete concurrently
-in the threaded runtime), and converts to dense/condensed NumPy forms
-for downstream analysis such as the phylogeny clustering.  It is also the
-run's arrival log: :meth:`ResultMatrix.arrivals` reads the cells in the
-order they were recorded, from any position — what a job's streaming
-readers iterate by cursor instead of each keeping a copy.
+an ``n x n`` matrix (paper Fig. 1).  :class:`ResultMatrix` stores it as
+three arrival-ordered columns — int32 row index ``i``, int32 column
+index ``j`` (``i < j``, into the ordered key list) and the float64
+value — so a recorded pair costs 16 bytes of column plus one entry in
+the set of recorded cells, and memory grows with the pairs recorded,
+never with ``C(n, 2)``.  Batches arrive as columns
+(:meth:`ResultMatrix.set_block`) from the kernel launch, the cluster
+transport and the memo store; keys are attached only at the API edge —
+:meth:`~ResultMatrix.items`, :meth:`~ResultMatrix.get`,
+:meth:`~ResultMatrix.arrivals` — and the matrix converts to dense or
+condensed NumPy forms for downstream analysis such as the phylogeny
+clustering.  It is also the run's arrival log: :meth:`ResultMatrix.arrivals`
+reads the cells in the order they were recorded, from any position —
+what a job's streaming readers iterate by cursor instead of each
+keeping a copy.
 
 Workload shapes beyond the full triangle
 (:mod:`repro.core.workload`: filtered, bipartite, delta) are
@@ -24,10 +32,10 @@ from __future__ import annotations
 
 import threading
 from typing import (
+    Any,
     Dict,
     Generic,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -38,13 +46,39 @@ from typing import (
 
 import numpy as np
 
-__all__ = ["ResultMatrix", "save_results", "load_results"]
+__all__ = ["ResultMatrix", "real_column", "save_results", "load_results"]
 
 K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
+
+#: ``(i, j, values)``: int32 index columns and the float64 value column.
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Pairs per ``tolist()`` chunk when :meth:`ResultMatrix.items` attaches keys.
+_KEYED_CHUNK = 4096
 
 
-class ResultMatrix(Generic[K, V]):
+def real_column(values: Any) -> np.ndarray:
+    """``values`` as a 1-D float64 column; ``TypeError`` unless all are real numbers.
+
+    The result contract of :meth:`~repro.core.api.Application.postprocess`.
+    """
+    try:
+        column = np.asarray(values)
+    except ValueError:  # ragged: some value is a sequence
+        column = None
+    if column is None or column.ndim != 1 or column.dtype.kind not in "biuf":
+        raise TypeError("pair results must be real numbers (a 1-D column of them)")
+    return column.astype(np.float64, copy=False)
+
+
+def _index_column(indices: Any) -> np.ndarray:
+    column = np.asarray(indices)
+    if column.ndim != 1 or (column.size and column.dtype.kind not in "iu"):
+        raise TypeError("pair indices must be a 1-D column of integers")
+    return column
+
+
+class ResultMatrix(Generic[K]):
     """Upper-triangular result store over an ordered key list."""
 
     def __init__(self, keys: Sequence[K], expected_pairs: Optional[int] = None) -> None:
@@ -54,10 +88,17 @@ class ResultMatrix(Generic[K, V]):
             raise ValueError("duplicate keys")
         self.keys: List[K] = list(keys)
         self._index: Dict[K, int] = {k: i for i, k in enumerate(self.keys)}
-        self._values: Dict[Tuple[int, int], V] = {}
-        #: Cells in arrival order (the dict's own key objects).
-        self._order: List[Tuple[int, int]] = []
         self._lock = threading.Lock()
+        #: Arrival-ordered columns; the first ``_n`` rows are recorded.
+        self._i = np.empty(0, dtype=np.int32)
+        self._j = np.empty(0, dtype=np.int32)
+        self._v = np.empty(0, dtype=np.float64)
+        self._n = 0
+        #: Cell id ``i * n_items + j`` of every recorded pair.
+        self._cells: set = set()
+        #: ``(count, sorted cell ids, their arrival positions)``, rebuilt
+        #: when pairs arrived since (for :meth:`get` and :meth:`items`).
+        self._by_cell: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         if expected_pairs is None:
             expected_pairs = self.n_pairs
         if not 1 <= expected_pairs <= self.n_pairs:
@@ -80,8 +121,9 @@ class ResultMatrix(Generic[K, V]):
         return n * (n - 1) // 2
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._values)
+        return self._n
+
+    # -- writing ---------------------------------------------------------
 
     def _cell(self, a: K, b: K) -> Tuple[int, int]:
         try:
@@ -92,53 +134,149 @@ class ResultMatrix(Generic[K, V]):
             raise KeyError(f"diagonal cell ({a!r}, {a!r}) is not part of the workload")
         return (i, j) if i < j else (j, i)
 
-    def set(self, a: K, b: K, value: V) -> None:
+    def _pair_text(self, cell: int) -> str:
+        i, j = divmod(int(cell), self.n_items)
+        return f"{self.keys[i]!r}, {self.keys[j]!r}"
+
+    def set(self, a: K, b: K, value: float) -> None:
         """Record the result for the unordered pair ``{a, b}``."""
-        cell = self._cell(a, b)
-        with self._lock:
-            if cell in self._values:
-                raise ValueError(f"pair {a!r}, {b!r} already has a result")
-            self._values[cell] = value
-            self._order.append(cell)
+        i, j = self._cell(a, b)
+        self.set_block([i], [j], [value])
 
-    def set_block(self, entries: Iterable[Tuple[K, K, V]]) -> None:
-        """Record a batch of ``(a, b, value)`` results under one lock.
+    def set_block(self, i: Any, j: Any, values: Any) -> None:
+        """Record a batch of results: pair ``k`` is ``(i[k], j[k])`` with ``values[k]``.
 
-        Every cell is checked like :meth:`set` — unknown key, diagonal,
-        a pair repeated inside the batch or already recorded all raise —
-        and the batch is all-or-nothing: a rejected batch leaves the
-        matrix exactly as it was.
+        ``i`` and ``j`` are integer index columns into the key list (in
+        either order per pair), ``values`` real numbers, stored as
+        float64.  Every cell is checked — an index out of range
+        (``IndexError``), the diagonal (``KeyError``), a pair repeated
+        inside the batch or already recorded (``ValueError``), a
+        non-integer index or a non-real value (``TypeError``) — and the
+        batch is all-or-nothing: a rejected batch leaves the matrix
+        exactly as it was.
         """
-        cells: Dict[Tuple[int, int], V] = {}
-        for a, b, value in entries:
-            cell = self._cell(a, b)
-            if cell in cells:
-                raise ValueError(f"pair {a!r}, {b!r} appears twice in one block")
-            cells[cell] = value
+        i, j, values = _index_column(i), _index_column(j), real_column(values)
+        m = len(values)
+        if len(i) != m or len(j) != m:
+            raise ValueError(f"{m} values for {len(i)} x {len(j)} pair indices")
+        if not m:
+            return
+        n = self.n_items
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # Reductions, not masks: three cheap calls on the common path.
+        if np.minimum.reduce(lo) < 0 or np.maximum.reduce(hi) >= n:
+            bad = int(np.argmax((lo < 0) | (hi >= n)))
+            raise IndexError(f"pair index out of range: ({int(i[bad])}, {int(j[bad])})")
+        if not np.minimum.reduce(hi - lo) > 0:
+            key = self.keys[int(lo[np.argmax(lo == hi)])]
+            raise KeyError(f"diagonal cell ({key!r}, {key!r}) is not part of the workload")
+        cells = lo.astype(np.int64)
+        cells *= n
+        cells += hi
+        cell_list = cells.tolist()
         with self._lock:
-            values = self._values
-            if not values.keys().isdisjoint(cells):
-                i, j = next(cell for cell in cells if cell in values)
+            recorded = self._cells
+            if not recorded.isdisjoint(cell_list):
+                seen = np.fromiter(map(recorded.__contains__, cell_list), bool, m)
                 raise ValueError(
-                    f"pair {self.keys[i]!r}, {self.keys[j]!r} already has a result"
+                    f"pair {self._pair_text(cells[seen][0])} already has a result"
                 )
-            values.update(cells)
-            self._order.extend(cells)
+            before = len(recorded)
+            recorded.update(cell_list)
+            if len(recorded) - before != m:
+                recorded.difference_update(cell_list)  # none was there before
+                unique, counts = np.unique(cells, return_counts=True)
+                raise ValueError(
+                    f"pair {self._pair_text(unique[counts > 1][0])} appears twice in one block"
+                )
+            self._append(lo, hi, values)
 
-    def get(self, a: K, b: K) -> V:
-        """Return the result for the unordered pair ``{a, b}``."""
-        cell = self._cell(a, b)
+    def _append(self, lo: np.ndarray, hi: np.ndarray, values: np.ndarray) -> None:
+        """Write one checked batch behind the recorded rows (lock held)."""
+        start, stop = self._n, self._n + len(values)
+        if stop > len(self._v):
+            # Geometric growth, capped at the workload's size: a complete
+            # matrix holds exactly ``expected_pairs`` rows.
+            capacity = max(stop, min(2 * len(self._v), self.expected_pairs), 64)
+            for name in ("_i", "_j", "_v"):
+                old = getattr(self, name)
+                new = np.empty(capacity, dtype=old.dtype)
+                new[:start] = old[:start]
+                setattr(self, name, new)
+        # Rows below ``_n`` are never written again, so the views
+        # :meth:`columns` handed out stay valid across a regrowth.
+        self._i[start:stop] = lo
+        self._j[start:stop] = hi
+        self._v[start:stop] = values
+        self._n = stop
+
+    # -- reading: columns ------------------------------------------------
+
+    def columns(self, start: int = 0, stop: Optional[int] = None) -> Columns:
+        """Arrival-ordered ``(i, j, values)`` rows ``[start, stop)`` (``i < j``).
+
+        Read-only views: recorded rows never change.
+        """
         with self._lock:
-            try:
-                return self._values[cell]
-            except KeyError:
-                raise KeyError(f"no result recorded for pair {a!r}, {b!r}") from None
+            n, i, j, v = self._n, self._i, self._j, self._v
+        rows = slice(start, n if stop is None else min(stop, n))
+        return i[rows], j[rows], v[rows]
+
+    def _cell_order(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``(count, sorted cell ids, arrival positions)`` of the recorded pairs."""
+        with self._lock:
+            index = self._by_cell
+            if index is None or index[0] != self._n:
+                n = self._n
+                cells = self._i[:n].astype(np.int64) * self.n_items + self._j[:n]
+                order = np.argsort(cells, kind="stable")
+                index = self._by_cell = (n, cells[order], order)
+            return index
+
+    def sorted_columns(self) -> Columns:
+        """The recorded ``(i, j, values)`` in ``(i, j)`` index order."""
+        n, _, order = self._cell_order()
+        i, j, v = self.columns(0, n)
+        return i[order], j[order], v[order]
+
+    def unrecorded(self, i: Any, j: Any) -> np.ndarray:
+        """Positions ``k`` of the pairs ``(i[k], j[k])`` that have no result yet.
+
+        A pair listed twice counts once, at its first position; the
+        positions are in block order.
+        """
+        i, j = _index_column(i), _index_column(j)
+        cells = np.minimum(i, j).astype(np.int64) * self.n_items + np.maximum(i, j)
+        _, first = np.unique(cells, return_index=True)
+        first.sort()
+        with self._lock:
+            seen = map(self._cells.__contains__, cells[first].tolist())
+            return first[~np.fromiter(seen, bool, len(first))]
+
+    # -- reading: the key edge -------------------------------------------
+
+    def _keyed(self, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> Iterator[Tuple[K, K, float]]:
+        key = self.keys.__getitem__
+        for s in range(0, len(v), _KEYED_CHUNK):
+            rows = slice(s, s + _KEYED_CHUNK)
+            yield from zip(map(key, i[rows].tolist()), map(key, j[rows].tolist()), v[rows].tolist())
+
+    def get(self, a: K, b: K) -> float:
+        """Return the result for the unordered pair ``{a, b}``."""
+        i, j = self._cell(a, b)
+        cell = i * self.n_items + j
+        with self._lock:
+            present = cell in self._cells
+        if not present:
+            raise KeyError(f"no result recorded for pair {a!r}, {b!r}")
+        _, cells, order = self._cell_order()
+        return float(self._v[order[np.searchsorted(cells, cell)]])
 
     def __contains__(self, pair: Tuple[K, K]) -> bool:
         """True when the unordered pair ``(a, b)`` has a recorded result."""
-        cell = self._cell(*pair)
+        i, j = self._cell(*pair)
         with self._lock:
-            return cell in self._values
+            return i * self.n_items + j in self._cells
 
     def is_complete(self) -> bool:
         """True once every *expected* pair has a result.
@@ -146,29 +284,21 @@ class ResultMatrix(Generic[K, V]):
         For a plain all-pairs matrix this is the full triangle; for a
         filtered/bipartite/delta shape it is the workload's pair set.
         """
-        with self._lock:
-            return len(self._values) == self.expected_pairs
+        return self._n == self.expected_pairs
 
-    def items(self) -> Iterator[Tuple[K, K, V]]:
+    def items(self) -> Iterator[Tuple[K, K, float]]:
         """Iterate ``(key_a, key_b, value)`` in (i, j) index order."""
-        with self._lock:
-            cells = sorted(self._values.items())
-        for (i, j), v in cells:
-            yield self.keys[i], self.keys[j], v
+        return self._keyed(*self.sorted_columns())
 
-    def arrivals(self, start: int = 0, limit: Optional[int] = None) -> List[Tuple[K, K, V]]:
+    def arrivals(self, start: int = 0, limit: Optional[int] = None) -> List[Tuple[K, K, float]]:
         """Up to ``limit`` ``(key_a, key_b, value)`` from arrival position ``start``.
 
         ``key_a`` precedes ``key_b`` in the key list.
         """
         stop = None if limit is None else start + limit
-        keys = self.keys
-        with self._lock:
-            values = self._values
-            return [
-                (keys[cell[0]], keys[cell[1]], values[cell])
-                for cell in self._order[start:stop]
-            ]
+        return list(self._keyed(*self.columns(start, stop)))
+
+    # -- conversions -----------------------------------------------------
 
     def to_dense(self, fill: float = 0.0, symmetric: bool = True) -> np.ndarray:
         """Dense ``n x n`` float matrix of the scalar results.
@@ -183,11 +313,10 @@ class ResultMatrix(Generic[K, V]):
         """
         n = self.n_items
         out = np.full((n, n), fill, dtype=np.float64)
-        with self._lock:
-            for (i, j), v in self._values.items():
-                out[i, j] = float(v)  # type: ignore[arg-type]
-                if symmetric:
-                    out[j, i] = float(v)  # type: ignore[arg-type]
+        i, j, v = self.columns()
+        out[i, j] = v
+        if symmetric:
+            out[j, i] = v
         return out
 
     def to_condensed(self) -> np.ndarray:
@@ -197,21 +326,18 @@ class ResultMatrix(Generic[K, V]):
         needs all ``C(n, 2)`` pairs) — partial workload shapes must be
         :meth:`merge`-completed or exported via :meth:`to_dense`.
         """
-        if len(self) != self.n_pairs:
+        i, j, v = self.columns()
+        if len(v) != self.n_pairs:
             raise ValueError(
-                f"result matrix incomplete: {len(self)} of {self.n_pairs} pairs present"
+                f"result matrix incomplete: {len(v)} of {self.n_pairs} pairs present"
             )
         n = self.n_items
+        i = i.astype(np.int64)
         out = np.empty(self.n_pairs, dtype=np.float64)
-        pos = 0
-        with self._lock:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    out[pos] = float(self._values[(i, j)])  # type: ignore[arg-type]
-                    pos += 1
+        out[n * i - i * (i + 1) // 2 + (j - i - 1)] = v
         return out
 
-    def merge(self, other: "ResultMatrix[K, V]") -> "ResultMatrix[K, V]":
+    def merge(self, other: "ResultMatrix[K]") -> "ResultMatrix[K]":
         """Combine this matrix with ``other`` into a new matrix.
 
         The canonical use is folding a :class:`~repro.core.workload.DeltaPairs`
@@ -226,54 +352,83 @@ class ResultMatrix(Generic[K, V]):
         merged_keys = list(self.keys) + [k for k in other.keys if k not in self._index]
         n = len(merged_keys)
         expected = min(self.expected_pairs + other.expected_pairs, n * (n - 1) // 2)
-        merged: ResultMatrix[K, V] = ResultMatrix(merged_keys, expected_pairs=expected)
-        for a, b, v in self.items():
-            merged.set(a, b, v)
-        for a, b, v in other.items():
-            try:
-                merged.set(a, b, v)
-            except ValueError:
-                raise ValueError(
-                    f"pair {a!r}, {b!r} has a result in both matrices; "
-                    f"merge() requires disjoint pair sets"
-                ) from None
+        merged: ResultMatrix[K] = ResultMatrix(merged_keys, expected_pairs=expected)
+        # This matrix's keys lead the merged list: its indices carry over.
+        merged.set_block(*self.sorted_columns())
+        remap = np.array([merged._index[k] for k in other.keys], dtype=np.int32)
+        oi, oj, ov = other.sorted_columns()
+        try:
+            merged.set_block(remap[oi], remap[oj], ov)
+        except ValueError as exc:  # a pair recorded on both sides
+            raise ValueError(
+                f"{exc} in both matrices; merge() requires disjoint pair sets"
+            ) from None
         return merged
+
+
+def result_document(matrix: ResultMatrix, keys: Optional[List[Any]] = None) -> Dict[str, Any]:
+    """The ``rocket-results`` document of ``matrix`` (its ``keys`` by default).
+
+    The ordered key list plus the recorded ``[i, j, value]`` index
+    triples in ``(i, j)`` order; :func:`matrix_from_document` restores
+    an equivalent matrix.
+    """
+    i, j, v = matrix.sorted_columns()
+    return {
+        "format": "rocket-results",
+        "keys": list(matrix.keys) if keys is None else keys,
+        "values": list(zip(i.tolist(), j.tolist(), v.tolist())),
+        "expected_pairs": matrix.expected_pairs,
+    }
+
+
+def matrix_from_document(doc: Any) -> ResultMatrix:
+    """Rebuild a matrix from a ``rocket-results`` document.
+
+    Raises ``ValueError`` for anything but a well-formed document: a
+    missing field, a row that is not ``[i, j, value]``, an index out of
+    range, a non-integer index or a non-real value — checked once, by
+    :meth:`ResultMatrix.set_block`'s column checks.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != "rocket-results":
+        raise ValueError("not a rocket-results document")
+    try:
+        matrix: ResultMatrix = ResultMatrix(doc["keys"], expected_pairs=doc.get("expected_pairs"))
+        rows = doc["values"]
+        if not isinstance(rows, list) or not set(map(len, rows)) <= {3}:
+            raise ValueError("'values' must be a list of [i, j, value] rows")
+        if rows:
+            matrix.set_block(*zip(*rows))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed rocket-results document: {exc}") from None
+    return matrix
 
 
 def save_results(matrix: "ResultMatrix", path) -> None:
     """Persist a (complete or partial) scalar result matrix as JSON.
 
-    The file stores the ordered key list and the recorded (i, j, value)
-    triples; :func:`load_results` restores an equivalent matrix.
+    The file stores the ordered key list (as strings) and the recorded
+    (i, j, value) triples; :func:`load_results` restores an equivalent
+    matrix.
     """
     import json
 
-    triples = []
-    with matrix._lock:
-        for (i, j), v in sorted(matrix._values.items()):
-            triples.append([i, j, float(v)])  # type: ignore[arg-type]
-    doc = {
-        "format": "rocket-results",
-        "keys": list(map(str, matrix.keys)),
-        "values": triples,
-        "expected_pairs": matrix.expected_pairs,
-    }
+    doc = result_document(matrix, keys=list(map(str, matrix.keys)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
-def load_results(path) -> "ResultMatrix[str, float]":
-    """Restore a result matrix saved by :func:`save_results`."""
+def load_results(path) -> "ResultMatrix[str]":
+    """Restore a result matrix saved by :func:`save_results`.
+
+    Raises ``ValueError`` for a file that is not a well-formed result
+    document.
+    """
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "rocket-results":
-        raise ValueError(f"{path} is not a rocket result file")
-    matrix: ResultMatrix[str, float] = ResultMatrix(
-        doc["keys"], expected_pairs=doc.get("expected_pairs")
-    )
-    keys = matrix.keys
-    for i, j, v in doc["values"]:
-        matrix.set(keys[i], keys[j], float(v))
-    return matrix
+    try:
+        return matrix_from_document(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a valid rocket result file: {exc}") from None

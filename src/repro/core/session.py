@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core.result import ResultMatrix
 from repro.core.workload import Workload
@@ -129,7 +129,6 @@ class RunHandle:
         #: engine: on the cluster backend each of the N nodes admits up
         #: to this many of the job's pairs.
         self.max_inflight = max_inflight
-        self._keys = workload.keys
         self._matrix: ResultMatrix = workload.make_result()
         self._total = workload.n_pairs
         self._cond = threading.Condition()
@@ -293,30 +292,16 @@ class RunHandle:
             # this point: apply it now instead of losing it.
             cancel_cb()
 
-    def _record_block(
-        self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]
-    ) -> None:
-        """Record one batch of pair results, by index into the key list.
+    def _record_block(self, i: Any, j: Any, values: Any) -> None:
+        """Record one batch of pair results: index columns into the key list.
 
         One matrix lock and one wake-up of the waiting readers per
-        batch; each cell is still checked (duplicate, diagonal, out of
-        range) and a rejected batch records nothing.
+        batch; every cell is still checked (duplicate, diagonal, out of
+        range, non-real value) and a rejected batch records nothing.
         """
-        if len(pairs) != len(values):
-            raise ValueError(f"{len(values)} values for {len(pairs)} pairs")
-        keys = self._keys
-        triples = []
-        for (i, j), value in zip(pairs, values):
-            if i < 0 or j < 0:  # would silently wrap around the key list
-                raise IndexError(f"pair index out of range: ({i}, {j})")
-            triples.append((keys[i], keys[j], value))
-        self._matrix.set_block(triples)
+        self._matrix.set_block(i, j, values)
         with self._cond:
             self._cond.notify_all()
-
-    def _has_result(self, i: int, j: int) -> bool:
-        """True once pair ``(i, j)`` — indices into the key list — is recorded."""
-        return (self._keys[i], self._keys[j]) in self._matrix
 
     def _finish(
         self,

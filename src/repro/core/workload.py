@@ -47,6 +47,8 @@ from typing import (
     TypeVar,
 )
 
+import numpy as np
+
 from repro.core.result import ResultMatrix
 from repro.scheduling.quadtree import PairBlock
 
@@ -72,6 +74,18 @@ def _check_keys(keys: Sequence[K], what: str) -> List[K]:
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate keys in {what}")
     return keys
+
+
+def accepted_columns(
+    keys: Sequence[K], pair_filter: Optional[PairFilter], i: np.ndarray, j: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(i, j)`` index columns narrowed to the pairs ``pair_filter`` accepts."""
+    if pair_filter is None or not len(i):
+        return i, j
+    key = keys.__getitem__
+    accepted = map(pair_filter, map(key, i.tolist()), map(key, j.tolist()))
+    keep = np.fromiter(accepted, bool, len(i))
+    return i[keep], j[keep]
 
 
 class Workload(ABC, Generic[K]):
@@ -194,14 +208,18 @@ class Workload(ABC, Generic[K]):
         self._grain_cache = (grain, list(out))
         return out
 
+    def pair_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The accepted pairs as int32 ``(i, j)`` index columns, block by block."""
+        columns = [block.columns() for block in self.blocks()]
+        i = np.concatenate([c[0] for c in columns]) if columns else np.empty(0, np.int32)
+        j = np.concatenate([c[1] for c in columns]) if columns else np.empty(0, np.int32)
+        return accepted_columns(self.keys, self.pair_filter, i, j)
+
     def pairs(self) -> Iterator[Tuple[K, K]]:
         """Iterate the accepted ``(key_a, key_b)`` pairs, block by block."""
-        flt = self.pair_filter
-        keys = self.keys
-        for block in self.blocks():
-            for i, j in block.pairs():
-                if flt is None or flt(keys[i], keys[j]):
-                    yield keys[i], keys[j]
+        i, j = self.pair_columns()
+        key = self.keys.__getitem__
+        return zip(map(key, i.tolist()), map(key, j.tolist()))
 
     def make_result(self) -> ResultMatrix:
         """An empty result matrix shaped for this workload."""

@@ -252,7 +252,7 @@ class BackendSession(ABC):
         if memo is not None:
             # The backend is left the pairs the store cannot serve.
             lookup_start = trace.now()
-            memo_pairs, memo_values, residual = memo.partition(workload)
+            memoized, residual = memo.partition(workload)
             lookup_end = trace.now()
         if residual is not None:
             self._prepare(residual)
@@ -260,8 +260,8 @@ class BackendSession(ABC):
                 residual.grain_blocks(self._scheduler.grain)
         handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
         if memo is not None:
-            handle.residual, handle.memo_hits = residual, len(memo_pairs)
-            handle._record_block(memo_pairs, memo_values)  # ahead of any computed pair
+            handle.residual, handle.memo_hits = residual, len(memoized[2])
+            handle._record_block(*memoized)  # ahead of any computed pair
         if residual is not None:
             accounting = self._scheduler.submit(handle)
         else:
@@ -459,23 +459,23 @@ class BackendSession(ABC):
     def _journal(self, job: SessionJob) -> None:
         """Append the job's newly computed pairs to the memo journal.
 
-        Never raises and never decides the job's outcome — the store is
-        not load-bearing.  Pickling a computed value runs application
-        code (``__reduce__``), which may raise anything: whatever gets
-        past ``ResultMemoStore.append``'s own guard forfeits the rest of
-        its batch (counted as ``append_failures``, recomputed by the
-        next session) and the cursor moves on.
+        One record per call: the result columns from the job's journal
+        cursor on.  Never raises and never decides the job's outcome —
+        the store is not load-bearing.  Pickling the block's key table
+        runs the keys' own code, which may raise anything: whatever gets
+        past ``ResultMemoStore.append_block``'s own guard forfeits the
+        block (recomputed by the next session) and the cursor moves on.
         """
         memo, trace = self._memo, self._trace
         if memo is None:
             return
-        triples, _ = job.handle.read(job.journaled, wait=0.0)
-        if not triples:
+        i, j, values = job.handle._matrix.columns(job.journaled)
+        if not len(values):
             return
-        job.journaled += len(triples)
+        job.journaled += len(values)
         start = trace.now()
         try:
-            memo.journal(job.handle.residual.hashes, triples)
+            memo.journal(job.handle.residual, i, j, values)
         except BaseException as exc:  # noqa: BLE001 - session must survive
             self._log.warning("memo journal append failed: %r", exc, job_id=job.job_id)
         trace.record("store", "memo:append", start, trace.now(), job.job_id)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.session import RunHandle
+from repro.core.workload import accepted_columns
 from repro.runtime.backend import SessionJob
 from repro.runtime.stats import NodeStats
 from repro.scheduling.quadtree import PairBlock, partition_blocks
@@ -213,21 +216,18 @@ class _ClusterJob(SessionJob):
         self.probing.pop(key, None)
         self.grant(thief, req_id, None)
 
-    def record_results(self, block: Sequence[Tuple[int, int, Any]]) -> None:
+    def record_results(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
         """Record one decoded ``("results", ...)`` block, once.
 
         Exactly-once: recovery re-executes whole blocks, so a pair may
         be computed twice — only the first result streams to the handle
-        and counts toward completion.
+        and counts toward completion.  Deduplicated in bulk: one
+        membership pass over the block, not one lookup per pair.
         """
-        recorded = self.handle._has_result
-        fresh: Dict[Tuple[int, int], Any] = {}
-        for i, j, value in block:
-            if (i, j) not in fresh and not recorded(i, j):
-                fresh[(i, j)] = value
-        if not fresh:
+        fresh = self.handle._matrix.unrecorded(i, j)
+        if not len(fresh):
             return
-        self.handle._record_block(list(fresh), list(fresh.values()))
+        self.handle._record_block(i[fresh], j[fresh], values[fresh])
         self.completed += len(fresh)
         if self.handle.accounting is not None:
             self.handle.accounting.pairs_completed += len(fresh)
@@ -328,13 +328,8 @@ class _ClusterJob(SessionJob):
 
     def _block_remaining(self, block: PairBlock) -> bool:
         """True if any accepted pair of ``block`` lacks a recorded result."""
-        keys, flt = self.keys, self.pair_filter
-        recorded = self.handle._has_result
-        return any(
-            not recorded(i, j)
-            for i, j in block.pairs()
-            if flt is None or flt(keys[i], keys[j])
-        )
+        i, j = accepted_columns(self.keys, self.pair_filter, *block.columns())
+        return len(self.handle._matrix.unrecorded(i, j)) > 0
 
     def recover_node(self, node: int, *, voluntary: bool = False) -> int:
         """Reclaim a dead/retiring node's unfinished blocks and re-enqueue.

@@ -381,12 +381,12 @@ class ClusterSession(BackendSession):
             return  # :meth:`_notify`: ending the inbox wait was the point
         if kind == "results":
             _, node, job_id, block = msg
-            block = self._fabric.decode_result_block(block)
+            i, j, values = self._fabric.decode_result_block(block)
             job = self._active.get(job_id)
             if job is None:
                 return  # stragglers of a finalized job
-            job.completed_by[node] += len(block)
-            job.record_results(block)
+            job.completed_by[node] += len(values)
+            job.record_results(i, j, values)
         elif kind == "sreq":
             _, job_id, thief, req_id = msg
             job = self._active.get(job_id)

@@ -205,9 +205,9 @@ class LocalSession(BackendSession):
             emit_block = handle._record_block
         else:
 
-            def emit_block(pairs, values, _h=handle):
-                _h._record_block(pairs, values)
-                scheduler.on_completed(_h, len(pairs))
+            def emit_block(i, j, values, _h=handle):
+                _h._record_block(i, j, values)
+                scheduler.on_completed(_h, len(values))
                 self._notify()  # the session window reopened: refill grants
 
         pipeline = NodePipeline(

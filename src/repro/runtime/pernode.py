@@ -59,9 +59,10 @@ while waiting and finds the second slot unpinned.)
 
 What differs between the runtimes is injected as hooks:
 
-- ``emit_block(pairs, values)`` — one finished batch; local: write into
-  the in-process :class:`~repro.core.result.ResultMatrix`; cluster:
-  stream the pairs to the coordinator;
+- ``emit_block(i, j, values)`` — one finished launch as columns (int32
+  pair indices, float64 values); local: write into the in-process
+  :class:`~repro.core.result.ResultMatrix`; cluster: batch them for the
+  coordinator;
 - ``on_launch_done()`` — called after each launch is counted complete;
   cluster nodes ship their partial result batch there once nothing is
   queued and nothing is in flight (:meth:`NodePipeline.in_flight`);
@@ -92,6 +93,7 @@ construction and subtracted in :meth:`NodePipeline.stats`.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -103,6 +105,7 @@ import numpy as np
 from repro.cache.policy import safe_job_limit
 from repro.cache.slots import CacheCounters, Slot, SlotCache, SlotState
 from repro.core.api import Application
+from repro.core.result import real_column
 from repro.data.filestore import FileStore
 from repro.model.perfmodel import StageCalibration
 from repro.runtime.devices import VirtualDevice
@@ -313,9 +316,7 @@ class NodePipeline:
         keys: Sequence[Hashable],
         *,
         pair_filter: Optional[Callable[[Hashable, Hashable], bool]] = None,
-        emit_block: Optional[
-            Callable[[Sequence[Tuple[int, int]], Sequence[Any]], None]
-        ] = None,
+        emit_block: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
         emit_result: Optional[Callable[[int, int, Any], None]] = None,
         node_id: int = 0,
         device_prefix: str = "gpu",
@@ -343,11 +344,11 @@ class NodePipeline:
             if emit_result is None:
                 raise ValueError("NodePipeline needs an emit_block= hook")
 
-            def emit_block(pairs, values, _emit=emit_result):
-                for (i, j), value in zip(pairs, values):
-                    _emit(i, j, value)
+            def emit_block(i, j, values, _emit=emit_result):
+                for a, b, value in zip(i.tolist(), j.tolist(), values.tolist()):
+                    _emit(a, b, value)
 
-        #: Called once per finished job with its pairs and their values.
+        #: Called once per finished launch with its index and value columns.
         self.emit_block = emit_block
         self.node_id = node_id
         self.expected_pairs = expected_pairs
@@ -391,13 +392,15 @@ class NodePipeline:
         speed_aware = cfg.steal_policy is StealPolicy.SPEED
 
         topology = WorkerTopology.from_gpus_per_node([cfg.n_devices])
-        self.deques: List[TaskDeque] = [TaskDeque(d) for d in range(cfg.n_devices)]
+        deques = self.deques = [TaskDeque(d) for d in range(cfg.n_devices)]
         self._selector = VictimSelector(
             topology,
             rngs.get(f"steal:n{node_id}"),
             policy=cfg.steal_policy,
             speeds=speeds,
-            work_of=lambda w: float(self.deques[w].pending_pairs),
+            # Over the deques, not ``self``: no pipeline <-> selector cycle
+            # keeps a finished job's pipeline (and its engine) alive.
+            work_of=lambda w: float(deques[w].pending_pairs),
         )
         if speed_aware:
             # Speed-proportional initial partitioning: each device
@@ -872,11 +875,13 @@ class NodePipeline:
 
     def _execute_block(
         self, st: _DeviceState, pairs: Sequence[Tuple[int, int]]
-    ) -> "tuple[List[Any], float, float]":
+    ) -> "tuple[np.ndarray, float, float]":
         """One kernel launch: pin, compare, D2H, postprocess.
 
-        Returns the post-processed values in ``pairs`` order plus the
-        launch's on-device seconds and the post-processing seconds.
+        Returns the post-processed values in ``pairs`` order as a
+        float64 column plus the launch's on-device seconds and the
+        post-processing seconds.  A value that is not a real number
+        raises ``TypeError``, which fails the job.
         """
         keys = self.keys
         n = len(pairs)
@@ -909,7 +914,9 @@ class NodePipeline:
             raise RuntimeError(f"compare_block returned {len(rows)} rows for {n} pairs")
         postprocess = self.app.postprocess
         t0 = self._now()
-        values = [postprocess(keys[i], keys[j], rows[k]) for k, (i, j) in enumerate(pairs)]
+        values = real_column(
+            [postprocess(keys[i], keys[j], rows[k]) for k, (i, j) in enumerate(pairs)]
+        )
         post_duration = self._now() - t0
         if tracing:
             self.trace.record("CPU", "postprocess", t0, t0 + post_duration, self.job_id)
@@ -930,7 +937,8 @@ class NodePipeline:
             # aborted (cancellation) must not publish its pairs: the
             # consumer of this run's results is already gone.
             if not self.aborted.is_set():
-                self.emit_block(pairs, values)
+                index = np.fromiter(itertools.chain.from_iterable(pairs), np.int32, 2 * n)
+                self.emit_block(index[0::2], index[1::2], values)
             with st.pairs_lock:
                 st.pairs_done += n
             with self.counters_lock:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,15 +124,16 @@ class Transport(ABC):
 
     # -- result / dispatch planes ------------------------------------------
 
-    def pack_result_block(self, block: Tuple) -> Any:
+    def pack_result_block(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> Any:
         """Prepare one result block for the ``("results", ...)`` message.
 
-        Default: the block of ``(i, j, value)`` triples travels inline.
-        Zero-copy transports may return a descriptor whose bytes live in
-        a shared segment; the coordinator materialises it through
+        Default: the int32 index columns and the float64 value column
+        travel inline (three buffers in the pickle).  Zero-copy
+        transports may return a descriptor whose bytes live in a shared
+        segment; the coordinator materialises it through
         :meth:`TransportFabric.decode_result_block`.
         """
-        return block
+        return i, j, values
 
     def unpack_job_payload(self, packed: Any) -> Any:
         """Materialise a job spec packed by
@@ -199,9 +200,9 @@ class TransportFabric(ABC):
         """
         return spec
 
-    def decode_result_block(self, block: Any) -> Tuple:
-        """Materialise a result block packed by
-        :meth:`Transport.pack_result_block` (identity by default).
+    def decode_result_block(self, block: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Materialise a result block packed by :meth:`Transport.pack_result_block`
+        as its ``(i, j, values)`` columns (identity by default).
         """
         return block
 
@@ -226,14 +227,16 @@ class ResultBatcher:
     """Coalesce pair results into flushed ``("results", ...)`` blocks.
 
     ``emit_block`` is called from the pipeline's job threads, once per
-    finished kernel launch, and ships from the emitting thread when the
-    batch is full (whole — a shipped block may exceed ``batch_size`` by
-    up to one launch).  The node calls :meth:`flush` once a launch
-    leaves it with nothing queued and nothing in flight, before it asks
-    for remote work and at job end, so a result is never held while its
-    node waits: a partial batch leaves on an event, not on a timer.
-    ``batch_size=1`` reproduces the old one-message-per-pair behaviour
-    exactly.
+    finished kernel launch with its ``(i, j, values)`` columns, and
+    ships from the emitting thread when the batch is full (whole — a
+    shipped block may exceed ``batch_size`` by up to one launch).  The
+    node calls :meth:`flush` once a launch leaves it with nothing queued
+    and nothing in flight, before it asks for remote work and at job
+    end, so a result is never held while its node waits: a partial
+    batch leaves on an event, not on a timer.  A shipped block is three
+    columns — int32 ``i``, int32 ``j``, float64 values — never one
+    Python object per pair.  ``batch_size=1`` reproduces the old
+    one-message-per-pair behaviour exactly.
     """
 
     def __init__(
@@ -243,14 +246,14 @@ class ResultBatcher:
         batch_size: int,
         *,
         job_id: int,
-        pack: Optional[Callable[[Tuple], Any]] = None,
+        pack: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], Any]] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self._send = send
         #: Optional transport hook (``Transport.pack_result_block``):
         #: lets a zero-copy transport ship the block as a shared-memory
-        #: descriptor instead of pickling every triple through the pipe.
+        #: descriptor instead of pickling its columns through the pipe.
         self._pack = pack
         self.node_id = node_id
         #: Batches go out as ``("results", node, job_id, block)`` so a
@@ -258,32 +261,38 @@ class ResultBatcher:
         self.job_id = job_id
         self.batch_size = batch_size
         self._lock = threading.Lock()
-        self._buf: List[Tuple[int, int, Any]] = []
+        #: Buffered launches' ``(i, j, values)`` columns, and their pairs.
+        self._buf: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending = 0
         self.batches_sent = 0
         self.results_sent = 0
 
-    def emit_block(self, pairs: Sequence[Tuple[int, int]], values: Sequence[Any]) -> None:
+    def emit_block(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
         """Queue one finished launch under one lock; ships when full."""
         with self._lock:
-            self._buf.extend((i, j, value) for (i, j), value in zip(pairs, values))
-            full = len(self._buf) >= self.batch_size
+            self._buf.append((i, j, values))
+            self._pending += len(values)
+            full = self._pending >= self.batch_size
             block = self._take_locked() if full else None
-        if block:
+        if block is not None:
             self._ship(block)
 
     def flush(self) -> None:
         """Ship whatever is buffered (before a steal request, at job end)."""
         with self._lock:
             block = self._take_locked()
-        if block:
+        if block is not None:
             self._ship(block)
 
-    def _take_locked(self) -> Tuple[Tuple[int, int, Any], ...]:
-        block, self._buf = tuple(self._buf), []
-        return block
+    def _take_locked(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The buffered launches as one block of columns (None: nothing buffered)."""
+        if not self._pending:
+            return None
+        parts, self._buf, self._pending = self._buf, [], 0
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def _ship(self, block: Tuple[Tuple[int, int, Any], ...]) -> None:
+    def _ship(self, block: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         self.batches_sent += 1
-        self.results_sent += len(block)
-        payload: Any = block if self._pack is None else self._pack(block)
+        self.results_sent += len(block[2])
+        payload: Any = block if self._pack is None else self._pack(*block)
         self._send(("results", self.node_id, self.job_id, payload))

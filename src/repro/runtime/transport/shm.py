@@ -188,27 +188,16 @@ class SharedMemoryTransport(QueueTransport):
 
     # -- result / dispatch planes ------------------------------------------
 
-    def pack_result_block(self, block: Tuple) -> Any:
-        """Ship a numeric result block as an ``(n, 3)`` segment write.
+    def pack_result_block(self, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> Any:
+        """Ship a result block as one ``(n, 3)`` float64 segment write.
 
         Pair indices are exact in float64 (they are far below 2**53)
-        and float scores round-trip bit-identically, so the coordinator
-        reconstructs the same triples.  Blocks carrying non-scalar
-        values (an app may emit arbitrary objects) travel inline
-        unchanged, as does everything when the pool is exhausted —
-        ``pack_payload`` then returns the array, which the fabric still
-        decodes without the per-triple pickle.
+        and the float64 values round-trip bit-identically, so the
+        coordinator reconstructs the same columns.  When the pool is
+        exhausted ``pack_payload`` returns the array itself, which
+        travels inline and decodes the same way.
         """
-        rows = np.empty((len(block), 3), dtype=np.float64)
-        for k, (i, j, value) in enumerate(block):
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)
-            ):
-                return block
-            rows[k, 0] = i
-            rows[k, 1] = j
-            rows[k, 2] = value
-        return self.pack_payload(rows)
+        return self.pack_payload(np.column_stack((i, j, values)))
 
     def unpack_job_payload(self, packed: Any) -> Any:
         """Unpickle a job spec from the coordinator's segment.
@@ -312,7 +301,7 @@ class SharedMemoryFabric(QueueFabric):
             shape=(len(blob),),
         )
 
-    def decode_result_block(self, block: Any) -> Tuple:
+    def decode_result_block(self, block: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialise a result block shipped through a node's segment."""
         if isinstance(block, ShmDescriptor):
             seg = self._owned_segment(block.segment)
@@ -320,19 +309,22 @@ class SharedMemoryFabric(QueueFabric):
                 # The owning node's segment was already released (it
                 # left the cluster); the straggler block's pairs are
                 # recovered through re-injection, so drop it.
-                return ()
-            view = np.ndarray(
-                block.shape, dtype=np.dtype(block.dtype), buffer=seg.buf, offset=block.offset
-            )
-            rows = view.copy()
-            try:
-                self.send_node(block.owner, ("pfree", block.offset))
-            except CHANNEL_ERRORS:
-                pass  # fabric shutting down; the node's pool dies with it
-            block = rows
-        if isinstance(block, np.ndarray):
-            return tuple((int(i), int(j), float(v)) for i, j, v in block)
-        return block
+                block = np.empty((0, 3), dtype=np.float64)
+            else:
+                view = np.ndarray(
+                    block.shape, dtype=np.dtype(block.dtype), buffer=seg.buf, offset=block.offset
+                )
+                rows = view.copy()
+                try:
+                    self.send_node(block.owner, ("pfree", block.offset))
+                except CHANNEL_ERRORS:
+                    pass  # fabric shutting down; the node's pool dies with it
+                block = rows
+        return (
+            block[:, 0].astype(np.int32),
+            block[:, 1].astype(np.int32),
+            np.ascontiguousarray(block[:, 2]),
+        )
 
     def handle_free(self, msg: Tuple) -> None:
         """A node finished reading a job payload: reclaim the slot."""

@@ -20,6 +20,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["PairBlock", "iter_pairs_morton", "partition_blocks", "partition_pairs"]
 
 
@@ -120,6 +122,17 @@ class PairBlock:
             j_start = max(self.col_lo, i + 1)
             for j in range(j_start, self.col_hi):
                 yield (i, j)
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs of :meth:`pairs`, in its order, as int32 ``(i, j)`` columns."""
+        rows = np.arange(self.row_lo, self.row_hi, dtype=np.int64)
+        first = np.maximum(self.col_lo, rows + 1)
+        widths = np.maximum(self.col_hi - first, 0)
+        i = np.repeat(rows, widths)
+        # Within a row, j counts up from that row's first column.
+        row_start = np.cumsum(widths) - widths
+        j = np.arange(len(i)) - np.repeat(row_start - first, widths)
+        return i.astype(np.int32), j.astype(np.int32)
 
     def items(self) -> List[int]:
         """Distinct item indices any pair of this block touches."""

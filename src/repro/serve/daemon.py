@@ -472,7 +472,7 @@ class RocketServer:
         if drained:
             self._delivered(record.job_id)
         return {
-            "triples": [[a, b, v] for a, b, v in chunk],
+            "triples": chunk,
             "cursor": cursor + len(chunk),
             "drained": drained,
             "state": record.handle.state.value,

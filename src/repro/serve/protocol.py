@@ -37,7 +37,7 @@ import socket
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.result import ResultMatrix
+from repro.core.result import ResultMatrix, matrix_from_document, result_document
 from repro.core.workload import (
     AllPairs,
     Bipartite,
@@ -228,29 +228,20 @@ def matrix_to_wire(matrix: ResultMatrix) -> Dict[str, Any]:
     triples.  Keys are shipped verbatim (JSON scalars), not
     stringified, so the decoded matrix is value-identical.
     """
-    triples = []
-    with matrix._lock:
-        for (i, j), v in sorted(matrix._values.items()):
-            triples.append([i, j, float(v)])
-    return {
-        "format": "rocket-results",
-        "keys": list(matrix.keys),
-        "values": triples,
-        "expected_pairs": matrix.expected_pairs,
-    }
+    return result_document(matrix)
 
 
 def matrix_from_wire(doc: Any) -> ResultMatrix:
-    """Rebuild a result matrix from its wire document."""
-    if not isinstance(doc, dict) or doc.get("format") != "rocket-results":
-        raise ProtocolError("malformed result document")
-    matrix: ResultMatrix = ResultMatrix(
-        doc["keys"], expected_pairs=doc.get("expected_pairs")
-    )
-    keys = matrix.keys
-    for i, j, v in doc["values"]:
-        matrix.set(keys[i], keys[j], v)
-    return matrix
+    """Rebuild a result matrix from its wire document.
+
+    A malformed document — a missing field, a row that is not
+    ``[i, j, value]``, an index out of range, a non-real value — raises
+    :class:`ProtocolError`.
+    """
+    try:
+        return matrix_from_document(doc)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed result document: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,11 @@ not a layer around it — a job has one
   and the backend executes the :class:`ResidualPairs`; a fully memoized
   job is resolved on the spot and never reaches the backend.
 - :meth:`SessionMemo.journal`, on the session's driver thread: the
-  driver follows the handle's results by cursor and appends each
-  freshly computed batch to the memo journal — every tick and once more
-  before the job turns terminal, so failed and cancelled jobs' pairs
-  are journaled too.  A failing append never reaches the job.
+  driver follows the handle's result columns by cursor and appends each
+  freshly computed batch to the memo journal as one record — every tick
+  and once more before the job turns terminal, so failed and cancelled
+  jobs' pairs are journaled too.  A failing append never reaches the
+  job.
 
 The memo key includes the item *keys*, not just their content hashes:
 application callbacks receive keys and may depend on them (the
@@ -32,7 +33,9 @@ and exactly its pairs stop matching.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.api import Application
 from repro.core.workload import PairSetFilter, Workload
@@ -47,9 +50,11 @@ class ResidualPairs(Workload):
     """A workload restricted to the pairs the memo store could not serve.
 
     Keeps the base workload's index space and block decomposition (so
-    scheduling locality is untouched) and narrows the accepted set with
-    a :class:`~repro.core.workload.PairSetFilter` — which already embeds
-    the base workload's own filter, applied during the submit-time sweep.
+    scheduling locality is untouched) and narrows the accepted set to
+    the pairs ``(i[k], j[k])`` with a
+    :class:`~repro.core.workload.PairSetFilter` — which already embeds
+    the base workload's own filter, applied during the submit-time
+    sweep; the per-block accepted counts come from the columns.
     ``hashes`` are the item content hashes the partition was made under
     (None: unreadable blob); computed pairs are journaled with them.
     """
@@ -59,16 +64,27 @@ class ResidualPairs(Workload):
     def __init__(
         self,
         base: Workload,
-        accepted: Set[Tuple[Any, Any]],
+        i: np.ndarray,
+        j: np.ndarray,
         hashes: Dict[Any, Optional[str]],
     ) -> None:
         super().__init__()
-        if not accepted:
+        if not len(i):
             raise ValueError("residual workload needs at least one pair")
         self.keys = list(base.keys)
         self.hashes = hashes
+        #: Per key index: has a content hash, so its pairs can be journaled.
+        self.readable = np.array([hashes[k] is not None for k in self.keys], dtype=bool)
         self._base = base
-        self._subset = PairSetFilter(accepted)
+        key = self.keys.__getitem__
+        self._subset = PairSetFilter(zip(map(key, i.tolist()), map(key, j.tolist())))
+        # The accepted count per block, from the columns: no predicate sweep.
+        self._block_counts = [
+            int(np.count_nonzero(
+                (i >= b.row_lo) & (i < b.row_hi) & (j >= b.col_lo) & (j < b.col_hi)
+            ))
+            for b in base.blocks()
+        ]
 
     def blocks(self):
         return self._base.blocks()
@@ -91,7 +107,7 @@ class SessionMemo:
             "hits": 0,  # pairs served from the memo store
             "misses": 0,  # pairs consulted but recomputed
             "appended": 0,  # freshly computed pairs journaled
-            "append_failures": 0,  # unpicklable / unwritable values
+            "append_failures": 0,  # computed pairs whose block the store refused
             "jobs": 0,
             "jobs_short_circuited": 0,  # jobs fully served from the store
         }
@@ -113,11 +129,13 @@ class SessionMemo:
 
     def partition(
         self, workload: Workload
-    ) -> Tuple[List[Tuple[int, int]], List[Any], Optional[ResidualPairs]]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Optional[ResidualPairs]]:
         """Split ``workload`` into what the store serves and what must run.
 
-        Returns the memoized pairs (indices into ``workload.keys``),
-        their values, and the residual workload (None: nothing is left).
+        Returns the memoized pairs as ``(i, j, values)`` columns
+        (indices into ``workload.keys``, in block order) and the
+        residual workload (None: nothing is left).  Each key's hash and
+        memo identity are resolved once; the pairs are matched in bulk.
         """
         keys = workload.keys
         hashes = self._hash_items(keys)
@@ -125,60 +143,50 @@ class SessionMemo:
         memo = self._store.memo
         memo.refresh()
 
-        flt = workload.pair_filter
-        memo_pairs: List[Tuple[int, int]] = []
-        memo_values: List[Any] = []
-        residual: Set[Tuple[Any, Any]] = set()
-        for block in workload.blocks():
-            for i, j in block.pairs():
-                ka, kb = keys[i], keys[j]
-                if flt is not None and not flt(ka, kb):
-                    continue
-                ha, hb = hashes[ka], hashes[kb]
-                hit = False
-                if ha is not None and hb is not None:
-                    hit, value = memo.lookup(self._fingerprint, ka, kb, ha, hb)
-                if hit:
-                    memo_pairs.append((i, j))
-                    memo_values.append(value)
-                else:
-                    residual.add((ka, kb))
+        i, j = workload.pair_columns()
+        hit, values = memo.lookup_block(
+            self._fingerprint, keys, [hashes[k] for k in keys], i, j
+        )
+        miss = ~hit
+        misses = int(np.count_nonzero(miss))
 
         with self._lock:
             self._counters["jobs"] += 1
-            self._counters["hits"] += len(memo_pairs)
-            self._counters["misses"] += len(residual)
-            if not residual:
+            self._counters["hits"] += len(values)
+            self._counters["misses"] += misses
+            if not misses:
                 self._counters["jobs_short_circuited"] += 1
         return (
-            memo_pairs,
-            memo_values,
-            ResidualPairs(workload, residual, hashes) if residual else None,
+            (i[hit], j[hit], values),
+            ResidualPairs(workload, i[miss], j[miss], hashes) if misses else None,
         )
 
-    def journal(self, hashes: Dict[Any, Optional[str]], triples) -> None:
-        """Append computed ``(key_a, key_b, value)`` triples to the memo journal.
+    def journal(
+        self, residual: ResidualPairs, i: np.ndarray, j: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Append computed pairs — columns indexing ``residual.keys`` — as one record.
 
-        ``hashes`` are the residual workload's (pairs touching an
-        unreadable blob are skipped).  A value the store cannot take
-        counts as an append failure; if pickling one raises past
-        ``append``'s guard the error propagates with the rest of the
-        batch counted failed too — the session driver contains it.
+        The record carries the block's own key table and content hashes;
+        pairs touching an unreadable blob are skipped.  A block the store
+        cannot take counts its pairs as append failures.
         """
-        wanted = [
-            (ka, kb, hashes[ka], hashes[kb], value)
-            for ka, kb, value in triples
-            if hashes.get(ka) is not None and hashes.get(kb) is not None
-        ]
-        append = self._store.memo.append
-        appended = 0
-        try:
-            for ka, kb, ha, hb, value in wanted:
-                appended += append(self._fingerprint, ka, kb, ha, hb, value)
-        finally:
-            with self._lock:
-                self._counters["appended"] += appended
-                self._counters["append_failures"] += len(wanted) - appended
+        keep = residual.readable[i] & residual.readable[j]
+        if not keep.all():
+            i, j, values = i[keep], j[keep], values[keep]
+        if not len(values):
+            return
+        used, local = np.unique(np.concatenate((i, j)), return_inverse=True)
+        table = [residual.keys[k] for k in used.tolist()]
+        stored = self._store.memo.append_block(
+            self._fingerprint,
+            table,
+            [residual.hashes[k] for k in table],
+            local[: len(i)],
+            local[len(i) :],
+            values,
+        )
+        with self._lock:
+            self._counters["appended" if stored else "append_failures"] += len(values)
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``"store"`` section of ``session.metrics()``."""

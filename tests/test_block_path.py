@@ -47,7 +47,7 @@ from repro.runtime.transport.base import ResultBatcher
 from repro.scheduling.quadtree import PairBlock
 from repro.scheduling.throttle import ThreadAdmission
 
-from tests.test_cluster_runtime import SumApp, make_store
+from tests.test_cluster_runtime import SumApp, cols, make_store, triples
 from tests.test_kernels_batched import (
     PerPairForensics,
     as_dict,
@@ -115,51 +115,72 @@ class TestSetBlock:
 
     def matrix(self):
         rm = ResultMatrix(self.KEYS)
-        rm.set_block([("a", "b", 1.0), ("c", "a", 2.0)])
+        rm.set_block([0, 2], [1, 0], [1.0, 2.0])
         return rm
 
     def assert_untouched(self, rm):
         assert as_dict(rm) == {("a", "b"): 1.0, ("a", "c"): 2.0}
+        assert rm.arrivals() == [("a", "b", 1.0), ("a", "c", 2.0)]
 
     def test_records_unordered_pairs(self):
         rm = self.matrix()
         assert rm.get("a", "c") == 2.0
-        rm.set_block([("b", "c", 3.0)])
-        rm.set_block([])
+        rm.set_block(np.array([1], np.int32), np.array([2], np.int32), np.array([3.0]))
+        rm.set_block([], [], [])
         assert len(rm) == 3
+        i, j, values = rm.columns()
+        assert (i.tolist(), j.tolist(), values.tolist()) == ([0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0])
 
     def test_duplicate_inside_a_block_rejected(self):
         rm = self.matrix()
-        with pytest.raises(ValueError, match="twice"):
-            rm.set_block([("b", "c", 3.0), ("b", "d", 4.0), ("c", "b", 5.0)])
+        with pytest.raises(ValueError, match="'b', 'c' appears twice"):
+            rm.set_block([1, 1, 2], [2, 3, 1], [3.0, 4.0, 5.0])
         self.assert_untouched(rm)
+        rm.set_block([1], [2], [3.0])  # the rejected block left no cell behind
 
     def test_duplicate_across_blocks_rejected(self):
         rm = self.matrix()
-        with pytest.raises(ValueError, match="already has a result"):
-            rm.set_block([("b", "d", 4.0), ("b", "a", 9.0)])
+        with pytest.raises(ValueError, match="'a', 'b' already has a result"):
+            rm.set_block([1, 1], [3, 0], [4.0, 9.0])
         self.assert_untouched(rm)
 
     def test_diagonal_rejected(self):
         rm = self.matrix()
         with pytest.raises(KeyError, match="diagonal"):
-            rm.set_block([("b", "d", 4.0), ("c", "c", 0.0)])
+            rm.set_block([1, 2], [3, 2], [4.0, 0.0])
         self.assert_untouched(rm)
 
     def test_unknown_key_rejected(self):
         rm = self.matrix()
+        with pytest.raises(IndexError, match="out of range"):
+            rm.set_block([1, 0], [3, 4], [4.0, 0.0])  # index 4: past the key list
         with pytest.raises(KeyError, match="unknown key"):
-            rm.set_block([("b", "d", 4.0), ("a", "zz", 0.0)])
+            rm.set("a", "zz", 0.0)  # the key edge
+        self.assert_untouched(rm)
+
+    def test_non_real_values_and_non_integer_indices_rejected(self):
+        rm = self.matrix()
+        for i, j, values in (
+            ([1], [2], ["x"]),
+            ([1], [2], [None]),
+            ([1], [2], [[1.0, 2.0]]),
+            ([1], [2], [1 + 2j]),
+            ([1.0], [2], [1.0]),
+            (["1"], [2], [1.0]),
+            ([True], [2], [1.0]),
+        ):
+            with pytest.raises(TypeError):
+                rm.set_block(i, j, values)
         self.assert_untouched(rm)
 
     def test_record_block_checks_indices_and_is_read_in_arrival_order(self):
         handle = RunHandle(AllPairs(self.KEYS))
-        handle._record_block([(0, 1), (2, 0)], [1.0, 2.0])
+        handle._record_block(*cols([(0, 1), (2, 0)], [1.0, 2.0]))
         for pairs in ([(1, 4)], [(-1, 2)]):  # past the end / would wrap
             with pytest.raises(IndexError):
-                handle._record_block([(1, 2), *pairs], [3.0, 4.0])
+                handle._record_block(*cols([(1, 2), *pairs], [3.0, 4.0]))
         with pytest.raises(ValueError, match="values for"):
-            handle._record_block([(1, 2)], [])
+            handle._record_block(*cols([(1, 2)], []))
         assert handle.progress() == (2, 6)
         # Rejected batches left no trace; reading does not consume.
         arrived = [("a", "b", 1.0), ("a", "c", 2.0)]
@@ -252,12 +273,14 @@ class TestResultBatcherBlocks:
     def test_block_is_appended_whole_and_flushed_by_the_same_rule(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=1, batch_size=4, job_id=3)
-        batcher.emit_block([(0, 1), (0, 2), (0, 3)], [1.0, 2.0, 3.0])
+        batcher.emit_block(*cols([(0, 1), (0, 2), (0, 3)], [1.0, 2.0, 3.0]))
         assert out == []  # below the batch size: buffered
-        batcher.emit_block([(1, 2), (1, 3), (2, 3)], [4.0, 5.0, 6.0])
+        batcher.emit_block(*cols([(1, 2), (1, 3), (2, 3)], [4.0, 5.0, 6.0]))
         ((kind, node, job_id, block),) = out  # full: everything buffered ships at once
         assert kind == "results" and node == 1 and job_id == 3
-        assert block == ((0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 2, 4.0), (1, 3, 5.0), (2, 3, 6.0))
+        assert triples(block) == [
+            (0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (1, 2, 4.0), (1, 3, 5.0), (2, 3, 6.0)
+        ]
         batcher.flush()
         assert len(out) == 1 and batcher.results_sent == 6 and batcher.batches_sent == 1
 
@@ -344,8 +367,8 @@ class TestBlockPathParity:
         emitted = []
         first_block = threading.Event()
 
-        def emit_block(pairs, values):
-            emitted.append((list(pairs), list(values)))
+        def emit_block(i, j, values):
+            emitted.append((list(zip(i.tolist(), j.tolist())), values.tolist()))
             first_block.set()
 
         pipeline = NodePipeline(

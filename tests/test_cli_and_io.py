@@ -38,6 +38,30 @@ class TestResultPersistence:
             load_results(path)
 
 
+#: Result documents that must be refused, one per way a row or field can be wrong.
+MALFORMED_RESULT_DOCS = {
+    # [-1, 0] would wrap around the key list onto the pair ('a', 'c').
+    "negative-index": {"keys": ["a", "b", "c"], "values": [[-1, 0, 1.5]]},
+    "text-value": {"keys": ["a", "b", "c"], "values": [[0, 1, "x"]]},
+    "missing-keys": {"values": [[0, 1, 1.5]]},
+    "four-element-row": {"keys": ["a", "b", "c"], "values": [[0, 1, 1.5, 9]]},
+    "rows-of-two-lengths": {"keys": ["a", "b", "c"], "values": [[0, 1, 1.5], [0, 2, 2.5, 9]]},
+}
+
+
+def result_doc(case):
+    return dict(MALFORMED_RESULT_DOCS[case], format="rocket-results")
+
+
+class TestMalformedResultFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULT_DOCS))
+    def test_load_results_rejects(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(result_doc(case)))
+        with pytest.raises(ValueError, match="malformed"):
+            load_results(path)
+
+
 class TestChromeTrace:
     def test_event_fields(self):
         rec = TraceRecorder()

@@ -80,6 +80,18 @@ def make_store(n, floats=8):
     return store, keys
 
 
+def cols(pairs, values):
+    """``(i, j, values)`` columns of a list of ``(i, j)`` pairs and their values."""
+    index = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+    return index[:, 0], index[:, 1], np.asarray(values, dtype=np.float64)
+
+
+def triples(block):
+    """The ``(i, j, value)`` triples of a shipped result block."""
+    i, j, values = block
+    return list(zip(i.tolist(), j.tolist(), values.tolist()))
+
+
 def accept_pair(a, b):
     """Module-level pair filter (inherited by forked workers)."""
     return (int(a[-2:]) + int(b[-2:])) % 3 != 0
@@ -364,7 +376,7 @@ class FakeJobPipeline(StubPipeline):
         self.queued = True  # nothing but the job's end ships the launch below
 
     def start(self):
-        self.emit_block([(0, 1)], [1.0])
+        self.emit_block(*cols([(0, 1)], [1.0]))
 
     def wait(self, timeout):
         return True
@@ -390,20 +402,20 @@ class TestResultFlushRule:
 
     @staticmethod
     def sent(net):
-        return [(msg[0], len(msg[3]) if msg[0] == "results" else None) for msg in net.coordinator_log]
+        return [(msg[0], len(msg[3][2]) if msg[0] == "results" else None) for msg in net.coordinator_log]
 
     def test_a_full_batch_ships_while_work_is_queued(self):
         net, _, state = self.node(queued=True)
-        state.batcher.emit_block([(0, 1), (0, 2)], [1.0, 2.0])
+        state.batcher.emit_block(*cols([(0, 1), (0, 2)], [1.0, 2.0]))
         state.ship_if_idle()
         assert self.sent(net) == []  # more launches are coming: keep batching
-        state.batcher.emit_block([(0, 3), (0, 4), (0, 5)], [3.0, 4.0, 5.0])
+        state.batcher.emit_block(*cols([(0, 3), (0, 4), (0, 5)], [3.0, 4.0, 5.0]))
         assert self.sent(net) == [("results", 5)]  # full: shipped whole
 
     def test_a_launch_that_leaves_the_deques_empty_ships_at_once(self):
         """At once when it is counted complete with no other launch in flight."""
         net, _, state = self.node(queued=False)
-        state.batcher.emit_block([(0, 1)], [1.0])
+        state.batcher.emit_block(*cols([(0, 1)], [1.0]))
         assert self.sent(net) == []  # emitted, not yet counted complete
         state.ship_if_idle()
         assert self.sent(net) == [("results", 1)]
@@ -420,11 +432,11 @@ class TestResultFlushRule:
         pipeline = hand_out(server, JOB, self.KEYS).pipeline
         emit, launch_done = pipeline.hooks["emit_block"], pipeline.hooks.get("on_launch_done")
         pipeline.pairs_in_flight = 2
-        emit([(0, 1)], [1.0])  # A
+        emit(*cols([(0, 1)], [1.0]))  # A
         assert self.sent(net) == []  # B is still in flight: it adds to the batch
         pipeline.pairs_in_flight = 1
         launch_done()  # A counted complete
-        emit([(0, 2)], [2.0])  # B
+        emit(*cols([(0, 2)], [2.0]))  # B
         assert self.sent(net) == []
         pipeline.pairs_in_flight = 0
         launch_done()  # B counted complete: nothing queued, nothing in flight
@@ -436,9 +448,9 @@ class TestResultFlushRule:
         emitted, calls = [], []
         lock = threading.Lock()
 
-        def emit_block(pairs, values):
+        def emit_block(i, j, values):
             with lock:
-                emitted.extend(pairs)
+                emitted.extend(values)
 
         def launch_done():
             with lock:
@@ -463,7 +475,7 @@ class TestResultFlushRule:
 
     def test_a_steal_request_ships_the_partial_batch_first(self):
         net, server, state = self.node(queued=True)
-        state.batcher.emit_block([(0, 1)], [1.0])
+        state.batcher.emit_block(*cols([(0, 1)], [1.0]))
         assert server.global_steal(state) is None  # nobody answers: steal_timeout
         assert self.sent(net) == [("results", 1), ("sreq", None)]
 
@@ -532,7 +544,7 @@ class TestHandOutOrdering:
                 return {
                     (i, j): v
                     for msg in list(net.coordinator_log) if msg[0] == "results"
-                    for i, j, v in msg[3]
+                    for i, j, v in triples(msg[3])
                 }
 
             wait_for(lambda: len(delivered()) == n * (n - 1) // 2, timeout=20.0)

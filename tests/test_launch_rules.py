@@ -240,12 +240,12 @@ def run_bare_pipeline(app, store, keys, cfg, timeout=60.0, max_inflight=None):
     values, launches = {}, []
     lock = threading.Lock()
 
-    def emit_block(pairs, block_values):
+    def emit_block(i, j, block_values):
         with lock:
-            launches.append(len(pairs))
-            for (i, j), value in zip(pairs, block_values):
-                assert (keys[i], keys[j]) not in values
-                values[(keys[i], keys[j])] = value
+            launches.append(len(block_values))
+            for a, b, value in zip(i.tolist(), j.tolist(), block_values.tolist()):
+                assert (keys[a], keys[b]) not in values
+                values[(keys[a], keys[b])] = value
 
     n = len(keys)
     pipeline = NodePipeline(
@@ -374,7 +374,7 @@ class TestStealTiers:
             n_devices=2, device_cache_slots=8, host_cache_slots=16, grain=16, seed=7, **config
         )
         return NodePipeline(
-            LoopedForensics(), store, cfg, keys, emit_block=lambda pairs, values: None,
+            LoopedForensics(), store, cfg, keys, emit_block=lambda i, j, values: None,
             expected_pairs=276, initial_blocks=[PairBlock.root(24)],
         )
 
@@ -447,7 +447,7 @@ class TestIdleWorkerWakeUp:
                 injected.append(time.perf_counter())
             return None
 
-        def emit_block(pairs, values):
+        def emit_block(i, j, values):
             launched.append(time.perf_counter())
 
         pipeline = NodePipeline(

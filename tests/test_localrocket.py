@@ -345,7 +345,7 @@ class TestPipelineFailurePath:
             store,
             RocketConfig(**self.CFG),
             keys,
-            emit_block=lambda pairs, values: None,
+            emit_block=lambda i, j, values: None,
             expected_pairs=28,
             initial_blocks=[PairBlock.root(len(keys))],
         )
@@ -412,7 +412,7 @@ class TestFillDeviceGuard:
         emitted = []
         pipeline = NodePipeline(
             SumApp(), store, RocketConfig(**TestFillDeviceGuard.CFG), keys,
-            emit_block=lambda pairs, values: emitted.extend(values),
+            emit_block=lambda i, j, values: emitted.extend(values),
             expected_pairs=len(keys) * (len(keys) - 1) // 2,
             initial_blocks=[PairBlock.root(len(keys))],
             remote_fetch=remote_fetch,

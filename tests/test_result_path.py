@@ -14,6 +14,7 @@ their own.  These tests pin what that buys and what it must not break:
   journaled.
 """
 
+import errno
 import random
 import threading
 import time
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 from repro.core.session import RunHandle, RunState, SessionClosed
 from repro.core.workload import AllPairs
 from repro.serve import RocketServer, connect
+from repro.store import ResultMemoStore
 
-from tests.test_cluster_runtime import SumApp, make_store
+from tests.test_cluster_runtime import SumApp, cols, make_store
 from tests.test_multijob import make_rocket
 
 
@@ -50,19 +52,24 @@ class PacedApp(SumApp):
         return super().compare(key_a, a, key_b, b)
 
 
-class Poison(float):
-    """A result the memo journal cannot pickle — with an error no guard names."""
+def failing_journal_writes(monkeypatch, failures):
+    """Make the memo journal's next ``failures`` writes raise ``OSError`` (a full disk)."""
+    open_writer = ResultMemoStore._open_writer
+    left = {"failures": failures}
 
-    def __reduce__(self):
-        raise ValueError("poisoned result")
+    def open_failing_writer(memo):
+        open_writer(memo)
+        write = memo._writer.write
 
+        def flaky_write(data):
+            if left["failures"]:
+                left["failures"] -= 1
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(data)
 
-class PoisonApp(PacedApp):
-    """PacedApp whose mid-run pair (item03, item04) yields a :class:`Poison`."""
+        memo._writer.write = flaky_write
 
-    def postprocess(self, key_a, key_b, raw):
-        value = super().postprocess(key_a, key_b, raw)
-        return Poison(value) if (key_a, key_b) == ("item03", "item04") else value
+    monkeypatch.setattr(ResultMemoStore, "_open_writer", open_failing_writer)
 
 
 def open_session(store, tmp_path=None, app=None, policy="fifo", **cfg):
@@ -126,7 +133,7 @@ class TestCursorReaders:
 
         def writer(mine):
             for block in mine:
-                handle._record_block(block, [float(i * 100 + j) for i, j in block])
+                handle._record_block(*cols(block, [float(i * 100 + j) for i, j in block]))
 
         seen = [[] for _ in chunk_sizes]
         readers = [
@@ -158,7 +165,7 @@ class TestCursorReaders:
     def test_read_waits_for_pairs_then_for_the_end(self):
         handle = RunHandle(AllPairs(KEYS))
         assert handle.read(0, wait=0.0) == ([], False)
-        threading.Timer(0.05, handle._record_block, ([(0, 1)], [1.0])).start()
+        threading.Timer(0.05, handle._record_block, cols([(0, 1)], [1.0])).start()
         assert handle.read(0, wait=10.0) == ([(KEYS[0], KEYS[1], 1.0)], False)
         threading.Timer(0.05, handle._finish, (RunState.DONE,)).start()
         assert handle.read(1, wait=10.0) == ([], True)
@@ -380,10 +387,14 @@ class TestMemoStep:
             again.close()
 
     @pytest.mark.parametrize("delay", [0.0, 0.01], ids=["at-retire", "mid-run"])
-    def test_value_whose_pickling_raises_never_reaches_the_job(self, tmp_path, delay):
-        """The store is not load-bearing: no append error fails a job or the driver."""
+    def test_a_failed_journal_write_never_reaches_the_job(
+        self, tmp_path, monkeypatch, delay
+    ):
+        """The store is not load-bearing: a failed journal write fails
+        neither the job nor the driver, and costs exactly its pairs."""
         store, keys = make_store(8)
-        session = open_session(store, tmp_path, app=PoisonApp(delay), policy="fair")
+        failing_journal_writes(monkeypatch, 1)
+        session = open_session(store, tmp_path, app=PacedApp(delay), policy="fair")
         try:
             handle = session.submit(AllPairs(keys))
             assert handle.wait(timeout=30.0) and handle.state is RunState.DONE
@@ -396,6 +407,29 @@ class TestMemoStep:
             again = session.submit(AllPairs(keys))
             assert again.wait(timeout=30.0) and again.state is RunState.DONE
             assert again.memo_hits == memo["appended"]
+            assert again.stats.n_pairs == memo["append_failures"]
+            assert again.result().to_dense().tolist() == handle.result().to_dense().tolist()
+        finally:
+            session.close()
+
+    def test_a_result_that_is_not_a_real_number_fails_the_job(self, tmp_path):
+        """``postprocess`` returns a real number: anything else fails the job with TypeError."""
+
+        class TextApp(PacedApp):
+            def postprocess(self, key_a, key_b, raw):
+                return "close" if key_b == "item04" else super().postprocess(key_a, key_b, raw)
+
+        store, keys = make_store(6)
+        session = open_session(store, tmp_path, app=TextApp())
+        try:
+            handle = session.submit(AllPairs(keys))
+            assert handle.wait(timeout=30.0) and handle.state is RunState.FAILED
+            with pytest.raises(TypeError, match="real numbers"):
+                handle.result()
+            streamed = []
+            with pytest.raises(TypeError):
+                streamed.extend(handle.stream())
+            assert all(b != "item04" for _, b, _ in streamed)
         finally:
             session.close()
 

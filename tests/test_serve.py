@@ -52,7 +52,8 @@ from repro.serve import (
 from repro.serve import protocol
 from repro.serve.registry import JobRegistry
 
-from tests.test_cluster_runtime import SumApp, make_store
+from tests.test_cli_and_io import MALFORMED_RESULT_DOCS, result_doc
+from tests.test_cluster_runtime import SumApp, cols, make_store
 from tests.test_multijob import SlowApp, make_rocket
 
 
@@ -201,6 +202,11 @@ class TestResultAndErrorCodec:
         assert sorted(map(tuple, rebuilt.items())) == sorted(map(tuple, matrix.items()))
         assert rebuilt.is_complete()
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULT_DOCS))
+    def test_malformed_matrix_document_is_a_protocol_error(self, case):
+        with pytest.raises(ProtocolError, match="malformed result document"):
+            protocol.matrix_from_wire(json.loads(json.dumps(result_doc(case))))
+
     @pytest.mark.parametrize(
         "exc_type",
         [ProtocolError, UnknownTenant, UnknownJob, QuotaExceeded, ServerDraining],
@@ -268,7 +274,7 @@ def finished_handle(keys, values):
     """A handle driven to DONE through the backend hooks."""
     handle = RunHandle(AllPairs(keys))
     handle._mark_running(None)
-    handle._record_block(list(values), list(values.values()))
+    handle._record_block(*cols(list(values), list(values.values())))
     handle._finish(RunState.DONE)
     return handle
 

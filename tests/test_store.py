@@ -4,9 +4,10 @@ Four layers:
 
 - component units: content hashing with the stat-validated cache,
   the item payload cache (round trip, invalidation, corrupt-file
-  recovery), the memo journal (merge across writers, unordered-pair
-  canonicalization, hash-keyed invalidation, truncated/garbage
-  segment tolerance) and :meth:`Application.fingerprint`;
+  recovery), the memo journal (one record per block, merge across
+  writers, unordered pairs, hash-keyed invalidation, newest stamp wins,
+  truncated/garbage/foreign-record tolerance, a segment of the older
+  per-pair format recomputing) and :meth:`Application.fingerprint`;
 - warm-start acceptance on **both** backends: a repeated identical
   run against an unchanged corpus recomputes zero pairs, skips the
   backend entirely, and is value-identical to the cold run;
@@ -26,12 +27,16 @@ import operator
 import os
 import pickle
 import struct
+import tempfile
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.rocket import Rocket
@@ -45,7 +50,7 @@ from repro.store import (
     RocketStore,
     hash_bytes,
 )
-from repro.store.memo import canonical_pair
+from repro.store.memo import _encode_record
 
 from tests.test_cluster_runtime import SumApp, make_store
 from tests.test_multijob import make_rocket
@@ -285,16 +290,39 @@ class _Reconstructs:
         return self.func, self.args
 
 
+def block_record(keys=("a", "b"), hashes=("ha", "hb"), i=(0,), j=(1,), values=(1.0,), stamp=1,
+                 fingerprint="fp"):
+    """A journal payload in this journal's block format."""
+    return _encode_record(fingerprint, list(keys), list(hashes), i, j, values, stamp)
+
+
+def block_fields(**overrides):
+    """The fields of :func:`block_record`'s default record, as pickled."""
+    fields = dict(tag="rocket-memo-block/1", fingerprint="fp", keys=["a", "b"],
+                  hashes=["ha", "hb"], i=np.array([0], "<i4").tobytes(),
+                  j=np.array([1], "<i4").tobytes(), values=np.array([1.0]).tobytes(), stamp=3)
+    fields.update(overrides)
+    return tuple(fields.values())
+
+
+#: The per-pair record of the journal format before block records.
+PARENT_FORMAT_RECORD = pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, 3))
+
 #: CRC-valid journal records this journal never wrote, one per shape of
 #: failure the decode can meet.
 FOREIGN_RECORDS = {
     "not-a-pickle": b"not a pickle",
-    "truncated-pickle": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, 3))[:-5],
+    "truncated-pickle": block_record()[:-5],
     "empty": b"",
     "scalar": pickle.dumps(5),
-    "short-tuple": pickle.dumps(("fp", "a")),
-    "text-stamp": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, "x")),
-    "none-stamp": pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, None)),
+    "short-tuple": pickle.dumps(("rocket-memo-block/1", "fp")),
+    "text-stamp": pickle.dumps(block_fields(stamp="x")),
+    "none-stamp": pickle.dumps(block_fields(stamp=None)),
+    "parent-format": PARENT_FORMAT_RECORD,
+    "ragged-columns": pickle.dumps(block_fields(j=b"")),
+    "index-past-key-table": pickle.dumps(block_fields(j=np.array([2], "<i4").tobytes())),
+    "hash-table-short": pickle.dumps(block_fields(hashes=["ha"])),
+    "unhashable-key": pickle.dumps(block_fields(keys=["a", ["b"]])),
     "missing-module": b"cno_such_module_for_memo\nThing\n.",
     "missing-class": b"cpickle\nNoSuchThing\n.",
     "unregistered-extension": b"\x82\x05.",
@@ -305,6 +333,16 @@ FOREIGN_RECORDS = {
 
 def journal_record(payload):
     return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def segment_records(path):
+    """The payloads of a journal segment, in order."""
+    data, pos, out = path.read_bytes(), 0, []
+    while pos < len(data):
+        length, _ = struct.unpack_from("<II", data, pos)
+        out.append(data[pos + 8 : pos + 8 + length])
+        pos += 8 + length
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +362,8 @@ class TestResultMemoStore:
         memo = ResultMemoStore(tmp_path)
         memo.append("fp", "b", "a", "hb", "ha", 2.0)
         assert memo.lookup("fp", "a", "b", "ha", "hb") == (True, 2.0)
-        assert canonical_pair("b", "a") == canonical_pair("a", "b")
+        assert memo.lookup("fp", "b", "a", "hb", "ha") == (True, 2.0)
+        assert memo.lookup("fp", "a", "b", "hb", "ha") == (False, None)
         memo.close()
 
     def test_hash_mismatch_misses(self, tmp_path):
@@ -333,6 +372,28 @@ class TestResultMemoStore:
         assert memo.lookup("fp", "a", "b", "EDITED", "hb") == (False, None)
         assert memo.lookup("other-fp", "a", "b", "ha", "hb") == (False, None)
         memo.close()
+
+    def test_a_block_is_one_record_and_is_looked_up_in_bulk(self, tmp_path):
+        memo = ResultMemoStore(tmp_path)
+        keys, hashes = ["a", "b", "c", "d"], ["ha", "hb", "hc", "hd"]
+        assert memo.append_block("fp", keys, hashes, [0, 2, 3], [1, 0, 1], [1.0, 2.0, 3.0])
+        memo.close()
+        (segment,) = memo.segment_files()
+        assert len(segment_records(segment)) == 1
+        reader = ResultMemoStore(tmp_path)
+        assert reader.record_count() == 3
+        # Another job's key order, one edited item, one pair never computed.
+        job_keys = ["d", "c", "b", "a"]
+        hit, values = reader.lookup_block(
+            "fp", job_keys, ["hd", "hc", "hb", "EDITED"],
+            np.array([0, 1, 2, 0]), np.array([2, 3, 3, 1]),
+        )
+        assert hit.tolist() == [True, False, False, False]
+        assert values.tolist() == [3.0]
+        hit, values = reader.lookup_block(
+            "fp", job_keys, ["hd", "hc", "hb", "ha"], np.array([1, 2, 0]), np.array([3, 3, 2])
+        )
+        assert hit.tolist() == [True, True, True] and values.tolist() == [2.0, 1.0, 3.0]
 
     def test_merges_segments_from_two_writers(self, tmp_path):
         w1, w2 = ResultMemoStore(tmp_path), ResultMemoStore(tmp_path)
@@ -363,36 +424,42 @@ class TestResultMemoStore:
         """Segment names are ``seg-<pid>-<random>``: name order says
         nothing about age, so the fold must not depend on it."""
         # The older segment gets the name that sorts (is folded) last.
+        # Each is one block record; the pair (a, b) is in both.
         for value, hash_a, name in (
             (1.0, "ha-old", "seg-000000-order-z.log"),
             (2.0, "ha-new", "seg-000000-order-a.log"),
         ):
             writer = ResultMemoStore(tmp_path)
-            writer.append("fp", "a", "b", hash_a, "hb", value)
+            writer.append_block(
+                "fp", ["a", "b", "c"], [hash_a, "hb", "hc"], [0, 1], [1, 2], [value, value]
+            )
             writer.close()
             (fresh,) = [s for s in writer.segment_files() if "-order-" not in s.name]
             fresh.rename(fresh.with_name(name))
         reader = ResultMemoStore(tmp_path)
         assert reader.lookup("fp", "a", "b", "ha-new", "hb") == (True, 2.0)
         assert reader.lookup("fp", "a", "b", "ha-old", "hb") == (False, None)
+        assert reader.lookup("fp", "b", "c", "hb", "hc") == (True, 2.0)
+        # A record folded late into a live reader loses to what it holds.
+        late = tmp_path / "memo" / "seg-000000-late.log"
+        late.write_bytes(journal_record(block_record(hashes=("ha-old", "hb"), stamp=5)))
+        reader.refresh()
+        assert reader.lookup("fp", "a", "b", "ha-new", "hb") == (True, 2.0)
 
-    def test_stampless_records_still_load_and_are_superseded(self, tmp_path):
-        """Journals written before records carried a stamp stay readable."""
-        import pickle
-        import struct
-        import zlib
-
-        payload = pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0))
+    def test_a_parent_format_segment_reads_as_foreign(self, tmp_path):
+        """A segment of per-pair records (the format before block
+        records) holds nothing this journal reads: its pairs recompute."""
         (tmp_path / "memo").mkdir()
         (tmp_path / "memo" / "seg-999999-zzzz.log").write_bytes(
-            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+            journal_record(PARENT_FORMAT_RECORD) * 3
         )
         memo = ResultMemoStore(tmp_path)
-        assert memo.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
-        memo.append("fp", "a", "b", "ha2", "hb", 2.0)
+        assert memo.lookup("fp", "a", "b", "ha", "hb") == (False, None)
+        assert memo.record_count() == 0 and memo.dropped_segments == 1
+        memo.append("fp", "a", "b", "ha", "hb", 2.0)
         memo.close()
-        reader = ResultMemoStore(tmp_path)  # the old segment is folded last
-        assert reader.lookup("fp", "a", "b", "ha2", "hb") == (True, 2.0)
+        reader = ResultMemoStore(tmp_path)
+        assert reader.lookup("fp", "a", "b", "ha", "hb") == (True, 2.0)
 
     def test_garbage_segment_is_dropped_not_fatal(self, tmp_path):
         (tmp_path / "memo").mkdir()
@@ -404,7 +471,7 @@ class TestResultMemoStore:
 
     @pytest.mark.parametrize("shape", sorted(FOREIGN_RECORDS))
     def test_foreign_record_is_a_torn_tail(self, tmp_path, shape):
-        good = pickle.dumps(("fp", "a", "b", "ha", "hb", 1.0, 1))
+        good = block_record()
         (tmp_path / "memo").mkdir()
         (tmp_path / "memo" / "seg-999999-alone.log").write_bytes(
             journal_record(FOREIGN_RECORDS[shape])
@@ -417,6 +484,80 @@ class TestResultMemoStore:
         assert reader.record_count() == 1
         assert reader.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
         assert reader.dropped_segments == 1  # only the segment with nothing readable
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 3), st.integers(0, 3),
+                        st.sampled_from(["h0", "h1"]), st.sampled_from(["h0", "h1"]),
+                        st.floats(allow_nan=False, width=64),
+                    ),
+                    min_size=1, max_size=5,
+                ),
+                st.integers(1, 5),  # the block's stamp: blocks arrive in any stamp order
+            ),
+            max_size=8,
+        )
+    )
+    def test_newest_stamp_wins_per_pair_over_any_fold_order(self, blocks):
+        """Folded one block at a time with lookups in between: each pair
+        answers with its newest record (highest stamp, then last folded)."""
+        keys = ["k0", "k1", "k2", "k3"]
+        newest = {}  # unordered pair -> ((stamp, order), (key, hash) -> hash, value)
+        with tempfile.TemporaryDirectory() as root:
+            reader = ResultMemoStore(root)
+            order = 0
+            for n, (rows, stamp) in enumerate(blocks):
+                rows = [r for r in rows if r[0] != r[1]]
+                # A key may come with two hashes in one block: one entry each.
+                table = sorted(
+                    {f"{keys[a]}/{ha}" for a, _, ha, _, _ in rows}
+                    | {f"{keys[b]}/{hb}" for _, b, _, hb, _ in rows}
+                )
+                index = {entry: k for k, entry in enumerate(table)}
+                payload = _encode_record(
+                    "fp", [e.split("/")[0] for e in table], [e.split("/")[1] for e in table],
+                    [index[f"{keys[a]}/{ha}"] for a, b, ha, hb, _ in rows],
+                    [index[f"{keys[b]}/{hb}"] for a, b, ha, hb, _ in rows],
+                    [v for *_, v in rows], stamp,
+                )
+                (Path(root) / "memo" / f"seg-{n:06d}.log").write_bytes(journal_record(payload))
+                for a, b, ha, hb, value in rows:
+                    order += 1
+                    pair = frozenset((a, b))
+                    if pair not in newest or (stamp, order) >= newest[pair][0]:
+                        newest[pair] = ((stamp, order), {a: ha, b: hb}, value)
+                reader.refresh()
+                for pair, (_, hashes, value) in newest.items():
+                    a, b = sorted(pair)
+                    assert reader.lookup("fp", keys[a], keys[b], hashes[a], hashes[b]) == (True, value)
+                    stale = {"h0": "h1", "h1": "h0"}[hashes[a]]
+                    assert reader.lookup("fp", keys[a], keys[b], stale, hashes[b]) == (False, None)
+                assert reader.record_count() == len(newest)
+
+    def test_a_failed_write_abandons_its_segment(self, tmp_path, monkeypatch):
+        """A write error may leave a partial record: later blocks go to a
+        fresh segment, so a reader still sees them."""
+        memo = ResultMemoStore(tmp_path)
+        assert memo.append("fp", "a", "b", "ha", "hb", 1.0)
+        real_write = memo._writer.write
+
+        def torn_write(data):
+            real_write(data[:5])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(memo._writer, "write", torn_write)
+        assert not memo.append("fp", "c", "d", "hc", "hd", 2.0)
+        assert memo.append("fp", "e", "f", "he", "hf", 3.0)
+        memo.close()
+        reader = ResultMemoStore(tmp_path)
+        assert reader.lookup("fp", "a", "b", "ha", "hb") == (True, 1.0)
+        assert reader.lookup("fp", "c", "d", "hc", "hd") == (False, None)
+        assert reader.lookup("fp", "e", "f", "he", "hf") == (True, 3.0)
+        assert len(memo.segment_files()) == 2
 
 
 class TestFingerprint:
@@ -611,6 +752,30 @@ class TestInvalidation:
             session.close()
         assert warm == cold
         assert counting.compared >= 1  # ran (partially) cold, not wrong
+
+    def test_a_parent_format_journal_recomputes_with_correct_values(self, tmp_path):
+        """A store written in the per-pair record format: every pair is
+        recomputed (none is served, however well its hashes match), the
+        values are the cold run's, and the new blocks serve the next run."""
+        store, keys = make_store(5)
+        app = SumApp()
+        reference = result_dict(make_rocket("local", store).run(keys))
+        hashes = {k: hash_bytes(store.read(app.file_name(k))) for k in keys}
+        (tmp_path / "memo").mkdir()
+        (tmp_path / "memo" / "seg-000001-parent.log").write_bytes(b"".join(
+            journal_record(pickle.dumps(
+                (app.fingerprint(), a, b, hashes[a], hashes[b], -1.0, 1)
+            ))
+            for a, b in AllPairs(keys).pairs()
+        ))
+        for expected_hits in (0, 10):
+            session = make_rocket("local", store, store_dir=str(tmp_path)).session()
+            try:
+                handle = session.submit(AllPairs(keys))
+                assert result_dict(handle.result()) == reference
+                assert handle.memo_hits == expected_hits
+            finally:
+                session.close()
 
     def test_items_path_that_is_a_file_runs_cold(self, tmp_path):
         """The item cache cannot create ``store_dir/items``: the pipeline

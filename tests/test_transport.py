@@ -23,6 +23,8 @@ from repro.runtime.transport import (
 )
 from repro.runtime.transport.shm import SharedMemoryFabric
 
+from tests.test_cluster_runtime import cols, triples
+
 
 # ----------------------------------------------------------------------
 # BufferPool
@@ -187,6 +189,25 @@ class TestSharedMemoryPayloadPlane:
         finally:
             fabric.shutdown()
 
+    @pytest.mark.parametrize("exhausted", [False, True], ids=["segment", "inline"])
+    def test_result_block_columns_round_trip_bit_identically(self, exhausted):
+        fabric = make_shm_fabric(segment_bytes=65536)
+        try:
+            ep = fabric.endpoint(0)
+            if exhausted:
+                ep.pack_payload(np.zeros(65536, dtype=np.uint8))  # fills the segment
+            values = [0.1, -0.0, float("inf"), 1e-310, 2.0 ** 52 + 1, float("nan")]
+            pairs = [(0, 1), (0, 70000), (5, 9), (8, 3), (2, 4), (1, 6)]
+            packed = ep.pack_result_block(*cols(pairs, values))
+            assert isinstance(packed, ShmDescriptor) != exhausted
+            i, j, got = fabric.decode_result_block(packed)
+            assert (i.dtype, j.dtype, got.dtype) == (np.int32, np.int32, np.float64)
+            assert list(zip(i.tolist(), j.tolist())) == pairs
+            assert got.tobytes() == np.array(values).tobytes()
+            ep.close()
+        finally:
+            fabric.shutdown()
+
     def test_object_dtype_ships_inline(self):
         fabric = make_shm_fabric()
         try:
@@ -284,38 +305,39 @@ class TestResultBatcher:
         out = []
         batcher = ResultBatcher(out.append, node_id=3, batch_size=4, job_id=7)
         for k in range(9):
-            batcher.emit_block([(k, k + 1)], [float(k)])
+            batcher.emit_block(*cols([(k, k + 1)], [float(k)]))
         assert len(out) == 2  # two full batches, one pair still buffered
         kind, node, job_id, block = out[0]
-        assert kind == "results" and node == 3 and job_id == 7 and len(block) == 4
-        assert block[0] == (0, 1, 0.0)
+        assert kind == "results" and node == 3 and job_id == 7 and len(block[2]) == 4
+        assert triples(block)[0] == (0, 1, 0.0)
         batcher.flush()
-        assert len(out) == 3 and len(out[2][3]) == 1
+        assert len(out) == 3 and len(out[2][3][2]) == 1
         assert batcher.results_sent == 9 and batcher.batches_sent == 3
 
     def test_partial_batch_ships_only_on_request(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=100, job_id=0)
-        batcher.emit_block([(0, 1)], [1.0])
+        batcher.emit_block(*cols([(0, 1)], [1.0]))
         assert out == []  # no timer: a partial batch waits for an event
-        batcher.emit_block([(0, 2)], [2.0])
+        batcher.emit_block(*cols([(0, 2)], [2.0]))
         assert out == []
         batcher.flush()
         ((_, _, _, block),) = out
-        assert block == ((0, 1, 1.0), (0, 2, 2.0))
+        assert triples(block) == [(0, 1, 1.0), (0, 2, 2.0)]
+        assert [column.dtype for column in block] == [np.int32, np.int32, np.float64]
 
     def test_batch_size_one_matches_legacy_granularity(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=1, job_id=0)
-        batcher.emit_block([(1, 2)], [0.5])
-        batcher.emit_block([(3, 4)], [0.7])
-        assert [len(b[3]) for b in out] == [1, 1]
+        batcher.emit_block(*cols([(1, 2)], [0.5]))
+        batcher.emit_block(*cols([(3, 4)], [0.7]))
+        assert [len(b[3][2]) for b in out] == [1, 1]
 
     def test_flush_on_empty_buffer_sends_nothing(self):
         out = []
         batcher = ResultBatcher(out.append, node_id=0, batch_size=2, job_id=0)
         batcher.flush()
-        batcher.emit_block([], [])
+        batcher.emit_block(*cols([], []))
         batcher.flush()
         assert out == []
 
