@@ -777,8 +777,9 @@ class NodePipeline:
         blob: Optional[bytes] = None
         try:
             # The persistent disk level comes before any peer round-trip:
-            # it is node-local and serves the preprocessed payload as an
-            # mmap, skipping io/parse/preprocess entirely.  A peer's host
+            # it is node-local and serves the preprocessed payload as a
+            # read-only mapping of its ``.npy`` file, skipping
+            # io/parse/preprocess entirely.  A peer's host
             # cache serves the preprocessed item too; only a miss on both
             # runs the load pipeline.
             host_payload = self._persist_load(key)

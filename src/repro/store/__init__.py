@@ -7,8 +7,9 @@ sharing one ``store_dir`` (enable with ``RocketConfig(store_dir=...)``,
 ``--store-dir``):
 
 - :class:`~repro.store.itemcache.PersistentItemCache` — the disk level
-  behind the host cache: content-addressed preprocessed payloads,
-  mmap-loaded on warm start so stored items skip io/parse/preprocess;
+  behind the host cache: content-addressed preprocessed payloads in
+  ``.npy`` files it reads and writes itself; a warm start maps one
+  read-only, so stored items skip io/parse/preprocess;
 - :class:`~repro.store.memo.ResultMemoStore` — an append-merge journal
   of computed pair results.  The session consults it inside
   ``submit()`` and appends to it from its driver thread

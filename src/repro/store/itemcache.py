@@ -5,9 +5,17 @@ peers) forgets every preprocessed item when the session dies.  This
 module adds the level below: a content-addressed directory of ``.npy``
 payloads, one per ``(application fingerprint, key, raw-bytes hash)``.
 A warm-start session finds its items here and skips the entire load
-pipeline — no store IO, no parse, no preprocess kernel — paying only an
-``np.load(mmap_mode="r")`` whose pages fault in lazily as the H2D copy
-touches them.
+pipeline — no store IO, no parse, no preprocess kernel — paying only
+one ``open`` and one read-only ``mmap`` whose pages fault in lazily as
+the H2D copy touches them.
+
+The cache reads and writes the ``.npy`` format itself, in the one form
+``np.save`` gives a C-contiguous numeric array: a version 1.0 header
+(``descr``, ``fortran_order: False``, ``shape``, space-padded to 64
+bytes) and the raw body.  Files ``np.save`` wrote in that form read
+back, and the writer's bytes are ``np.save``'s.  Any other header —
+another version, Fortran order, an object or structured dtype — is a
+damaged file like a short body is.
 
 Addressing by content hash makes invalidation automatic: editing an
 item's bytes changes its digest, so the stale payload is simply never
@@ -16,17 +24,19 @@ because application callbacks receive keys and may use them (the
 microscopy app seeds its optimizer from the key), so identical bytes
 under two keys are *not* interchangeable.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent processes
-sharing one store directory never observe half-written payloads; a
-corrupt or vanished file is treated as a miss, never an error.
+Writes are atomic (a ``TEMP_PREFIX`` file, then ``os.replace``) so
+concurrent processes sharing one store directory never observe
+half-written payloads; a corrupt or vanished file is treated as a miss,
+never an error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import mmap
 import os
-import tempfile
-import threading
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -37,9 +47,58 @@ from repro.data.filestore import FileStore
 
 from repro.store.hashing import ItemHasher
 
-__all__ = ["PersistentItemCache", "ITEMS_DIR"]
+__all__ = ["PersistentItemCache", "ITEMS_DIR", "TEMP_PREFIX"]
 
 ITEMS_DIR = "items"
+# In-flight writes are ``items/.tmp-<random>.npy`` until their rename.
+TEMP_PREFIX = ".tmp-"
+
+# The ``.npy`` v1.0 layout: magic and version, a little-endian uint16
+# header length, then a header padded so the body starts on a 64-byte
+# boundary.  The spare spaces after the dict (21 digits for the first
+# axis) are numpy's room to grow an array in place; they are part of
+# the bytes ``np.save`` writes.
+_MAGIC = b"\x93NUMPY\x01\x00"
+_PREFIX_LEN = len(_MAGIC) + 2
+_ALIGN = 64
+_GROWTH_DIGITS = 21
+_KINDS = "biufc"  # bool, int, uint, float, complex: bodies are plain bytes
+_HEADER = re.compile(
+    rb"\{'descr': '([<>|][" + _KINDS.encode() + rb"][0-9]+)', 'fortran_order': False, "
+    rb"'shape': \((|[0-9]+,|[0-9]+(?:, [0-9]+)+)\), \} *\n"
+)
+
+
+def _npy_header(arr: np.ndarray) -> bytes:
+    """The header ``np.save`` writes for C-contiguous ``arr``."""
+    shape = arr.shape
+    text = f"{{'descr': '{arr.dtype.str}', 'fortran_order': False, 'shape': {shape!r}, }}"
+    if shape:
+        text += " " * (_GROWTH_DIGITS - len(repr(shape[0])))
+    hlen = len(text) + 1  # the closing newline
+    pad = _ALIGN - (_PREFIX_LEN + hlen) % _ALIGN
+    return b"".join((
+        _MAGIC, (hlen + pad).to_bytes(2, "little"), text.encode("ascii"), b" " * pad, b"\n",
+    ))
+
+
+def _view_npy(mm: mmap.mmap) -> np.ndarray:
+    """The array a mapped ``.npy`` file holds; ``ValueError`` if damaged."""
+    if mm[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a version 1.0 .npy file")
+    start = _PREFIX_LEN + int.from_bytes(mm[len(_MAGIC):_PREFIX_LEN], "little")
+    match = _HEADER.fullmatch(mm[_PREFIX_LEN:start])
+    if match is None:
+        raise ValueError("unsupported .npy header")
+    try:
+        dtype = np.dtype(match[1].decode("ascii"))
+    except TypeError:  # a well-formed code numpy has no type for ('<f3')
+        raise ValueError("unknown .npy dtype") from None
+    shape = tuple(int(d) for d in match[2].replace(b",", b" ").split())
+    count = math.prod(shape)
+    if len(mm) != start + count * dtype.itemsize:
+        raise ValueError("body size does not match the header")
+    return np.frombuffer(mm, dtype, count, start).reshape(shape)
 
 
 class PersistentItemCache:
@@ -53,7 +112,6 @@ class PersistentItemCache:
         self.files = files
         self.hasher = ItemHasher(self.root, files)
         self._fingerprint = app.fingerprint()
-        self._lock = threading.Lock()
 
     # -- addressing ------------------------------------------------------
 
@@ -80,22 +138,28 @@ class PersistentItemCache:
             return None  # missing blob: let the real pipeline raise
         path = self._path_for(key, blob_hash)
         try:
-            # One load at a time: the ``.npy`` header parse
-            # (``ast.literal_eval``) raced into ``SystemError`` on
-            # CPython 3.11 when job threads loaded concurrently.
-            with self._lock:
-                return np.load(path, mmap_mode="r", allow_pickle=False)
-        except FileNotFoundError:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return None  # absent (never stored, or GC'd) or unreadable
+        mm = None
+        try:
+            mm = mmap.mmap(fd, 0, prot=mmap.PROT_READ)  # ValueError if empty
+            return _view_npy(mm)
+        except OSError:
             return None
-        except (ValueError, EOFError):
-            # Torn write or bit rot (a bad header or a short body: a
-            # ValueError; a zero-byte file: EOFError): drop the file so
-            # it stops costing a failed load on every future session.
+        except ValueError:
+            # Torn write, bit rot or a format this reader does not
+            # write: drop the file so it stops costing a failed load on
+            # every future session.
+            if mm is not None:
+                mm.close()
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
+        finally:
+            os.close(fd)
 
     # -- write side ------------------------------------------------------
 
@@ -105,8 +169,9 @@ class PersistentItemCache:
         ``blob`` is the raw item bytes when the caller just loaded them
         (the pipeline write-back path) — hashing them directly avoids a
         second store read.  Returns 0 when the payload is already
-        present or cannot be stored (object dtype, disk error): the
-        cache is an accelerator, never a correctness dependency.
+        present or cannot be stored (a dtype other than bool, integer,
+        float or complex; a disk error): the cache is an accelerator,
+        never a correctness dependency.
         """
         try:
             name = self.app.file_name(key)
@@ -118,31 +183,34 @@ class PersistentItemCache:
         path = self._path_for(key, blob_hash)
         if path.exists():
             return 0
-        arr = np.asarray(payload)
-        if arr.dtype == object:
-            return 0  # never allow_pickle on either side of the store
-        fd = None
-        tmp_name = None
+        arr = np.asarray(payload, order="C")
+        if arr.dtype.kind not in _KINDS:
+            return 0  # never pickle, and no header the reader rejects
+        pending = [memoryview(_npy_header(arr)), memoryview(arr.reshape(-1).view(np.uint8))]
+        size = sum(len(buf) for buf in pending)
+        tmp = self.items_dir / f"{TEMP_PREFIX}{os.urandom(8).hex()}.npy"
         try:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.items_dir), prefix=".tmp-", suffix=".npy"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fd = None
-                np.save(fh, arr, allow_pickle=False)
-            os.replace(tmp_name, path)
-            tmp_name = None
-            return path.stat().st_size
-        except (OSError, ValueError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        except OSError:
             return 0
-        finally:
-            if fd is not None:
+        try:
+            try:
+                while pending:  # one writev unless the kernel writes short
+                    done = os.writev(fd, pending)
+                    while pending and done >= len(pending[0]):
+                        done -= len(pending.pop(0))
+                    if pending:
+                        pending[0] = pending[0][done:]
+            finally:
                 os.close(fd)
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
+            os.replace(tmp, path)
+            return size
+        except OSError:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            return 0
 
     def close(self) -> None:
         self.hasher.save()

@@ -5,6 +5,7 @@ A store directory looks like::
     store_dir/
       hashes.json          # advisory stat-validated content-hash cache
       items/<digest>.npy   # persistent item cache (content-addressed)
+      items/.tmp-*.npy     # item writes in flight (or orphaned by a kill)
       memo/seg-*.log       # result memo journal segments
       lock                 # GC mutual exclusion
 
@@ -13,13 +14,17 @@ session integration build on.  GC is size-budgeted: when the directory
 exceeds the budget it deletes item payloads oldest-first (they are pure
 accelerators — a deleted payload just reloads through the pipeline),
 then dead memo segments oldest-first (live ones are detected by their
-writer's ``flock`` and never touched).  Concurrent GCs serialise on an
+writer's ``flock`` and never touched).  Whatever the budget, it first
+deletes item temp files older than ``TEMP_GRACE_S``: a write renames
+its temp file within milliseconds, so only a killed writer leaves one
+that old.  Concurrent GCs serialise on an
 exclusive lock file; everything else needs no locks by construction.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -27,7 +32,7 @@ from repro.core.api import Application
 from repro.data.filestore import DirectoryStore, FileStore
 
 from repro.store.hashing import ItemHasher
-from repro.store.itemcache import ITEMS_DIR, PersistentItemCache
+from repro.store.itemcache import ITEMS_DIR, TEMP_PREFIX, PersistentItemCache
 from repro.store.memo import MEMO_DIR, ResultMemoStore
 
 try:
@@ -36,6 +41,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 __all__ = ["RocketStore"]
+
+# Age after which an item temp file is an orphan, not a write in flight.
+TEMP_GRACE_S = 3600.0
 
 
 class RocketStore:
@@ -70,14 +78,18 @@ class RocketStore:
     def stats(self) -> Dict[str, dict]:
         """Sizes and counts of both planes (pure filesystem inspection)."""
         items = self._dir_store(ITEMS_DIR)
-        item_names = [n for n in items.names() if n.endswith(".npy")]
+        item_bytes = []
+        for name in items.names():
+            if name.startswith(".") or not name.endswith(".npy"):
+                continue  # temp files: writes in flight or orphans, not payloads
+            try:
+                item_bytes.append(items.stat(name)[0])
+            except KeyError:
+                continue  # deleted since the listing (a concurrent GC)
         memo = self.memo
         memo.refresh()
         return {
-            "items": {
-                "count": len(item_names),
-                "bytes": sum(items.stat(n)[0] for n in item_names),
-            },
+            "items": {"count": len(item_bytes), "bytes": sum(item_bytes)},
             "memo": {
                 "records": memo.record_count(),
                 "segments": len(memo.segment_files()),
@@ -120,12 +132,32 @@ class RocketStore:
         finally:
             os.close(fd)
 
+    def _delete_orphaned_temp_files(self) -> int:
+        """Delete item temp files older than ``TEMP_GRACE_S``; bytes freed."""
+        items_dir = self.root / ITEMS_DIR
+        if not items_dir.is_dir():
+            return 0
+        cutoff = time.time() - TEMP_GRACE_S
+        freed = 0
+        for path in items_dir.iterdir():
+            if not path.name.startswith(TEMP_PREFIX):
+                continue
+            try:
+                st = path.stat()
+                if st.st_mtime < cutoff:
+                    path.unlink()
+                    freed += st.st_size
+            except OSError:
+                continue
+        return freed
+
     def gc(self, max_bytes: int) -> Dict[str, int]:
         """Shrink the store to ``max_bytes``; returns a deletion report.
 
         Eviction order is oldest-first within each plane, items before
         memo segments: payloads only cost a re-load, while a deleted
-        segment costs recomputing every pair it memoized.
+        segment costs recomputing every pair it memoized.  Orphaned item
+        temp files go first, on any budget; ``freed_bytes`` counts them.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
@@ -135,6 +167,7 @@ class RocketStore:
         try:
             if fcntl is not None:
                 fcntl.flock(lock_fd, fcntl.LOCK_EX)
+            report["freed_bytes"] += self._delete_orphaned_temp_files()
             excess = self.total_bytes() - max_bytes
             if excess <= 0:
                 return report

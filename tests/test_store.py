@@ -3,8 +3,9 @@
 Four layers:
 
 - component units: content hashing with the stat-validated cache,
-  the item payload cache (round trip, invalidation, corrupt-file
-  recovery), the memo journal (one record per block, merge across
+  the item payload cache (round trip, its ``.npy`` bytes against
+  numpy's, invalidation, damaged- and foreign-file recovery, loads
+  from many threads), the memo journal (one record per block, merge across
   writers, unordered pairs, hash-keyed invalidation, newest stamp wins,
   truncated/garbage/foreign-record tolerance, a segment of the older
   per-pair format recomputing) and :meth:`Application.fingerprint`;
@@ -21,12 +22,15 @@ Four layers:
   directory ``stats``/``gc`` and the ``repro store`` CLI.
 """
 
+import gc
 import glob
+import io
 import json
 import operator
 import os
 import pickle
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -64,6 +68,26 @@ def warm_config(store_dir, **overrides):
 
 def result_dict(matrix):
     return {(a, b): v for a, b, v in matrix.items()}
+
+
+def npy_bytes(array, version=None, allow_pickle=False):
+    """The ``.npy`` file numpy writes for ``array``."""
+    buf = io.BytesIO()
+    if version is None:
+        np.save(buf, array, allow_pickle=allow_pickle)
+    else:
+        np.lib.format.write_array(buf, array, version=version, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+FORMAT_CASES = [
+    np.arange(2 * 2363, dtype=np.float64).reshape(2, 2363),
+    np.arange(8, dtype=np.float64),
+    np.linspace(0, 1, 128 * 128, dtype=np.float32).reshape(128, 128),
+    np.arange(60, dtype=np.int32).reshape(3, 4, 5),
+    np.array(2.5),
+]
+FORMAT_IDS = ["2x2363-f8", "8-f8", "128x128-f4", "3x4x5-i4", "0d-f8"]
 
 
 class CountingApp(SumApp):
@@ -188,17 +212,32 @@ class TestPersistentItemCache:
         assert cache.load(keys[0]) is None
         assert not os.path.exists(path), "corrupt payload should be unlinked"
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "zero-byte"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "garbage", "zero-byte", "body-one-byte-short",
+            "body-one-byte-long", "fortran-order", "object-dtype",
+            "structured-dtype", "version-2.0-header",
+        ],
+    )
     def test_damaged_payload_is_a_miss_and_unlinked(self, tmp_path, damage):
+        """Anything but the reader's own ``.npy`` form is a damaged file."""
         store, keys = make_store(2)
         cache = PersistentItemCache(tmp_path, SumApp(), store)
         cache.store(keys[0], np.arange(64, dtype=np.float64))
         (path,) = glob.glob(str(tmp_path / "items" / "*.npy"))
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
+        grid = np.arange(64, dtype=np.float64).reshape(8, 8)
         damaged = {
             "truncated": data[: len(data) // 2],
             "garbage": bytes(range(256)),
             "zero-byte": b"",
+            "body-one-byte-short": data[:-1],
+            "body-one-byte-long": data + b"\0",
+            "fortran-order": npy_bytes(np.asfortranarray(grid)),
+            "object-dtype": npy_bytes(np.array([1.0, None], dtype=object), allow_pickle=True),
+            "structured-dtype": npy_bytes(np.zeros(4, dtype=[("a", "<i4"), ("b", "<f8")])),
+            "version-2.0-header": npy_bytes(grid, version=(2, 0)),
         }[damage]
         with open(path, "wb") as fh:
             fh.write(damaged)
@@ -237,47 +276,61 @@ class TestPersistentItemCache:
         assert cache.store(keys[0], np.arange(4, dtype=np.float64)) == 0
         assert not os.listdir(cache.items_dir)
 
-    def test_concurrent_loads_parse_one_header_at_a_time(self, tmp_path, monkeypatch):
-        """``np.load``'s header parse raced into ``SystemError`` when job
-        threads overlapped on CPython 3.11: loads are serialized."""
+    @pytest.mark.parametrize("array", FORMAT_CASES, ids=FORMAT_IDS)
+    def test_np_save_file_reads_back_equal(self, tmp_path, array):
+        """A store directory ``np.save`` wrote stays warm."""
         store, keys = make_store(2)
         cache = PersistentItemCache(tmp_path, SumApp(), store)
-        payload = np.arange(64, dtype=np.float64)
-        cache.store(keys[0], payload)
-        real_load = np.load
-        state = {"inside": 0, "most": 0}
-        guard = threading.Lock()
+        cache.store(keys[0], np.zeros(1))
+        (path,) = glob.glob(str(tmp_path / "items" / "*.npy"))
+        np.save(path, array)
+        loaded = cache.load(keys[0])
+        assert loaded.dtype == array.dtype and loaded.shape == array.shape
+        assert np.array_equal(loaded, array)
 
-        def counting_load(*args, **kwargs):
-            with guard:
-                state["inside"] += 1
-                state["most"] = max(state["most"], state["inside"])
-            try:
-                time.sleep(0.0005)  # widen the window a race needs
-                return real_load(*args, **kwargs)
-            finally:
-                with guard:
-                    state["inside"] -= 1
+    @pytest.mark.parametrize("array", FORMAT_CASES, ids=FORMAT_IDS)
+    def test_written_bytes_equal_np_save(self, tmp_path, array):
+        store, keys = make_store(2)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        written = cache.store(keys[0], array)
+        (path,) = glob.glob(str(tmp_path / "items" / "*.npy"))
+        data = Path(path).read_bytes()
+        assert data == npy_bytes(array)
+        assert written == len(data)
 
-        monkeypatch.setattr(np, "load", counting_load)
+    def test_concurrent_loads_of_same_and_distinct_items(self, tmp_path):
+        """Job threads read payloads at once, with no lock between them."""
+        store, keys = make_store(8)
+        cache = PersistentItemCache(tmp_path, SumApp(), store)
+        payloads = {k: np.arange(64, dtype=np.float64) * (i + 1) for i, k in enumerate(keys)}
+        for key, payload in payloads.items():
+            assert cache.store(key, payload) > 0
         loaded = [[] for _ in range(8)]
         barrier = threading.Barrier(8)
 
         def worker(tid):
             barrier.wait()
             for _ in range(20):
-                loaded[tid].append(np.array(cache.load(keys[0])))
+                # Every thread loads the shared item and its own one.
+                for key in (keys[0], keys[tid]):
+                    loaded[tid].append((key, cache.load(key)))
 
         threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert state["most"] == 1
-        assert [len(got) for got in loaded] == [20] * 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside a load, not between
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(got) for got in loaded] == [40] * 8
         for got in loaded:
-            for arr in got:
-                np.testing.assert_array_equal(arr, payload)
+            for key, arr in got:
+                assert arr is not None
+                assert np.array_equal(arr, payloads[key])
 
 
 class _Reconstructs:
@@ -632,6 +685,30 @@ class TestWarmStart:
         assert persistent["bytes_read"] > 0
         assert snap["pipeline"]["loads"] == 0
 
+    def test_an_edit_job_leaves_no_reference_cycles(self, tmp_path):
+        """A job reading warm items frees them by reference count.
+
+        Regression: each ``np.load`` hit left self-referencing closures
+        for the cyclic collector (396 objects for 36 warm items).
+        """
+        store, keys = make_store(40)
+        app = SumApp()
+        Rocket(app, store, warm_config(tmp_path)).run(keys)
+        for key in keys[:4]:
+            name = app.file_name(key)
+            data = np.frombuffer(store.read(name), dtype=np.float64) + 1.0
+            store.write(name, data.tobytes())
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            Rocket(app, store, warm_config(tmp_path)).run(keys)
+            gc.collect()
+            cyclic = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert cyclic == 0
+
     def test_delta_workload_reuses_all_pairs_memo(self, tmp_path):
         """Memo entries are keyed on pairs, not on the workload shape."""
         store, keys = make_store(6)
@@ -871,6 +948,42 @@ class TestSurfaces:
             assert len(survivors) == 1
         finally:
             memo.close()
+
+    def test_stats_count_only_finished_payloads(self, tmp_path):
+        """An item write in flight (or orphaned by a kill) is no payload."""
+        store, keys = make_store(4)
+        Rocket(SumApp(), store, warm_config(tmp_path)).run(keys)
+        (tmp_path / "items" / ".tmp-0123abcd.npy").write_bytes(b"\0" * 5000)
+        rocket_store = RocketStore(tmp_path)
+        try:
+            stats = rocket_store.stats()
+        finally:
+            rocket_store.close()
+        payloads = glob.glob(str(tmp_path / "items" / "*.npy"))  # skips dot files
+        assert len(payloads) == 4
+        assert stats["items"]["count"] == 4
+        assert stats["items"]["bytes"] == sum(os.path.getsize(p) for p in payloads)
+
+    def test_gc_deletes_orphaned_temp_files(self, tmp_path):
+        """A writer killed before its rename leaves a temp file behind."""
+        store, keys = make_store(4)
+        Rocket(SumApp(), store, warm_config(tmp_path)).run(keys)
+        orphan = tmp_path / "items" / ".tmp-orphan.npy"
+        orphan.write_bytes(b"\0" * 5000)
+        week_ago = time.time() - 7 * 24 * 3600  # far past the grace
+        os.utime(orphan, (week_ago, week_ago))
+        in_flight = tmp_path / "items" / ".tmp-in-flight.npy"
+        in_flight.write_bytes(b"\0" * 100)
+        rocket_store = RocketStore(tmp_path)
+        try:
+            report = rocket_store.gc(max_bytes=0)
+            assert not orphan.exists()
+            assert in_flight.exists(), "a fresh temp file may be a write in flight"
+            assert report["deleted_items"] == 4
+            assert report["freed_bytes"] > 5000
+            assert rocket_store.total_bytes() == 100
+        finally:
+            rocket_store.close()
 
     def test_cli_store_stats_and_gc(self, tmp_path, capsys):
         store, keys = make_store(4)
