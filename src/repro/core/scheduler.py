@@ -246,9 +246,9 @@ class JobScheduler:
         self.window = window  # in-flight pairs of all jobs together (None: no cap)
         #: When set, :meth:`submit` precomputes the workload's grain
         #: decomposition on the *submitting* thread.  Sessions that
-        #: grant block-level (local FAIR) use this so a large filtered
-        #: workload's O(pairs) predicate sweep stalls only its own
-        #: caller, never the shared admission loop — head-of-line
+        #: grant block-level (local FAIR) use this so a large
+        #: workload's quadtree descent stalls only its own caller,
+        #: never the shared admission loop — head-of-line
         #: latency is exactly what the FAIR policy exists to remove.
         self.decompose = decompose
         self._lock = threading.Lock()
@@ -312,8 +312,8 @@ class JobScheduler:
         accounting = self.account(handle)
         job = _Job(handle, accounting.job_id, accounting)  # ids order submissions
         if self.decompose:
-            # Pay the decomposition (O(pairs) under a filter) here, on
-            # the submitter's thread, not on the shared admission loop.
+            # Pay the decomposition here, on the submitter's thread,
+            # not on the shared admission loop.
             job.blocks.extend(handle.residual.grain_blocks(self.grain))
         # A job that was never handed to the backend resolves its
         # cancellation right here, synchronously, without the backend

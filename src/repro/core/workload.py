@@ -8,6 +8,7 @@ every execution backend understands:
 
 - :class:`AllPairs` — the paper's workload, ``C(n, 2)`` pairs;
 - :class:`FilteredPairs` — all pairs restricted by a user predicate;
+- :class:`PairSubset` — a workload narrowed to explicit index pairs;
 - :class:`Bipartite` — compare a query set against a reference corpus
   without computing reference-internal (or query-internal) pairs;
 - :class:`DeltaPairs` — incremental corpus growth: only ``new x old``
@@ -56,15 +57,14 @@ __all__ = [
     "Workload",
     "AllPairs",
     "FilteredPairs",
-    "PairSetFilter",
+    "PairSet",
+    "PairSubset",
     "Bipartite",
     "DeltaPairs",
     "as_workload",
 ]
 
 K = TypeVar("K", bound=Hashable)
-
-PairFilter = Callable[[K, K], bool]
 
 
 def _check_keys(keys: Sequence[K], what: str) -> List[K]:
@@ -76,16 +76,44 @@ def _check_keys(keys: Sequence[K], what: str) -> List[K]:
     return keys
 
 
-def accepted_columns(
-    keys: Sequence[K], pair_filter: Optional[PairFilter], i: np.ndarray, j: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(i, j)`` index columns narrowed to the pairs ``pair_filter`` accepts."""
-    if pair_filter is None or not len(i):
-        return i, j
-    key = keys.__getitem__
-    accepted = map(pair_filter, map(key, i.tolist()), map(key, j.tolist()))
-    keep = np.fromiter(accepted, bool, len(i))
-    return i[keep], j[keep]
+class PairSet:
+    """An explicit set of accepted pairs over an ``n``-item index space.
+
+    Stored as the sorted ``int64`` codes ``i * n + j`` (``i < j``), so a
+    block's pairs are one code range per block row: counting and
+    selecting cost one ``np.searchsorted`` over the rows, never a call
+    per pair.  Picklable as plain arrays — this is what travels to the
+    cluster's worker processes in place of a predicate.
+    """
+
+    __slots__ = ("n", "codes")
+
+    def __init__(self, n: int, i: np.ndarray, j: np.ndarray) -> None:
+        self.n = n
+        self.codes = np.unique(np.asarray(i, np.int64) * n + np.asarray(j, np.int64))
+
+    def _row_ranges(self, block: PairBlock) -> Tuple[np.ndarray, np.ndarray]:
+        """Per block row, the ``[lo, hi)`` slice of :attr:`codes` it holds."""
+        rows = np.arange(block.row_lo, block.row_hi, dtype=np.int64)
+        base = rows * self.n
+        lo = np.searchsorted(self.codes, base + np.maximum(block.col_lo, rows + 1))
+        hi = np.searchsorted(self.codes, base + block.col_hi)
+        return lo, np.maximum(lo, hi)
+
+    def count(self, block: PairBlock) -> int:
+        """Accepted pairs inside ``block``."""
+        lo, hi = self._row_ranges(block)
+        return int((hi - lo).sum())
+
+    def columns(self, block: PairBlock) -> Tuple[np.ndarray, np.ndarray]:
+        """The accepted pairs of ``block`` as int32 ``(i, j)`` columns, row-major."""
+        lo, hi = self._row_ranges(block)
+        widths = hi - lo
+        # Concatenate the row slices: position k of row r reads lo[r] + k.
+        starts = np.cumsum(widths) - widths
+        idx = np.arange(int(widths.sum())) + np.repeat(lo - starts, widths)
+        i, j = np.divmod(self.codes[idx], self.n)
+        return i.astype(np.int32), j.astype(np.int32)
 
 
 class Workload(ABC, Generic[K]):
@@ -94,7 +122,7 @@ class Workload(ABC, Generic[K]):
     Subclasses fix :attr:`keys` (the ordered index space) in their
     constructor and implement :meth:`blocks`; everything else — pair
     counting, per-block accepted counts, iteration, result shaping —
-    derives from the blocks plus the optional :attr:`pair_filter`.
+    derives from the blocks plus the optional :attr:`accepted` set.
     """
 
     #: Short scheme name used in summaries ("all-pairs", "bipartite", ...).
@@ -102,8 +130,10 @@ class Workload(ABC, Generic[K]):
 
     keys: List[K]
 
+    #: The accepted pairs of the blocks, or None: every pair of them.
+    accepted: Optional[PairSet] = None
+
     def __init__(self) -> None:
-        self._block_counts: Optional[List[int]] = None
         self._grain_cache: Optional[Tuple[int, List[Tuple[PairBlock, int]]]] = None
 
     # -- shape -----------------------------------------------------------
@@ -113,14 +143,9 @@ class Workload(ABC, Generic[K]):
         """The pair-block decomposition handed to the partitioner.
 
         Blocks are disjoint and together cover exactly the workload's
-        pair set (before filtering).  Fresh objects each call: callers
-        split them destructively into task trees.
+        pair set (before narrowing to :attr:`accepted`).  Fresh objects
+        each call: callers split them destructively into task trees.
         """
-
-    @property
-    def pair_filter(self) -> Optional[PairFilter]:
-        """Optional predicate restricting the blocks' pairs (or None)."""
-        return None
 
     @property
     def n_items(self) -> int:
@@ -129,31 +154,16 @@ class Workload(ABC, Generic[K]):
 
     @property
     def n_pairs(self) -> int:
-        """Number of *accepted* pairs (filter applied)."""
+        """Number of *accepted* pairs."""
         return sum(self.block_counts())
 
     def block_counts(self) -> List[int]:
-        """Accepted pairs per block, computed once and cached.
-
-        With a filter this is an O(pairs) sweep; schedulers that size
-        partitions by accepted counts (the SPEED policy) reuse these
-        numbers instead of re-evaluating the predicate per block.
-        """
-        if self._block_counts is None:
-            flt = self.pair_filter
-            keys = self.keys
-            counts = []
-            for block in self.blocks():
-                if flt is None:
-                    counts.append(block.count)
-                else:
-                    counts.append(
-                        sum(1 for i, j in block.pairs() if flt(keys[i], keys[j]))
-                    )
-            if sum(counts) == 0:
-                raise ValueError("pair_filter rejected every pair")
-            self._block_counts = counts
-        return list(self._block_counts)
+        """Accepted pairs per block (what the SPEED policy sizes shares by)."""
+        accepted = self.accepted
+        return [
+            block.count if accepted is None else accepted.count(block)
+            for block in self.blocks()
+        ]
 
     def grain_blocks(self, grain: int) -> List[Tuple[PairBlock, int]]:
         """Split the decomposition into hand-out quanta for fair sharing.
@@ -162,58 +172,39 @@ class Workload(ABC, Generic[K]):
         at most ``grain`` raw pairs (or being unsplittable), in
         depth-first Morton order so consecutively granted quanta keep
         the cache locality of the divide-and-conquer walk.  Quanta
-        whose pairs are all filter-rejected are dropped — granting them
-        would occupy scheduler bookkeeping without producing work.
+        with no accepted pair are dropped — granting them would occupy
+        scheduler bookkeeping without producing work.
 
         This is the granularity at which the multi-job scheduler
         interleaves jobs: one quantum is the unit of device time a job
-        is granted per scheduling decision.
-
-        Memoized per grain, and the sweep *seeds* the per-block
-        accepted counts: calling this before :attr:`n_pairs` /
-        :meth:`make_result` means a filtered workload's predicate runs
-        over each pair exactly once for the whole submission, not once
-        per consumer.
+        is granted per scheduling decision.  Memoized per grain.
         """
         if grain < 1:
             raise ValueError(f"grain must be >= 1, got {grain}")
         if self._grain_cache is not None and self._grain_cache[0] == grain:
             return list(self._grain_cache[1])
-        flt = self.pair_filter
-        keys = self.keys
+        accepted = self.accepted
         out: List[Tuple[PairBlock, int]] = []
-        top_counts: List[int] = []
-        for top in self.blocks():
-            accepted_total = 0
-            stack = [top]
-            while stack:
-                block = stack.pop()
-                if block.count > grain and not block.is_leaf():
-                    stack.extend(reversed(block.split()))
-                    continue
-                if flt is None:
-                    accepted = block.count
-                else:
-                    accepted = sum(
-                        1 for i, j in block.pairs() if flt(keys[i], keys[j])
-                    )
-                accepted_total += accepted
-                if accepted:
-                    out.append((block, accepted))
-            top_counts.append(accepted_total)
-        if sum(top_counts) == 0:
-            raise ValueError("pair_filter rejected every pair")
-        if self._block_counts is None:
-            self._block_counts = top_counts
+        stack = self.blocks()[::-1]
+        while stack:
+            block = stack.pop()
+            if block.count > grain and not block.is_leaf():
+                stack.extend(reversed(block.split()))
+                continue
+            count = block.count if accepted is None else accepted.count(block)
+            if count:
+                out.append((block, count))
         self._grain_cache = (grain, list(out))
         return out
 
     def pair_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """The accepted pairs as int32 ``(i, j)`` index columns, block by block."""
-        columns = [block.columns() for block in self.blocks()]
-        i = np.concatenate([c[0] for c in columns]) if columns else np.empty(0, np.int32)
-        j = np.concatenate([c[1] for c in columns]) if columns else np.empty(0, np.int32)
-        return accepted_columns(self.keys, self.pair_filter, i, j)
+        accepted = self.accepted
+        i, j = zip(*(
+            block.columns() if accepted is None else accepted.columns(block)
+            for block in self.blocks()
+        ))
+        return np.concatenate(i), np.concatenate(j)
 
     def pairs(self) -> Iterator[Tuple[K, K]]:
         """Iterate the accepted ``(key_a, key_b)`` pairs, block by block."""
@@ -255,47 +246,58 @@ class FilteredPairs(AllPairs[K]):
     pairs".  Rejected pairs are skipped without being loaded or
     compared; the result matrix expects only the accepted pairs.
 
-    The cluster backend ships the predicate to its worker processes, so
-    it must be picklable — a module-level function, not a lambda or
-    closure; the session validates this at submit time.
+    The predicate runs over each pair exactly once, on the first use of
+    :attr:`accepted` — in practice on the thread that submits the job;
+    what the runtimes see is the resulting :class:`PairSet`, so any
+    callable works on every backend (a lambda included).
     """
 
     kind = "filtered-pairs"
 
-    def __init__(self, keys: Sequence[K], predicate: PairFilter) -> None:
+    def __init__(self, keys: Sequence[K], predicate: Callable[[K, K], bool]) -> None:
         super().__init__(keys)
         if not callable(predicate):
             raise TypeError(f"predicate must be callable, got {type(predicate).__name__}")
         self._predicate = predicate
+        self._accepted: Optional[PairSet] = None
 
     @property
-    def pair_filter(self) -> Optional[PairFilter]:
-        return self._predicate
+    def accepted(self) -> PairSet:
+        if self._accepted is None:
+            i, j = PairBlock.root(len(self.keys)).columns()
+            key = self.keys.__getitem__
+            keep = np.fromiter(
+                map(self._predicate, map(key, i.tolist()), map(key, j.tolist())),
+                bool,
+                len(i),
+            )
+            if not keep.any():
+                raise ValueError("predicate rejected every pair")
+            self._accepted = PairSet(len(self.keys), i[keep], j[keep])
+        return self._accepted
 
 
-class PairSetFilter:
-    """Picklable pair predicate accepting an explicit unordered-pair set.
+class PairSubset(Workload[K]):
+    """A base workload narrowed to the explicit pairs ``(i[k], j[k])``.
 
-    What a :class:`FilteredPairs` predicate becomes once it has been
-    evaluated: the serving protocol ships a client's (arbitrary,
-    unserializable) callable as its accepted ``(key_a, key_b)`` pairs,
-    and the memo store narrows a job to the pairs it could not serve.
-    A module-level class, so the cluster backend can ship it to its
-    worker processes like any user pair filter.
+    Keeps the base's index space and block decomposition, so scheduling
+    locality is untouched; the columns index ``base.keys`` and must lie
+    inside its blocks.  What the memo store leaves a job to compute and
+    what a served :class:`FilteredPairs` arrives as.
     """
 
-    __slots__ = ("_pairs",)
+    kind = "pair-subset"
 
-    def __init__(self, pairs) -> None:
-        self._pairs = frozenset(tuple(p) for p in pairs)
+    def __init__(self, base: Workload[K], i: np.ndarray, j: np.ndarray) -> None:
+        super().__init__()
+        if not len(i):
+            raise ValueError("a pair subset needs at least one pair")
+        self.keys = list(base.keys)
+        self._base = base
+        self.accepted = PairSet(len(self.keys), i, j)
 
-    def __call__(self, a, b) -> bool:
-        return (a, b) in self._pairs or (b, a) in self._pairs
-
-    def __reduce__(self):
-        # Sorted (by repr: keys need not be mutually comparable) so equal
-        # filters pickle to equal bytes whatever the set's hash order.
-        return (PairSetFilter, (sorted(self._pairs, key=repr),))
+    def blocks(self) -> List[PairBlock]:
+        return self._base.blocks()
 
 
 class Bipartite(Workload[K]):

@@ -243,9 +243,8 @@ class BackendSession(ABC):
         workload = as_workload(workload)
         # All per-workload heavy lifting runs on the submitting thread,
         # outside the session lock: the driver keeps serving co-running
-        # jobs while a large submission prepares.  Warming grain_blocks
-        # first also seeds the accepted-pair counts, so a filtered
-        # workload's predicate sweeps each pair exactly once.
+        # jobs while a large submission prepares (a FilteredPairs
+        # predicate runs here, once per pair, on first use).
         self._rocket.app.validate_keys(workload.keys)
         memo, trace = self._memo, self._trace
         residual: Optional[Workload] = workload
@@ -256,8 +255,6 @@ class BackendSession(ABC):
             lookup_end = trace.now()
         if residual is not None:
             self._prepare(residual)
-            if self._scheduler.decompose:
-                residual.grain_blocks(self._scheduler.grain)
         handle = RunHandle(workload, priority=priority, max_inflight=max_inflight)
         if memo is not None:
             handle.residual, handle.memo_hits = residual, len(memoized[2])

@@ -42,7 +42,9 @@ The runtime is **session-oriented and multi-job**: worker processes
 are spawned once per :class:`ClusterSession` and then serve *many
 concurrently active jobs*.  Each job is dispatched over the transport
 as a ``("job", job_id, packed_spec, max_inflight)`` message, where the
-spec ``(keys, pair_filter, blocks)`` rides inline on the queue
+spec ``(keys, accepted, blocks)`` — ``accepted`` the job's
+:class:`~repro.core.workload.PairSet` of index codes, or None for
+every pair of the blocks — rides inline on the queue
 transport and as a shared-segment descriptor on shm.  A job exists on
 a node from the moment the node's comm thread reads that hand-out: it
 registers the job and starts the job's own

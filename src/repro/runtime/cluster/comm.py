@@ -127,7 +127,7 @@ class NodeCommServer:
 
     The server outlives every job and serves many at once.  A
     ``("job", ...)`` hand-out registers the job and starts the pipeline
-    ``make_pipeline(comm, state, pair_filter, blocks, max_inflight)``
+    ``make_pipeline(comm, state, accepted, blocks, max_inflight)``
     builds for it, on the comm thread, so the job exists before the
     next message is read; a hand-out that cannot be built is reported
     as that job's error, with an empty stats report.  The node's driver
@@ -197,7 +197,7 @@ class NodeCommServer:
         try:
             # The spec travels out-of-band (or inline, per the fabric)
             # and unpacks on this side.
-            keys, pair_filter, blocks = self.transport.unpack_job_payload(packed)
+            keys, accepted, blocks = self.transport.unpack_job_payload(packed)
             state = NodeJobState(
                 job_id,
                 keys,
@@ -209,7 +209,7 @@ class NodeCommServer:
                 # pickled triple tuples.
                 pack_result_block=self.transport.pack_result_block,
             )
-            state.pipeline = self._make_pipeline(self, state, pair_filter, blocks, max_inflight)
+            state.pipeline = self._make_pipeline(self, state, accepted, blocks, max_inflight)
         except BaseException:  # noqa: BLE001 - the job's failure, not the node's
             self.transport.send_coordinator(
                 ("error", self.node_id, job_id, traceback.format_exc())

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.session import RunHandle
-from repro.core.workload import accepted_columns
 from repro.runtime.backend import SessionJob
 from repro.runtime.stats import NodeStats
 from repro.scheduling.quadtree import PairBlock, partition_blocks
@@ -34,7 +33,7 @@ class _ClusterJob(SessionJob):
         self.session = session
         workload = handle.residual  # what the memo store left to compute
         self.keys = workload.keys
-        self.pair_filter = workload.pair_filter
+        self.accepted = workload.accepted
         self.total_pairs = workload.n_pairs
         self.n_items = workload.n_items
 
@@ -59,14 +58,6 @@ class _ClusterJob(SessionJob):
             node_shares: List[List[PairBlock]] = [[] for _ in nodes]
             node_shares[0] = blocks
         self.shares: Dict[int, List[PairBlock]] = dict(zip(nodes, node_shares))
-
-        # Accepted-pair counts per block, computed once and memoized by
-        # block region: the workload seeds the map for its own blocks,
-        # steal-time sub-blocks are swept at most once each.
-        self._accepted_counts: Dict[Tuple[int, int, int, int], int] = {
-            (b.row_lo, b.row_hi, b.col_lo, b.col_hi): c
-            for b, c in zip(blocks, workload.block_counts())
-        }
         self.selector = VictimSelector(
             session._topology, RngFactory(cfg.seed).get(f"cluster:steal:{self.job_id}")
         )
@@ -108,23 +99,8 @@ class _ClusterJob(SessionJob):
     # -- bookkeeping helpers ---------------------------------------------
 
     def accepted_count(self, block: PairBlock) -> int:
-        """Pairs of ``block`` that survive the filter (all, if none).
-
-        The filter sweep only pays off for the SPEED policy's
-        remaining-work estimate; UNIFORM runs never read it, so they
-        get the O(1) raw count.
-        """
-        if self.pair_filter is None or not self.speed_aware:
-            return block.count
-        region = (block.row_lo, block.row_hi, block.col_lo, block.col_hi)
-        count = self._accepted_counts.get(region)
-        if count is None:
-            keys = self.keys
-            count = sum(
-                1 for i, j in block.pairs() if self.pair_filter(keys[i], keys[j])
-            )
-            self._accepted_counts[region] = count
-        return count
+        """Accepted pairs of ``block`` (all of them, when the job has no set)."""
+        return block.count if self.accepted is None else self.accepted.count(block)
 
     def reports_complete(self) -> bool:
         return all(
@@ -328,7 +304,7 @@ class _ClusterJob(SessionJob):
 
     def _block_remaining(self, block: PairBlock) -> bool:
         """True if any accepted pair of ``block`` lacks a recorded result."""
-        i, j = accepted_columns(self.keys, self.pair_filter, *block.columns())
+        i, j = block.columns() if self.accepted is None else self.accepted.columns(block)
         return len(self.handle._matrix.unrecorded(i, j)) > 0
 
     def recover_node(self, node: int, *, voluntary: bool = False) -> int:

@@ -20,6 +20,7 @@ import traceback
 from typing import Optional, Sequence, Tuple
 
 from repro.core.api import Application
+from repro.core.workload import PairSet
 from repro.data.filestore import FileStore
 from repro.runtime.cluster.comm import NodeCommServer, NodeJobState
 from repro.runtime.cluster.config import ClusterConfig
@@ -44,7 +45,7 @@ def _build_pipeline(
     engine: NodeEngine,
     comm: NodeCommServer,
     state: NodeJobState,
-    pair_filter,
+    accepted: Optional[PairSet],
     initial_blocks: Sequence[PairBlock],
     max_inflight: Optional[int],
 ) -> NodePipeline:
@@ -56,7 +57,7 @@ def _build_pipeline(
         store,
         config,
         state.keys,
-        pair_filter=pair_filter,
+        accepted=accepted,
         emit_block=state.batcher.emit_block,
         node_id=node_id,
         rngs=RngFactory(config.seed + 7919 * (node_id + 1) + 104729 * job_id),

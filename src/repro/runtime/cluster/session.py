@@ -141,18 +141,17 @@ class ClusterSession(BackendSession):
     def _prepare(self, workload: Workload) -> None:
         """Check, before anything is dispatched, that the job can ship.
 
-        The workload's keys and pair filter ride on the job message: a
-        lambda or closure predicate would otherwise only crash inside a
-        worker process, far from the caller.
+        The workload's keys ride on the job message (its accepted pairs
+        travel as a :class:`~repro.core.workload.PairSet` of codes): an
+        unpicklable key would otherwise only crash inside a worker
+        process, far from the caller.
         """
         try:
-            pickle.dumps((workload.keys, workload.pair_filter))
+            pickle.dumps(workload.keys)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ValueError(
                 f"workload cannot be shipped to the cluster workers "
-                f"({exc}); keys and pair filters must be picklable — "
-                f"define filter predicates at module level, not as "
-                f"lambdas or closures"
+                f"({exc}); keys must be picklable"
             ) from None
 
     def _teardown(self) -> None:
@@ -277,7 +276,7 @@ class ClusterSession(BackendSession):
                 continue
             job.participants.add(node)
             packed = self._fabric.pack_job_payload(
-                (job.keys, job.pair_filter, [])
+                (job.keys, job.accepted, [])
             )
             self._fabric.send_node(
                 node, ("job", job.job_id, packed, job.handle.max_inflight)
@@ -362,7 +361,7 @@ class ClusterSession(BackendSession):
                 # plane: inline on the queue transport, a shared-segment
                 # descriptor on shm — the message stays tiny either way.
                 packed = self._fabric.pack_job_payload(
-                    (job.keys, job.pair_filter, job.shares.get(node, []))
+                    (job.keys, job.accepted, job.shares.get(node, []))
                 )
                 self._fabric.send_node(
                     node, ("job", job.job_id, packed, handle.max_inflight)

@@ -165,8 +165,8 @@ class LocalSession(BackendSession):
             grain=cfg.grain,
             window=cfg.n_devices * cfg.grain,
             # FAIR grants block-level: decompose at submit time, on the
-            # caller's thread, so a large filtered workload's predicate
-            # sweep never stalls the shared admission loop.
+            # caller's thread, so a large workload's quadtree descent
+            # never stalls the shared admission loop.
             decompose=policy is SchedulingPolicy.FAIR,
         )
         super().__init__(rocket, cfg, scheduler, "session.local")
@@ -215,7 +215,7 @@ class LocalSession(BackendSession):
             self._rocket.store,
             cfg,
             workload.keys,
-            pair_filter=workload.pair_filter,
+            accepted=workload.accepted,
             emit_block=emit_block,
             rngs=RngFactory(cfg.seed),
             # Per-job recorder on the session clock: the job's stats

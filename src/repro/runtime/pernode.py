@@ -106,6 +106,7 @@ from repro.cache.policy import safe_job_limit
 from repro.cache.slots import CacheCounters, Slot, SlotCache, SlotState
 from repro.core.api import Application
 from repro.core.result import real_column
+from repro.core.workload import PairSet
 from repro.data.filestore import FileStore
 from repro.model.perfmodel import StageCalibration
 from repro.runtime.devices import VirtualDevice
@@ -315,7 +316,7 @@ class NodePipeline:
         config,  # RocketConfig (kept untyped to avoid an import cycle)
         keys: Sequence[Hashable],
         *,
-        pair_filter: Optional[Callable[[Hashable, Hashable], bool]] = None,
+        accepted: Optional[PairSet] = None,
         emit_block: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
         emit_result: Optional[Callable[[int, int, Any], None]] = None,
         node_id: int = 0,
@@ -337,7 +338,8 @@ class NodePipeline:
         self.store = store
         self.config = cfg
         self.keys = list(keys)
-        self.pair_filter = pair_filter
+        #: The job's accepted pairs (None: every pair of its blocks).
+        self.accepted = accepted
         if emit_block is None:
             # The per-pair spelling survives only for bench/layers.py,
             # which builds bare pipelines with it; nothing in src/ does.
@@ -1055,7 +1057,6 @@ class NodePipeline:
 
     def _worker(self, d: int) -> None:
         st = self.states[d]
-        keys = self.keys
         idle_rounds = 0
         while not self.done.is_set():
             task = self._next_local_task(d)
@@ -1082,11 +1083,11 @@ class NodePipeline:
                 continue
             idle_rounds = 0
             if task.is_leaf(self._leaf_pairs):
-                pairs = [
-                    (i, j)
-                    for (i, j) in task.pairs()
-                    if self.pair_filter is None or self.pair_filter(keys[i], keys[j])
-                ]
+                if self.accepted is None:
+                    pairs = list(task.pairs())
+                else:
+                    i, j = self.accepted.columns(task)
+                    pairs = list(zip(i.tolist(), j.tolist()))
                 # One job per admission grant: the whole leaf or its
                 # capacity cut (one pair for apps without ``compare_block``).
                 step = len(pairs) if self._batched else 1

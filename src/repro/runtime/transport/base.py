@@ -189,7 +189,10 @@ class TransportFabric(ABC):
     # -- result / dispatch planes ------------------------------------------
 
     def pack_job_payload(self, spec: Any) -> Any:
-        """Prepare one node's job hand-out ``(keys, pair_filter, blocks)``.
+        """Prepare one node's job hand-out ``(keys, accepted, blocks)``.
+
+        ``accepted`` is the job's :class:`~repro.core.workload.PairSet`
+        (None: every pair of the blocks) — index codes, never code.
 
         Default: the spec rides inline in the ``("job", ...)`` message.
         Zero-copy fabrics may pickle it into a coordinator-owned shared

@@ -16,10 +16,10 @@ This module owns everything both sides must agree on:
   :func:`workload_from_wire`) translating the four
   :class:`~repro.core.workload.Workload` shapes into plain JSON — a
   :class:`~repro.core.workload.FilteredPairs` predicate cannot travel
-  as code, so the *client* evaluates it and ships the accepted pair
-  set, which the server rebuilds into an equivalent picklable filter
-  (:class:`~repro.core.workload.PairSetFilter`) the cluster backend
-  can fork to its workers;
+  as code, so the *client* evaluates it and ships the accepted pairs,
+  which the server validates and rebuilds into a
+  :class:`~repro.core.workload.PairSubset` of the key list: index
+  columns, the same pair-set format every backend runs;
 - the result codec (:func:`matrix_to_wire` / :func:`matrix_from_wire`)
   reusing the ``rocket-results`` JSON document shape of
   :func:`repro.core.result.save_results`;
@@ -37,13 +37,14 @@ import socket
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.result import ResultMatrix, matrix_from_document, result_document
 from repro.core.workload import (
     AllPairs,
     Bipartite,
     DeltaPairs,
-    FilteredPairs,
-    PairSetFilter,
+    PairSubset,
     Workload,
 )
 from repro.serve.errors import (
@@ -149,12 +150,34 @@ def _check_wire_keys(keys, what: str) -> List[Any]:
     return keys
 
 
+def _pair_columns(keys: List[Any], pairs: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """A filtered workload's ``[[key_a, key_b], ...]`` as ``i < j`` index columns.
+
+    Every row must name two distinct keys of ``keys``; a reversed pair
+    is normalised, and an empty list is refused.
+    """
+    if not isinstance(pairs, list) or not pairs:
+        raise ProtocolError("filtered workload needs a non-empty 'pairs' list")
+    index = {key: k for k, key in enumerate(keys)}
+    columns = np.empty((2, len(pairs)), np.int64)
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ProtocolError(f"filtered pair {k} is not a [key_a, key_b] pair: {pair!r}")
+        a, b = (index.get(key) if isinstance(key, (str, int, float)) else None for key in pair)
+        if a is None or b is None:
+            raise ProtocolError(f"filtered pair {k} names a key outside 'keys': {pair!r}")
+        if a == b:
+            raise ProtocolError(f"filtered pair {k} pairs a key with itself: {pair!r}")
+        columns[:, k] = (a, b) if a < b else (b, a)
+    return columns[0], columns[1]
+
+
 def workload_to_wire(workload: Workload) -> Dict[str, Any]:
     """Encode a workload as a plain-JSON description.
 
-    ``FilteredPairs`` is encoded by *evaluating* the predicate (an
-    O(pairs) sweep, priced on the client) into the accepted pair list;
-    the other shapes ship their key lists only.
+    A workload with an explicit accepted set (``FilteredPairs``, whose
+    predicate is evaluated here, on the client) ships that set as its
+    accepted pair list; the other shapes ship their key lists only.
     """
     for key in workload.keys:
         if not isinstance(key, (str, int, float)):
@@ -162,7 +185,7 @@ def workload_to_wire(workload: Workload) -> Dict[str, Any]:
                 f"served workloads need JSON scalar keys, got "
                 f"{type(key).__name__} ({key!r})"
             )
-    if isinstance(workload, FilteredPairs):
+    if workload.accepted is not None:
         return {
             "kind": "filtered",
             "keys": list(workload.keys),
@@ -197,10 +220,7 @@ def workload_from_wire(doc: Any) -> Workload:
             return AllPairs(_check_wire_keys(doc.get("keys"), "keys"))
         if kind == "filtered":
             keys = _check_wire_keys(doc.get("keys"), "keys")
-            pairs = doc.get("pairs")
-            if not isinstance(pairs, list):
-                raise ProtocolError("filtered workload needs a 'pairs' list")
-            return FilteredPairs(keys, PairSetFilter(pairs))
+            return PairSubset(AllPairs(keys), *_pair_columns(keys, doc.get("pairs")))
         if kind == "bipartite":
             return Bipartite(
                 _check_wire_keys(doc.get("keys_a"), "keys_a"),

@@ -13,8 +13,9 @@ not a layer around it — a job has one
   (the store holds a value recorded under both items' current hashes)
   and *residual*.  The session records the memoized block in the job's
   handle up front — exactly-once, value-identical to recomputing it —
-  and the backend executes the :class:`ResidualPairs`; a fully memoized
-  job is resolved on the spot and never reaches the backend.
+  and the backend executes the :class:`ResidualPairs`, whose accepted
+  set is built straight from the residual index columns; a fully
+  memoized job is resolved on the spot and never reaches the backend.
 - :meth:`SessionMemo.journal`, on the session's driver thread: the
   driver follows the handle's result columns by cursor and appends each
   freshly computed batch to the memo journal as one record — every tick
@@ -38,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.api import Application
-from repro.core.workload import PairSetFilter, Workload
+from repro.core.workload import PairSubset, Workload
 from repro.data.filestore import FileStore
 
 from repro.store.manager import RocketStore
@@ -46,16 +47,12 @@ from repro.store.manager import RocketStore
 __all__ = ["SessionMemo", "ResidualPairs"]
 
 
-class ResidualPairs(Workload):
-    """A workload restricted to the pairs the memo store could not serve.
+class ResidualPairs(PairSubset):
+    """A workload narrowed to the pairs the memo store could not serve.
 
-    Keeps the base workload's index space and block decomposition (so
-    scheduling locality is untouched) and narrows the accepted set to
-    the pairs ``(i[k], j[k])`` with a
-    :class:`~repro.core.workload.PairSetFilter` — which already embeds
-    the base workload's own filter, applied during the submit-time
-    sweep; the per-block accepted counts come from the columns.
-    ``hashes`` are the item content hashes the partition was made under
+    A :class:`~repro.core.workload.PairSubset` of the submitted
+    workload, built straight from the partition's index columns, plus
+    ``hashes``: the item content hashes the partition was made under
     (None: unreadable blob); computed pairs are journaled with them.
     """
 
@@ -68,30 +65,10 @@ class ResidualPairs(Workload):
         j: np.ndarray,
         hashes: Dict[Any, Optional[str]],
     ) -> None:
-        super().__init__()
-        if not len(i):
-            raise ValueError("residual workload needs at least one pair")
-        self.keys = list(base.keys)
+        super().__init__(base, i, j)
         self.hashes = hashes
         #: Per key index: has a content hash, so its pairs can be journaled.
         self.readable = np.array([hashes[k] is not None for k in self.keys], dtype=bool)
-        self._base = base
-        key = self.keys.__getitem__
-        self._subset = PairSetFilter(zip(map(key, i.tolist()), map(key, j.tolist())))
-        # The accepted count per block, from the columns: no predicate sweep.
-        self._block_counts = [
-            int(np.count_nonzero(
-                (i >= b.row_lo) & (i < b.row_hi) & (j >= b.col_lo) & (j < b.col_hi)
-            ))
-            for b in base.blocks()
-        ]
-
-    def blocks(self):
-        return self._base.blocks()
-
-    @property
-    def pair_filter(self):
-        return self._subset
 
 
 class SessionMemo:

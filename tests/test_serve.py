@@ -31,6 +31,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.session import RunHandle, RunState, SessionClosed
@@ -163,22 +164,53 @@ class TestWorkloadCodec:
 
     def test_filtered_predicate_parity(self):
         # The wire form evaluates the predicate client-side; the
-        # rebuilt PairSetFilter must accept exactly the same pairs.
+        # rebuilt workload must hold exactly the same pair set.
         pred = lambda a, b: (int(a[-2:]) + int(b[-2:])) % 3 != 0
-        rebuilt = self.round_trip(FilteredPairs(self.KEYS, pred))
-        assert isinstance(rebuilt, FilteredPairs)
+        workload = FilteredPairs(self.KEYS, pred)
+        rebuilt = self.round_trip(workload)
+        assert rebuilt.keys == workload.keys
+        assert np.array_equal(rebuilt.accepted.codes, workload.accepted.codes)
 
     def test_rebuilt_filter_is_picklable(self):
-        # The cluster backend forks workloads to worker processes; a
-        # served FilteredPairs must survive pickling (the original
-        # lambda would not).
-        rebuilt = protocol.workload_from_wire(
-            protocol.workload_to_wire(FilteredPairs(self.KEYS, lambda a, b: a < b))
-        )
+        # The cluster backend ships a job's pair set to worker
+        # processes; a served FilteredPairs must survive pickling (the
+        # original lambda would not).
+        workload = FilteredPairs(self.KEYS, lambda a, b: a < b and a[-1] != "3")
+        rebuilt = protocol.workload_from_wire(protocol.workload_to_wire(workload))
         clone = pickle.loads(pickle.dumps(rebuilt))
-        assert sorted(map(tuple, clone.pairs())) == sorted(
-            map(tuple, rebuilt.pairs())
+        assert np.array_equal(clone.accepted.codes, workload.accepted.codes)
+        assert list(clone.pairs()) == list(workload.pairs())
+
+    def filtered(self, pairs):
+        return protocol.workload_from_wire(
+            {"kind": "filtered", "keys": self.KEYS, "pairs": pairs}
         )
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (["k00", "nope"], "outside"),
+            (["k03", "k03"], "itself"),
+            (["k00", "k01", "k02"], "not a"),
+            (["k00"], "not a"),
+            ("k00k01", "not a"),
+            ([["k00"], "k01"], "outside"),
+        ],
+    )
+    def test_malformed_filtered_pair_rejected_at_decode(self, bad, match):
+        # Dropping such a row would let the job report complete
+        # without a pair the client asked for.
+        with pytest.raises(ProtocolError, match=match):
+            self.filtered([["k00", "k01"], bad])
+
+    def test_empty_filtered_pairs_rejected_at_decode(self):
+        with pytest.raises(ProtocolError, match="non-empty"):
+            self.filtered([])
+
+    def test_reversed_filtered_pair_is_normalised(self):
+        rebuilt = self.filtered([["k05", "k02"], ["k01", "k07"], ["k02", "k05"]])
+        assert rebuilt.n_pairs == 2
+        assert sorted(rebuilt.pairs()) == [("k01", "k07"), ("k02", "k05")]
 
     def test_non_scalar_keys_rejected(self):
         with pytest.raises(ProtocolError, match="scalar"):

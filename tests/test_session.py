@@ -375,6 +375,29 @@ class TestLocalSession:
         finally:
             session.close()
 
+    @pytest.mark.parametrize("stored", [False, True])
+    @pytest.mark.parametrize("policy", ["fifo", "fair"])
+    def test_filter_predicate_runs_once_per_pair(self, stored, policy, tmp_path):
+        """Counting, decomposition, the memo partition and every leaf
+        walk read the job's pair set: the predicate itself runs exactly
+        once per pair of the index space, end to end."""
+        store, keys = make_store(9)
+        calls = []
+
+        def accept(a, b):
+            calls.append((a, b))
+            return accept_mod2(a, b)
+
+        overrides = {"store_dir": str(tmp_path)} if stored else {}
+        session = make_rocket("local", store, **overrides).session(policy=policy)
+        try:
+            matrix = session.submit(FilteredPairs(keys, accept)).result(timeout=60.0)
+        finally:
+            session.close()
+        assert matrix.is_complete()
+        assert len(calls) == math.comb(len(keys), 2)
+        assert len(set(calls)) == len(calls)
+
     def test_submit_after_close_raises(self):
         store, keys = make_store(4)
         session = make_rocket("local", store).session()
@@ -573,12 +596,33 @@ class TestSessionAcrossBackends:
         finally:
             session.close()
 
-    def test_cluster_rejects_unpicklable_filter(self):
+    def test_cluster_runs_lambda_filter(self):
+        """Only the evaluated pair set travels to the worker processes,
+        so a lambda predicate runs on the cluster, value-identical to
+        the local backend."""
+        store, keys = make_store(8)
+        accept = lambda a, b: (int(a[-2:]) * int(b[-2:])) % 3 != 1  # noqa: E731
+        local = make_rocket("local", store).run(FilteredPairs(keys, accept))
+        session = make_rocket("cluster", store).session()
+        try:
+            matrix = session.submit(FilteredPairs(keys, accept)).result(timeout=60.0)
+        finally:
+            session.close()
+        assert matrix.is_complete()
+        assert sorted(matrix.items()) == sorted(local.items())
+        assert {(a, b) for a, b, _ in matrix.items()} == {
+            (a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if accept(a, b)
+        }
+
+    def test_cluster_rejects_unpicklable_key(self):
+        class LocalKey(str):  # a class local to a function cannot pickle
+            pass
+
         store, keys = make_store(6)
         session = make_rocket("cluster", store).session()
         try:
             with pytest.raises(ValueError, match="picklable"):
-                session.submit(FilteredPairs(keys, lambda a, b: True))
+                session.submit(AllPairs([LocalKey(k) for k in keys]))
         finally:
             session.close()
 

@@ -1,8 +1,21 @@
-"""Unit tests for workload profiles and the faithful scaling law."""
+"""Unit tests for workload profiles and the faithful scaling law, and a
+property test of the runtime's accepted-pair-set format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.rocket import Rocket
+from repro.core.workload import (
+    AllPairs,
+    Bipartite,
+    DeltaPairs,
+    FilteredPairs,
+    PairSubset,
+)
+from repro.runtime.localrocket import RocketConfig
+from repro.scheduling.quadtree import PairBlock
 from repro.sim.workload import (
     BIOINFORMATICS,
     FORENSICS,
@@ -11,6 +24,8 @@ from repro.sim.workload import (
     WorkloadProfile,
     scaled_profile,
 )
+
+from tests.test_cluster_runtime import SumApp, make_store
 
 
 class TestProfiles:
@@ -122,3 +137,92 @@ class TestScaling:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             scaled_profile(FORENSICS, 1)
+
+
+# ----------------------------------------------------------------------
+# The accepted pair set (core.workload.PairSet)
+
+
+@st.composite
+def accepted_workloads(draw):
+    """One of the four workload shapes, narrowed to a random accepted
+    subset, and that subset as a brute-force set of index pairs."""
+    shape = draw(st.sampled_from(["all", "filtered", "bipartite", "delta"]))
+    n = draw(st.integers(3, 24))
+    keys = [f"item{k:02d}" for k in range(n)]
+    cut = draw(st.integers(1, n - 2))
+    base = {
+        "all": AllPairs(keys),
+        "filtered": AllPairs(keys),
+        "bipartite": Bipartite(keys[:cut], keys[cut:]),
+        "delta": DeltaPairs(keys[:cut], keys[cut:]),
+    }[shape]
+    every = [(i, j) for b in base.blocks() for i, j in b.pairs()]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(len(every)) < draw(st.floats(0.0, 1.0))
+    keep[rng.integers(len(every))] = True  # at least one pair
+    chosen = {p for p, k in zip(every, keep) if k}
+    if shape == "filtered":
+        index = {key: k for k, key in enumerate(keys)}
+        workload = FilteredPairs(keys, lambda a, b: (index[a], index[b]) in chosen)
+    else:
+        i, j = np.array(sorted(chosen), dtype=np.int64).T
+        workload = PairSubset(base, i, j)
+    return workload, chosen
+
+
+def inside(pairs, block):
+    return sorted(
+        (i, j)
+        for i, j in pairs
+        if block.row_lo <= i < block.row_hi and block.col_lo <= j < block.col_hi
+    )
+
+
+def column_pairs(columns):
+    i, j = columns
+    assert i.dtype == j.dtype == np.int32
+    return list(zip(i.tolist(), j.tolist()))
+
+
+class TestPairSet:
+    @settings(max_examples=150, deadline=None)
+    @given(accepted_workloads(), st.data())
+    def test_counts_and_selections_equal_brute_force(self, case, data):
+        workload, chosen = case
+        accepted, n = workload.accepted, workload.n_items
+        assert len(accepted.codes) == workload.n_pairs == len(chosen)
+        for _ in range(4):
+            r0, r1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+            c0, c1 = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+            block = PairBlock(r0, r1, c0, c1)
+            assert accepted.count(block) == len(inside(chosen, block))
+            # Row-major: the leaf walk's order.
+            assert column_pairs(accepted.columns(block)) == inside(chosen, block)
+        blocks = workload.blocks()
+        assert workload.block_counts() == [len(inside(chosen, b)) for b in blocks]
+        pairs = column_pairs(workload.pair_columns())
+        assert len(pairs) == len(set(pairs)) and set(pairs) == chosen
+        grain = data.draw(st.integers(1, 40))
+        covered = []
+        for block, count in workload.grain_blocks(grain):
+            assert block.count <= grain or block.is_leaf()
+            assert count == len(inside(chosen, block)) > 0
+            covered.extend(inside(chosen, block))
+        assert sorted(covered) == sorted(chosen)
+
+    @settings(max_examples=12, deadline=None)
+    @given(accepted_workloads())
+    def test_local_run_delivers_each_accepted_pair_once(self, case):
+        workload, chosen = case
+        store, keys = make_store(workload.n_items)
+        assert keys == workload.keys
+        config = RocketConfig(
+            n_devices=2, device_cache_slots=4, host_cache_slots=8, leaf_size=2, seed=1
+        )
+        with Rocket(SumApp(), store, config).session() as session:
+            handle = session.submit(workload)
+            assert handle.result(timeout=60.0).is_complete()
+            streamed = [(a, b) for a, b, _ in handle.stream()]
+        index = {key: k for k, key in enumerate(keys)}
+        assert sorted((index[a], index[b]) for a, b in streamed) == sorted(chosen)
