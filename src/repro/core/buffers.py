@@ -40,12 +40,6 @@ class HostBuffer:
             return int(self.data.nbytes)
         raise TypeError(f"unsupported host payload type {type(self.data).__name__}")
 
-    def as_array(self) -> np.ndarray:
-        """The payload as an ndarray (raises for raw bytes)."""
-        if not isinstance(self.data, np.ndarray):
-            raise TypeError("host buffer holds raw bytes, not an array")
-        return self.data
-
 
 @dataclass
 class DeviceBuffer:

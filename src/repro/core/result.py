@@ -4,9 +4,15 @@ The output of an all-pairs computation is the strict upper triangle of
 an ``n x n`` matrix (paper Fig. 1).  :class:`ResultMatrix` stores it as
 three arrival-ordered columns — int32 row index ``i``, int32 column
 index ``j`` (``i < j``, into the ordered key list) and the float64
-value — so a recorded pair costs 16 bytes of column plus one entry in
-the set of recorded cells, and memory grows with the pairs recorded,
-never with ``C(n, 2)``.  Batches arrive as columns
+value — plus one index: a :class:`~repro.core.workload.PairSet`
+numbering the cells the matrix may hold (the producing workload's
+pairs) and, per numbered cell, the int32 arrival row of its result
+(-1 while unrecorded).  Duplicate checks and lookups are vector
+searches in that numbering, and reading the positions in order yields
+the results in ``(i, j)`` order.  A recorded pair costs 16 bytes of
+column plus 12 of numbering (28 bytes measured at 2,500 items), and
+memory grows with the workload's pairs, never with ``C(n, 2)`` of a
+partial shape.  Batches arrive as columns
 (:meth:`ResultMatrix.set_block`) from the kernel launch, the cluster
 transport and the memo store; keys are attached only at the API edge —
 :meth:`~ResultMatrix.items`, :meth:`~ResultMatrix.get`,
@@ -46,6 +52,8 @@ from typing import (
 
 import numpy as np
 
+from repro.core.workload import PairSet
+
 __all__ = ["ResultMatrix", "real_column", "save_results", "load_results"]
 
 K = TypeVar("K", bound=Hashable)
@@ -79,9 +87,21 @@ def _index_column(indices: Any) -> np.ndarray:
 
 
 class ResultMatrix(Generic[K]):
-    """Upper-triangular result store over an ordered key list."""
+    """Upper-triangular result store over an ordered key list.
 
-    def __init__(self, keys: Sequence[K], expected_pairs: Optional[int] = None) -> None:
+    ``pairs`` numbers the cells the matrix may hold; a bare
+    ``ResultMatrix(keys)`` numbers the whole ``C(n, 2)`` triangle, at
+    12 bytes per cell, so a partial shape passes its own set (what
+    :meth:`~repro.core.workload.Workload.make_result` does).
+    ``expected_pairs`` defaults to the numbering's size.
+    """
+
+    def __init__(
+        self,
+        keys: Sequence[K],
+        expected_pairs: Optional[int] = None,
+        pairs: Optional[PairSet] = None,
+    ) -> None:
         if len(keys) < 2:
             raise ValueError(f"need at least 2 keys, got {len(keys)}")
         if len(set(keys)) != len(keys):
@@ -94,13 +114,16 @@ class ResultMatrix(Generic[K]):
         self._j = np.empty(0, dtype=np.int32)
         self._v = np.empty(0, dtype=np.float64)
         self._n = 0
-        #: Cell id ``i * n_items + j`` of every recorded pair.
-        self._cells: set = set()
-        #: ``(count, sorted cell ids, their arrival positions)``, rebuilt
-        #: when pairs arrived since (for :meth:`get` and :meth:`items`).
-        self._by_cell: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        if pairs is None:
+            pairs = PairSet(len(self.keys), *np.triu_indices(len(self.keys), 1))
+        elif pairs.n != len(self.keys):
+            raise ValueError(f"pairs number {pairs.n} items, not {len(self.keys)}")
+        #: The cells this matrix may hold, numbered in ``(i, j)`` order.
+        self._pairs = pairs
+        #: Per numbered cell, its arrival row; -1 while unrecorded.
+        self._pos = np.full(len(pairs), -1, dtype=np.int32)
         if expected_pairs is None:
-            expected_pairs = self.n_pairs
+            expected_pairs = len(pairs)
         if not 1 <= expected_pairs <= self.n_pairs:
             raise ValueError(
                 f"expected_pairs must be in [1, {self.n_pairs}], got {expected_pairs}"
@@ -134,9 +157,29 @@ class ResultMatrix(Generic[K]):
             raise KeyError(f"diagonal cell ({a!r}, {a!r}) is not part of the workload")
         return (i, j) if i < j else (j, i)
 
-    def _pair_text(self, cell: int) -> str:
-        i, j = divmod(int(cell), self.n_items)
-        return f"{self.keys[i]!r}, {self.keys[j]!r}"
+    def _pair_text(self, i: Any, j: Any) -> str:
+        return f"{self.keys[int(i)]!r}, {self.keys[int(j)]!r}"
+
+    def _ranks(self, i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, rank)`` of the pairs ``(i[k], j[k])``, each checked.
+
+        An index out of range raises ``IndexError``; the diagonal and a
+        pair outside the numbering raise ``KeyError``.
+        """
+        n = self.n_items
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # Reductions, not masks: three cheap calls on the common path.
+        if np.minimum.reduce(lo) < 0 or np.maximum.reduce(hi) >= n:
+            bad = int(np.argmax((lo < 0) | (hi >= n)))
+            raise IndexError(f"pair index out of range: ({int(i[bad])}, {int(j[bad])})")
+        if not np.minimum.reduce(hi - lo) > 0:
+            key = self.keys[int(lo[np.argmax(lo == hi)])]
+            raise KeyError(f"diagonal cell ({key!r}, {key!r}) is not part of the workload")
+        rank = self._pairs.rank(lo, hi)
+        if np.minimum.reduce(rank) < 0:
+            bad = int(np.argmax(rank < 0))
+            raise KeyError(f"pair {self._pair_text(lo[bad], hi[bad])} is not part of the workload")
+        return lo, hi, rank
 
     def set(self, a: K, b: K, value: float) -> None:
         """Record the result for the unordered pair ``{a, b}``."""
@@ -149,11 +192,12 @@ class ResultMatrix(Generic[K]):
         ``i`` and ``j`` are integer index columns into the key list (in
         either order per pair), ``values`` real numbers, stored as
         float64.  Every cell is checked — an index out of range
-        (``IndexError``), the diagonal (``KeyError``), a pair repeated
-        inside the batch or already recorded (``ValueError``), a
-        non-integer index or a non-real value (``TypeError``) — and the
-        batch is all-or-nothing: a rejected batch leaves the matrix
-        exactly as it was.
+        (``IndexError``), the diagonal or a pair outside the matrix's
+        numbering (``KeyError``), a pair repeated inside the batch or
+        already recorded (``ValueError``), a non-integer index or a
+        non-real value (``TypeError``) — and the batch is
+        all-or-nothing: a rejected batch leaves the matrix exactly as it
+        was.
         """
         i, j, values = _index_column(i), _index_column(j), real_column(values)
         m = len(values)
@@ -161,33 +205,22 @@ class ResultMatrix(Generic[K]):
             raise ValueError(f"{m} values for {len(i)} x {len(j)} pair indices")
         if not m:
             return
-        n = self.n_items
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        # Reductions, not masks: three cheap calls on the common path.
-        if np.minimum.reduce(lo) < 0 or np.maximum.reduce(hi) >= n:
-            bad = int(np.argmax((lo < 0) | (hi >= n)))
-            raise IndexError(f"pair index out of range: ({int(i[bad])}, {int(j[bad])})")
-        if not np.minimum.reduce(hi - lo) > 0:
-            key = self.keys[int(lo[np.argmax(lo == hi)])]
-            raise KeyError(f"diagonal cell ({key!r}, {key!r}) is not part of the workload")
-        cells = lo.astype(np.int64)
-        cells *= n
-        cells += hi
-        cell_list = cells.tolist()
+        lo, hi, rank = self._ranks(i, j)
         with self._lock:
-            recorded = self._cells
-            if not recorded.isdisjoint(cell_list):
-                seen = np.fromiter(map(recorded.__contains__, cell_list), bool, m)
+            pos = self._pos
+            held = pos[rank]
+            if np.maximum.reduce(held) >= 0:
+                bad = int(np.argmax(held >= 0))
+                raise ValueError(f"pair {self._pair_text(lo[bad], hi[bad])} already has a result")
+            rows = np.arange(self._n, self._n + m, dtype=np.int32)
+            pos[rank] = rows
+            # A cell listed twice kept one of its rows: the other reads wrong.
+            held = pos[rank]
+            if held.tobytes() != rows.tobytes():
+                pos[rank] = -1  # none was recorded before
+                bad = int(np.argmax(held != rows))
                 raise ValueError(
-                    f"pair {self._pair_text(cells[seen][0])} already has a result"
-                )
-            before = len(recorded)
-            recorded.update(cell_list)
-            if len(recorded) - before != m:
-                recorded.difference_update(cell_list)  # none was there before
-                unique, counts = np.unique(cells, return_counts=True)
-                raise ValueError(
-                    f"pair {self._pair_text(unique[counts > 1][0])} appears twice in one block"
+                    f"pair {self._pair_text(lo[bad], hi[bad])} appears twice in one block"
                 )
             self._append(lo, hi, values)
 
@@ -222,36 +255,31 @@ class ResultMatrix(Generic[K]):
         rows = slice(start, n if stop is None else min(stop, n))
         return i[rows], j[rows], v[rows]
 
-    def _cell_order(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """``(count, sorted cell ids, arrival positions)`` of the recorded pairs."""
-        with self._lock:
-            index = self._by_cell
-            if index is None or index[0] != self._n:
-                n = self._n
-                cells = self._i[:n].astype(np.int64) * self.n_items + self._j[:n]
-                order = np.argsort(cells, kind="stable")
-                index = self._by_cell = (n, cells[order], order)
-            return index
-
     def sorted_columns(self) -> Columns:
         """The recorded ``(i, j, values)`` in ``(i, j)`` index order."""
-        n, _, order = self._cell_order()
-        i, j, v = self.columns(0, n)
-        return i[order], j[order], v[order]
+        with self._lock:
+            rows = self._pos[self._pos >= 0]
+            i, j, v = self._i, self._j, self._v
+        return i[rows], j[rows], v[rows]
 
     def unrecorded(self, i: Any, j: Any) -> np.ndarray:
         """Positions ``k`` of the pairs ``(i[k], j[k])`` that have no result yet.
 
         A pair listed twice counts once, at its first position; the
-        positions are in block order.
+        positions are in block order.  A pair the matrix cannot hold
+        raises, as in :meth:`set_block`.
         """
         i, j = _index_column(i), _index_column(j)
-        cells = np.minimum(i, j).astype(np.int64) * self.n_items + np.maximum(i, j)
-        _, first = np.unique(cells, return_index=True)
-        first.sort()
+        if not len(i):
+            return np.empty(0, dtype=np.intp)
+        rank = self._ranks(i, j)[2]
+        order = np.argsort(rank, kind="stable")
+        ranked = rank[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        first = np.sort(order[first])
         with self._lock:
-            seen = map(self._cells.__contains__, cells[first].tolist())
-            return first[~np.fromiter(seen, bool, len(first))]
+            return first[self._pos[rank[first]] < 0]
 
     # -- reading: the key edge -------------------------------------------
 
@@ -261,22 +289,23 @@ class ResultMatrix(Generic[K]):
             rows = slice(s, s + _KEYED_CHUNK)
             yield from zip(map(key, i[rows].tolist()), map(key, j[rows].tolist()), v[rows].tolist())
 
+    def _row(self, a: K, b: K) -> int:
+        """Arrival row of the pair ``{a, b}``; -1 while it has no result."""
+        i, j = self._cell(a, b)
+        rank = int(self._pairs.rank([i], [j])[0])
+        with self._lock:  # a row is readable once its position is set
+            return -1 if rank < 0 else int(self._pos[rank])
+
     def get(self, a: K, b: K) -> float:
         """Return the result for the unordered pair ``{a, b}``."""
-        i, j = self._cell(a, b)
-        cell = i * self.n_items + j
-        with self._lock:
-            present = cell in self._cells
-        if not present:
+        row = self._row(a, b)
+        if row < 0:
             raise KeyError(f"no result recorded for pair {a!r}, {b!r}")
-        _, cells, order = self._cell_order()
-        return float(self._v[order[np.searchsorted(cells, cell)]])
+        return float(self._v[row])
 
     def __contains__(self, pair: Tuple[K, K]) -> bool:
         """True when the unordered pair ``(a, b)`` has a recorded result."""
-        i, j = self._cell(*pair)
-        with self._lock:
-            return i * self.n_items + j in self._cells
+        return self._row(*pair) >= 0
 
     def is_complete(self) -> bool:
         """True once every *expected* pair has a result.
@@ -326,16 +355,14 @@ class ResultMatrix(Generic[K]):
         needs all ``C(n, 2)`` pairs) — partial workload shapes must be
         :meth:`merge`-completed or exported via :meth:`to_dense`.
         """
-        i, j, v = self.columns()
-        if len(v) != self.n_pairs:
+        with self._lock:
+            recorded, pos, v = self._n, self._pos, self._v
+        if recorded != self.n_pairs:
             raise ValueError(
-                f"result matrix incomplete: {len(v)} of {self.n_pairs} pairs present"
+                f"result matrix incomplete: {recorded} of {self.n_pairs} pairs present"
             )
-        n = self.n_items
-        i = i.astype(np.int64)
-        out = np.empty(self.n_pairs, dtype=np.float64)
-        out[n * i - i * (i + 1) // 2 + (j - i - 1)] = v
-        return out
+        # Every cell recorded: the numbering is the row-major triangle.
+        return v[pos]
 
     def merge(self, other: "ResultMatrix[K]") -> "ResultMatrix[K]":
         """Combine this matrix with ``other`` into a new matrix.
@@ -350,12 +377,22 @@ class ResultMatrix(Generic[K]):
         result in *both* matrices is a conflict and raises.
         """
         merged_keys = list(self.keys) + [k for k in other.keys if k not in self._index]
+        index = {k: i for i, k in enumerate(merged_keys)}
         n = len(merged_keys)
         expected = min(self.expected_pairs + other.expected_pairs, n * (n - 1) // 2)
-        merged: ResultMatrix[K] = ResultMatrix(merged_keys, expected_pairs=expected)
         # This matrix's keys lead the merged list: its indices carry over.
+        remap = np.array([index[k] for k in other.keys], dtype=np.int64)
+        si, sj = np.divmod(self._pairs.codes, self.n_items)
+        oi, oj = np.divmod(other._pairs.codes, other.n_items)
+        oi, oj = remap[oi], remap[oj]
+        # Numbered by the union of both numberings.
+        union = PairSet(
+            n,
+            np.concatenate([si, np.minimum(oi, oj)]),
+            np.concatenate([sj, np.maximum(oi, oj)]),
+        )
+        merged: ResultMatrix[K] = ResultMatrix(merged_keys, expected, union)
         merged.set_block(*self.sorted_columns())
-        remap = np.array([merged._index[k] for k in other.keys], dtype=np.int32)
         oi, oj, ov = other.sorted_columns()
         try:
             merged.set_block(remap[oi], remap[oj], ov)
@@ -393,12 +430,19 @@ def matrix_from_document(doc: Any) -> ResultMatrix:
     if not isinstance(doc, dict) or doc.get("format") != "rocket-results":
         raise ValueError("not a rocket-results document")
     try:
-        matrix: ResultMatrix = ResultMatrix(doc["keys"], expected_pairs=doc.get("expected_pairs"))
-        rows = doc["values"]
+        keys, rows = doc["keys"], doc["values"]
         if not isinstance(rows, list) or not set(map(len, rows)) <= {3}:
             raise ValueError("'values' must be a list of [i, j, value] rows")
+        i, j, values = zip(*rows) if rows else ((), (), ())
+        i, j = _index_column(i), _index_column(j)
+        # Numbered by its own rows: a document's size, never C(n, 2)'s.
+        pairs = PairSet(len(keys), np.minimum(i, j), np.maximum(i, j))
+        expected = doc.get("expected_pairs")
+        if expected is None:
+            expected = len(keys) * (len(keys) - 1) // 2
+        matrix: ResultMatrix = ResultMatrix(keys, expected, pairs)
         if rows:
-            matrix.set_block(*zip(*rows))
+            matrix.set_block(i, j, values)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed rocket-results document: {exc}") from None
     return matrix

@@ -214,7 +214,7 @@ class JobScheduler:
     """Admission queue + weighted fair block hand-out for one session.
 
     Thread-safe; backend serve loops call :meth:`admit` /
-    :meth:`next_grant` / :meth:`on_completed` / :meth:`finish`, while
+    :meth:`next_grant` / :meth:`finish`, while
     :meth:`submit` and the queued-cancel hook run on caller threads.
     """
 
@@ -427,7 +427,11 @@ class JobScheduler:
             return best.handle, block, count
 
     def on_completed(self, handle: RunHandle, n_pairs: int = 1) -> None:
-        """Credit ``n_pairs`` completions (reopens the session window)."""
+        """Credit ``n_pairs`` completions with no result behind them.
+
+        For driving the scheduler on its own; a backend records results
+        through the handle, which credits them (reopening the window).
+        """
         with self._lock:
             job = self._active.get(handle)
             if job is not None:
@@ -443,20 +447,11 @@ class JobScheduler:
     # -- completion ------------------------------------------------------
 
     def finish(self, handle: RunHandle) -> None:
-        """Retire an active job (any terminal state); stamps accounting.
-
-        A DONE job's completion count is snapped to the total: backends
-        that dispatch wholesale (FIFO local) do not credit per-pair
-        completions through :meth:`on_completed`, yet a successfully
-        finished job completed every pair by definition.
-        """
+        """Retire an active job (any terminal state); stamps accounting."""
         with self._lock:
             job = self._active.pop(handle, None)
-            if job is not None:
-                if job.accounting.finished_at is None:
-                    job.accounting.finished_at = time.monotonic()
-                if handle.state is RunState.DONE:
-                    job.accounting.pairs_completed = job.accounting.pairs_total
+            if job is not None and job.accounting.finished_at is None:
+                job.accounting.finished_at = time.monotonic()
 
     def fail_all(self, error_factory) -> List[RunHandle]:
         """Drain every queued job (dead session); returns the handles.

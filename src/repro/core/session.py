@@ -298,9 +298,14 @@ class RunHandle:
         One matrix lock and one wake-up of the waiting readers per
         batch; every cell is still checked (duplicate, diagonal, out of
         range, non-real value) and a rejected batch records nothing.
+        The one writer of ``accounting.pairs_completed``: the memoized
+        batch, recorded before the scheduler attaches the accounting,
+        stays uncounted.
         """
         self._matrix.set_block(i, j, values)
         with self._cond:
+            if self.accounting is not None:
+                self.accounting.pairs_completed += len(values)
             self._cond.notify_all()
 
     def _finish(

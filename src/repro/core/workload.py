@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Generic,
     Hashable,
@@ -50,8 +51,10 @@ from typing import (
 
 import numpy as np
 
-from repro.core.result import ResultMatrix
 from repro.scheduling.quadtree import PairBlock
+
+if TYPE_CHECKING:  # the matrix module numbers its cells with a PairSet
+    from repro.core.result import ResultMatrix
 
 __all__ = [
     "Workload",
@@ -83,14 +86,42 @@ class PairSet:
     block's pairs are one code range per block row: counting and
     selecting cost one ``np.searchsorted`` over the rows, never a call
     per pair.  Picklable as plain arrays — this is what travels to the
-    cluster's worker processes in place of a predicate.
+    cluster's worker processes in place of a predicate.  The position of
+    a pair's code is its number: a :class:`~repro.core.result.ResultMatrix`
+    indexes its cells by :meth:`rank`.
     """
 
     __slots__ = ("n", "codes")
 
     def __init__(self, n: int, i: np.ndarray, j: np.ndarray) -> None:
         self.n = n
-        self.codes = np.unique(np.asarray(i, np.int64) * n + np.asarray(j, np.int64))
+        codes = np.asarray(i, np.int64) * n
+        codes += j
+        codes.sort()
+        # Sort plus a neighbour mask: np.unique costs seconds at millions.
+        keep = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        self.codes = codes if keep.all() else codes[keep]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def rank(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Position in :attr:`codes` of each pair ``(i[k], j[k])`` (``i < j``), -1 if absent.
+
+        The indices must lie in ``[0, n)``: an index outside would alias
+        another pair's code.
+        """
+        query = np.multiply(i, self.n, dtype=np.int64)
+        query += j
+        if not len(self.codes):
+            return np.full(len(query), -1, dtype=np.intp)
+        rank = self.codes.searchsorted(query)
+        found = self.codes.take(rank, mode="clip")
+        # A bytes comparison: the all-present case costs no reduction.
+        if found.tobytes() != query.tobytes():
+            rank[found != query] = -1
+        return rank
 
     def _row_ranges(self, block: PairBlock) -> Tuple[np.ndarray, np.ndarray]:
         """Per block row, the ``[lo, hi)`` slice of :attr:`codes` it holds."""
@@ -135,6 +166,9 @@ class Workload(ABC, Generic[K]):
 
     def __init__(self) -> None:
         self._grain_cache: Optional[Tuple[int, List[Tuple[PairBlock, int]]]] = None
+        #: The numbering :meth:`make_result` hands every matrix of this
+        #: workload (built once: sessions resubmit one workload object).
+        self._numbering: Optional[PairSet] = None
 
     # -- shape -----------------------------------------------------------
 
@@ -212,9 +246,21 @@ class Workload(ABC, Generic[K]):
         key = self.keys.__getitem__
         return zip(map(key, i.tolist()), map(key, j.tolist()))
 
-    def make_result(self) -> ResultMatrix:
-        """An empty result matrix shaped for this workload."""
-        return ResultMatrix(self.keys, expected_pairs=self.n_pairs)
+    def make_result(self) -> "ResultMatrix":
+        """An empty result matrix shaped for this workload.
+
+        Its cells are numbered by the :attr:`accepted` set, else by a
+        :class:`PairSet` of :meth:`pair_columns`: it holds exactly the
+        workload's pairs.
+        """
+        from repro.core.result import ResultMatrix
+
+        numbering = self.accepted
+        if numbering is None:
+            if self._numbering is None:
+                self._numbering = PairSet(self.n_items, *self.pair_columns())
+            numbering = self._numbering
+        return ResultMatrix(self.keys, pairs=numbering)
 
     def describe(self) -> str:
         """One-line human-readable description."""

@@ -514,10 +514,6 @@ class BackendSession(ABC):
         handle, acct = job.handle, job.handle.accounting
         done, total = handle.progress()
         runtime = time.perf_counter() - job.started
-        # Wholesale dispatch does not credit completions as they land;
-        # sync the count so partial progress of failed and cancelled
-        # jobs reports correctly on every backend.
-        acct.pairs_completed = max(acct.pairs_completed, done - handle.memo_hits)
         if self._trace.enabled:
             # The job's running span on the scheduler lane, then its
             # nodes' buffers (whatever arrived — failed jobs keep theirs).

@@ -34,7 +34,6 @@ class _ClusterJob(SessionJob):
         workload = handle.residual  # what the memo store left to compute
         self.keys = workload.keys
         self.accepted = workload.accepted
-        self.total_pairs = workload.n_pairs
         self.n_items = workload.n_items
 
         self.node_speeds = session._node_speeds
@@ -84,7 +83,6 @@ class _ClusterJob(SessionJob):
         self.owned: Dict[int, List[PairBlock]] = {
             n: list(share) for n, share in self.shares.items()
         }
-        self.completed = 0
         #: The stop broadcast went out (all pairs in, failure or abort).
         self.stopped = False
         #: Set when the stop broadcast goes out: the job must collect
@@ -204,10 +202,8 @@ class _ClusterJob(SessionJob):
         if not len(fresh):
             return
         self.handle._record_block(i[fresh], j[fresh], values[fresh])
-        self.completed += len(fresh)
-        if self.handle.accounting is not None:
-            self.handle.accounting.pairs_completed += len(fresh)
-        if self.completed == self.total_pairs and not self.stopped:
+        done, total = self.handle.progress()
+        if done == total and not self.stopped:
             self.broadcast_stop(False)
 
     def fail(self, text: str) -> None:

@@ -196,18 +196,16 @@ class LocalSession(BackendSession):
         cfg = self._config
         workload = handle.residual  # what the memo store left to compute
         fifo = self.policy is SchedulingPolicy.FIFO
-        scheduler = self._scheduler
 
         if fifo:
-            # Hot path kept as lean as a plain dispatcher: no window
-            # bookkeeping, and the driver needs no wake-up before the
+            # Hot path kept as lean as a plain dispatcher: no window to
+            # refill, and the driver needs no wake-up before the
             # pipeline is done (``on_done`` below).
             emit_block = handle._record_block
         else:
 
             def emit_block(i, j, values, _h=handle):
                 _h._record_block(i, j, values)
-                scheduler.on_completed(_h, len(values))
                 self._notify()  # the session window reopened: refill grants
 
         pipeline = NodePipeline(

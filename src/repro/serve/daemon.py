@@ -70,6 +70,24 @@ LONG_POLL_CAP = 10.0
 STREAM_CHUNK = 4096
 
 
+def _number(
+    request: Dict[str, Any], name: str, default: Any, kind: type = float, least: Any = None
+) -> Any:
+    """``request[name]`` (``default`` if absent) as a ``kind``, at least ``least``.
+
+    A field that is not such a number is the client's fault: a
+    ``ProtocolError``, never a daemon fault.
+    """
+    value = request.get(name, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(f"{name!r} must be a number, got {value!r}") from None
+    if least is not None and not number >= least:
+        raise ProtocolError(f"{name!r} must be at least {least}, got {value!r}")
+    return number
+
+
 class _Connection:
     """Per-connection state threaded through the verb handlers."""
 
@@ -370,12 +388,12 @@ class RocketServer:
     def _op_submit(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
         tenant = conn.tenant
         workload = protocol.workload_from_wire(request.get("workload"))
-        priority = float(request.get("priority", 1.0))
+        priority = _number(request, "priority", 1.0)
         if not priority > 0:
             raise ProtocolError(f"priority must be positive, got {priority}")
         max_inflight = request.get("max_inflight")
         if max_inflight is not None:
-            max_inflight = int(max_inflight)
+            max_inflight = _number(request, "max_inflight", None, int, least=1)
         # Admission is serialized so two racing submissions cannot both
         # pass a nearly-exhausted quota.
         with self._lock:
@@ -448,13 +466,13 @@ class RocketServer:
 
     def _op_wait(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
         record = self._record(conn, request)
-        wait = min(float(request.get("timeout", LONG_POLL_CAP)), LONG_POLL_CAP)
+        wait = min(_number(request, "timeout", LONG_POLL_CAP), LONG_POLL_CAP)
         record.handle.wait(timeout=max(0.0, wait))
         return record.status()
 
     def _op_result(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
         record = self._record(conn, request)
-        wait = min(float(request.get("timeout", LONG_POLL_CAP)), LONG_POLL_CAP)
+        wait = min(_number(request, "timeout", LONG_POLL_CAP), LONG_POLL_CAP)
         done = record.handle.wait(timeout=max(0.0, wait))
         status = record.status()
         if not done:
@@ -466,8 +484,8 @@ class RocketServer:
 
     def _op_stream(self, conn: _Connection, request: Dict[str, Any]) -> Dict[str, Any]:
         record = self._record(conn, request)
-        cursor = int(request.get("cursor", 0))
-        wait = min(float(request.get("wait", LONG_POLL_CAP)), LONG_POLL_CAP)
+        cursor = _number(request, "cursor", 0, int, least=0)
+        wait = min(_number(request, "wait", LONG_POLL_CAP), LONG_POLL_CAP)
         chunk, drained = record.read_triples(cursor, STREAM_CHUNK, wait=wait)
         if drained:
             self._delivered(record.job_id)

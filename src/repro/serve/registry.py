@@ -74,8 +74,6 @@ class JobRecord:
         terminal *and* the returned chunk reaches the end of its
         results — the client's stream iterator ends there.
         """
-        if cursor < 0:
-            raise UnknownJob(f"negative stream cursor {cursor}")
         return self.handle.read(cursor, limit, wait=max(0.0, wait))
 
     def wait_drained(self, timeout: Optional[float] = None) -> bool:

@@ -140,12 +140,6 @@ class SimReport:
     throughput_series: Dict[str, ThroughputSeries] = field(default_factory=dict)
     trace: Optional[TraceRecorder] = None
 
-    def speedup_against(self, baseline_runtime: float) -> float:
-        """Speedup of this run relative to a baseline run time."""
-        if self.runtime <= 0:
-            raise ValueError("run time must be positive")
-        return baseline_runtime / self.runtime
-
     def summary(self) -> str:
         """One-paragraph human-readable digest of the run."""
         lines = [

@@ -97,10 +97,6 @@ class Histogram:
         np.clip(idx, 0, self.bins - 1, out=idx)
         np.add.at(self.counts, idx, 1)
 
-    def mode_bin(self) -> int:
-        """Index of the fullest bin."""
-        return int(np.argmax(self.counts))
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from binned counts (bin-centre resolution)."""
         if not 0.0 <= q <= 1.0:

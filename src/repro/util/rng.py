@@ -15,11 +15,11 @@ unstable between runs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["seeded_rng", "spawn_seeds", "RngFactory"]
+__all__ = ["seeded_rng", "RngFactory"]
 
 #: Default root seed used across examples and benchmarks.
 DEFAULT_SEED = 0x524F434B  # "ROCK"
@@ -35,19 +35,6 @@ def seeded_rng(seed: int | None = None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed: int, count: int) -> List[int]:
-    """Derive ``count`` independent child seeds from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, which guarantees
-    statistical independence between the children and between children
-    and parent.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(count)]
 
 
 class RngFactory:
@@ -86,12 +73,6 @@ class RngFactory:
         """Return a sub-factory whose streams are independent of ours."""
         sub_seed = int(self.get(f"__child__:{name}").integers(0, 2**63 - 1))
         return RngFactory(sub_seed)
-
-    def shuffle_copy(self, items: Sequence, name: str) -> list:
-        """Return a shuffled copy of ``items`` using stream ``name``."""
-        out = list(items)
-        self.get(name).shuffle(out)
-        return out
 
     def choice(self, items: Sequence, name: str):
         """Pick one element of ``items`` using stream ``name``."""

@@ -3,61 +3,18 @@
 The heterogeneous experiment plots, per GPU, the number of pairs
 processed per second as a rolling one-minute average over the run.
 :class:`ThroughputSeries` records event completion timestamps and
-produces exactly that series; :class:`RollingAverage` is the generic
-windowed mean underneath it.
+produces exactly that series.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["RollingAverage", "ThroughputSeries"]
-
-
-class RollingAverage:
-    """Mean of (time, value) observations within a trailing window.
-
-    Observations must be appended in non-decreasing time order — both the
-    simulator and the threaded runtime naturally satisfy this per lane.
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = float(window)
-        self._times: List[float] = []
-        self._values: List[float] = []
-        self._sum = 0.0
-        self._head = 0  # index of first in-window observation
-
-    def __len__(self) -> int:
-        return len(self._times) - self._head
-
-    def add(self, time: float, value: float) -> None:
-        """Record one observation at ``time``."""
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"observations must be time-ordered: got {time} after {self._times[-1]}"
-            )
-        self._times.append(time)
-        self._values.append(value)
-        self._sum += value
-        self._evict(time)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._head < len(self._times) and self._times[self._head] <= cutoff:
-            self._sum -= self._values[self._head]
-            self._head += 1
-
-    def mean(self) -> float:
-        """Mean of in-window values (0.0 when the window is empty)."""
-        n = len(self)
-        return self._sum / n if n else 0.0
+__all__ = ["ThroughputSeries"]
 
 
 @dataclass

@@ -1,124 +1,16 @@
-"""Streaming statistics and distribution fitting helpers.
+"""Distribution fitting for the simulated workload profiles.
 
-Used throughout the benchmark harness to report the "mean ± std" stage
-times of Table 1 and to fit the irregular kernel-time distributions of
-Fig. 7 (the microscopy and bioinformatics kernels are long-tailed, which
-we model as lognormal when synthesising workload profiles).
+The irregular kernel-time distributions of Fig. 7 (the microscopy and
+bioinformatics kernels are long-tailed) are modelled as lognormal when
+synthesising workload profiles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
-
-__all__ = ["OnlineStats", "summarize", "lognormal_params"]
-
-
-class OnlineStats:
-    """Welford single-pass mean/variance accumulator.
-
-    Numerically stable for the long streams the simulator produces
-    (millions of task durations) without retaining samples.
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the accumulator."""
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-        if x < self._min:
-            self._min = x
-        if x > self._max:
-            self._max = x
-
-    def add_many(self, xs: Iterable[float]) -> None:
-        """Fold many observations."""
-        for x in xs:
-            self.add(x)
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._mean if self._n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 for fewer than two samples)."""
-        return self._m2 / (self._n - 1) if self._n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    @property
-    def total(self) -> float:
-        """Sum of observations."""
-        return self._mean * self._n
-
-    @property
-    def min(self) -> float:
-        """Smallest observation (``inf`` when empty)."""
-        return self._min
-
-    @property
-    def max(self) -> float:
-        """Largest observation (``-inf`` when empty)."""
-        return self._max
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to both inputs combined.
-
-        Chan et al.'s parallel-variance merge; used when combining
-        per-node statistics into cluster totals.
-        """
-        out = OnlineStats()
-        n = self._n + other._n
-        if n == 0:
-            return out
-        delta = other._mean - self._mean
-        out._n = n
-        out._mean = self._mean + delta * other._n / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
-
-    def __repr__(self) -> str:
-        return f"OnlineStats(n={self._n}, mean={self.mean:.6g}, std={self.std:.6g})"
-
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Descriptive summary (n/mean/std/min/max/p50/p95/p99) of ``samples``."""
-    arr = np.asarray(list(samples), dtype=np.float64)
-    if arr.size == 0:
-        return {"n": 0, "mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-    return {
-        "n": int(arr.size),
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-    }
+__all__ = ["lognormal_params"]
 
 
 def lognormal_params(mean: float, std: float) -> Tuple[float, float]:

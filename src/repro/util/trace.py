@@ -157,18 +157,6 @@ class TraceRecorder:
         """
         return sum(e.duration for e in self.events if e.lane == lane)
 
-    def busy_by_label(self, lane: str) -> Dict[str, float]:
-        """Busy time of ``lane`` broken down by task label.
-
-        The GPU bar in Fig. 8 is split into pre-processing and
-        comparison; this breakdown provides that split.
-        """
-        acc: Dict[str, float] = defaultdict(float)
-        for e in self.events:
-            if e.lane == lane:
-                acc[e.label] += e.duration
-        return dict(acc)
-
     def makespan(self) -> float:
         """End time of the last event (0.0 when empty)."""
         return max((e.end for e in self.events), default=0.0)

@@ -10,16 +10,10 @@ from repro.core.result import ResultMatrix
 
 class TestHostBuffer:
     def test_bytes_payload(self):
-        buf = HostBuffer(b"abc")
-        assert buf.nbytes == 3
-        with pytest.raises(TypeError):
-            buf.as_array()
+        assert HostBuffer(b"abc").nbytes == 3
 
     def test_array_payload(self):
-        arr = np.zeros(10, dtype=np.float64)
-        buf = HostBuffer(arr)
-        assert buf.nbytes == 80
-        assert buf.as_array() is arr
+        assert HostBuffer(np.zeros(10, dtype=np.float64)).nbytes == 80
 
     def test_unsupported_payload(self):
         with pytest.raises(TypeError):

@@ -122,13 +122,18 @@ class TestJobScheduler:
         sched.submit(second)
         sched.admit()
         granted = {id(first): 0, id(second): 0}
+        blocks = {id(first): [], id(second): []}
         while (grant := sched.next_grant()) is not None:
             granted[id(grant[0])] += grant[2]
+            blocks[id(grant[0])].append(grant[1])
         assert sum(granted.values()) <= 8  # together, not 8 each
         assert granted[id(first)] == granted[id(second)] > 0  # equal weights
         assert sched.next_grant() is None
-        # The second job's completions make room for the first job's quantum.
-        sched.on_completed(second, granted[id(second)])
+        # The second job's recorded results make room for the first job's quantum.
+        for block in blocks[id(second)]:
+            i, j = block.columns()
+            second._record_block(i, j, [1.0] * len(i))
+        assert second.accounting.pairs_completed == granted[id(second)]
         handle, _block, _count = sched.next_grant()
         assert handle is first  # equal clocks: submission order breaks the tie
 
@@ -536,6 +541,27 @@ class TestConcurrentJobs:
             assert second.result(timeout=60.0).is_complete()
         finally:
             session.close()
+
+    @pytest.mark.parametrize("policy", ["fifo", "fair"])
+    def test_accounting_counts_pairs_while_the_job_runs(self, policy):
+        """A running job's ``pairs_completed`` follows its recorded pairs,
+        under either policy, and reaches the total at DONE."""
+        store, keys = make_store(12)
+        session = make_rocket("local", store, app=SlowApp()).session(policy=policy)
+        try:
+            handle = session.submit(AllPairs(keys))
+            samples = []
+            while not handle.done():
+                with handle._cond:  # the count is credited under the condition
+                    samples.append((handle.accounting.pairs_completed, handle.progress()[0]))
+                time.sleep(0.002)
+            assert handle.result(timeout=60.0).is_complete()
+        finally:
+            session.close()
+        total = handle.progress()[1]
+        assert all(counted <= done for counted, done in samples)
+        assert any(0 < counted < total for counted, _ in samples), samples[-5:]
+        assert handle.accounting.pairs_completed == total
 
 
 # ----------------------------------------------------------------------

@@ -638,6 +638,39 @@ class TestFailureAndCancel:
             server.close()
 
 
+    @pytest.mark.parametrize(
+        "op, field, value",
+        [
+            ("submit", "priority", "high"),
+            ("submit", "priority", None),
+            ("submit", "max_inflight", "many"),
+            ("submit", "max_inflight", 0),
+            ("wait", "timeout", "soon"),
+            ("result", "timeout", [1]),
+            ("stream", "cursor", "start"),
+            ("stream", "cursor", -1),
+            ("stream", "wait", {}),
+        ],
+    )
+    def test_a_malformed_numeric_field_is_a_protocol_error(self, op, field, value):
+        """The client's mistake, answered as one: not counted as a daemon fault."""
+        server, store, keys = make_server(n_items=4)
+        try:
+            with connect(server.address) as client:
+                job = client.submit(AllPairs(keys)).job_id
+                request = {"op": op, field: value}
+                if op == "submit":
+                    request["workload"] = protocol.workload_to_wire(AllPairs(keys))
+                else:
+                    request["job"] = job
+                with pytest.raises(ProtocolError, match=field):
+                    client._request(request)
+                serve = client.metrics()["serve"]["serve"]
+                assert "internal" not in serve.get("errors", {})
+        finally:
+            server.close()
+
+
 class TestDrain:
     def test_drain_resolves_queued_handles_then_rejects_submits(self):
         """Acceptance: SIGTERM-style drain lets queued jobs finish and
