@@ -64,8 +64,10 @@ cache/scheduling logic on a simulated platform.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
-from typing import Hashable, Optional, Sequence, Union
+import functools
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 from repro.core.api import Application
 from repro.core.result import ResultMatrix
@@ -77,6 +79,18 @@ from repro.runtime.localrocket import LocalSession, RocketConfig
 from repro.runtime.stats import RunStats
 
 __all__ = ["Rocket", "RocketConfig"]
+
+
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable[[int], int]]:
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
 
 
 class Rocket:
@@ -164,6 +178,15 @@ class Rocket:
                 session.profile().save(profile)
         finally:
             session.close()
+            # The run's items die with its engine.  Its job threads'
+            # malloc arenas would keep them as slack that the next run's
+            # fresh threads may never reuse (a memo residual's strip
+            # leaves load more items on each of fewer threads); hand the
+            # free pages back (0.2-0.6 ms on a 2-core box).
+            del session
+            trim = _malloc_trim()
+            if trim is not None:
+                trim(0)
         return result
 
     def session(self, policy="fifo", max_active=None) -> BackendSession:

@@ -36,6 +36,7 @@ workload is expected (the paper's interface: all pairs).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -62,6 +63,7 @@ __all__ = [
     "FilteredPairs",
     "PairSet",
     "PairSubset",
+    "pair_counter",
     "Bipartite",
     "DeltaPairs",
     "as_workload",
@@ -147,6 +149,16 @@ class PairSet:
         return i.astype(np.int32), j.astype(np.int32)
 
 
+def pair_counter(accepted: Optional[PairSet]) -> Callable[[PairBlock], int]:
+    """What sizes a block: its ``accepted`` pairs, or all of its pairs when None.
+
+    The one rule wherever a block is sized — a leaf, a FAIR quantum, a
+    SPEED share, a deque's pending work — so a filtered job's launches
+    hold up to ``grain`` pairs it actually computes.
+    """
+    return attrgetter("count") if accepted is None else accepted.count
+
+
 class Workload(ABC, Generic[K]):
     """A set of key pairs to compare, with its scheduling decomposition.
 
@@ -192,42 +204,40 @@ class Workload(ABC, Generic[K]):
         return sum(self.block_counts())
 
     def block_counts(self) -> List[int]:
-        """Accepted pairs per block (what the SPEED policy sizes shares by)."""
-        accepted = self.accepted
-        return [
-            block.count if accepted is None else accepted.count(block)
-            for block in self.blocks()
-        ]
+        """Accepted pairs per block."""
+        return list(map(pair_counter(self.accepted), self.blocks()))
 
     def grain_blocks(self, grain: int) -> List[Tuple[PairBlock, int]]:
         """Split the decomposition into hand-out quanta for fair sharing.
 
         Returns ``(block, accepted_pairs)`` tuples, each block holding
-        at most ``grain`` raw pairs (or being unsplittable), in
+        at most ``grain`` accepted pairs (or being unsplittable), in
         depth-first Morton order so consecutively granted quanta keep
-        the cache locality of the divide-and-conquer walk.  Quanta
-        with no accepted pair are dropped — granting them would occupy
-        scheduler bookkeeping without producing work.
+        the cache locality of the divide-and-conquer walk.  A block with
+        no accepted pair is dropped, its subtree unvisited — granting it
+        would occupy scheduler bookkeeping without producing work.
 
         This is the granularity at which the multi-job scheduler
         interleaves jobs: one quantum is the unit of device time a job
-        is granted per scheduling decision.  Memoized per grain.
+        is granted per scheduling decision, and the pipeline runs it as
+        one leaf.  Memoized per grain.
         """
         if grain < 1:
             raise ValueError(f"grain must be >= 1, got {grain}")
         if self._grain_cache is not None and self._grain_cache[0] == grain:
             return list(self._grain_cache[1])
-        accepted = self.accepted
+        size = pair_counter(self.accepted)
         out: List[Tuple[PairBlock, int]] = []
         stack = self.blocks()[::-1]
         while stack:
             block = stack.pop()
-            if block.count > grain and not block.is_leaf():
-                stack.extend(reversed(block.split()))
+            count = size(block)
+            if not count:
                 continue
-            count = block.count if accepted is None else accepted.count(block)
-            if count:
+            if block.is_leaf(grain, count):
                 out.append((block, count))
+            else:
+                stack.extend(reversed(block.split()))
         self._grain_cache = (grain, list(out))
         return out
 

@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.session import RunHandle
+from repro.core.workload import pair_counter
 from repro.runtime.backend import SessionJob
 from repro.runtime.stats import NodeStats
 from repro.scheduling.quadtree import PairBlock, partition_blocks
@@ -34,6 +35,8 @@ class _ClusterJob(SessionJob):
         workload = handle.residual  # what the memo store left to compute
         self.keys = workload.keys
         self.accepted = workload.accepted
+        #: Accepted pairs of a block (all of them, when the job has no set).
+        self.accepted_count = pair_counter(self.accepted)
         self.n_items = workload.n_items
 
         self.node_speeds = session._node_speeds
@@ -51,7 +54,7 @@ class _ClusterJob(SessionJob):
             # aggregate speed instead of the first node holding
             # everything.
             node_shares = partition_blocks(
-                blocks, [self.node_speeds[n] for n in nodes]
+                blocks, [self.node_speeds[n] for n in nodes], size=self.accepted_count
             )
         else:
             node_shares: List[List[PairBlock]] = [[] for _ in nodes]
@@ -95,10 +98,6 @@ class _ClusterJob(SessionJob):
         self.forgiven_nodes: Set[int] = set()
 
     # -- bookkeeping helpers ---------------------------------------------
-
-    def accepted_count(self, block: PairBlock) -> int:
-        """Accepted pairs of ``block`` (all of them, when the job has no set)."""
-        return block.count if self.accepted is None else self.accepted.count(block)
 
     def reports_complete(self) -> bool:
         return all(

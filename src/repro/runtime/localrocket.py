@@ -48,7 +48,9 @@ class RocketConfig:
     concurrent_jobs: int = 8
     leaf_size: int = 4
     #: Target pairs per batched kernel launch for apps with
-    #: ``compare_block``.  A launch is a whole grain-sized leaf whenever
+    #: ``compare_block``, counted in *accepted* pairs: a filtered job or
+    #: a memo residual splits a block until it holds at most ``grain``
+    #: pairs it computes.  A launch is a whole grain-sized leaf whenever
     #: the leaf's distinct items fit ``device_cache_slots - 1``; a leaf
     #: with more items than that is cut into capacity-sized launches.
     #: What is in flight never shrinks a launch — under cache pressure a

@@ -6,7 +6,11 @@ and the multi-process cluster runtime run the *same* code for
 everything that happens inside one node (paper Section 4.3):
 
 - one worker thread per device runs the divide-and-conquer loop over
-  the pair matrix with hierarchical random work-stealing;
+  the pair matrix with hierarchical random work-stealing; a block is
+  sized by the job's *accepted* pairs (all of its pairs for a dense
+  job), so it is a leaf once it holds at most ``grain`` of them (or
+  cannot split), and a quadrant with none is dropped when its parent
+  splits — a filtered job or a memo residual launches full leaves;
 - a leaf's pairs are cut into *jobs* — one kernel launch each: a batch
   of pairs for apps with ``compare_block``, one pair otherwise — that
   run on a bounded job pool; a job pins its distinct items in the
@@ -93,6 +97,7 @@ construction and subtracted in :meth:`NodePipeline.stats`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -106,7 +111,7 @@ from repro.cache.policy import safe_job_limit
 from repro.cache.slots import CacheCounters, Slot, SlotCache, SlotState
 from repro.core.api import Application
 from repro.core.result import real_column
-from repro.core.workload import PairSet
+from repro.core.workload import PairSet, pair_counter
 from repro.data.filestore import FileStore
 from repro.model.perfmodel import StageCalibration
 from repro.runtime.devices import VirtualDevice
@@ -340,6 +345,12 @@ class NodePipeline:
         self.keys = list(keys)
         #: The job's accepted pairs (None: every pair of its blocks).
         self.accepted = accepted
+        #: A block's size: its accepted pairs (the leaf, share and deque
+        #: unit), memoized as a block is split off, queued, popped and tested.
+        self._size = size = (
+            pair_counter(None) if accepted is None
+            else functools.lru_cache(maxsize=None)(accepted.count)
+        )
         if emit_block is None:
             # The per-pair spelling survives only for bench/layers.py,
             # which builds bare pipelines with it; nothing in src/ does.
@@ -394,7 +405,7 @@ class NodePipeline:
         speed_aware = cfg.steal_policy is StealPolicy.SPEED
 
         topology = WorkerTopology.from_gpus_per_node([cfg.n_devices])
-        deques = self.deques = [TaskDeque(d) for d in range(cfg.n_devices)]
+        deques = self.deques = [TaskDeque(d, size) for d in range(cfg.n_devices)]
         self._selector = VictimSelector(
             topology,
             rngs.get(f"steal:n{node_id}"),
@@ -408,7 +419,7 @@ class NodePipeline:
             # Speed-proportional initial partitioning: each device
             # starts with a share of the pairs matching its speed
             # factor instead of a round-robin block hand-out.
-            for d, share in enumerate(partition_blocks(initial_blocks, speeds)):
+            for d, share in enumerate(partition_blocks(initial_blocks, speeds, size=size)):
                 self.deques[d].push_children(share)
         else:
             for i, block in enumerate(initial_blocks):
@@ -443,7 +454,7 @@ class NodePipeline:
         #: Apps overriding ``compare_block`` get a whole leaf (or its
         #: capacity cut) per kernel launch; the others one pair.
         self._batched = app.supports_compare_block
-        #: Pairs at which a block is executed rather than split.
+        #: Accepted pairs at which a block is executed rather than split.
         self._leaf_pairs = cfg.grain if self._batched else cfg.leaf_size
         self._has_item_view = app.supports_item_view
         self._speeds = speeds
@@ -1019,9 +1030,9 @@ class NodePipeline:
         """
         depth = self._selector.split_depth(thief, victim)
         for _ in range(depth):
-            if task.is_leaf(self._leaf_pairs):
+            if self._is_leaf(task):
                 break
-            children = task.split()
+            children = self._split(task)
             task = children[0]
             self.deques[victim].push_children(children[1:])
         return task
@@ -1055,6 +1066,18 @@ class NodePipeline:
                 self.counters["local_steals"] += 1
         return task
 
+    def _is_leaf(self, task: PairBlock) -> bool:
+        """Run ``task`` whole: at most ``_leaf_pairs`` accepted pairs, or unsplittable."""
+        return task.is_leaf(self._leaf_pairs, self._size(task))
+
+    def _split(self, task: PairBlock) -> List[PairBlock]:
+        """``task``'s quadrants that hold an accepted pair: the others are
+        never queued, stolen or granted."""
+        children = task.split()
+        if self.accepted is None:
+            return children
+        return [child for child in children if self._size(child)]
+
     def _worker(self, d: int) -> None:
         st = self.states[d]
         idle_rounds = 0
@@ -1082,7 +1105,7 @@ class NodePipeline:
                         )
                 continue
             idle_rounds = 0
-            if task.is_leaf(self._leaf_pairs):
+            if self._is_leaf(task):
                 if self.accepted is None:
                     pairs = list(task.pairs())
                 else:
@@ -1103,6 +1126,6 @@ class NodePipeline:
                     start += count
             else:
                 with self.sched_lock:
-                    self.deques[d].push_children(task.split())
+                    self.deques[d].push_children(self._split(task))
                 with self.work_cond:
                     self.work_cond.notify_all()

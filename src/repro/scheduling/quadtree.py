@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,11 +85,15 @@ class PairBlock:
         """True when the block contains no pairs."""
         return self.count == 0
 
-    def is_leaf(self, leaf_size: int = 1) -> bool:
-        """True when the block should be executed rather than split."""
+    def is_leaf(self, leaf_size: int = 1, count: Optional[int] = None) -> bool:
+        """True when the block should be executed rather than split.
+
+        ``count`` is the block's size when that is not :attr:`count` —
+        its accepted pairs, for a workload that narrows its blocks.
+        """
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        if self.count <= leaf_size:
+        if (self.count if count is None else count) <= leaf_size:
             return True
         return (self.row_hi - self.row_lo) <= 1 and (self.col_hi - self.col_lo) <= 1
 
@@ -176,6 +181,7 @@ def partition_blocks(
     blocks: Sequence[PairBlock],
     weights: Sequence[float],
     granularity: int = 8,
+    size: Callable[[PairBlock], int] = attrgetter("count"),
 ) -> List[List[PairBlock]]:
     """Split ``blocks`` into per-worker shares proportional to ``weights``.
 
@@ -188,7 +194,8 @@ def partition_blocks(
     then blocks are assigned largest-first to the share with the
     biggest remaining deficit (LPT scheduling against weighted
     targets).  Deterministic: equal deficits break toward the lower
-    index.
+    index.  ``size`` weighs a block — its accepted pairs for a workload
+    that narrows its blocks; a block of size 0 is dropped.
     """
     if not weights:
         raise ValueError("need at least one weight")
@@ -198,37 +205,37 @@ def partition_blocks(
         raise ValueError(f"granularity must be >= 1, got {granularity}")
     k = len(weights)
     shares: List[List[PairBlock]] = [[] for _ in range(k)]
-    pool = [b for b in blocks if not b.is_empty]
-    if not pool or k == 1:
-        shares[0].extend(pool)
+    # A heap keyed by -size (seq breaks ties deterministically).
+    heap: List[Tuple[int, int, PairBlock]] = []
+    for b in blocks:
+        count = size(b)
+        if count:
+            heap.append((-count, len(heap), b))
+    if not heap or k == 1:
+        shares[0].extend(b for _, _, b in heap)
         return shares
 
-    # Refine: a heap keyed by -count (seq breaks ties deterministically).
-    seq = 0
-    heap: List[Tuple[int, int, PairBlock]] = []
-    for b in pool:
-        heap.append((-b.count, seq, b))
-        seq += 1
     heapq.heapify(heap)
+    seq = len(heap)
     target = granularity * k
     while len(heap) < target:
         neg, _, big = heapq.heappop(heap)
         if big.is_leaf():
             heapq.heappush(heap, (neg, seq, big))
-            seq += 1
             break  # largest block is atomic: no further refinement possible
         for child in big.split():
-            heapq.heappush(heap, (-child.count, seq, child))
-            seq += 1
+            count = size(child)
+            if count:
+                heapq.heappush(heap, (-count, seq, child))
+                seq += 1
 
-    refined = sorted((b for _, _, b in heap), key=lambda b: -b.count)
-    total = sum(b.count for b in refined)
-    scale = total / sum(weights)
+    refined = sorted(heap, key=lambda entry: entry[0])  # largest first
+    scale = -sum(neg for neg, _, _ in refined) / sum(weights)
     deficit = [w * scale for w in weights]
-    for b in refined:
+    for neg, _, b in refined:
         best = max(range(k), key=lambda i: (deficit[i], -i))
         shares[best].append(b)
-        deficit[best] -= b.count
+        deficit[best] += neg
     return shares
 
 

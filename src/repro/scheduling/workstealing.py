@@ -110,22 +110,24 @@ class TaskDeque(Generic[T]):
     the threaded runtime wraps it in a lock.
     """
 
-    def __init__(self, worker: int) -> None:
+    def __init__(self, worker: int, size: Optional[Callable[[T], int]] = None) -> None:
         self.worker = worker
         self._tasks: Deque[T] = deque()
         self.pushes = 0
         self.pops = 0
         self.steals_suffered = 0
-        #: Sum of ``task.count`` over queued tasks (1 for tasks without a
-        #: ``count``) — the estimated remaining work speed-weighted
-        #: victim ranking sorts on.
+        #: What a task weighs: ``size(task)``, by default ``task.count``
+        #: (1 for tasks without a ``count``).
+        self._work = size if size is not None else self._count
+        #: Summed weight of the queued tasks — the estimated remaining
+        #: work speed-weighted victim ranking sorts on.
         self.pending_pairs = 0
 
     def __len__(self) -> int:
         return len(self._tasks)
 
     @staticmethod
-    def _work(task: T) -> int:
+    def _count(task: T) -> int:
         count = getattr(task, "count", 1)
         # Tasks without a pair count (str.count is a method!) weigh 1.
         return count if isinstance(count, int) else 1

@@ -46,6 +46,7 @@ readers tolerate any prefix of a segment.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import struct
@@ -138,9 +139,11 @@ class ResultMemoStore:
         self.dir = Path(store_dir) / MEMO_DIR
         self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        #: ``(fingerprint, key) -> key id`` and ``content hash -> hash id``.
-        self._key_ids: Dict[Tuple[str, Any], int] = {}
+        #: ``fingerprint -> {key: key id}`` and ``content hash -> hash id``,
+        #: numbered by one counter: a key id is unique across fingerprints.
+        self._key_ids: Dict[str, Dict[Any, int]] = {}
         self._hash_ids: Dict[str, int] = {}
+        self._new_id = itertools.count().__next__
         #: Folded rows (the first ``_n`` are filled): pair id, the hash
         #: ids of its lower and higher key id, the value and the stamp.
         self._pairs = np.empty(0, dtype=np.int64)
@@ -163,11 +166,20 @@ class ResultMemoStore:
 
     # -- the folded columns ---------------------------------------------
 
-    def _ids(self, table: Dict, items: Sequence[Any]) -> np.ndarray:
-        """Ids of ``items`` in ``table``, assigning new ones (lock held)."""
-        return np.fromiter(
-            (table.setdefault(item, len(table)) for item in items), np.int64, len(items)
-        )
+    def _ids(self, table: Dict[Any, int], items: Sequence[Any]) -> np.ndarray:
+        """Ids of ``items`` in ``table``, numbering new ones (lock held).
+
+        One C-level pass of ``dict.get`` over a table; only an item seen
+        for the first time costs Python.
+        """
+        ids = list(map(table.get, items))
+        if None in ids:
+            for k, item in enumerate(items):
+                if ids[k] is None:
+                    if item not in table:
+                        table[item] = self._new_id()
+                    ids[k] = table[item]
+        return np.array(ids, dtype=np.int64)
 
     @staticmethod
     def _pair_ids(
@@ -192,7 +204,7 @@ class ResultMemoStore:
         m = len(values)
         if not m:
             return
-        key_ids = self._ids(self._key_ids, [(fingerprint, k) for k in keys])
+        key_ids = self._ids(self._key_ids.setdefault(fingerprint, {}), keys)
         hash_ids = self._ids(self._hash_ids, hashes)
         pairs, hash_lo, hash_hi = self._pair_ids(
             key_ids[i], key_ids[j], hash_ids[i], hash_ids[j]
@@ -315,13 +327,12 @@ class ResultMemoStore:
         the pairs are matched in bulk.
         """
         with self._lock:
+            known_keys = self._key_ids.get(fingerprint, {})
             key_ids = np.fromiter(
-                (self._key_ids.get((fingerprint, k), -1) for k in keys), np.int64, len(keys)
+                map(known_keys.get, keys, itertools.repeat(-1)), np.int64, len(keys)
             )
             hash_ids = np.fromiter(
-                (-1 if h is None else self._hash_ids.get(h, -1) for h in hashes),
-                np.int64,
-                len(hashes),
+                map(self._hash_ids.get, hashes, itertools.repeat(-1)), np.int64, len(hashes)
             )
             known = (key_ids >= 0) & (hash_ids >= 0)
             hit = known[i] & known[j]

@@ -13,21 +13,31 @@ Two rules of the pair path, each pinned at its own level:
   value-identical down to the 2-slot cache, a device worker steals its
   node-mate's *nearest* task while a steal that leaves the node still
   takes the largest block, and a FAIR query queued behind a batch
-  job's whole-leaf claim finishes.
+  job's whole-leaf claim finishes;
+- **accepted pairs**: a job that narrows its blocks (``PairSubset``,
+  ``FilteredPairs``) sizes every leaf, quantum and SPEED share by the
+  pairs it computes, so a launch holds up to ``grain`` of them on every
+  backend.
 """
 
 import sys
 import threading
 import time
+import zlib
 from bisect import bisect_right
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import BioinformaticsApplication
 from repro.core.rocket import Rocket
-from repro.core.workload import AllPairs, Bipartite
+from repro.core.workload import AllPairs, Bipartite, FilteredPairs, PairSubset
+from repro.data.filestore import InMemoryStore
+from repro.data.synthetic import make_bioinformatics_dataset
+from repro.runtime.cluster import ClusterConfig
 from repro.runtime.localrocket import RocketConfig
 from repro.runtime.pernode import NodePipeline, _pin_needs
 from repro.scheduling.quadtree import PairBlock
@@ -223,11 +233,11 @@ def leaves_of(n_items, grain):
             stack.extend(reversed(block.split()))
 
 
-def expected_launches(n_items, grain, units, max_inflight=None):
-    """Launch sizes of one job: each leaf whole, or cut by ``max_inflight`` and capacity."""
+def launch_sizes(leaf_pairs, units, max_inflight=None):
+    """Launch sizes of one job's leaves (pair lists): each whole, or cut by
+    ``max_inflight`` and capacity."""
     sizes = Counter()
-    for leaf in leaves_of(n_items, grain):
-        pairs = list(leaf.pairs())
+    for pairs in leaf_pairs:
         while pairs:
             count = capacity_cut(_pin_needs(pairs[:max_inflight]), units)
             sizes[count] += 1
@@ -235,8 +245,33 @@ def expected_launches(n_items, grain, units, max_inflight=None):
     return sizes
 
 
-def run_bare_pipeline(app, store, keys, cfg, timeout=60.0, max_inflight=None):
-    """One AllPairs job on a bare pipeline: (values by pair, launch sizes, pipeline)."""
+def expected_launches(n_items, grain, units, max_inflight=None):
+    """Launch sizes of one AllPairs job."""
+    leaves = (list(leaf.pairs()) for leaf in leaves_of(n_items, grain))
+    return launch_sizes(leaves, units, max_inflight)
+
+
+def accepted_leaves(workload, grain):
+    """A narrowed job's leaves in Morton order, as row-major pair lists: a
+    block runs whole once it holds at most ``grain`` accepted pairs (a
+    one-cell block holds one); a block with none is never visited."""
+    accepted = workload.accepted
+    stack = workload.blocks()[::-1]
+    while stack:
+        block = stack.pop()
+        i, j = accepted.columns(block)
+        if not len(i):
+            continue
+        if len(i) <= grain:
+            yield list(zip(i.tolist(), j.tolist()))
+        else:
+            stack.extend(reversed(block.split()))
+
+
+def run_bare_pipeline(app, store, keys, cfg, timeout=60.0, max_inflight=None, workload=None):
+    """One job (AllPairs by default) on a bare pipeline: (values by pair,
+    launch sizes, pipeline)."""
+    workload = workload or AllPairs(keys)
     values, launches = {}, []
     lock = threading.Lock()
 
@@ -247,10 +282,9 @@ def run_bare_pipeline(app, store, keys, cfg, timeout=60.0, max_inflight=None):
                 assert (keys[a], keys[b]) not in values
                 values[(keys[a], keys[b])] = value
 
-    n = len(keys)
     pipeline = NodePipeline(
-        app, store, cfg, keys, emit_block=emit_block,
-        expected_pairs=n * (n - 1) // 2, initial_blocks=[PairBlock.root(n)],
+        app, store, cfg, keys, accepted=workload.accepted, emit_block=emit_block,
+        expected_pairs=workload.n_pairs, initial_blocks=workload.blocks(),
         max_inflight=max_inflight,
     )
     pipeline.start()
@@ -335,6 +369,143 @@ class TestLaunchesAreLeaves:
             close_within(session)
         assert handle.stats.launches == len(quanta)
         assert handle.stats.pairs_per_launch == 276 / len(quanta)
+
+
+#: ``grain`` of the narrowed jobs below; a launch holding more fails.
+NARROWED_GRAIN = 16
+
+
+class GrainCheckedForensics(LoopedForensics):
+    """Fails any launch of more than ``NARROWED_GRAIN`` pairs, in any process."""
+
+    def compare_block(self, keys_a, items_a, keys_b, items_b):
+        if len(keys_a) > NARROWED_GRAIN:
+            raise AssertionError(f"a launch of {len(keys_a)} pairs on grain {NARROWED_GRAIN}")
+        return super().compare_block(keys_a, items_a, keys_b, items_b)
+
+
+def edited_subset(keys, edited):
+    """What the memo store leaves after ``edited`` items change: every pair
+    touching one of them, as a ``PairSubset`` of all pairs."""
+    base = AllPairs(keys)
+    i, j = base.pair_columns()
+    touched = np.isin(i, edited) | np.isin(j, edited)
+    return PairSubset(base, i[touched], j[touched])
+
+
+@pytest.fixture(scope="module")
+def narrowed_case():
+    store, keys = forensics_store(n_images=24)
+    cfg = RocketConfig(n_devices=1, device_cache_slots=32, host_cache_slots=32, seed=7)
+    return store, keys, as_dict(Rocket(PerPairForensics(), store, cfg).run(keys))
+
+
+def quarter_filter(a, b):
+    """Accepts about a quarter of the pairs, scattered over the triangle."""
+    return zlib.crc32(f"{a}|{b}".encode()) % 4 == 0
+
+
+NARROWED_SHAPES = {
+    "subset": lambda keys: edited_subset(keys, [3, 11, 17]),
+    "filtered": lambda keys: FilteredPairs(keys, quarter_filter),
+}
+
+
+class TestLaunchesHoldAcceptedPairs:
+    """A ``PairSubset`` or ``FilteredPairs`` job: leaves, FAIR quanta and
+    launches are sized by accepted pairs, on every way a job runs."""
+
+    @staticmethod
+    def config(**overrides):
+        return RocketConfig(**{
+            "n_devices": 2, "device_cache_slots": 64, "host_cache_slots": 64,
+            "grain": NARROWED_GRAIN, "seed": 7, "watchdog_seconds": 60.0, **overrides,
+        })
+
+    @pytest.mark.parametrize("slots", [8, 64])  # 8: strips wider than the cache
+    @pytest.mark.parametrize("shape", sorted(NARROWED_SHAPES))
+    def test_bare_pipeline(self, narrowed_case, shape, slots):
+        store, keys, ref = narrowed_case
+        workload = NARROWED_SHAPES[shape](keys)
+        cfg = self.config(device_cache_slots=slots)
+        values, launches, pipeline = run_bare_pipeline(
+            GrainCheckedForensics(), store, keys, cfg, workload=workload
+        )
+        expected = launch_sizes(accepted_leaves(workload, NARROWED_GRAIN), units=slots - 1)
+        assert Counter(launches) == expected
+        assert max(launches) <= NARROWED_GRAIN
+        assert values == {pair: ref[pair] for pair in workload.pairs()}
+        assert pipeline.held_pins == 0
+
+    @pytest.mark.parametrize("runner", ["fifo", "fair", "cluster"])
+    @pytest.mark.parametrize("shape", sorted(NARROWED_SHAPES))
+    def test_session(self, narrowed_case, shape, runner):
+        store, keys, ref = narrowed_case
+        workload = NARROWED_SHAPES[shape](keys)
+        if runner == "cluster":
+            rocket = Rocket(
+                GrainCheckedForensics(), store, self.config(n_devices=1),
+                backend="cluster",
+                cluster=ClusterConfig(n_nodes=2, fetch_timeout=20.0, steal_timeout=5.0),
+            )
+            session = rocket.session()
+        else:
+            session = Rocket(GrainCheckedForensics(), store, self.config()).session(policy=runner)
+        try:
+            handle = session.submit(workload)
+            matrix = handle.result(timeout=60.0)
+        finally:
+            close_within(session)
+        assert as_dict(matrix) == {pair: ref[pair] for pair in workload.pairs()}
+        leaves = list(accepted_leaves(workload, NARROWED_GRAIN))
+        assert handle.stats.launches == len(leaves)  # all fit: one launch a leaf
+        if runner == "fair":
+            assert len(workload.grain_blocks(NARROWED_GRAIN)) == len(leaves)
+
+    def test_an_edit_residual_runs_in_few_launches(self):
+        """bio n = 112 with 11 items edited, all-fit caches, default grain:
+        1,166 pairs in row and column strips.  Leaves sized by raw cells
+        ran it in 91 launches of 12.8 pairs."""
+        store = InMemoryStore()
+        keys = list(make_bioinformatics_dataset(store, n_species=112, seed=3).keys)
+        edited = np.random.default_rng(5).choice(112, size=11, replace=False)
+        workload = edited_subset(keys, edited)
+        assert workload.n_pairs == 11 * 111 - 55
+        cfg = RocketConfig(n_devices=1, device_cache_slots=128, host_cache_slots=128)
+        session = Rocket(BioinformaticsApplication(), store, cfg).session()
+        try:
+            handle = session.submit(workload)
+            assert handle.result(timeout=120.0).is_complete()
+        finally:
+            close_within(session)
+        assert handle.stats.launches == len(list(accepted_leaves(workload, cfg.grain)))
+        assert handle.stats.launches <= 40
+
+    def test_speed_shares_weigh_accepted_pairs(self, narrowed_case):
+        """The accepted pairs are those of the first half of the items; a
+        device of speed 1.0 starts with two thirds of them, one of speed
+        0.5 with one third, each within one of its blocks."""
+        store, keys, _ = narrowed_case
+        first = set(keys[:12])
+        workload = FilteredPairs(keys, lambda a, b: a in first and b in first)
+        cfg = self.config(steal_policy=StealPolicy.SPEED, device_speed_factors=(1.0, 0.5))
+        pipeline = NodePipeline(
+            GrainCheckedForensics(), store, cfg, keys, accepted=workload.accepted,
+            emit_block=lambda i, j, values: None, expected_pairs=workload.n_pairs,
+            initial_blocks=workload.blocks(),
+        )
+        try:
+            count = workload.accepted.count
+            shares = [list(deque._tasks) for deque in pipeline.deques]
+            held = [sum(map(count, share)) for share in shares]
+            assert sum(held) == workload.n_pairs == 66
+            assert [deque.pending_pairs for deque in pipeline.deques] == held
+            for share, weight, have in zip(shares, (2 / 3, 1 / 3), held):
+                assert all(map(count, share))  # no block without an accepted pair
+                # Largest first: a share overshoots by at most its last, smallest block.
+                assert have - weight * 66 <= min(map(count, share))
+        finally:
+            pipeline.close()
 
 
 @pytest.fixture(scope="module")

@@ -448,6 +448,51 @@ class TestResultMemoStore:
         )
         assert hit.tolist() == [True, True, True] and values.tolist() == [2.0, 1.0, 3.0]
 
+    def test_alternating_key_tables_fold_like_each_record_alone(self, tmp_path):
+        """Records alternate between key tables that differ in the
+        fingerprint, one key or one hash, and keep resolving ids into the
+        same tables; lookups answer like a dict that folds each record
+        alone, newest last, on the writer and on a fresh reader."""
+        keys = ["a", "b", "c", "d", "e", "f"]
+        hashes = [f"h{k}" for k in keys]
+        tables = {
+            "A": ("fp", keys, hashes),
+            "B": ("fp", keys, hashes[:2] + ["c-edited"] + hashes[3:]),  # a hash differs
+            "C": ("fp2", keys, hashes),  # the fingerprint differs
+            "D": ("fp", keys[:5] + ["g"], hashes),  # a key differs (f renamed)
+        }
+        i, j = np.triu_indices(len(keys), 1)
+        order = "AABACCBADDA"
+        writer = ResultMemoStore(tmp_path)
+        reference = {}
+        for r, name in enumerate(order):
+            fingerprint, table_keys, table_hashes = tables[name]
+            pick = np.arange(r % 3, len(i), 3)  # pairs recur: newer records win
+            values = pick + 100.0 * r
+            assert writer.append_block(
+                fingerprint, table_keys, table_hashes, i[pick], j[pick], values
+            )
+            for a, b, value in zip(i[pick], j[pick], values):
+                pair = (fingerprint, *sorted((table_keys[a], table_keys[b])))
+                hash_of = dict(zip(table_keys, table_hashes))
+                reference[pair] = (hash_of[pair[1]], hash_of[pair[2]], value)
+        writer.close()
+        reader = ResultMemoStore(tmp_path)
+        for fingerprint, table_keys, table_hashes in tables.values():
+            hash_of = dict(zip(table_keys, table_hashes))
+            want_hit, want_values = [], []
+            for a, b in zip(i, j):
+                pair = (fingerprint, *sorted((table_keys[a], table_keys[b])))
+                stored = reference.get(pair)
+                hit = stored is not None and stored[:2] == (hash_of[pair[1]], hash_of[pair[2]])
+                want_hit.append(hit)
+                if hit:
+                    want_values.append(stored[2])
+            for folded in (writer, reader):
+                hit, values = folded.lookup_block(fingerprint, table_keys, table_hashes, i, j)
+                assert hit.tolist() == want_hit and values.tolist() == want_values
+        assert writer.record_count() == reader.record_count() == len(reference)
+
     def test_merges_segments_from_two_writers(self, tmp_path):
         w1, w2 = ResultMemoStore(tmp_path), ResultMemoStore(tmp_path)
         w1.append("fp", "a", "b", "ha", "hb", 1.0)

@@ -179,6 +179,27 @@ def inside(pairs, block):
     )
 
 
+def holds(outer, block):
+    return (
+        outer.row_lo <= block.row_lo and block.row_hi <= outer.row_hi
+        and outer.col_lo <= block.col_lo and block.col_hi <= outer.col_hi
+    )
+
+
+def tree_path(roots, block):
+    """``block``'s place in the quadtree under ``roots``: the root's index
+    then the child index taken at each split, and its parent (None for a
+    root)."""
+    (r,) = [r for r, root in enumerate(roots) if holds(root, block)]
+    node, parent, path = roots[r], None, [r]
+    while node != block:
+        parent = node
+        (k,) = [k for k, child in enumerate(node.split()) if holds(child, block)]
+        node = node.split()[k]
+        path.append(k)
+    return path, parent
+
+
 def column_pairs(columns):
     i, j = columns
     assert i.dtype == j.dtype == np.int32
@@ -204,12 +225,17 @@ class TestPairSet:
         pairs = column_pairs(workload.pair_columns())
         assert len(pairs) == len(set(pairs)) and set(pairs) == chosen
         grain = data.draw(st.integers(1, 40))
-        covered = []
+        covered, paths = [], []
         for block, count in workload.grain_blocks(grain):
-            assert block.count <= grain or block.is_leaf()
-            assert count == len(inside(chosen, block)) > 0
+            assert count == len(inside(chosen, block))
+            assert 1 <= count <= grain or block.is_leaf()  # cannot split
+            path, parent = tree_path(blocks, block)
+            # Split no further than needed: the parent held too many.
+            assert parent is None or len(inside(chosen, parent)) > grain
             covered.extend(inside(chosen, block))
-        assert sorted(covered) == sorted(chosen)
+            paths.append(path)
+        assert sorted(covered) == sorted(chosen) and len(covered) == len(chosen)
+        assert paths == sorted(paths)  # depth-first: Morton order
 
     @settings(max_examples=12, deadline=None)
     @given(accepted_workloads())
