@@ -23,9 +23,7 @@ from repro.data.filestore import InMemoryStore
 from repro.data.synthetic import make_forensics_dataset
 
 N_IMAGES = 10
-CONFIG = RocketConfig(
-    n_devices=1, device_cache_slots=8, host_cache_slots=12, leaf_size=2, seed=11
-)
+CONFIG = RocketConfig(n_devices=1, device_cache_slots=8, host_cache_slots=12, seed=11)
 
 
 def main() -> None:

@@ -36,7 +36,6 @@ CONFIG = RocketConfig(
     n_devices=1,
     device_cache_slots=8,
     host_cache_slots=12,
-    leaf_size=2,
     seed=23,
     profiling=True,
 )

@@ -35,10 +35,10 @@ def safe_job_limit(requested: int, device_slots: int, host_slots: int, gpus_per_
     exists, and the host level needs no clamp at all: host pins are only
     held across bounded H2D copies.
 
-    This is the per-pair form (one job, two pins) the simulator uses.
-    The threaded runtime generalises it to batches by counting pins
-    instead of jobs — *claimed pins <= slots - 1* — and uses this
-    function only for its job-count cap; see :mod:`repro.runtime.pernode`.
+    This is the per-pair form (one job, two pins), and only the
+    simulator uses it.  The threaded runtime generalises it to batches
+    by counting pins instead of jobs — *claimed pins <= slots - 1* —
+    and caps its job count directly; see :mod:`repro.runtime.pernode`.
 
     The sequential-acquisition argument (rather than the naive
     ``2 * limit < slots`` bound for concurrent acquisition) matters in

@@ -15,7 +15,7 @@ assumed deterministic — that is what makes caching sound).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Generic, Hashable, List, Sequence, TypeVar
+from typing import Any, Generic, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -115,15 +115,15 @@ class Application(ABC, Generic[K, R]):
         :meth:`compare` would have returned for pair ``k`` (bit-identical
         or within the documented tolerance of the vectorized kernel).
 
-        The default loops :meth:`compare` — the per-pair fallback.  The
-        runtime only takes the batched dispatch path when a subclass
-        overrides this method (see :attr:`supports_compare_block`).
+        The default loops :meth:`compare`.  The runtime launches every
+        comparison through this method, but gives an app that does not
+        override it (see :attr:`supports_compare_block`) one pair per
+        launch.
         """
-        rows: List[np.ndarray] = [
-            np.asarray(self.compare(ka, ia, kb, ib))
+        return np.array([
+            self.compare(ka, ia, kb, ib)
             for ka, ia, kb, ib in zip(keys_a, items_a, keys_b, items_b)
-        ]
-        return np.stack(rows) if rows else np.zeros(0)
+        ])
 
     @property
     def supports_compare_block(self) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,8 +52,6 @@ class VirtualDevice:
         # Counters for the run report.
         self.kernel_seconds = 0.0
         self.kernel_count = 0
-        self.batched_kernel_count = 0
-        self.batched_pairs = 0
         self.h2d_bytes = 0
         self.d2h_bytes = 0
 
@@ -77,47 +75,26 @@ class VirtualDevice:
 
     # -- kernels ---------------------------------------------------------
 
-    def run_kernel(self, fn: Callable[..., np.ndarray], *buffers_and_args: Any) -> DeviceBuffer:
-        """Execute ``fn`` on this device's kernel thread (blocking).
-
-        :class:`DeviceBuffer` arguments are ownership-checked and
-        unwrapped to plain arrays before the call; the result array is
-        wrapped as a buffer on this device.  With ``speed_factor`` < 1
-        the call is padded so the kernel appears proportionally slower.
-        """
-        return self.run_kernel_timed(fn, *buffers_and_args)[0]
-
-    def run_kernel_timed(
+    def run_kernel(
         self, fn: Callable[..., np.ndarray], *buffers_and_args: Any
     ) -> "tuple[DeviceBuffer, float]":
-        """:meth:`run_kernel` plus the kernel's *on-device* seconds.
+        """Execute ``fn`` on this device's kernel thread (blocking).
 
-        The returned elapsed time covers only the kernel execution (and
-        speed-factor padding) on the device thread — not the caller's
+        :class:`DeviceBuffer` arguments — bare or inside a list/tuple
+        argument (a compare launch passes each side's items as one
+        list) — are ownership-checked and unwrapped to plain arrays
+        before the call; the result array is wrapped as a buffer on
+        this device.  With ``speed_factor`` < 1 the call is padded so
+        the kernel appears proportionally slower.
+
+        Returns the buffer and the kernel's *on-device* seconds: the
+        execution (and padding) on the device thread, not the caller's
         wait in the kernel queue — which is what online calibration of
         ``t_pre`` / ``t_cmp`` must record.
         """
         if self._closed:
             raise RuntimeError(f"device {self.name!r} is shut down")
-        return self._executor.submit(self._invoke, fn, buffers_and_args, 0).result()
-
-    def run_kernel_batched_timed(
-        self, fn: Callable[..., np.ndarray], n_pairs: int, *buffers_and_args: Any
-    ) -> "tuple[DeviceBuffer, float]":
-        """:meth:`run_kernel_timed` for a batched-pair kernel.
-
-        Differences from the per-pair entry point: :class:`DeviceBuffer`
-        elements *inside* list/tuple arguments are ownership-checked and
-        unwrapped too (a batch argument is a sequence of slot views),
-        and the launch is counted once in ``batched_kernel_count`` /
-        ``n_pairs`` times in ``batched_pairs`` — the elapsed time is the
-        whole batch's, so callers amortise it per pair for calibration.
-        """
-        if n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-        if self._closed:
-            raise RuntimeError(f"device {self.name!r} is shut down")
-        return self._executor.submit(self._invoke, fn, buffers_and_args, n_pairs).result()
+        return self._executor.submit(self._invoke, fn, buffers_and_args).result()
 
     def _unwrap(self, arg: Any) -> Any:
         if isinstance(arg, DeviceBuffer):
@@ -130,9 +107,9 @@ class VirtualDevice:
         return arg
 
     def _invoke(
-        self, fn: Callable[..., np.ndarray], buffers_and_args: tuple, n_pairs: int
+        self, fn: Callable[..., np.ndarray], buffers_and_args: tuple
     ) -> "tuple[DeviceBuffer, float]":
-        """Kernel-thread body shared by the per-pair and batched paths."""
+        """Kernel-thread body of :meth:`run_kernel`."""
         args = [self._unwrap(arg) for arg in buffers_and_args]
         t0 = time.perf_counter()
         result = fn(*args)
@@ -144,9 +121,6 @@ class VirtualDevice:
         with self._lock:
             self.kernel_seconds += elapsed
             self.kernel_count += 1
-            if n_pairs:
-                self.batched_kernel_count += 1
-                self.batched_pairs += n_pairs
         if not isinstance(result, np.ndarray):
             result = np.asarray(result)
         return DeviceBuffer(result, self.name), elapsed

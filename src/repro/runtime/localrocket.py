@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
 from repro.core.scheduler import DEFAULT_GRAIN, JobScheduler, SchedulingPolicy, coerce_policy
 from repro.core.session import RunHandle
@@ -36,17 +36,20 @@ __all__ = ["RocketConfig", "RunStats", "LocalSession"]
 class RocketConfig:
     """Tunables of the threaded runtime (mirrors the simulator's config)."""
 
+    #: Jobs in flight per device (fixed).  A *job* is one kernel launch:
+    #: a batch of pairs for apps with ``compare_block``, one pair
+    #: otherwise.  Admission is additionally bounded by device-cache
+    #: pins — a job claims one unit per distinct item, out of
+    #: ``device_cache_slots - 1`` per device — which is what keeps the
+    #: cache deadlock-free (see :mod:`repro.runtime.pernode`).
+    concurrent_jobs: ClassVar[int] = 8
+    #: Pairs per leaf for apps without ``compare_block`` (fixed), each
+    #: run as one-pair launches so a cancel resolves within one pair.
+    leaf_size: ClassVar[int] = 4
+
     n_devices: int = 2
     device_cache_slots: int = 64
     host_cache_slots: int = 256
-    #: Jobs in flight per device.  A *job* is one kernel launch: a batch
-    #: of pairs for apps with ``compare_block``, one pair otherwise.
-    #: Admission is additionally bounded by device-cache pins — a job
-    #: claims one unit per distinct item, out of
-    #: ``device_cache_slots - 1`` per device — which is what keeps the
-    #: cache deadlock-free (see :mod:`repro.runtime.pernode`).
-    concurrent_jobs: int = 8
-    leaf_size: int = 4
     #: Target pairs per batched kernel launch for apps with
     #: ``compare_block``, counted in *accepted* pairs: a filtered job or
     #: a memo residual splits a block until it holds at most ``grain``
@@ -80,8 +83,6 @@ class RocketConfig:
     def __post_init__(self) -> None:
         if self.n_devices < 1:
             raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
-        if self.leaf_size < 1:
-            raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
         if not isinstance(self.grain, int) or self.grain < 1:
             raise ValueError(f"grain must be an int >= 1, got {self.grain!r}")
         if self.device_speed_factors is not None:

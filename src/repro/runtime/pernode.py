@@ -11,13 +11,13 @@ everything that happens inside one node (paper Section 4.3):
   job), so it is a leaf once it holds at most ``grain`` of them (or
   cannot split), and a quadrant with none is dropped when its parent
   splits — a filtered job or a memo residual launches full leaves;
-- a leaf's pairs are cut into *jobs* — one kernel launch each: a batch
-  of pairs for apps with ``compare_block``, one pair otherwise — that
-  run on a bounded job pool; a job pins its distinct items in the
-  device cache (ascending index order), executes the comparison kernel
-  on the owning device's serial kernel thread, copies the result D2H,
-  post-processes on the CPU and emits, records and completes once for
-  the whole batch;
+- a leaf's pairs are cut into *jobs* — one ``compare_block`` launch
+  each: a batch of pairs for apps that define it, one pair (its base
+  loop over ``compare``) otherwise — that run on a bounded job pool; a
+  job pins its distinct items in the device cache (ascending index
+  order), executes the comparison kernel on the owning device's serial
+  kernel thread, copies the result D2H, post-processes on the CPU and
+  emits, records and completes once for the whole batch;
 - cache misses run the load pipeline on the job thread that missed the
   item: it reads the file from the store through the node's single I/O
   lane (a lock, so reads stay serialised per node), parses it, copies
@@ -34,14 +34,16 @@ device cache, so admission is denominated in what a job takes from it:
 a job claims one unit per distinct item — one per device-cache pin it
 will hold — out of ``device_cache_slots - 1`` units per device
 (:class:`~repro.scheduling.throttle.ThreadAdmission`), with at most
-``concurrent_jobs`` jobs in flight.  A launch is cut by the cache's
-*capacity*, never by its momentary occupancy: the worker claims the
-whole leaf whenever its distinct items fit ``device_cache_slots - 1``
-and waits, holding nothing, until that many units are free.  Under
-cache pressure a device therefore runs one whole leaf at a time and the
-overlap comes from the other device; a leaf with more distinct items
-than the cache holds is cut into capacity-sized launches (an 8 x 8 leaf
-on 12 slots runs as 24 + 24 + 16 pairs).  A job's ``max_inflight`` is
+``concurrent_jobs`` (a fixed 8) jobs in flight; the per-pair clamp
+:func:`~repro.cache.policy.safe_job_limit` is the simulator's alone.  A
+launch is cut by the cache's *capacity*, never by its momentary
+occupancy: the worker claims the whole leaf whenever its distinct items
+fit ``device_cache_slots - 1`` and waits, holding nothing, until that
+many units are free.  Under cache pressure a device therefore runs one
+whole leaf at a time and the overlap comes from the other device; a
+leaf with more distinct items than the cache holds is cut into
+capacity-sized launches (an 8 x 8 leaf on 12 slots runs as 24 + 24 + 16
+pairs).  A job's ``max_inflight`` is
 the same rule in pairs, on a per-pipeline admission claimed *before*
 the device's (no running launch waits for it): a launch takes at most
 ``max_inflight`` pairs of its leaf and waits for that much room.
@@ -107,7 +109,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.cache.policy import safe_job_limit
 from repro.cache.slots import CacheCounters, Slot, SlotCache, SlotState
 from repro.core.api import Application
 from repro.core.result import real_column
@@ -200,8 +201,7 @@ class NodeEngine:
         )
         dev_slots = max(2, min(cfg.device_cache_slots, cap))
         host_slots = max(2, min(cfg.host_cache_slots, cap))
-        limit = safe_job_limit(cfg.concurrent_jobs, dev_slots, host_slots, cfg.n_devices)
-        self.job_limit = limit
+        limit = min(cfg.concurrent_jobs, dev_slots - 1)
         self.speeds = speeds
 
         self.states: List[_DeviceState] = []
@@ -451,8 +451,8 @@ class NodePipeline:
         self.counters_lock = threading.Lock()
         #: Live per-stage cost measurements (guarded by counters_lock).
         self.calibration = StageCalibration()
-        #: Apps overriding ``compare_block`` get a whole leaf (or its
-        #: capacity cut) per kernel launch; the others one pair.
+        #: Apps overriding ``compare_block`` launch a grain-sized leaf (or
+        #: its capacity cut); the others one pair, so a cancel ends fast.
         self._batched = app.supports_compare_block
         #: Accepted pairs at which a block is executed rather than split.
         self._leaf_pairs = cfg.grain if self._batched else cfg.leaf_size
@@ -849,7 +849,7 @@ class NodePipeline:
 
         The read is timed *inside* the I/O lane: calibration must not
         count time queued behind other loads (same reason
-        run_kernel_timed times on the device thread), while the trace
+        run_kernel times on the device thread), while the trace
         keeps the caller span.
         """
         tracing = self.trace.enabled
@@ -870,9 +870,7 @@ class NodePipeline:
 
         dev_parsed = st.device.h2d(parsed)
         t0 = self._now() if tracing else 0.0
-        dev_item, pre_duration = st.device.run_kernel_timed(
-            self.app.preprocess, key, dev_parsed
-        )
+        dev_item, pre_duration = st.device.run_kernel(self.app.preprocess, key, dev_parsed)
         if tracing:
             self.trace.record(st.device.name, "preprocess", t0, self._now(), self.job_id)
 
@@ -890,7 +888,7 @@ class NodePipeline:
     def _execute_block(
         self, st: _DeviceState, pairs: Sequence[Tuple[int, int]]
     ) -> "tuple[np.ndarray, float, float]":
-        """One kernel launch: pin, compare, D2H, postprocess.
+        """One ``compare_block`` launch: pin, compare, D2H, postprocess.
 
         Returns the post-processed values in ``pairs`` order as a
         float64 column plus the launch's on-device seconds and the
@@ -906,24 +904,17 @@ class NodePipeline:
         try:
             views = {idx: self._slot_view(slot) for idx, slot in slots.items()}
             t0 = self._now() if tracing else 0.0
-            if self._batched:
-                raw, cmp_duration = st.device.run_kernel_batched_timed(
-                    self.app.compare_block, n,
-                    [keys[i] for (i, _) in pairs], [views[i] for (i, _) in pairs],
-                    [keys[j] for (_, j) in pairs], [views[j] for (_, j) in pairs],
-                )
-            else:
-                ((i, j),) = pairs
-                raw, cmp_duration = st.device.run_kernel_timed(
-                    self.app.compare, keys[i], views[i], keys[j], views[j]
-                )
+            raw, cmp_duration = st.device.run_kernel(
+                self.app.compare_block,
+                [keys[i] for (i, _) in pairs], [views[i] for (i, _) in pairs],
+                [keys[j] for (_, j) in pairs], [views[j] for (_, j) in pairs],
+            )
             if tracing:
                 self.trace.record(st.device.name, "compare", t0, self._now(), self.job_id)
         finally:
             for slot in slots.values():
                 self._release_device_item(st, slot)
-        raw_host = st.device.d2h(raw)
-        rows = raw_host if self._batched else (raw_host,)
+        rows = st.device.d2h(raw)
         if len(rows) != n:
             raise RuntimeError(f"compare_block returned {len(rows)} rows for {n} pairs")
         postprocess = self.app.postprocess

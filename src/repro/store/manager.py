@@ -28,11 +28,10 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.core.api import Application
 from repro.data.filestore import DirectoryStore, FileStore
 
 from repro.store.hashing import ItemHasher
-from repro.store.itemcache import ITEMS_DIR, TEMP_PREFIX, PersistentItemCache
+from repro.store.itemcache import ITEMS_DIR, TEMP_PREFIX
 from repro.store.memo import MEMO_DIR, ResultMemoStore
 
 try:
@@ -61,9 +60,6 @@ class RocketStore:
         if self._memo is None:
             self._memo = ResultMemoStore(self.root)
         return self._memo
-
-    def item_cache(self, app: Application, files: FileStore) -> PersistentItemCache:
-        return PersistentItemCache(self.root, app, files)
 
     def hasher(self, files: FileStore) -> ItemHasher:
         return ItemHasher(self.root, files)

@@ -60,7 +60,6 @@ CFG = dict(
     n_devices=2,
     device_cache_slots=8,
     host_cache_slots=16,
-    leaf_size=2,
     grain=64,
     seed=7,
     watchdog_seconds=60.0,
@@ -417,7 +416,7 @@ class TestNoDeadlock:
         }
         cfg = RocketConfig(
             n_devices=n_devices, device_cache_slots=slots, host_cache_slots=4,
-            grain=64, leaf_size=2, seed=3, watchdog_seconds=60.0,
+            grain=64, seed=3, watchdog_seconds=60.0,
         )
         session = Rocket(app_cls(), store, cfg).session(policy=policy)
         try:

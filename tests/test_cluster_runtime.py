@@ -457,7 +457,7 @@ class TestResultFlushRule:
                 calls.append((pipeline.in_flight(), len(emitted)))
 
         pipeline = NodePipeline(
-            SumApp(), store, RocketConfig(n_devices=2, leaf_size=2, watchdog_seconds=60.0),
+            SumApp(), store, RocketConfig(n_devices=2, watchdog_seconds=60.0),
             keys, emit_block=emit_block, on_launch_done=launch_done,
             expected_pairs=45, initial_blocks=[PairBlock.root(10)],
         )
@@ -527,7 +527,7 @@ class TestHandOutOrdering:
     def test_a_recovery_grant_right_behind_a_late_joiners_hand_out_is_run(self):
         n = 6
         store, keys = make_store(n)
-        config = RocketConfig(n_devices=1, device_cache_slots=8, host_cache_slots=8, leaf_size=2)
+        config = RocketConfig(n_devices=1, device_cache_slots=8, host_cache_slots=8)
         cluster = dict(distributed_cache=False)
         engine = NodeEngine(config)
         factory = functools.partial(
@@ -636,7 +636,6 @@ class TestClusterRuntime:
         n_devices=1,
         device_cache_slots=8,
         host_cache_slots=16,
-        leaf_size=2,
         seed=3,
         watchdog_seconds=120.0,
     )

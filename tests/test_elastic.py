@@ -77,7 +77,6 @@ CFG = dict(
     n_devices=2,
     device_cache_slots=8,
     host_cache_slots=16,
-    leaf_size=2,
     seed=11,
     watchdog_seconds=120.0,
 )

@@ -42,7 +42,6 @@ CFG = dict(
     n_devices=1,
     device_cache_slots=8,
     host_cache_slots=16,
-    leaf_size=2,
     seed=7,
     watchdog_seconds=120.0,
 )

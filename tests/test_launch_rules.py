@@ -527,7 +527,7 @@ class TestValueIdentical:
         store, keys, ref = forensics_reference
         cfg = RocketConfig(
             n_devices=n_devices, device_cache_slots=slots, host_cache_slots=max(4, slots),
-            grain=grain, leaf_size=2, steal_policy=policy, seed=7, watchdog_seconds=60.0,
+            grain=grain, steal_policy=policy, seed=7, watchdog_seconds=60.0,
             device_speed_factors=(1.0, 0.5)[:n_devices] if policy is StealPolicy.SPEED else None,
         )
         values, launches, pipeline = run_bare_pipeline(LoopedForensics(), store, keys, cfg)

@@ -22,8 +22,9 @@ class TestVirtualDevice:
     def test_kernel_runs_and_wraps_result(self):
         with VirtualDevice("gpu0") as dev:
             buf = dev.h2d(np.arange(4.0))
-            out = dev.run_kernel(np.sum, buf)
+            out, seconds = dev.run_kernel(np.sum, buf)
             assert isinstance(out, DeviceBuffer)
+            assert seconds >= 0.0
             assert out.data == pytest.approx(6.0)
             assert dev.kernel_count == 1
             assert dev.kernel_seconds >= 0.0
@@ -50,6 +51,17 @@ class TestVirtualDevice:
                 b.run_kernel(np.sum, buf)
             with pytest.raises(RuntimeError):
                 b.d2h(buf)
+
+    def test_buffers_inside_a_list_are_unwrapped_or_rejected(self):
+        # A compare launch passes each side's items as one list, so this
+        # is the ownership check every per-pair app's items go through.
+        with VirtualDevice("gpu0") as a, VirtualDevice("gpu1") as b:
+            own = [a.h2d(np.arange(3.0)), a.h2d(np.ones(3))]
+            out, _ = a.run_kernel(lambda items: np.stack(items), own)
+            assert out.data.tolist() == [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]
+            mixed = [a.h2d(np.zeros(2)), b.h2d(np.zeros(2))]
+            with pytest.raises(RuntimeError, match="transfer is missing"):
+                a.run_kernel(lambda items: np.stack(items), mixed)
 
     def test_speed_factor_pads_time(self):
         import time
@@ -173,7 +185,7 @@ class TestLocalRocketRuntime:
         rocket = Rocket(
             app,
             store,
-            RocketConfig(n_devices=1, concurrent_jobs=1, device_cache_slots=3, host_cache_slots=5),
+            RocketConfig(n_devices=1, device_cache_slots=3, host_cache_slots=5),
         )
         results = rocket.run(sorted(values))
         assert results.is_complete()
@@ -211,7 +223,7 @@ class TestLocalRocketRuntime:
             store,
             RocketConfig(
                 n_devices=2, device_speed_factors=(1.0, 0.25), steal_policy=StealPolicy.SPEED,
-                device_cache_slots=16, host_cache_slots=32, leaf_size=2, seed=11,
+                device_cache_slots=16, host_cache_slots=32, seed=11,
             ),
         )
         assert rocket.run(sorted(values)).is_complete()
@@ -284,6 +296,14 @@ class TestLocalRocketRuntime:
                 RocketConfig(grain=grain)
         assert RocketConfig().grain == 64
 
+    def test_leaf_size_and_concurrent_jobs_are_fixed(self):
+        with pytest.raises(TypeError):
+            RocketConfig(leaf_size=2)
+        with pytest.raises(TypeError):
+            RocketConfig(concurrent_jobs=4)
+        cfg = RocketConfig()
+        assert (cfg.leaf_size, cfg.concurrent_jobs) == (4, 8)
+
 
 class DeviceFailApp(SumApp):
     """Comparison kernel that dies on one device of the pair.
@@ -314,14 +334,13 @@ class TestPipelineFailurePath:
     """
 
     #: Three device slots admit two concurrent jobs per device
-    #: (safe_job_limit), so jobs regularly hold their first item while
-    #: waiting on the second — the window the regression lives in.
+    #: (``device_cache_slots - 1``), so jobs regularly hold their first
+    #: item while waiting on the second — the window the regression
+    #: lives in.
     CFG = dict(
         n_devices=2,
         device_cache_slots=3,
         host_cache_slots=8,
-        concurrent_jobs=4,
-        leaf_size=2,
         seed=9,
         watchdog_seconds=30.0,
     )
@@ -400,7 +419,7 @@ class TestFillDeviceGuard:
     """
 
     CFG = dict(
-        n_devices=1, device_cache_slots=8, host_cache_slots=8, leaf_size=2,
+        n_devices=1, device_cache_slots=8, host_cache_slots=8,
         watchdog_seconds=30.0,
     )
 
@@ -499,7 +518,7 @@ class TestLoadPipelineOnJobThreads:
 
     N_ITEMS = 24
     CFG = dict(
-        n_devices=2, concurrent_jobs=4, device_cache_slots=6, host_cache_slots=8,
+        n_devices=2, device_cache_slots=6, host_cache_slots=8,
         seed=3, watchdog_seconds=60.0,
     )
 

@@ -36,7 +36,6 @@ CFG = dict(
     n_devices=1,
     device_cache_slots=32,
     host_cache_slots=64,
-    leaf_size=2,
     seed=11,
     watchdog_seconds=120.0,
 )

@@ -94,6 +94,8 @@ def sample_scenarios(seed=SCENARIO_SEED, count=SCENARIO_COUNT):
                 n_nodes=int(rng.integers(1, 4)),
                 transport=str(rng.choice(["queue", "shm"])),
                 filter_name=str(rng.choice(sorted(FILTERS))),
+                # No longer a config knob; still drawn (and named in the
+                # test ids) so the sampled scenarios stay the same.
                 leaf_size=int(rng.integers(1, 4)),
                 seed=int(rng.integers(0, 2**31)),
             )
@@ -142,7 +144,6 @@ def rocket_config(sc, **overrides):
         n_devices=sc["n_devices"],
         device_speed_factors=sc["speeds"],
         steal_policy=sc["policy"],
-        leaf_size=sc["leaf_size"],
         device_cache_slots=8,
         host_cache_slots=16,
         seed=sc["seed"],

@@ -61,7 +61,7 @@ from tests.test_multijob import make_rocket
 
 
 def warm_config(store_dir, **overrides):
-    cfg = dict(n_devices=2, leaf_size=2, seed=7, store_dir=str(store_dir))
+    cfg = dict(n_devices=2, seed=7, store_dir=str(store_dir))
     cfg.update(overrides)
     return RocketConfig(**cfg)
 

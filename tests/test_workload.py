@@ -244,7 +244,7 @@ class TestPairSet:
         store, keys = make_store(workload.n_items)
         assert keys == workload.keys
         config = RocketConfig(
-            n_devices=2, device_cache_slots=4, host_cache_slots=8, leaf_size=2, seed=1
+            n_devices=2, device_cache_slots=4, host_cache_slots=8, seed=1
         )
         with Rocket(SumApp(), store, config).session() as session:
             handle = session.submit(workload)
